@@ -7,8 +7,7 @@ signal-to-noise, and Leggett-Garg K31 values.  The ``wva-lab`` CLI drives
 named scenario sweeps that emit deterministic CSV tables.
 """
 from ._version import __version__
-from ._kernels import BACKEND as kernel_backend
-from .constants import CONSTANTS, SPEED_OF_LIGHT, PhysicalConstants
+from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError, NumericalError
 from .lgi import (
     LgiPoint,
@@ -30,7 +29,6 @@ from .meter import (
     postselection_probability_gaussian,
 )
 from .metrology import (
-    InstrumentModel,
     PrecisionReport,
     ShiftRateEstimate,
     TiltGeometry,
@@ -61,12 +59,13 @@ from .spectra import (
     wavelength_to_momentum,
 )
 
+# Every numeric path is plain numpy; the name stays for run records that log it.
+kernel_backend = "numpy"
+
 __all__ = [
     "__version__",
     "kernel_backend",
-    "CONSTANTS",
     "SPEED_OF_LIGHT",
-    "PhysicalConstants",
     "ConfigError",
     "NumericalError",
     "LgiPoint",
@@ -84,7 +83,6 @@ __all__ = [
     "pointer_shift_p_approx",
     "pointer_shift_p_gaussian",
     "postselection_probability_gaussian",
-    "InstrumentModel",
     "PrecisionReport",
     "ShiftRateEstimate",
     "TiltGeometry",

@@ -1,12 +1,3 @@
 """Physical constants (SI units throughout the package)."""
-from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by definition
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    c: float = SPEED_OF_LIGHT
-
-
-CONSTANTS = PhysicalConstants()

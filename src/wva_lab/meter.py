@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from . import _kernels
+import numpy as np
+
 from .errors import NumericalError
 from .polarization import MwiSettings
 from .spectra import MomentumGrid, SpectralProfile, build_grid, effective_sigma_p
@@ -58,7 +59,15 @@ class IntensityResult:
             raise ValueError("relative_shift does not reconstruct from the stored intensities")
 
 
+def _collapse(grid: MomentumGrid, phase_length: float, two_rho: float) -> np.ndarray:
+    """D(p) = Omega(p) * sin^2((p*L + 2 rho)/2) on the grid; the sin^2 form is
+    the exact rewrite of (1 - cos)/2 and avoids cancellation at small arguments."""
+    s = np.sin(0.5 * (grid.points * phase_length + two_rho))
+    return grid.density * s * s
+
+
 def _moments(grid: MomentumGrid, collapsed) -> tuple[float, float]:
+    """Simpson moments of a collapsed density: (integral D, integral (p - p0) D)."""
     wd = grid.weights * collapsed
     prob = float(wd.sum())
     mom1 = float((wd * (grid.points - grid.center)).sum())
@@ -66,19 +75,12 @@ def _moments(grid: MomentumGrid, collapsed) -> tuple[float, float]:
 
 
 def collapse_moments_on_grid(grid: MomentumGrid, settings: MwiSettings) -> tuple[float, float]:
-    """Fast sweep path: (postselection probability, delta_p) on a prebuilt grid.
+    """Sweep path: (postselection probability, delta_p) on a prebuilt grid.
 
-    Runs the fused collapse-and-integrate kernel without materializing D(p);
+    Skips the refinement guard and the CollapseResult of ``collapsed_density``;
     used by the scenario sweeps where only the pointer readouts are needed.
     """
-    prob_raw, mom1 = _kernels.collapse_moments(
-        grid.density,
-        grid.points,
-        grid.center,
-        settings.phase_length,
-        2.0 * settings.rho,
-        grid.weights,
-    )
+    prob_raw, mom1 = _moments(grid, _collapse(grid, settings.phase_length, 2.0 * settings.rho))
     if prob_raw <= 0.0 or not math.isfinite(prob_raw):
         raise NumericalError("collapsed density integrated to a non-positive value")
     return prob_raw / grid.integral(), mom1 / prob_raw
@@ -128,13 +130,12 @@ def collapsed_density(
 
     refinements = 0
     while True:
-        collapsed = _kernels.collapse_density(grid.density, grid.points, phase_length, two_rho)
+        collapsed = _collapse(grid, phase_length, two_rho)
         prob_full, mom_full = _moments(grid, collapsed)
         if not own_grid:
             break
         half = grid.half_resolution()
-        half_collapsed = _kernels.collapse_density(half.density, half.points, phase_length, two_rho)
-        prob_half, mom_half = _moments(half, half_collapsed)
+        prob_half, mom_half = _moments(half, _collapse(half, phase_length, two_rho))
         prob_ok = abs(prob_full - prob_half) <= refine_tolerance * abs(prob_full)
         shift_ok = abs(mom_full / prob_full - mom_half / prob_half) <= refine_tolerance * sigma_p
         if prob_ok and shift_ok:
@@ -252,15 +253,18 @@ def oracle_joint_state(
     """
     if profile.is_monochromatic:
         raise ValueError("monochromatic profile: oracle needs a momentum grid")
-    collapsed = _kernels.oracle_density(
-        grid.density,
-        grid.points,
-        settings.k,
-        settings.n_interactions,
-        settings.gamma,
-        settings.rho,
-        sequential,
-    )
+    p = grid.points
+    if sequential:
+        amp_h = np.exp(0.5j * settings.gamma * p)
+        step = np.exp(0.5j * settings.k * p)
+        for _ in range(settings.n_interactions):
+            amp_h = amp_h * step
+    else:
+        amp_h = np.exp(0.5j * settings.phase_length * p)
+    amp_v = np.conj(amp_h)
+    rho = settings.rho
+    proj = 0.5 * (np.exp(1j * rho) * amp_h - np.exp(-1j * rho) * amp_v) * np.sqrt(grid.density)
+    collapsed = (proj * np.conj(proj)).real
     prob, mom1 = _moments(grid, collapsed)
     delta_p = mom1 / prob
     return CollapseResult(

@@ -1,4 +1,4 @@
-"""Instrument models and derived metrology.
+"""Wave-plate tilt geometry and derived metrology.
 
 Maps a wave-plate tilt to the time difference it introduces, differentiates
 pointer signals against the interaction strength, and turns instrument
@@ -30,21 +30,6 @@ class TiltGeometry:
             raise ValueError(f"refractive index must be > 1, got {self.refractive_index!r}")
         if self.wavelength <= 0.0:
             raise ValueError(f"wavelength must be > 0, got {self.wavelength!r}")
-
-
-@dataclass(frozen=True)
-class InstrumentModel:
-    """Gain + noise-floor abstraction of the detection chain."""
-
-    spectrometer_resolution: float = 0.04e-12  # m
-    apd_gain: float = 3.14e6                   # V/W
-    noise_floor: float = 0.5e-3                # V
-    intensity_uncertainty: float = 0.045e-3    # V
-
-    def __post_init__(self) -> None:
-        for name in ("spectrometer_resolution", "apd_gain", "noise_floor", "intensity_uncertainty"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
 
 
 @dataclass(frozen=True)

@@ -122,18 +122,20 @@ def parse_config_text(text: str) -> dict:
 
 
 def _coerce(key: str, raw: object, default: object) -> object:
+    value = raw
     if isinstance(raw, str):
         try:
             if isinstance(default, bool):
-                return raw.lower() in ("1", "true", "yes")
-            if isinstance(default, int) and not isinstance(default, bool):
-                return int(raw)
-            if isinstance(default, float):
-                return float(raw)
+                value = raw.lower() in ("1", "true", "yes")
+            elif isinstance(default, int):
+                value = int(raw)
+            elif isinstance(default, float):
+                value = float(raw)
         except ValueError as exc:
             raise ConfigError(f"config key {key}: cannot parse {raw!r} as {type(default).__name__}") from exc
-        return raw
-    return raw
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config key {key}: {raw!r} is not a finite number")
+    return value
 
 
 def make_config(
@@ -158,40 +160,72 @@ def make_config(
 # ---------------------------------------------------------------------------
 
 def _floats(value: object) -> list:
-    if isinstance(value, (int, float)):
-        return [float(value)]
     parts = [p for p in str(value).split(",") if p.strip()]
     if not parts:
         raise ConfigError(f"empty list value {value!r}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"cannot parse list {value!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"list {value!r} has a non-finite entry")
+    return values
 
 
-def _ints(value: object) -> list:
-    return [int(v) for v in _floats(value)]
+def _count(params: Mapping[str, object], key: str) -> int:
+    value = int(params[key])
+    if value < 1:
+        raise ConfigError(f"{key} must be >= 1, got {value}")
+    return value
 
 
-def _tau_grid_as(tau_max_as: float, tau_step_as: float) -> np.ndarray:
-    if tau_step_as <= 0 or tau_max_as < tau_step_as:
-        raise ConfigError("need tau_step_as > 0 and tau_max_as >= tau_step_as")
-    count = int(round(tau_max_as / tau_step_as)) + 1
-    return tau_step_as * np.arange(count)
+def _counts(params: Mapping[str, object], key: str) -> list:
+    values = [int(v) for v in _floats(params[key])]
+    if min(values) < 1:
+        raise ConfigError(f"{key} entries must be >= 1, got {params[key]!r}")
+    return values
+
+
+def _stepped(params: Mapping[str, object], lo: float, hi_key: str, step_key: str, min_points: int) -> np.ndarray:
+    """lo, lo + step, ... up to the ``hi_key`` value, rounded to whole steps."""
+    step = float(params[step_key])
+    if step <= 0:
+        raise ConfigError(f"{step_key} must be > 0, got {step!r}")
+    count = int(round((float(params[hi_key]) - lo) / step)) + 1
+    if count < min_points:
+        raise ConfigError(f"{hi_key} and {step_key} give {count} points, need at least {min_points}")
+    return lo + step * np.arange(count)
+
+
+def _geomspace(params: Mapping[str, object], lo_key: str, hi_key: str, count_key: str) -> np.ndarray:
+    lo, hi = float(params[lo_key]), float(params[hi_key])
+    if not 0 < lo <= hi:
+        raise ConfigError(f"need 0 < {lo_key} <= {hi_key}, got {lo!r}, {hi!r}")
+    return np.geomspace(lo, hi, _count(params, count_key))
+
+
+def _tau_grid_as(params: Mapping[str, object]) -> np.ndarray:
+    # at least 3 points: the rates are central differences
+    return _stepped(params, 0.0, "tau_max_as", "tau_step_as", 3)
 
 
 def _gamma_m(gamma_pi_units: float) -> float:
     return gamma_pi_units * math.pi / P0_RAD_PER_M
 
 
-def _make_profile(params: Mapping[str, object], width_nm: float) -> SpectralProfile:
-    return SpectralProfile(
-        shape=str(params.get("shape", "supergaussian")),
-        center_wavelength=LAMBDA0_M,
-        width=width_nm * 1e-9,
-        order=int(params.get("order", 6)),
-        width_convention=str(params.get("width_convention", "sigma")),
-    )
+def _make_profile(
+    params: Mapping[str, object], width_nm: float, shape: Optional[str] = None
+) -> SpectralProfile:
+    try:
+        return SpectralProfile(
+            shape=shape or str(params.get("shape", "supergaussian")),
+            center_wavelength=LAMBDA0_M,
+            width=width_nm * 1e-9,
+            order=int(params.get("order", 6)),
+            width_convention=str(params.get("width_convention", "sigma")),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"spectral profile: {exc}") from exc
 
 
 def _wlabel(width_nm: float) -> str:
@@ -280,10 +314,10 @@ _TRACE_DEFAULTS = {
 )
 def _run_fig3a(params: Mapping[str, object]) -> ScenarioResult:
     widths = _floats(params["widths_nm"])
-    taus = _tau_grid_as(float(params["tau_max_as"]), float(params["tau_step_as"]))
+    taus = _tau_grid_as(params)
     gamma = _gamma_m(float(params["gamma_pi_units"]))
     rho = float(params["rho_rad"])
-    n = int(params["n_interactions"])
+    n = _count(params, "n_interactions")
     res_m = float(params["spectrometer_resolution_m"])
 
     rows = []
@@ -329,13 +363,11 @@ def _run_fig3a(params: Mapping[str, object]) -> ScenarioResult:
     },
 )
 def _run_fig3b(params: Mapping[str, object]) -> ScenarioResult:
-    widths = np.geomspace(
-        float(params["width_min_nm"]), float(params["width_max_nm"]), int(params["n_widths"])
-    )
-    taus = _tau_grid_as(float(params["tau_max_as"]), float(params["tau_step_as"]))
+    widths = _geomspace(params, "width_min_nm", "width_max_nm", "n_widths")
+    taus = _tau_grid_as(params)
     gamma = _gamma_m(float(params["gamma_pi_units"]))
     rho = float(params["rho_rad"])
-    n = int(params["n_interactions"])
+    n = _count(params, "n_interactions")
     threshold = float(params["band_threshold"])
 
     rows = []
@@ -380,8 +412,8 @@ def _run_fig3b(params: Mapping[str, object]) -> ScenarioResult:
 )
 def _run_fig4(params: Mapping[str, object]) -> ScenarioResult:
     width = float(params["width_nm"])
-    n_list = _ints(params["n_list"])
-    taus = _tau_grid_as(float(params["tau_max_as"]), float(params["tau_step_as"]))
+    n_list = _counts(params, "n_list")
+    taus = _tau_grid_as(params)
     gamma = _gamma_m(float(params["gamma_pi_units"]))
     rho = float(params["rho_rad"])
     res_m = float(params["spectrometer_resolution_m"])
@@ -426,11 +458,7 @@ _INTENSITY_DEFAULTS = {
 
 
 def _k_grid_m(params: Mapping[str, object]) -> np.ndarray:
-    k_max = float(params["k_max_m"])
-    k_step = float(params["k_step_m"])
-    if k_step <= 0 or k_max < k_step:
-        raise ConfigError("need k_step_m > 0 and k_max_m >= k_step_m")
-    return k_step * np.arange(int(round(k_max / k_step)) + 1)
+    return _stepped(params, 0.0, "k_max_m", "k_step_m", 2)
 
 
 def _intensity_trace(i_init, sigma_p, rho, n, k_values, noise):
@@ -473,7 +501,8 @@ def _run_fig5(params: Mapping[str, object]) -> ScenarioResult:
     summary: dict = {"i_init_V": i_init}
     k_ref = float(params["reference_k_m"])
     shifts_at_ref = {}
-    for n in _ints(params["coherent_n_list"]):
+    coherent_n_list = _counts(params, "coherent_n_list")
+    for n in coherent_n_list:
         for k, intensity, shift, snr in _intensity_trace(i_init, 0.0, rho, n, k_values, noise):
             rows.append((0.0, n, k, intensity, shift, snr))
         shifts_at_ref[n] = intensity_after_postselection(
@@ -481,8 +510,8 @@ def _run_fig5(params: Mapping[str, object]) -> ScenarioResult:
         ).relative_shift
         delta_k = float(params["delta_i_coherent_V"]) / (rate_base * n)
         summary[f"coherent.n{n}.delta_k_fm"] = delta_k * 1e15
-    base_n = _ints(params["coherent_n_list"])[0]
-    for n in _ints(params["coherent_n_list"])[1:]:
+    base_n = coherent_n_list[0]
+    for n in coherent_n_list[1:]:
         summary[f"delta_ell_ratio_n{n}_over_n{base_n}"] = shifts_at_ref[n] / shifts_at_ref[base_n]
     summary["coherent.n1.quoted_delta_k_fm"] = QUOTED_DELTA_K_FM["coherent"]
     summary["coherent.n1.quoted_deviation_percent"] = (
@@ -535,13 +564,8 @@ def _run_fig5(params: Mapping[str, object]) -> ScenarioResult:
     },
 )
 def _run_fig6(params: Mapping[str, object]) -> ScenarioResult:
-    rho_min = float(params["rho_min_rad"])
-    rho_step = float(params["rho_step_rad"])
-    count = int(round((float(params["rho_max_rad"]) - rho_min) / rho_step)) + 1
-    if count < 1 or rho_step <= 0:
-        raise ConfigError("bad rho range")
-    rhos = rho_min + rho_step * np.arange(count)
-    n_list = _ints(params["n_list"])
+    rhos = _stepped(params, float(params["rho_min_rad"]), "rho_max_rad", "rho_step_rad", 1)
+    n_list = _counts(params, "n_list")
     probe_k = float(params["probe_k_m"])
     probe_sigma = float(params["probe_sigma_p_rad_per_m"])
 
@@ -591,11 +615,9 @@ def _run_s2(params: Mapping[str, object]) -> ScenarioResult:
     profile = _make_profile(params, float(params["width_nm"]))
     gamma = _gamma_m(float(params["gamma_pi_units"]))
     rho = float(params["rho_rad"])
-    n = int(params["n_interactions"])
+    n = _count(params, "n_interactions")
     taus = _floats(params["tau_list_as"])
-    stride = int(params["subsample_stride"])
-    if stride < 1:
-        raise ConfigError("subsample_stride must be >= 1")
+    stride = _count(params, "subsample_stride")
 
     k_max = SPEED_OF_LIGHT * max(taus) * 1e-18
     grid = build_grid(profile, MwiSettings(n, k_max, gamma, rho))
@@ -703,8 +725,8 @@ def _run_s3(params: Mapping[str, object]) -> ScenarioResult:
     },
 )
 def _run_s4(params: Mapping[str, object]) -> ScenarioResult:
-    rhos = np.geomspace(float(params["rho_min_rad"]), float(params["rho_max_rad"]), int(params["n_rhos"]))
-    n_list = _ints(params["n_list"])
+    rhos = _geomspace(params, "rho_min_rad", "rho_max_rad", "n_rhos")
+    n_list = _counts(params, "n_list")
     k_probe = float(params["probe_k_m"])
     sigma_p = float(params["probe_sigma_p_rad_per_m"])
     noise = float(params["noise_floor_V"])
@@ -763,7 +785,7 @@ def oracle_case_matrix(params: Mapping[str, object]):
     """(shape, width_nm, n, k, rho, gamma_pi) tuples for the verification matrix."""
     shapes = [s.strip() for s in str(params["shapes"]).split(",") if s.strip()]
     for shape in shapes:
-        for n in _ints(params["n_list"]):
+        for n in _counts(params, "n_list"):
             for k in _floats(params["k_list_m"]):
                 for rho in _floats(params["rho_list_rad"]):
                     for gamma_pi in _floats(params["gamma_pi_list"]):
@@ -780,6 +802,37 @@ def oracle_pointwise_deviation(profile, settings) -> float:
     o = oracle.density.density
     mask = d > 1e-15 * float(d.max())
     return float(np.max(np.abs(d[mask] - o[mask]) / d[mask]))
+
+
+def oracle_deviation_rows(params: Mapping[str, object]) -> list:
+    """(shape, width_nm, n, k, rho, gamma_pi, deviation) for every case of the
+    verification matrix, deviation as in ``oracle_pointwise_deviation``."""
+    rows = []
+    for shape, width_nm, n, k, rho, gamma_pi in oracle_case_matrix(params):
+        settings = MwiSettings(n, k, _gamma_m(gamma_pi), rho)
+        dev = oracle_pointwise_deviation(_make_profile(params, width_nm, shape), settings)
+        rows.append((shape, width_nm, n, k, rho, gamma_pi, dev))
+    return rows
+
+
+def closed_form_deviations(params: Mapping[str, object]) -> tuple:
+    """Worst relative deviations (probability, delta_p) of the refinement-guarded
+    quadrature from the Gaussian closed forms, over the matrix's Gaussian cases
+    with gamma = 0 and k != 0."""
+    worst_prob = 0.0
+    worst_shift = 0.0
+    for shape, width_nm, n, k, rho, gamma_pi in oracle_case_matrix(params):
+        if shape != "gaussian" or gamma_pi != 0.0 or k == 0.0:
+            continue
+        profile = _make_profile(params, width_nm, shape)
+        settings = MwiSettings(n, k, _gamma_m(gamma_pi), rho)
+        sigma_p = effective_sigma_p(profile)
+        quad = collapsed_density(profile, settings)
+        prob_closed = postselection_probability_gaussian(sigma_p, P0_RAD_PER_M, settings)
+        shift_closed = pointer_shift_p_gaussian(sigma_p, P0_RAD_PER_M, settings)
+        worst_prob = max(worst_prob, abs(quad.postselection_probability - prob_closed) / prob_closed)
+        worst_shift = max(worst_shift, abs(quad.delta_p - shift_closed) / abs(shift_closed))
+    return worst_prob, worst_shift
 
 
 @_register(
@@ -801,33 +854,9 @@ def oracle_pointwise_deviation(profile, settings) -> float:
     },
 )
 def _run_oracle_suite(params: Mapping[str, object]) -> ScenarioResult:
-    rows = []
-    worst_oracle = 0.0
-    worst_prob = 0.0
-    worst_shift = 0.0
-    for shape, width_nm, n, k, rho, gamma_pi in oracle_case_matrix(params):
-        profile = SpectralProfile(
-            shape=shape,
-            center_wavelength=LAMBDA0_M,
-            width=width_nm * 1e-9,
-            order=int(params["order"]),
-            width_convention=str(params["width_convention"]),
-        )
-        settings = MwiSettings(n, k, _gamma_m(gamma_pi), rho)
-        dev = oracle_pointwise_deviation(profile, settings)
-        worst_oracle = max(worst_oracle, dev)
-        rows.append((shape, width_nm, n, k, rho, gamma_pi, dev))
-
-        if shape == "gaussian" and gamma_pi == 0.0 and k != 0.0:
-            sigma_p = effective_sigma_p(profile)
-            quad = collapsed_density(profile, settings)
-            prob_closed = postselection_probability_gaussian(sigma_p, P0_RAD_PER_M, settings)
-            shift_closed = pointer_shift_p_gaussian(sigma_p, P0_RAD_PER_M, settings)
-            worst_prob = max(
-                worst_prob, abs(quad.postselection_probability - prob_closed) / prob_closed
-            )
-            worst_shift = max(worst_shift, abs(quad.delta_p - shift_closed) / abs(shift_closed))
-
+    rows = oracle_deviation_rows(params)
+    worst_oracle = max((row[-1] for row in rows), default=0.0)
+    worst_prob, worst_shift = closed_form_deviations(params)
     passed = (
         worst_oracle <= float(params["oracle_tolerance"])
         and worst_prob <= float(params["prob_tolerance"])

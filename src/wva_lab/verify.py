@@ -1,9 +1,12 @@
 """Self-contained verification suite behind ``wva-lab verify``.
 
-Runs the oracle-equivalence matrix, the Gaussian closed-form consistency
-checks, the N-amplification ratios, the Leggett-Garg spot values and region
-scan, the weak-value round trip, and the monotonicity properties.  Prints
-one PASS/FAIL line per check; returns False if anything fails.
+The single statement of acceptance criteria 1-3 and 7-9: the oracle
+equivalence matrix, the Gaussian closed-form consistency checks, the
+N-amplification ratios, the Leggett-Garg spot values and region scan, the
+weak-value round trip, and the monotonicity properties.  ``CRITERIA`` maps
+each criterion number to its check function; the acceptance tests run the
+same functions.  ``verify_all`` prints one PASS/FAIL line per check and
+returns False if anything fails.
 """
 from __future__ import annotations
 
@@ -22,30 +25,47 @@ from .meter import (
 )
 from .metrology import TiltGeometry, tau_from_tilt
 from .polarization import MwiSettings
-from .scenarios import LAMBDA0_M, P0_RAD_PER_M, SCENARIOS, _run_oracle_suite
+from .scenarios import (
+    LAMBDA0_M,
+    P0_RAD_PER_M,
+    SCENARIOS,
+    closed_form_deviations,
+    oracle_deviation_rows,
+)
 from .spectra import SpectralProfile, effective_sigma_p
 
+# Each check returns (name, ok, detail) tuples, one per printed line.
 
-def _check_oracle_and_closed_forms() -> list:
-    result = _run_oracle_suite(SCENARIOS["oracle_suite"].defaults)
-    s = result.summary
+
+def check_oracle_equivalence() -> list:
+    params = SCENARIOS["oracle_suite"].defaults
+    rows = oracle_deviation_rows(params)
+    worst = max(row[-1] for row in rows)
+    tol = float(params["oracle_tolerance"])
     return [
         (
             "oracle_equivalence",
-            s["oracle_worst_rel_dev"] <= s["oracle_tolerance"],
-            f"worst rel dev {s['oracle_worst_rel_dev']:.3e} (tol {s['oracle_tolerance']:.0e})",
-        ),
-        (
-            "closed_form_consistency",
-            s["closed_form_prob_worst_rel_dev"] <= s["prob_tolerance"]
-            and s["closed_form_shift_worst_rel_dev"] <= s["shift_tolerance"],
-            f"prob {s['closed_form_prob_worst_rel_dev']:.3e} (tol {s['prob_tolerance']:.0e}), "
-            f"shift {s['closed_form_shift_worst_rel_dev']:.3e} (tol {s['shift_tolerance']:.0e})",
-        ),
+            worst <= tol,
+            f"{len(rows)} cases, worst rel dev {worst:.3e} (tol {tol:.0e})",
+        )
     ]
 
 
-def _check_amplification() -> list:
+def check_closed_form_consistency() -> list:
+    params = SCENARIOS["oracle_suite"].defaults
+    worst_prob, worst_shift = closed_form_deviations(params)
+    prob_tol = float(params["prob_tolerance"])
+    shift_tol = float(params["shift_tolerance"])
+    return [
+        (
+            "closed_form_consistency",
+            worst_prob <= prob_tol and worst_shift <= shift_tol,
+            f"prob {worst_prob:.3e} (tol {prob_tol:.0e}), shift {worst_shift:.3e} (tol {shift_tol:.0e})",
+        )
+    ]
+
+
+def check_mwi_amplification() -> list:
     # linear regime: N*k*p0 well inside rho/50 at rho = 0.002
     k = 1e-12
     rho = 0.002
@@ -69,7 +89,7 @@ def _check_amplification() -> list:
     ]
 
 
-def _check_lgi() -> list:
+def check_lgi() -> list:
     spot = k31(3, 0.0124)
     ok_spot = abs(spot.k31 - (-0.0741)) <= 1e-4
     ok_wv = abs(spot.im_weak_value - 238.0) / 238.0 <= 0.02
@@ -95,10 +115,10 @@ def _check_lgi() -> list:
     return checks
 
 
-def _check_roundtrip() -> list:
+def check_weak_value_round_trip() -> list:
     worst = 0.0
     for n in (1, 2, 3):
-        for rho in (0.002, 0.005, 0.0124):
+        for rho in [*np.linspace(0.002, 0.0124, 7).tolist(), 0.005]:
             for k in (1e-13, 1e-12, 1e-11):
                 sigma_p = 0.0
                 settings = MwiSettings(n, k, 0.0, rho)
@@ -117,16 +137,16 @@ def _check_roundtrip() -> list:
     ]
 
 
-def _check_monotonicity() -> list:
+def check_monotonicity() -> list:
     sigma = effective_sigma_p(SpectralProfile("gaussian", LAMBDA0_M, 6e-9))
     settings = MwiSettings(2, 3e-12, 0.0, 0.002)
     prop = pointer_shift_p_approx(2.0 * sigma, settings) == 4.0 * pointer_shift_p_approx(sigma, settings)
 
-    sigmas = np.linspace(1e3, 1e6, 512)
+    sigmas = np.linspace(1e3, 1e6, 1024)
     shifts = [intensity_shift_approx(s, P0_RAD_PER_M, MwiSettings(3, 3e-10, 0.0, 0.002)) for s in sigmas]
     decreasing = all(b < a for a, b in zip(shifts, shifts[1:]))
 
-    thetas = np.linspace(1e-4, math.pi / 2 - 1e-4, 512)
+    thetas = np.linspace(1e-4, math.pi / 2 - 1e-4, 1024)
     taus = [tau_from_tilt(TiltGeometry(t)) for t in thetas]
     increasing = all(b > a for a, b in zip(taus, taus[1:]))
     even = all(
@@ -139,14 +159,20 @@ def _check_monotonicity() -> list:
     ]
 
 
+# acceptance criterion number -> check, in run order
+CRITERIA = {
+    1: check_oracle_equivalence,
+    2: check_closed_form_consistency,
+    3: check_mwi_amplification,
+    7: check_lgi,
+    8: check_weak_value_round_trip,
+    9: check_monotonicity,
+}
+
+
 def verify_all(stream: TextIO = None) -> bool:
     stream = stream if stream is not None else sys.stdout
-    checks = []
-    checks += _check_oracle_and_closed_forms()
-    checks += _check_amplification()
-    checks += _check_lgi()
-    checks += _check_roundtrip()
-    checks += _check_monotonicity()
+    checks = [line for check in CRITERIA.values() for line in check()]
     all_ok = True
     for name, ok, detail in checks:
         all_ok &= ok

@@ -1,43 +1,50 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines, or via ``wva-lab verify`` for the CLI twin of criteria 1-3 and 7-9.
+lines.  Criteria 1-3 and 7-9 are stated once, by the check functions in
+``wva_lab.verify.CRITERIA`` (the checks behind ``wva-lab verify``); one test
+is generated per entry, so a criterion added there is tested here too.
 """
 import math
 import time
 
-import numpy as np
 import pytest
 
-from wva_lab.lgi import k31, negativity_boundary_scan, quantum_region_boundary, weak_value_from_shift
-from wva_lab.meter import (
-    collapsed_density,
-    intensity_after_postselection,
-    intensity_shift_approx,
-    pointer_shift_p_approx,
-    pointer_shift_p_gaussian,
-    postselection_probability_gaussian,
-)
-from wva_lab.metrology import TiltGeometry, tau_from_tilt
-from wva_lab.polarization import MwiSettings
-from wva_lab.scenarios import (
-    SCENARIOS,
-    execute_scenario,
-    make_config,
-    oracle_pointwise_deviation,
-    render_csv,
-)
-from wva_lab.spectra import SpectralProfile, effective_sigma_p, lambda_p_convert
-from wva_lab.verify import verify_all
+from wva_lab.scenarios import SCENARIOS, execute_scenario, make_config, render_csv
+from wva_lab.verify import CRITERIA, verify_all
 
-LAMBDA0 = 1550e-9
-P0 = lambda_p_convert(LAMBDA0)
-GAMMA_BIAS = 1.9 * math.pi / P0
+# wall-clock bounds (seconds) on the verify checks that sweep a case matrix
+RUNTIME_BOUNDS_S = {1: 30.0, 2: 10.0}
 
 
 def _criterion(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"[criterion {num:02d}] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {num:02d} {name}: {detail}"
+
+
+def _verify_criterion_test(num: int, check):
+    name = check.__name__.removeprefix("check_")
+
+    def test():
+        start = time.perf_counter()
+        lines = check()
+        elapsed = time.perf_counter() - start
+        bound = RUNTIME_BOUNDS_S.get(num, math.inf)
+        detail = "; ".join(f"{n}: {'PASS' if ok else 'FAIL'} ({d})" for n, ok, d in lines)
+        _criterion(
+            num,
+            name,
+            all(ok for _, ok, _ in lines) and elapsed < bound,
+            f"{detail}; {elapsed:.1f} s" + (f" (< {bound:.0f} s)" if bound < math.inf else ""),
+        )
+
+    test.__name__ = f"test_criterion_{num:02d}_{name}"
+    return test
+
+
+for _num, _check in CRITERIA.items():
+    _test = _verify_criterion_test(_num, _check)
+    globals()[_test.__name__] = _test
 
 
 @pytest.fixture(scope="module")
@@ -53,76 +60,6 @@ def fig3b_result():
 @pytest.fixture(scope="module")
 def fig4_result():
     return execute_scenario(make_config("fig4"))
-
-
-def test_criterion_01_oracle_equivalence():
-    start = time.perf_counter()
-    worst = 0.0
-    cases = 0
-    for shape in ("gaussian", "supergaussian", "rectangular"):
-        profile = SpectralProfile(shape, LAMBDA0, 6e-9, order=6)
-        for n in (1, 2, 3):
-            for k in (0.0, 1e-12, 1e-10):
-                for rho in (0.002, 0.01, 0.1):
-                    for gamma in (0.0, GAMMA_BIAS):
-                        dev = oracle_pointwise_deviation(profile, MwiSettings(n, k, gamma, rho))
-                        worst = max(worst, dev)
-                        cases += 1
-    elapsed = time.perf_counter() - start
-    _criterion(
-        1,
-        "oracle equivalence",
-        worst <= 1e-10 and elapsed < 30.0,
-        f"{cases} cases, worst rel dev {worst:.3e} (tol 1e-10), {elapsed:.1f} s (< 30 s)",
-    )
-
-
-def test_criterion_02_closed_form_consistency():
-    start = time.perf_counter()
-    worst_prob = 0.0
-    worst_shift = 0.0
-    profile = SpectralProfile("gaussian", LAMBDA0, 6e-9)
-    sigma_p = effective_sigma_p(profile)
-    for n in (1, 2, 3):
-        for k in (1e-12, 1e-10):
-            for rho in (0.002, 0.01, 0.1):
-                settings = MwiSettings(n, k, 0.0, rho)
-                quad = collapsed_density(profile, settings)
-                prob = postselection_probability_gaussian(sigma_p, P0, settings)
-                shift = pointer_shift_p_gaussian(sigma_p, P0, settings)
-                worst_prob = max(worst_prob, abs(quad.postselection_probability - prob) / prob)
-                worst_shift = max(worst_shift, abs(quad.delta_p - shift) / abs(shift))
-    elapsed = time.perf_counter() - start
-    _criterion(
-        2,
-        "closed-form consistency",
-        worst_prob <= 1e-9 and worst_shift <= 1e-6 and elapsed < 10.0,
-        f"prob dev {worst_prob:.3e} (tol 1e-9), shift dev {worst_shift:.3e} (tol 1e-6), "
-        f"{elapsed:.1f} s (< 10 s)",
-    )
-
-
-def test_criterion_03_mwi_amplification():
-    # linear regime: rho = 0.002 and N k p0 = 1.2e-5 <= rho/50 = 4e-5
-    k = 1e-12
-    rho = 0.002
-    profile = SpectralProfile("gaussian", LAMBDA0, 6e-9)
-    shifts = {}
-    intensities = {}
-    for n in (1, 2, 3):
-        settings = MwiSettings(n, k, 0.0, rho)
-        shifts[n] = collapsed_density(profile, settings).delta_lambda
-        intensities[n] = intensity_after_postselection(1.0, 0.0, P0, settings).relative_shift
-    worst = 0.0
-    for n in (2, 3):
-        worst = max(worst, abs(shifts[n] / shifts[1] - n) / n)
-        worst = max(worst, abs(intensities[n] / intensities[1] - n) / n)
-    _criterion(
-        3,
-        "MWI amplification",
-        worst <= 5e-3,
-        f"worst |ratio/N - 1| = {worst:.3e} (tol 5e-3) at N*k*p0 = {3 * k * P0:.2e} <= rho/50",
-    )
 
 
 QUOTED_RATES = {"w0.5nm": 0.27, "w1nm": 0.31, "w3nm": 0.41, "w6nm": 0.43}
@@ -176,79 +113,6 @@ def test_criterion_06_intensity_pointer_calibration():
         ok,
         f"delta_k(3) = {d[3]:.4f} fm (anchor), delta_k ~ 1/N exact, "
         f"delta_k(1) = {d[1]:.1f} fm vs quoted 497.8 ({dev_quoted:.1%} <= 12%)",
-    )
-
-
-def test_criterion_07_lgi():
-    spot = k31(3, 0.0124)
-    ok_spot = abs(spot.k31 - (-0.0741)) <= 1e-4
-    dev_wv = abs(spot.im_weak_value - 238.0) / 238.0
-    ok_wv = dev_wv <= 0.02
-    step = 1e-3
-    scans = {n: negativity_boundary_scan(n, 1.5, step) for n in (1, 2, 3)}
-    ok_region = all(abs(scans[n] - quantum_region_boundary(n)) <= step for n in scans)
-    ok_nested = scans[3] > scans[1]
-    ok = ok_spot and ok_wv and ok_region and ok_nested
-    _criterion(
-        7,
-        "Leggett-Garg violation",
-        ok,
-        f"k31(3, 0.0124) = {spot.k31:.6f} (+- 1e-4 of -0.0741), Im wv {spot.im_weak_value:.2f} "
-        f"vs 238 ({dev_wv:.2%} <= 2%), scan boundaries within one step of arctan(N), nested regions",
-    )
-
-
-def test_criterion_08_weak_value_round_trip():
-    worst = 0.0
-    for n in (1, 2, 3):
-        for rho in np.linspace(0.002, 0.0124, 7):
-            for k in (1e-13, 1e-12, 1e-11):
-                settings = MwiSettings(n, k, 0.0, float(rho))
-                forward = intensity_shift_approx(0.0, P0, settings)
-                recovered = weak_value_from_shift(forward, k, P0, 0.0, n)
-                theory = n / math.tan(rho)
-                worst = max(worst, abs(recovered - theory) / theory)
-    rho_star = math.atan(3.0 / 1478.0)
-    forward = intensity_shift_approx(0.0, P0, MwiSettings(3, 1e-12, 0.0, rho_star))
-    recovered = weak_value_from_shift(forward, 1e-12, P0, 0.0, 3)
-    dev_1478 = abs(recovered - 3.0 / math.tan(rho_star)) / 1478.0
-    ok = worst <= 1e-9 and dev_1478 <= 1e-3
-    _criterion(
-        8,
-        "weak-value round trip",
-        ok,
-        f"worst rel error {worst:.3e} (tol 1e-9); recovered {recovered:.2f} at back-solved "
-        f"rho = {rho_star:.6e} ({dev_1478:.2e} <= 0.1%)",
-    )
-
-
-def test_criterion_09_monotonicity():
-    sigma = effective_sigma_p(SpectralProfile("gaussian", LAMBDA0, 6e-9))
-    settings = MwiSettings(2, 3e-12, 0.0, 0.002)
-    quadratic = pointer_shift_p_approx(2.0 * sigma, settings) == 4.0 * pointer_shift_p_approx(
-        sigma, settings
-    )
-
-    sigmas = np.linspace(1e3, 1e6, 1024)
-    shifts = [
-        intensity_shift_approx(float(s), P0, MwiSettings(3, 3e-10, 0.0, 0.002)) for s in sigmas
-    ]
-    decreasing = all(b < a for a, b in zip(shifts, shifts[1:]))
-
-    thetas = np.linspace(1e-4, math.pi / 2 - 1e-4, 1024)
-    taus = [tau_from_tilt(TiltGeometry(float(t))) for t in thetas]
-    increasing = all(b > a for a, b in zip(taus, taus[1:]))
-    even = all(
-        tau_from_tilt(TiltGeometry(float(t))) == tau_from_tilt(TiltGeometry(float(-t)))
-        for t in thetas[::32]
-    )
-    ok = quadratic and decreasing and increasing and even
-    _criterion(
-        9,
-        "monotonicity properties",
-        ok,
-        f"sigma^2 proportionality exact: {quadratic}; intensity shift decreasing: {decreasing}; "
-        f"tilt map even and increasing: {even and increasing}",
     )
 
 

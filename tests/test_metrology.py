@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from wva_lab.constants import SPEED_OF_LIGHT
 from wva_lab.errors import NumericalError
 from wva_lab.metrology import (
-    InstrumentModel,
     PrecisionReport,
     TiltGeometry,
     k_from_tau,
@@ -130,17 +129,6 @@ class TestSnr:
             snr_db(0.0, 1.0)
         with pytest.raises(ValueError):
             snr_db(1.0, -1.0)
-
-
-class TestInstrumentModel:
-    def test_defaults_positive(self):
-        model = InstrumentModel()
-        assert model.spectrometer_resolution == 0.04e-12
-        assert model.apd_gain == 3.14e6
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            InstrumentModel(noise_floor=0.0)
 
 
 class TestRateOnPointerSignals:

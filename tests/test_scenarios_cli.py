@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from wva_lab.cli import main
-from wva_lab.errors import ConfigError
+from wva_lab.errors import ConfigError, NumericalError
 from wva_lab.scenarios import (
+    SCENARIOS,
     ScenarioResult,
     execute_scenario,
     linear_region_rate,
@@ -198,6 +201,37 @@ class TestCli:
         )
         assert code == 0
         assert "# config.rho_max_rad=0.0124" in out_file.read_text()
+
+    @pytest.mark.parametrize(
+        "scenario_id, setting",
+        [
+            ("fig6", "rho_step_rad=0"),
+            ("fig3a", "tau_step_as=nan"),
+            ("fig3a", "tau_max_as=inf"),
+            ("fig3a", "tau_max_as=1"),
+            ("fig5", "k_step_m=nan"),
+            ("fig3b", "n_widths=0"),
+            ("fig4", "n_list=0"),
+            ("fig3a", "widths_nm=-1"),
+            ("s4_weak_values", "n_rhos=0"),
+        ],
+    )
+    def test_bad_value_exits_2_without_csv(self, scenario_id, setting, tmp_path, capsys):
+        out_file = tmp_path / "out.csv"
+        assert main(["run", scenario_id, "--set", setting, "--out", str(out_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out_file.exists()
+
+    def test_numerical_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        def failing_runner(params):
+            raise NumericalError("quadrature did not converge")
+
+        monkeypatch.setitem(SCENARIOS, "fig6", replace(SCENARIOS["fig6"], runner=failing_runner))
+        out_file = tmp_path / "out.csv"
+        assert main(["run", "fig6", "--out", str(out_file)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert not out_file.exists()
 
     def test_missing_config_file_exits_2(self, capsys):
         assert main(["run", "fig6", "--config", "/nonexistent/cfg.txt"]) == 2
