@@ -8,9 +8,13 @@ path-imbalance phase is
 
 The momentum (P) pointer is the density-weighted mean shift of D, reported
 also as a wavelength shift; the intensity (I) pointer is the postselected
-total signal.  Alongside the grid path this module provides exact closed
-forms for Gaussian densities, the linear-regime approximations, and a
-brute-force joint-state oracle for verification.
+total signal.  Two grid paths compute them: ``collapsed_density`` collapses
+the full grid for one setting under a stride-2 refinement guard, and the
+sweep kernel ``collapse_moments_on_grid`` evaluates a whole sweep of phase
+lengths at once from the symmetric-density identity in its docstring.
+Alongside them this module provides exact closed forms for Gaussian
+densities, the linear-regime approximations, and a brute-force joint-state
+oracle for verification.
 """
 from __future__ import annotations
 
@@ -25,6 +29,8 @@ from .polarization import MwiSettings
 from .spectra import MomentumGrid, SpectralProfile, build_grid, effective_sigma_p
 
 _RELATIVE_SHIFT_RECON_TOL = 1e-12
+# grid x phase-length values per block of the sweep kernel (bounds its memory)
+_BLOCK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -74,16 +80,49 @@ def _moments(grid: MomentumGrid, collapsed) -> tuple[float, float]:
     return prob, mom1
 
 
-def collapse_moments_on_grid(grid: MomentumGrid, settings: MwiSettings) -> tuple[float, float]:
-    """Sweep path: (postselection probability, delta_p) on a prebuilt grid.
+def collapse_moments_on_grid(
+    grid: MomentumGrid, phase_lengths: np.ndarray, rho: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sweep kernel: (postselection probabilities, delta_p) for every phase length.
 
-    Skips the refinement guard and the CollapseResult of ``collapsed_density``;
-    used by the scenario sweeps where only the pointer readouts are needed.
+    For a density symmetric about p0 on a grid centered on p0 (as
+    ``build_grid`` makes it), with x = p - p0, A = (p0*L + 2 rho)/2
+    and I the grid integral of the density (not assumed to be 1),
+
+        P(L)  = sin^2 A + cos 2A * C(L) / I
+        dp(L) = 1/2 sin 2A * (T(L) / I) / P(L)
+
+    where C(L) = integral Omega sin^2(x L/2) and T(L) = integral Omega x sin(x L)
+    are Simpson sums over the x > 0 half of the grid, doubled; the sin^2 forms
+    avoid cancellation at small arguments.
+    The L axis runs in blocks of at most ``_BLOCK_ELEMENTS`` grid x L values.
+    Skips the refinement guard of ``collapsed_density``; the sweep caller
+    guards convergence by comparing grid levels.
     """
-    prob_raw, mom1 = _moments(grid, _collapse(grid, settings.phase_length, 2.0 * settings.rho))
-    if prob_raw <= 0.0 or not math.isfinite(prob_raw):
+    phase_lengths = np.asarray(phase_lengths, dtype=float)
+    mid = grid.points.size // 2
+    x = grid.points[mid + 1 :] - grid.center
+    w_omega = grid.weights[mid + 1 :] * grid.density[mid + 1 :]
+    w_omega_x = w_omega * x
+    c = np.empty(phase_lengths.size)
+    t = np.empty(phase_lengths.size)
+    block = max(1, _BLOCK_ELEMENTS // x.size)
+    for lo in range(0, phase_lengths.size, block):
+        half_phase = np.multiply.outer(0.5 * phase_lengths[lo : lo + block], x)
+        s = np.sin(half_phase)
+        s_cos = s * np.cos(half_phase)
+        s *= s
+        c[lo : lo + block] = s @ w_omega
+        t[lo : lo + block] = s_cos @ w_omega_x
+    total = grid.integral()
+    c *= 2.0 / total
+    t *= 4.0 / total  # doubled half sum, and sin(xL) = 2 sin(xL/2) cos(xL/2)
+    a = 0.5 * (grid.center * phase_lengths + 2.0 * rho)
+    sin_a = np.sin(a)
+    prob = sin_a * sin_a + np.cos(2.0 * a) * c
+    if not np.all(np.isfinite(prob) & (prob > 0.0)):
         raise NumericalError("collapsed density integrated to a non-positive value")
-    return prob_raw / grid.integral(), mom1 / prob_raw
+    return prob, 0.5 * np.sin(2.0 * a) * t / prob
 
 
 def collapsed_density(

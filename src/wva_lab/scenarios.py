@@ -30,7 +30,13 @@ from .meter import (
 )
 from .metrology import precision, snr_db
 from .polarization import MwiSettings
-from .spectra import SpectralProfile, build_grid, effective_sigma_p, lambda_p_convert
+from .spectra import (
+    MAX_GRID_POINTS,
+    SpectralProfile,
+    build_grid,
+    effective_sigma_p,
+    lambda_p_convert,
+)
 
 # Experimental presets shared by the scenario defaults
 LAMBDA0_M = 1550e-9
@@ -46,6 +52,11 @@ TARGET_DELTA_K_N3_M = 148.8e-15   # calibration anchor for the intensity pointer
 QUOTED_DELTA_K_FM = {"coherent": 497.8, "0.5": 782.7, "1": 1190.6, "3": 2312.2}
 QUOTED_IM_WEAK_VALUE_238 = 238.0
 QUOTED_OP_SNR_DB = 17.5
+
+# Sweep grids start at this floor, well below MIN_GRID_POINTS, and double
+# until consecutive levels agree to the tolerance.
+_SWEEP_MIN_GRID_POINTS = 2**7 + 1
+_SWEEP_TOLERANCE = 1e-10
 
 _ALLOWED_UNIT_SUFFIXES = {
     "1", "as", "s", "m", "nm", "pm", "fm", "rad", "V", "mV", "db", "W",
@@ -241,21 +252,35 @@ def _sweep_delta_lambda(
 ):
     """Wavelength-shift and probability traces over a time-difference sweep.
 
-    One grid is built for the largest phase length and reused across the
-    sweep (the sweep points are independent; fixed evaluation order keeps the
-    output deterministic).
+    Every tau runs in one kernel call per grid level.  The first grid is built
+    for the largest phase length (the last tau) with a floor of
+    ``_SWEEP_MIN_GRID_POINTS``; it is doubled until two consecutive levels
+    agree to ``_SWEEP_TOLERANCE`` (probability relative to itself, delta_p
+    relative to sigma_p), and the finer level is returned.  Raises NumericalError if that would take more
+    than MAX_GRID_POINTS points.
     """
     k_max = SPEED_OF_LIGHT * float(taus_as[-1]) * 1e-18
-    grid = build_grid(profile, MwiSettings(n_interactions, k_max, gamma, rho))
+    widest = MwiSettings(n_interactions, k_max, gamma, rho)
+    phase_lengths = n_interactions * (SPEED_OF_LIGHT * taus_as * 1e-18) + gamma
+    sigma_p = effective_sigma_p(profile)
+    grid = build_grid(profile, widest, min_points=_SWEEP_MIN_GRID_POINTS)
+    prob, delta_p = collapse_moments_on_grid(grid, phase_lengths, rho)
+    while True:
+        n_points = 2 * (grid.points.size - 1) + 1
+        if n_points > MAX_GRID_POINTS:
+            raise NumericalError(
+                f"sweep quadrature did not converge to {_SWEEP_TOLERANCE:g} "
+                f"within {MAX_GRID_POINTS} grid points"
+            )
+        grid = build_grid(profile, widest, min_points=n_points)
+        coarse_prob, coarse_delta_p = prob, delta_p
+        prob, delta_p = collapse_moments_on_grid(grid, phase_lengths, rho)
+        if np.all(np.abs(prob - coarse_prob) <= _SWEEP_TOLERANCE * prob) and np.all(
+            np.abs(delta_p - coarse_delta_p) <= _SWEEP_TOLERANCE * sigma_p
+        ):
+            break
     to_nm = -(profile.center_wavelength**2 / (2.0 * math.pi)) * 1e9
-    dlam_nm = np.empty(taus_as.size)
-    prob = np.empty(taus_as.size)
-    for i, tau_as in enumerate(taus_as):
-        settings = MwiSettings(n_interactions, SPEED_OF_LIGHT * float(tau_as) * 1e-18, gamma, rho)
-        p, delta_p = collapse_moments_on_grid(grid, settings)
-        dlam_nm[i] = to_nm * delta_p
-        prob[i] = p
-    return dlam_nm, prob
+    return to_nm * delta_p, prob
 
 
 def linear_region_rate(taus_as: np.ndarray, values: np.ndarray) -> float:

@@ -116,6 +116,12 @@ def _simpson_weights(n_points: int, dx: float) -> np.ndarray:
     return w * (dx / 3.0)
 
 
+def _rectangular_half_width(sigma_p: float) -> float:
+    """Half width sqrt(3)*sigma_p of the equal-variance rectangle: its support
+    edge and the half span of its grid, so both grid endpoints sit on the edge."""
+    return math.sqrt(3.0) * sigma_p
+
+
 def _density_offsets(profile: SpectralProfile, x: np.ndarray) -> np.ndarray:
     """Unnormalized momentum density at offsets x from the center p0."""
     sigma_p = effective_sigma_p(profile)
@@ -125,8 +131,7 @@ def _density_offsets(profile: SpectralProfile, x: np.ndarray) -> np.ndarray:
         w = sigma_p / _supergaussian_sigma_factor(profile.order)
         return np.exp(-np.abs(x / w) ** profile.order)
     if profile.shape is Shape.RECTANGULAR:
-        half = 0.5 * math.sqrt(12.0) * sigma_p
-        return np.where(np.abs(x) <= half, 1.0, 0.0)
+        return np.where(np.abs(x) <= _rectangular_half_width(sigma_p), 1.0, 0.0)
     raise ValueError(f"no grid density for shape {profile.shape.value}")
 
 
@@ -159,7 +164,9 @@ class MomentumGrid:
 
     @property
     def step(self) -> float:
-        return float(self.points[1] - self.points[0])
+        """Uniform spacing, from the span: one difference of absolute momenta
+        near p0 would carry up to ulp(p0) of rounding."""
+        return float(self.points[-1] - self.points[0]) / (self.points.size - 1)
 
     def integral(self, values: Optional[np.ndarray] = None) -> float:
         """Simpson integral of ``values`` (the stored density by default)."""
@@ -205,7 +212,9 @@ def build_grid(
 ) -> MomentumGrid:
     """Build a uniform momentum grid around p0 = 2*pi/lambda0.
 
-    The grid spans +- ``span_sigmas`` effective widths.  The point count is
+    The grid spans +- ``span_sigmas`` effective widths, except for a
+    rectangular profile, whose grid spans exactly its support +- sqrt(3)*sigma_p
+    (Simpson's rule is not applied across the band edge).  The point count is
     the smallest 2^m + 1 that samples the postselection modulation (momentum
     period 2*pi/(N*k + gamma)) at least ``samples_per_period`` times, with a
     floor of ``min_points``.  The density is normalized to unit integral
@@ -221,7 +230,10 @@ def build_grid(
         raise ValueError("monochromatic profile has no momentum grid; use the intensity path")
     p0 = lambda_p_convert(profile.center_wavelength)
     sigma_p = effective_sigma_p(profile)
-    span = span_sigmas * sigma_p
+    if profile.shape is Shape.RECTANGULAR:
+        span = _rectangular_half_width(sigma_p)
+    else:
+        span = span_sigmas * sigma_p
 
     n_intervals = max(min_points - 1, 4)
     if settings is not None and settings.phase_length != 0.0:

@@ -89,9 +89,19 @@ class TestCollapsedDensity:
         settings = MwiSettings(3, 2e-11, 1.9 * math.pi / P0, 0.002)
         grid = build_grid(gaussian(), settings)
         res = collapsed_density(gaussian(), settings, grid=grid)
-        prob, delta_p = collapse_moments_on_grid(grid, settings)
-        assert prob == pytest.approx(res.postselection_probability, rel=1e-12)
-        assert delta_p == pytest.approx(res.delta_p, rel=1e-12)
+        lengths = np.array([settings.phase_length])
+        prob, delta_p = collapse_moments_on_grid(grid, lengths, settings.rho)
+        assert prob[0] == pytest.approx(res.postselection_probability, rel=1e-12)
+        assert delta_p[0] == pytest.approx(res.delta_p, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", ["gaussian", "supergaussian"])
+    def test_narrow_sources_converge(self, shape):
+        # a grid step taken from two absolute momenta near p0 carried ulp(p0),
+        # which broke the stride-2 Simpson weights below ~0.05 nm
+        settings = MwiSettings(1, 3e-8, 1.9 * math.pi / P0, 0.002)
+        for width_nm in np.geomspace(0.005, 0.5, 60):
+            res = collapsed_density(SpectralProfile(shape, LAMBDA0, width_nm * 1e-9), settings)
+            assert 0.0 < res.postselection_probability < 1.0
 
     def test_quadrature_against_independent_simpson(self):
         # third route: scipy Simpson on an independently constructed grid

@@ -170,8 +170,8 @@ class TestRateOnPointerSignals:
 
         def delta_lambda_fn(n):
             def signal(k):
-                _, dp = collapse_moments_on_grid(grid, MwiSettings(n, k, gamma, 0.002))
-                return -(lambda0**2 / (2.0 * math.pi)) * dp
+                _, dp = collapse_moments_on_grid(grid, np.array([n * k + gamma]), 0.002)
+                return -(lambda0**2 / (2.0 * math.pi)) * float(dp[0])
 
             return signal
 

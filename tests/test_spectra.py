@@ -119,6 +119,14 @@ class TestBuildGrid:
         assert np.max(np.abs(values - values[0])) <= 1e-12 * values[0]
         assert np.all(grid.density[outside] == 0.0)
 
+    def test_rectangular_grid_spans_support(self):
+        profile = SpectralProfile("rectangular", LAMBDA0, 3e-9)
+        grid = build_grid(profile)
+        half_width = math.sqrt(3.0) * effective_sigma_p(profile)
+        assert grid.points[-1] - grid.center == pytest.approx(half_width, rel=1e-12)
+        assert grid.center - grid.points[0] == pytest.approx(half_width, rel=1e-12)
+        assert np.all(grid.density == grid.density[grid.points.size // 2])
+
     def test_modulation_period_resolved(self):
         settings = MwiSettings(1, 0.0, gamma=1.9 * math.pi / P0, rho=0.002)
         grid = build_grid(gaussian(), settings)

@@ -1,0 +1,163 @@
+"""The batched sweep engine: the C/T kernel and the grid-level guard of the sweeps."""
+import math
+
+import numpy as np
+import pytest
+
+from wva_lab import meter, scenarios
+from wva_lab.cli import main
+from wva_lab.constants import SPEED_OF_LIGHT
+from wva_lab.errors import NumericalError
+from wva_lab.meter import (
+    collapse_moments_on_grid,
+    collapsed_density,
+    pointer_shift_p_gaussian,
+    postselection_probability_gaussian,
+)
+from wva_lab.polarization import MwiSettings
+from wva_lab.scenarios import execute_scenario, make_config
+from wva_lab.spectra import SpectralProfile, build_grid, effective_sigma_p, lambda_p_convert
+
+LAMBDA0 = 1550e-9
+P0 = lambda_p_convert(LAMBDA0)
+GAMMA = 1.9 * math.pi / P0
+RHO = 0.002
+TAUS_AS = np.arange(0.0, 331.0)  # the default 331-point sweep
+TO_NM = -(LAMBDA0**2 / (2.0 * math.pi)) * 1e9
+
+
+def phase_lengths(n):
+    return n * (SPEED_OF_LIGHT * TAUS_AS * 1e-18) + GAMMA
+
+
+def sweep_grid(profile, n, **kwargs):
+    return build_grid(profile, MwiSettings(1, float(phase_lengths(n)[-1]), 0.0, RHO), **kwargs)
+
+
+def rectangular_exact(sigma_p, length, rho):
+    """(P, delta_p) from the exact C and T of a rectangle of half width sqrt(3)*sigma_p."""
+    a = math.sqrt(3.0) * sigma_p
+    c = 0.5 * (1.0 - np.sin(a * length) / (a * length))
+    t = (np.sin(a * length) / length**2 - a * np.cos(a * length) / length) / a
+    angle = 0.5 * (P0 * length + 2.0 * rho)
+    prob = np.sin(angle) ** 2 + np.cos(2.0 * angle) * c
+    return prob, 0.5 * np.sin(2.0 * angle) * t / prob
+
+
+class TestKernel:
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_gaussian_closed_forms_over_sweep(self, n):
+        profile = SpectralProfile("gaussian", LAMBDA0, 6e-9)
+        sigma_p = effective_sigma_p(profile)
+        lengths = phase_lengths(n)
+        prob, delta_p = collapse_moments_on_grid(sweep_grid(profile, n), lengths, RHO)
+        settings = [MwiSettings(n, (length - GAMMA) / n, GAMMA, RHO) for length in lengths]
+        prob_closed = np.array([postselection_probability_gaussian(sigma_p, P0, s) for s in settings])
+        shift_closed = np.array([pointer_shift_p_gaussian(sigma_p, P0, s) for s in settings])
+        assert np.max(np.abs(prob - prob_closed) / prob_closed) <= 1e-12
+        assert np.max(np.abs(delta_p - shift_closed) / np.abs(shift_closed)) <= 1e-12
+
+    def test_partial_last_block_matches_one_pass(self, monkeypatch):
+        profile = SpectralProfile("supergaussian", LAMBDA0, 6e-9)
+        grid = sweep_grid(profile, 1)
+        lengths = phase_lengths(1)
+        block = meter._BLOCK_ELEMENTS // (grid.points.size // 2)
+        assert 1 < block < lengths.size and lengths.size % block != 0
+        blocked = collapse_moments_on_grid(grid, lengths, RHO)
+        monkeypatch.setattr(meter, "_BLOCK_ELEMENTS", grid.points.size * lengths.size)
+        single = collapse_moments_on_grid(grid, lengths, RHO)
+        # equal up to the summation order BLAS picks for each block's shape
+        for got, want in zip(blocked, single):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_rectangular_exact_forms(self):
+        profile = SpectralProfile("rectangular", LAMBDA0, 6e-9)
+        sigma_p = effective_sigma_p(profile)
+        for n, k, rho in ((1, 3e-12, 0.002), (3, 1e-10, 0.01), (2, 0.0, 0.1)):
+            settings = MwiSettings(n, k, GAMMA, rho)
+            res = collapsed_density(profile, settings)
+            prob, delta_p = rectangular_exact(sigma_p, settings.phase_length, rho)
+            assert res.postselection_probability == pytest.approx(prob, rel=1e-9)
+            assert res.delta_p == pytest.approx(delta_p, rel=1e-9)
+
+
+class TestAdaptiveSweep:
+    @pytest.mark.parametrize("shape", ["gaussian", "supergaussian"])
+    @pytest.mark.parametrize("width_nm", [0.5, 6.0, 300.0])
+    def test_matches_fixed_fine_grid(self, shape, width_nm):
+        profile = SpectralProfile(shape, LAMBDA0, width_nm * 1e-9)
+        dlam, prob = scenarios._sweep_delta_lambda(profile, TAUS_AS, 1, GAMMA, RHO)
+        fine = sweep_grid(profile, 1, min_points=2**15 + 1)
+        prob_fine, delta_p_fine = collapse_moments_on_grid(fine, phase_lengths(1), RHO)
+        dlam_fine = TO_NM * delta_p_fine
+        assert np.max(np.abs(dlam - dlam_fine)) <= 1e-12 * np.max(np.abs(dlam_fine))
+        assert np.max(np.abs(prob - prob_fine)) <= 1e-12 * np.max(prob_fine)
+
+    def test_fig3a_rectangular_matches_exact_forms(self):
+        result = execute_scenario(make_config("fig3a", {"shape": "rectangular"}))
+        rows = np.array(result.rows)
+        for width_nm in np.unique(rows[:, 0]):
+            table = rows[rows[:, 0] == width_nm]
+            sigma_p = effective_sigma_p(SpectralProfile("rectangular", LAMBDA0, width_nm * 1e-9))
+            lengths = SPEED_OF_LIGHT * table[:, 1] * 1e-18 + GAMMA
+            prob, delta_p = rectangular_exact(sigma_p, lengths, RHO)
+            dlam = TO_NM * delta_p
+            assert np.max(np.abs(table[:, 3] - prob) / prob) <= 1e-9
+            assert np.max(np.abs(table[:, 2] - dlam)) <= 1e-9 * np.max(np.abs(dlam))
+
+    @pytest.mark.parametrize(
+        "scenario_id, fast",
+        [
+            ("fig3b", ["n_widths=4", "tau_max_as=60", "tau_step_as=6"]),
+            ("fig4", ["n_list=1,2", "tau_max_as=60", "tau_step_as=4"]),
+        ],
+    )
+    def test_rectangular_runs_exit_0(self, scenario_id, fast, tmp_path, capsys):
+        argv = ["run", scenario_id, "--out", str(tmp_path / "out.csv"), "--set", "shape=rectangular"]
+        for setting in fast:
+            argv += ["--set", setting]
+        assert main(argv) == 0
+
+    def test_fig3b_grids_and_kernel_calls_stay_small(self, monkeypatch):
+        sizes = []
+        calls = []
+
+        def spy_build_grid(*args, **kwargs):
+            grid = build_grid(*args, **kwargs)
+            sizes.append(grid.points.size)
+            return grid
+
+        def spy_kernel(grid, lengths, rho):
+            calls.append(grid.points.size)
+            return collapse_moments_on_grid(grid, lengths, rho)
+
+        monkeypatch.setattr(scenarios, "build_grid", spy_build_grid)
+        monkeypatch.setattr(scenarios, "collapse_moments_on_grid", spy_kernel)
+        config = make_config("fig3b")
+        execute_scenario(config)
+        assert max(sizes) <= 1025
+        assert len(calls) <= 5 * int(config.params["n_widths"])
+
+
+class TestSweepGuard:
+    @pytest.fixture
+    def never_converges(self, monkeypatch):
+        def drifting_kernel(grid, lengths, rho):
+            # consecutive grid levels differ by far more than the tolerance
+            value = 0.5 + 1e-3 / grid.points.size
+            return np.full(lengths.size, value), np.full(lengths.size, value)
+
+        monkeypatch.setattr(scenarios, "collapse_moments_on_grid", drifting_kernel)
+        # a lower ceiling keeps the doubling (and the memory it takes) small
+        monkeypatch.setattr(scenarios, "MAX_GRID_POINTS", 2**12 + 1)
+
+    def test_raises_numerical_error(self, never_converges):
+        profile = SpectralProfile("supergaussian", LAMBDA0, 6e-9)
+        with pytest.raises(NumericalError, match="did not converge"):
+            scenarios._sweep_delta_lambda(profile, TAUS_AS, 1, GAMMA, RHO)
+
+    def test_run_exits_3_without_csv(self, never_converges, tmp_path, capsys):
+        out = tmp_path / "fig3a.csv"
+        assert main(["run", "fig3a", "--out", str(out)]) == 3
+        assert "did not converge" in capsys.readouterr().err
+        assert not out.exists()
