@@ -80,6 +80,54 @@ def _moments(grid: MomentumGrid, collapsed) -> tuple[float, float]:
     return prob, mom1
 
 
+def _collapse_moments_on_levels(
+    grid: MomentumGrid, phase_lengths: np.ndarray, rho: float, n_levels: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep kernel on a grid and its coarser levels at once.
+
+    Level j is the stride-2^j subgrid of ``grid`` (a Simpson grid while the
+    interval count stays even).  Returns (probabilities, delta_p), each of
+    shape (n_levels, len(phase_lengths)); sin and cos are evaluated once, on
+    the x > 0 half of ``grid``, and one matmul against a weight matrix with
+    one column per level (that level's Simpson weights x Omega on its own
+    points, zero elsewhere) gives every level's C and T.  Each level is
+    normalized by its own integral I.
+    """
+    phase_lengths = np.asarray(phase_lengths, dtype=float)
+    mid = grid.points.size // 2
+    x = grid.points[mid + 1 :] - grid.center
+    w_omega = np.zeros((x.size, n_levels))
+    totals = np.empty(n_levels)
+    level = grid
+    for j in range(n_levels):
+        if j:
+            level = level.half_resolution()
+        stride = 2**j
+        level_mid = level.points.size // 2
+        w_omega[stride - 1 :: stride, j] = level.weights[level_mid + 1 :] * level.density[level_mid + 1 :]
+        totals[j] = level.integral()
+    w_omega_x = w_omega * x[:, np.newaxis]
+    c = np.empty((phase_lengths.size, n_levels))
+    t = np.empty((phase_lengths.size, n_levels))
+    block = max(1, _BLOCK_ELEMENTS // x.size)
+    for lo in range(0, phase_lengths.size, block):
+        half_phase = np.multiply.outer(0.5 * phase_lengths[lo : lo + block], x)
+        s = np.sin(half_phase)
+        s_cos = s * np.cos(half_phase)
+        s *= s
+        c[lo : lo + block] = s @ w_omega
+        t[lo : lo + block] = s_cos @ w_omega_x
+    c *= 2.0 / totals
+    t *= 4.0 / totals  # doubled half sum, and sin(xL) = 2 sin(xL/2) cos(xL/2)
+    a = 0.5 * (grid.center * phase_lengths + 2.0 * rho)
+    sin_a = np.sin(a)
+    prob = (sin_a * sin_a)[:, np.newaxis] + np.cos(2.0 * a)[:, np.newaxis] * c
+    if not np.all(np.isfinite(prob) & (prob > 0.0)):
+        raise NumericalError("collapsed density integrated to a non-positive value")
+    delta_p = 0.5 * np.sin(2.0 * a)[:, np.newaxis] * t / prob
+    return prob.T, delta_p.T
+
+
 def collapse_moments_on_grid(
     grid: MomentumGrid, phase_lengths: np.ndarray, rho: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -97,32 +145,11 @@ def collapse_moments_on_grid(
     avoid cancellation at small arguments.
     The L axis runs in blocks of at most ``_BLOCK_ELEMENTS`` grid x L values.
     Skips the refinement guard of ``collapsed_density``; the sweep caller
-    guards convergence by comparing grid levels.
+    guards convergence by comparing grid levels.  This is level 0 of
+    ``_collapse_moments_on_levels``.
     """
-    phase_lengths = np.asarray(phase_lengths, dtype=float)
-    mid = grid.points.size // 2
-    x = grid.points[mid + 1 :] - grid.center
-    w_omega = grid.weights[mid + 1 :] * grid.density[mid + 1 :]
-    w_omega_x = w_omega * x
-    c = np.empty(phase_lengths.size)
-    t = np.empty(phase_lengths.size)
-    block = max(1, _BLOCK_ELEMENTS // x.size)
-    for lo in range(0, phase_lengths.size, block):
-        half_phase = np.multiply.outer(0.5 * phase_lengths[lo : lo + block], x)
-        s = np.sin(half_phase)
-        s_cos = s * np.cos(half_phase)
-        s *= s
-        c[lo : lo + block] = s @ w_omega
-        t[lo : lo + block] = s_cos @ w_omega_x
-    total = grid.integral()
-    c *= 2.0 / total
-    t *= 4.0 / total  # doubled half sum, and sin(xL) = 2 sin(xL/2) cos(xL/2)
-    a = 0.5 * (grid.center * phase_lengths + 2.0 * rho)
-    sin_a = np.sin(a)
-    prob = sin_a * sin_a + np.cos(2.0 * a) * c
-    if not np.all(np.isfinite(prob) & (prob > 0.0)):
-        raise NumericalError("collapsed density integrated to a non-positive value")
-    return prob, 0.5 * np.sin(2.0 * a) * t / prob
+    prob, delta_p = _collapse_moments_on_levels(grid, phase_lengths, rho, 1)
+    return prob[0], delta_p[0]
 
 
 def collapsed_density(

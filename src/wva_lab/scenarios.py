@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
@@ -20,7 +21,7 @@ from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError, NumericalError
 from .lgi import k31, negativity_boundary_scan, quantum_region_boundary, weak_value_from_shift
 from .meter import (
-    collapse_moments_on_grid,
+    _collapse_moments_on_levels,
     collapsed_density,
     intensity_after_postselection,
     intensity_shift_approx,
@@ -57,6 +58,9 @@ QUOTED_OP_SNR_DB = 17.5
 # until consecutive levels agree to the tolerance.
 _SWEEP_MIN_GRID_POINTS = 2**7 + 1
 _SWEEP_TOLERANCE = 1e-10
+
+# CSV rows formatted per batch: bounds the memory held by the formatted columns
+_RENDER_CHUNK_ROWS = 1024
 
 _ALLOWED_UNIT_SUFFIXES = {
     "1", "as", "s", "m", "nm", "pm", "fm", "rad", "V", "mV", "db", "W",
@@ -220,7 +224,19 @@ def _tau_grid_as(params: Mapping[str, object]) -> np.ndarray:
     return _stepped(params, 0.0, "tau_max_as", "tau_step_as", 3)
 
 
+def _rhos(values, what: str):
+    """``values`` (one postselection angle or an array of them), checked to
+    lie in (0, pi/2)."""
+    angles = np.asarray(values, dtype=float)
+    outside = angles[~((angles > 0.0) & (angles < 0.5 * math.pi))]
+    if outside.size:
+        raise ConfigError(f"{what} must lie in (0, pi/2), got {float(outside[0])!r}")
+    return values
+
+
 def _gamma_m(gamma_pi_units: float) -> float:
+    if gamma_pi_units < 0.0:
+        raise ConfigError(f"gamma_pi_units must be >= 0, got {gamma_pi_units!r}")
     return gamma_pi_units * math.pi / P0_RAD_PER_M
 
 
@@ -252,35 +268,40 @@ def _sweep_delta_lambda(
 ):
     """Wavelength-shift and probability traces over a time-difference sweep.
 
-    Every tau runs in one kernel call per grid level.  The first grid is built
-    for the largest phase length (the last tau) with a floor of
-    ``_SWEEP_MIN_GRID_POINTS``; it is doubled until two consecutive levels
-    agree to ``_SWEEP_TOLERANCE`` (probability relative to itself, delta_p
-    relative to sigma_p), and the finer level is returned.  Raises NumericalError if that would take more
-    than MAX_GRID_POINTS points.
+    The grid levels are built for the largest phase length (the last tau):
+    the first has a floor of ``_SWEEP_MIN_GRID_POINTS`` points and each next
+    one doubles it.  Consecutive levels are compared until two agree to
+    ``_SWEEP_TOLERANCE`` (probability relative to itself, delta_p relative to
+    sigma_p), and the finer of the two is returned.  Coarser levels are read
+    as strided subgrids of a finer grid, so one kernel call covers the first
+    three levels and each later call adds one.  Raises NumericalError if a
+    level would take more than MAX_GRID_POINTS points.
     """
     k_max = SPEED_OF_LIGHT * float(taus_as[-1]) * 1e-18
     widest = MwiSettings(n_interactions, k_max, gamma, rho)
     phase_lengths = n_interactions * (SPEED_OF_LIGHT * taus_as * 1e-18) + gamma
     sigma_p = effective_sigma_p(profile)
-    grid = build_grid(profile, widest, min_points=_SWEEP_MIN_GRID_POINTS)
-    prob, delta_p = collapse_moments_on_grid(grid, phase_lengths, rho)
+    n_intervals = build_grid(profile, widest, min_points=_SWEEP_MIN_GRID_POINTS).points.size - 1
+    n_levels = 3  # the first call reads the grid and its stride-2 and stride-4 subgrids
     while True:
-        n_points = 2 * (grid.points.size - 1) + 1
-        if n_points > MAX_GRID_POINTS:
+        while n_levels > 1 and n_intervals * 2 ** (n_levels - 1) + 1 > MAX_GRID_POINTS:
+            n_levels -= 1
+        if n_levels == 1:
             raise NumericalError(
                 f"sweep quadrature did not converge to {_SWEEP_TOLERANCE:g} "
                 f"within {MAX_GRID_POINTS} grid points"
             )
-        grid = build_grid(profile, widest, min_points=n_points)
-        coarse_prob, coarse_delta_p = prob, delta_p
-        prob, delta_p = collapse_moments_on_grid(grid, phase_lengths, rho)
-        if np.all(np.abs(prob - coarse_prob) <= _SWEEP_TOLERANCE * prob) and np.all(
-            np.abs(delta_p - coarse_delta_p) <= _SWEEP_TOLERANCE * sigma_p
-        ):
-            break
-    to_nm = -(profile.center_wavelength**2 / (2.0 * math.pi)) * 1e9
-    return to_nm * delta_p, prob
+        n_intervals *= 2 ** (n_levels - 1)
+        grid = build_grid(profile, widest, min_points=n_intervals + 1)
+        prob, delta_p = _collapse_moments_on_levels(grid, phase_lengths, rho, n_levels)
+        # level j is the stride-2^j subgrid: compare the coarsest pair first
+        for fine in range(n_levels - 2, -1, -1):
+            if np.all(np.abs(prob[fine] - prob[fine + 1]) <= _SWEEP_TOLERANCE * prob[fine]) and np.all(
+                np.abs(delta_p[fine] - delta_p[fine + 1]) <= _SWEEP_TOLERANCE * sigma_p
+            ):
+                to_nm = -(profile.center_wavelength**2 / (2.0 * math.pi)) * 1e9
+                return to_nm * delta_p[fine], prob[fine]
+        n_levels = 2
 
 
 def linear_region_rate(taus_as: np.ndarray, values: np.ndarray) -> float:
@@ -341,7 +362,7 @@ def _run_fig3a(params: Mapping[str, object]) -> ScenarioResult:
     widths = _floats(params["widths_nm"])
     taus = _tau_grid_as(params)
     gamma = _gamma_m(float(params["gamma_pi_units"]))
-    rho = float(params["rho_rad"])
+    rho = _rhos(float(params["rho_rad"]), "rho_rad")
     n = _count(params, "n_interactions")
     res_m = float(params["spectrometer_resolution_m"])
 
@@ -362,10 +383,7 @@ def _run_fig3a(params: Mapping[str, object]) -> ScenarioResult:
         summary[f"{label}.fitted_rate_nm_per_as"] = fitted
         summary[f"{label}.peak_rate_nm_per_as"] = peak
         summary[f"{label}.delta_tau_as"] = _delta_tau_as_from_rate(fitted, res_m)
-        rows.extend(
-            (width, float(t), float(d), float(p))
-            for t, d, p in zip(taus, dlam, prob)
-        )
+        rows.extend(zip(repeat(width), taus.tolist(), dlam.tolist(), prob.tolist()))
     return ScenarioResult(
         "fig3a",
         ("sigma_lambda_nm", "tau_as", "delta_lambda_nm", "postselection_probability_1"),
@@ -391,7 +409,7 @@ def _run_fig3b(params: Mapping[str, object]) -> ScenarioResult:
     widths = _geomspace(params, "width_min_nm", "width_max_nm", "n_widths")
     taus = _tau_grid_as(params)
     gamma = _gamma_m(float(params["gamma_pi_units"]))
-    rho = float(params["rho_rad"])
+    rho = _rhos(float(params["rho_rad"]), "rho_rad")
     n = _count(params, "n_interactions")
     threshold = float(params["band_threshold"])
 
@@ -406,10 +424,7 @@ def _run_fig3b(params: Mapping[str, object]) -> ScenarioResult:
         width_peaks.append(float(np.max(rates)))
         if width_peaks[-1] > best[0]:
             best = (width_peaks[-1], float(width), float(taus[1:-1][int(np.argmax(rates))]))
-        rows.extend(
-            (float(width), float(t), float(d), float(r))
-            for t, d, r in zip(taus[1:-1], dlam[1:-1], rates)
-        )
+        rows.extend(zip(repeat(float(width)), taus[1:-1].tolist(), dlam[1:-1].tolist(), rates.tolist()))
 
     peaks = np.array(width_peaks)
     in_band = widths[peaks >= threshold * best[0]]
@@ -440,7 +455,7 @@ def _run_fig4(params: Mapping[str, object]) -> ScenarioResult:
     n_list = _counts(params, "n_list")
     taus = _tau_grid_as(params)
     gamma = _gamma_m(float(params["gamma_pi_units"]))
-    rho = float(params["rho_rad"])
+    rho = _rhos(float(params["rho_rad"]), "rho_rad")
     res_m = float(params["spectrometer_resolution_m"])
     profile = _make_profile(params, width)
 
@@ -455,9 +470,7 @@ def _run_fig4(params: Mapping[str, object]) -> ScenarioResult:
         summary[f"n{n}.fitted_rate_nm_per_as"] = fitted
         summary[f"n{n}.peak_rate_nm_per_as"] = peak
         summary[f"n{n}.delta_tau_as"] = _delta_tau_as_from_rate(fitted, res_m)
-        rows.extend(
-            (n, float(t), float(d), float(p)) for t, d, p in zip(taus, dlam, prob)
-        )
+        rows.extend(zip(repeat(n), taus.tolist(), dlam.tolist(), prob.tolist()))
     base = n_list[0]
     for n in n_list[1:]:
         summary[f"rate_ratio_n{n}_over_n{base}"] = peak_rates[n] / peak_rates[base]
@@ -514,7 +527,7 @@ def _intensity_trace(i_init, sigma_p, rho, n, k_values, noise):
     },
 )
 def _run_fig5(params: Mapping[str, object]) -> ScenarioResult:
-    rho = float(params["rho_rad"])
+    rho = _rhos(float(params["rho_rad"]), "rho_rad")
     noise = float(params["noise_floor_V"])
     k_values = _k_grid_m(params)
     i_init = calibrated_i_init_v(
@@ -589,7 +602,10 @@ def _run_fig5(params: Mapping[str, object]) -> ScenarioResult:
     },
 )
 def _run_fig6(params: Mapping[str, object]) -> ScenarioResult:
-    rhos = _stepped(params, float(params["rho_min_rad"]), "rho_max_rad", "rho_step_rad", 1)
+    rhos = _rhos(
+        _stepped(params, float(params["rho_min_rad"]), "rho_max_rad", "rho_step_rad", 1),
+        "angles from rho_min_rad to rho_max_rad",
+    )
     n_list = _counts(params, "n_list")
     probe_k = float(params["probe_k_m"])
     probe_sigma = float(params["probe_sigma_p_rad_per_m"])
@@ -639,7 +655,7 @@ def _run_fig6(params: Mapping[str, object]) -> ScenarioResult:
 def _run_s2(params: Mapping[str, object]) -> ScenarioResult:
     profile = _make_profile(params, float(params["width_nm"]))
     gamma = _gamma_m(float(params["gamma_pi_units"]))
-    rho = float(params["rho_rad"])
+    rho = _rhos(float(params["rho_rad"]), "rho_rad")
     n = _count(params, "n_interactions")
     taus = _floats(params["tau_list_as"])
     stride = _count(params, "subsample_stride")
@@ -687,7 +703,7 @@ def _run_s2(params: Mapping[str, object]) -> ScenarioResult:
     },
 )
 def _run_s3(params: Mapping[str, object]) -> ScenarioResult:
-    rho = float(params["rho_rad"])
+    rho = _rhos(float(params["rho_rad"]), "rho_rad")
     noise = float(params["noise_floor_V"])
     k_values = _k_grid_m(params)
     i_init = calibrated_i_init_v(
@@ -750,7 +766,10 @@ def _run_s3(params: Mapping[str, object]) -> ScenarioResult:
     },
 )
 def _run_s4(params: Mapping[str, object]) -> ScenarioResult:
-    rhos = _geomspace(params, "rho_min_rad", "rho_max_rad", "n_rhos")
+    rhos = _rhos(
+        _geomspace(params, "rho_min_rad", "rho_max_rad", "n_rhos"),
+        "angles from rho_min_rad to rho_max_rad",
+    )
     n_list = _counts(params, "n_list")
     k_probe = float(params["probe_k_m"])
     sigma_p = float(params["probe_sigma_p_rad_per_m"])
@@ -812,7 +831,7 @@ def oracle_case_matrix(params: Mapping[str, object]):
     for shape in shapes:
         for n in _counts(params, "n_list"):
             for k in _floats(params["k_list_m"]):
-                for rho in _floats(params["rho_list_rad"]):
+                for rho in _rhos(_floats(params["rho_list_rad"]), "rho_list_rad entries"):
                     for gamma_pi in _floats(params["gamma_pi_list"]):
                         yield shape, float(params["sigma_lambda_nm"]), n, k, rho, gamma_pi
 
@@ -912,10 +931,9 @@ def execute_scenario(config: ScenarioConfig) -> ScenarioResult:
     if config.scenario_id not in SCENARIOS:
         raise ConfigError(f"unknown scenario {config.scenario_id!r}; see 'wva-lab list'")
     result = SCENARIOS[config.scenario_id].runner(config.params)
-    for row in result.rows:
-        for value in row:
-            if isinstance(value, float) and not math.isfinite(value):
-                raise NumericalError(f"scenario {config.scenario_id} produced a non-finite value")
+    for column in zip(*result.rows):
+        if not isinstance(column[0], str) and not np.all(np.isfinite(np.array(column, dtype=float))):
+            raise NumericalError(f"scenario {config.scenario_id} produced a non-finite value")
     return result
 
 
@@ -940,16 +958,28 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
+def _format_column(values: Sequence) -> list:
+    """``_format_cell`` of every value; a column of floats is formatted in one
+    ``repr`` of a list of Python floats, which gives the same shortest
+    round-trip text per value."""
+    if all(issubclass(kind, float) for kind in set(map(type, values))):
+        return repr(list(map(float, values)))[1:-1].split(", ")
+    return [_format_cell(v) for v in values]
+
+
 def render_csv(result: ScenarioResult, config: ScenarioConfig) -> str:
     """Deterministic CSV body: provenance comments, unit-suffixed header,
-    rows sorted by their leading (input-coordinate) columns."""
+    rows sorted by their leading (input-coordinate) columns.  Rows are
+    formatted by column, ``_RENDER_CHUNK_ROWS`` rows at a time."""
     _validate_columns(result.columns, result.rows)
     lines = [f"# wva-lab {_pkg_version}", f"# scenario={result.scenario_id}"]
     for key in sorted(config.params.keys()):
         lines.append(f"# config.{key}={_format_cell(config.params[key])}")
     lines.append(",".join(result.columns))
-    for row in sorted(result.rows):
-        lines.append(",".join(_format_cell(v) for v in row))
+    rows = sorted(result.rows)
+    for lo in range(0, len(rows), _RENDER_CHUNK_ROWS):
+        columns = zip(*rows[lo : lo + _RENDER_CHUNK_ROWS])
+        lines.extend(map(",".join, zip(*map(_format_column, columns))))
     return "\n".join(lines) + "\n"
 
 

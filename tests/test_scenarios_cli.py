@@ -3,11 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from wva_lab import scenarios
 from wva_lab.cli import main
 from wva_lab.errors import ConfigError, NumericalError
 from wva_lab.scenarios import (
     SCENARIOS,
     ScenarioResult,
+    _format_cell,
     execute_scenario,
     linear_region_rate,
     list_scenarios,
@@ -133,6 +135,30 @@ class TestCsvOutput:
             result = execute_scenario(config)
             render_csv(result, config)  # raises if a numeric column lacks units
 
+    @pytest.mark.parametrize("n_rows", [1, scenarios._RENDER_CHUNK_ROWS, 2 * scenarios._RENDER_CHUNK_ROWS + 37])
+    def test_column_render_matches_per_cell_reference(self, n_rows):
+        floats = [-0.0, 5e-324, 1e16, 0.1, 1.0 / 3.0, -2.5e-300, 123456789.0, float("inf")]
+        rows = [
+            (
+                n_rows - i,  # unique first column: the sort never compares the others
+                "gaussian" if i % 3 else "rectangular",
+                i % 2 == 0,
+                np.int64(3 * i),
+                np.float64(floats[i % len(floats)]),
+                floats[(i + 3) % len(floats)],
+                i if i % 5 == 0 else floats[i % len(floats)],
+            )
+            for i in range(n_rows)
+        ]
+        columns = ("index_1", "shape", "flag_1", "count_1", "numpy_1", "python_1", "mixed_1")
+        result = ScenarioResult("fig6", columns, rows, {})
+        config = make_config("fig6", FAST_OVERRIDES["fig6"])
+        reference = [f"# wva-lab {scenarios._pkg_version}", "# scenario=fig6"]
+        reference += [f"# config.{key}={_format_cell(config.params[key])}" for key in sorted(config.params)]
+        reference.append(",".join(columns))
+        reference += [",".join(_format_cell(v) for v in row) for row in sorted(rows)]
+        assert render_csv(result, config) == "\n".join(reference) + "\n"
+
     def test_byte_determinism(self, tmp_path):
         for scenario_id in ("fig6", "s4_weak_values", "fig3a"):
             config = make_config(scenario_id, FAST_OVERRIDES[scenario_id])
@@ -214,6 +240,17 @@ class TestCli:
             ("fig4", "n_list=0"),
             ("fig3a", "widths_nm=-1"),
             ("s4_weak_values", "n_rhos=0"),
+            ("fig6", "rho_min_rad=0"),
+            ("fig6", "rho_max_rad=1.6"),
+            ("fig5", "rho_rad=-1"),
+            ("fig3a", "rho_rad=2"),
+            ("fig3b", "rho_rad=0"),
+            ("fig4", "rho_rad=1.6"),
+            ("s2_spectrum_evolution", "rho_rad=0"),
+            ("s3_intensity", "rho_rad=-0.1"),
+            ("s4_weak_values", "rho_max_rad=2"),
+            ("oracle_suite", "rho_list_rad=0.002,0"),
+            ("fig3a", "gamma_pi_units=-1"),
         ],
     )
     def test_bad_value_exits_2_without_csv(self, scenario_id, setting, tmp_path, capsys):

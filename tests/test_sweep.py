@@ -127,27 +127,70 @@ class TestAdaptiveSweep:
             sizes.append(grid.points.size)
             return grid
 
-        def spy_kernel(grid, lengths, rho):
+        def spy_kernel(grid, lengths, rho, n_levels):
             calls.append(grid.points.size)
-            return collapse_moments_on_grid(grid, lengths, rho)
+            return meter._collapse_moments_on_levels(grid, lengths, rho, n_levels)
 
         monkeypatch.setattr(scenarios, "build_grid", spy_build_grid)
-        monkeypatch.setattr(scenarios, "collapse_moments_on_grid", spy_kernel)
+        monkeypatch.setattr(scenarios, "_collapse_moments_on_levels", spy_kernel)
         config = make_config("fig3b")
         execute_scenario(config)
         assert max(sizes) <= 1025
         assert len(calls) <= 5 * int(config.params["n_widths"])
 
+    def test_fig3b_one_trig_pass_per_width(self, monkeypatch):
+        half_points = []
+
+        def spy_kernel(grid, lengths, rho, n_levels):
+            half_points.append(grid.points.size // 2)  # sin/cos points per tau
+            return meter._collapse_moments_on_levels(grid, lengths, rho, n_levels)
+
+        monkeypatch.setattr(scenarios, "_collapse_moments_on_levels", spy_kernel)
+        config = make_config("fig3b")
+        execute_scenario(config)
+        assert half_points == [256] * int(config.params["n_widths"])
+
+
+SHAPES = ["gaussian", "supergaussian", "rectangular"]
+
+
+class TestStridedLevels:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_subgrids_equal_coarser_builds(self, shape):
+        profile = SpectralProfile(shape, LAMBDA0, 6e-9)
+        fine = sweep_grid(profile, 1, min_points=513)
+        assert fine.points.size == 513
+        for stride, n_points in ((2, 257), (4, 129)):
+            coarse = sweep_grid(profile, 1, min_points=n_points)
+            assert coarse.points.size == n_points
+            np.testing.assert_array_equal(fine.points[::stride], coarse.points)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_levels_match_kernel_on_coarser_builds(self, shape):
+        profile = SpectralProfile(shape, LAMBDA0, 6e-9)
+        lengths = phase_lengths(1)
+        prob, delta_p = meter._collapse_moments_on_levels(
+            sweep_grid(profile, 1, min_points=513), lengths, RHO, 3
+        )
+        assert prob.shape == delta_p.shape == (3, lengths.size)
+        for level, n_points in enumerate((513, 257, 129)):
+            want_prob, want_delta_p = collapse_moments_on_grid(
+                sweep_grid(profile, 1, min_points=n_points), lengths, RHO
+            )
+            np.testing.assert_allclose(prob[level], want_prob, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(delta_p[level], want_delta_p, rtol=1e-13, atol=0.0)
+
 
 class TestSweepGuard:
     @pytest.fixture
     def never_converges(self, monkeypatch):
-        def drifting_kernel(grid, lengths, rho):
+        def drifting_kernel(grid, lengths, rho, n_levels):
             # consecutive grid levels differ by far more than the tolerance
-            value = 0.5 + 1e-3 / grid.points.size
-            return np.full(lengths.size, value), np.full(lengths.size, value)
+            level_points = (grid.points.size - 1) / 2.0 ** np.arange(n_levels) + 1
+            values = np.repeat((0.5 + 1e-3 / level_points)[:, np.newaxis], lengths.size, axis=1)
+            return values, values
 
-        monkeypatch.setattr(scenarios, "collapse_moments_on_grid", drifting_kernel)
+        monkeypatch.setattr(scenarios, "_collapse_moments_on_levels", drifting_kernel)
         # a lower ceiling keeps the doubling (and the memory it takes) small
         monkeypatch.setattr(scenarios, "MAX_GRID_POINTS", 2**12 + 1)
 
