@@ -29,7 +29,7 @@ from .polarization import MwiSettings
 from .spectra import MomentumGrid, SpectralProfile, build_grid, effective_sigma_p
 
 _RELATIVE_SHIFT_RECON_TOL = 1e-12
-# grid x phase-length values per block of the sweep kernel (bounds its memory)
+# values the a-factor products of one sweep-kernel block hold (bounds its memory)
 _BLOCK_ELEMENTS = 2**16
 
 
@@ -80,6 +80,18 @@ def _moments(grid: MomentumGrid, collapsed) -> tuple[float, float]:
     return prob, mom1
 
 
+def _factor_base(half_points: int) -> int:
+    """K, a power of two near sqrt(m), for the split i = a*K + b of the half
+    grid's point index i = 1..m (a = 0..m//K, b = 0..K-1)."""
+    return 1 << (half_points.bit_length() // 2)
+
+
+def _elements_per_phase_length(half_points: int, n_levels: int) -> int:
+    """Values the sweep kernel holds per phase length: three a-factor
+    products, each against the C and T weights of every level and b."""
+    return 3 * 2 * n_levels * _factor_base(half_points)
+
+
 def _collapse_moments_on_levels(
     grid: MomentumGrid, phase_lengths: np.ndarray, rho: float, n_levels: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -87,16 +99,31 @@ def _collapse_moments_on_levels(
 
     Level j is the stride-2^j subgrid of ``grid`` (a Simpson grid while the
     interval count stays even).  Returns (probabilities, delta_p), each of
-    shape (n_levels, len(phase_lengths)); sin and cos are evaluated once, on
-    the x > 0 half of ``grid``, and one matmul against a weight matrix with
-    one column per level (that level's Simpson weights x Omega on its own
-    points, zero elsewhere) gives every level's C and T.  Each level is
-    normalized by its own integral I.
+    shape (n_levels, len(phase_lengths)).  C and T are sums over the x > 0
+    half grid, x_i = i*h for i = 1..m, of weights (each level's Simpson
+    weights x Omega on its own points, zero elsewhere) times sin^2(x_i L/2)
+    and x_i sin(x_i L); each level is normalized by its own integral I.
+
+    With i = a*K + b (``_factor_base``) the half phase x_i L/2 is
+    alpha + beta, alpha = a*K*h*L/2 and beta = b*h*L/2, so
+
+        sin^2(alpha + beta)  = sA^2 cB^2 + 2 sA cA sB cB + cA^2 sB^2
+        sin(2(alpha + beta)) = 2 sA cA (cB^2 - sB^2) + (cA^2 - sA^2) 2 sB cB
+
+    and sin and cos are taken on m//K + 1 angles alpha and K angles beta
+    per phase length instead of on m points.  Each a-factor (sA^2, sA cA,
+    cA^2) meets the weights, arranged as (C or T, level, b) x a, in one
+    matmul, and the b-factors finish the sums over b.  Phase lengths run
+    along the last axis, so every elementwise step runs over them.  Where C
+    is small (narrow sources) every angle is small and every term is
+    nonnegative, so the expansion does not cancel.
     """
     phase_lengths = np.asarray(phase_lengths, dtype=float)
-    mid = grid.points.size // 2
-    x = grid.points[mid + 1 :] - grid.center
-    w_omega = np.zeros((x.size, n_levels))
+    m = grid.points.size // 2
+    base = _factor_base(m)
+    n_coarse = m // base + 1
+    # slot i = a*K + b of the half grid; slot 0 (x = 0) and slots past m weigh 0
+    w_omega = np.zeros((n_coarse * base, n_levels))
     totals = np.empty(n_levels)
     level = grid
     for j in range(n_levels):
@@ -104,28 +131,42 @@ def _collapse_moments_on_levels(
             level = level.half_resolution()
         stride = 2**j
         level_mid = level.points.size // 2
-        w_omega[stride - 1 :: stride, j] = level.weights[level_mid + 1 :] * level.density[level_mid + 1 :]
+        w_omega[stride : m + 1 : stride, j] = level.weights[level_mid + 1 :] * level.density[level_mid + 1 :]
         totals[j] = level.integral()
-    w_omega_x = w_omega * x[:, np.newaxis]
-    c = np.empty((phase_lengths.size, n_levels))
-    t = np.empty((phase_lengths.size, n_levels))
-    block = max(1, _BLOCK_ELEMENTS // x.size)
+    # each offset p - p0 carries up to ulp(p0)/2 of rounding; a fit over all
+    # of them gives the lattice step without it
+    index = np.arange(1, m + 1)
+    h = float(np.dot(index, grid.points[m + 1 :] - grid.center) / np.dot(index, index))
+    x = h * np.arange(n_coarse * base)
+    weights = np.concatenate([w_omega, w_omega * x[:, np.newaxis]], axis=1)
+    weights = weights.reshape(n_coarse, base, 2 * n_levels).transpose(2, 1, 0).reshape(-1, n_coarse)
+    coarse_angles = (0.5 * h * base) * np.arange(n_coarse)
+    fine_angles = (0.5 * h) * np.arange(base)
+    c = np.empty((n_levels, phase_lengths.size))
+    t = np.empty((n_levels, phase_lengths.size))
+    block = max(1, _BLOCK_ELEMENTS // _elements_per_phase_length(m, n_levels))
     for lo in range(0, phase_lengths.size, block):
-        half_phase = np.multiply.outer(0.5 * phase_lengths[lo : lo + block], x)
-        s = np.sin(half_phase)
-        s_cos = s * np.cos(half_phase)
-        s *= s
-        c[lo : lo + block] = s @ w_omega
-        t[lo : lo + block] = s_cos @ w_omega_x
-    c *= 2.0 / totals
-    t *= 4.0 / totals  # doubled half sum, and sin(xL) = 2 sin(xL/2) cos(xL/2)
+        lengths = phase_lengths[lo : lo + block]
+        alpha = np.multiply.outer(coarse_angles, lengths)
+        s_a, c_a = np.sin(alpha), np.cos(alpha)
+        beta = np.multiply.outer(fine_angles, lengths)
+        s_b, c_b = np.sin(beta), np.cos(beta)
+        shape = (2, n_levels, base, lengths.size)
+        ss = (weights @ (s_a * s_a)).reshape(shape)
+        sc = (weights @ (s_a * c_a)).reshape(shape)
+        cc = (weights @ (c_a * c_a)).reshape(shape)
+        ss_b, sc_b, cc_b = s_b * s_b, s_b * c_b, c_b * c_b
+        c[:, lo : lo + block] = (ss[0] * cc_b + 2.0 * sc[0] * sc_b + cc[0] * ss_b).sum(axis=1)
+        t[:, lo : lo + block] = (sc[1] * (cc_b - ss_b) + (cc[1] - ss[1]) * sc_b).sum(axis=1)
+    c *= 2.0 / totals[:, np.newaxis]
+    t *= 4.0 / totals[:, np.newaxis]  # doubled half sum, and sin(xL) = 2 sin(xL/2) cos(xL/2)
     a = 0.5 * (grid.center * phase_lengths + 2.0 * rho)
     sin_a = np.sin(a)
-    prob = (sin_a * sin_a)[:, np.newaxis] + np.cos(2.0 * a)[:, np.newaxis] * c
+    prob = sin_a * sin_a + np.cos(2.0 * a) * c
     if not np.all(np.isfinite(prob) & (prob > 0.0)):
         raise NumericalError("collapsed density integrated to a non-positive value")
-    delta_p = 0.5 * np.sin(2.0 * a)[:, np.newaxis] * t / prob
-    return prob.T, delta_p.T
+    delta_p = 0.5 * np.sin(2.0 * a) * t / prob
+    return prob, delta_p
 
 
 def collapse_moments_on_grid(
@@ -143,7 +184,8 @@ def collapse_moments_on_grid(
     where C(L) = integral Omega sin^2(x L/2) and T(L) = integral Omega x sin(x L)
     are Simpson sums over the x > 0 half of the grid, doubled; the sin^2 forms
     avoid cancellation at small arguments.
-    The L axis runs in blocks of at most ``_BLOCK_ELEMENTS`` grid x L values.
+    The L axis runs in blocks whose products hold at most ``_BLOCK_ELEMENTS``
+    values.
     Skips the refinement guard of ``collapsed_density``; the sweep caller
     guards convergence by comparing grid levels.  This is level 0 of
     ``_collapse_moments_on_levels``.

@@ -9,6 +9,7 @@ written in shortest round-trip form so repeated runs are byte-identical.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from itertools import repeat
@@ -234,6 +235,26 @@ def _rhos(values, what: str):
     return values
 
 
+_RULES = {"> 0": operator.gt, ">= 0": operator.ge, "!= 0": operator.ne}
+
+
+def _checked(params: Mapping[str, object], key: str, rule: str) -> float:
+    """The ``key`` value as a float, checked against ``rule`` (a key of _RULES)."""
+    value = float(params[key])
+    if not _RULES[rule](value, 0.0):
+        raise ConfigError(f"{key} must be {rule}, got {value!r}")
+    return value
+
+
+def _i_init_v(params: Mapping[str, object], rho: float = RHO_RAD) -> float:
+    """``calibrated_i_init_v`` from the config's calibration anchors."""
+    return calibrated_i_init_v(
+        _checked(params, "delta_i_coherent_V", "> 0"),
+        _checked(params, "target_delta_k_n3_fm", "> 0") * 1e-15,
+        rho,
+    )
+
+
 def _gamma_m(gamma_pi_units: float) -> float:
     if gamma_pi_units < 0.0:
         raise ConfigError(f"gamma_pi_units must be >= 0, got {gamma_pi_units!r}")
@@ -364,7 +385,7 @@ def _run_fig3a(params: Mapping[str, object]) -> ScenarioResult:
     gamma = _gamma_m(float(params["gamma_pi_units"]))
     rho = _rhos(float(params["rho_rad"]), "rho_rad")
     n = _count(params, "n_interactions")
-    res_m = float(params["spectrometer_resolution_m"])
+    res_m = _checked(params, "spectrometer_resolution_m", "> 0")
 
     rows = []
     summary: dict = {}
@@ -412,6 +433,8 @@ def _run_fig3b(params: Mapping[str, object]) -> ScenarioResult:
     rho = _rhos(float(params["rho_rad"]), "rho_rad")
     n = _count(params, "n_interactions")
     threshold = float(params["band_threshold"])
+    if not 0.0 < threshold <= 1.0:
+        raise ConfigError(f"band_threshold must lie in (0, 1], got {threshold!r}")
 
     rows = []
     width_peaks = []
@@ -456,7 +479,7 @@ def _run_fig4(params: Mapping[str, object]) -> ScenarioResult:
     taus = _tau_grid_as(params)
     gamma = _gamma_m(float(params["gamma_pi_units"]))
     rho = _rhos(float(params["rho_rad"]), "rho_rad")
-    res_m = float(params["spectrometer_resolution_m"])
+    res_m = _checked(params, "spectrometer_resolution_m", "> 0")
     profile = _make_profile(params, width)
 
     rows = []
@@ -528,16 +551,14 @@ def _intensity_trace(i_init, sigma_p, rho, n, k_values, noise):
 )
 def _run_fig5(params: Mapping[str, object]) -> ScenarioResult:
     rho = _rhos(float(params["rho_rad"]), "rho_rad")
-    noise = float(params["noise_floor_V"])
+    noise = _checked(params, "noise_floor_V", "> 0")
     k_values = _k_grid_m(params)
-    i_init = calibrated_i_init_v(
-        float(params["delta_i_coherent_V"]), float(params["target_delta_k_n3_fm"]) * 1e-15, rho
-    )
+    i_init = _i_init_v(params, rho)
     rate_base = i_init * 0.5 * P0_RAD_PER_M * math.sin(2.0 * rho)  # dI/dk per pass, V/m
 
     rows = []
     summary: dict = {"i_init_V": i_init}
-    k_ref = float(params["reference_k_m"])
+    k_ref = _checked(params, "reference_k_m", "!= 0")
     shifts_at_ref = {}
     coherent_n_list = _counts(params, "coherent_n_list")
     for n in coherent_n_list:
@@ -558,9 +579,9 @@ def _run_fig5(params: Mapping[str, object]) -> ScenarioResult:
     )
 
     delta_i_by_key = {
-        "0.5": float(params["delta_i_05_V"]),
-        "1": float(params["delta_i_1_V"]),
-        "3": float(params["delta_i_3_V"]),
+        "0.5": _checked(params, "delta_i_05_V", "> 0"),
+        "1": _checked(params, "delta_i_1_V", "> 0"),
+        "3": _checked(params, "delta_i_3_V", "> 0"),
     }
     for width in _floats(params["vsns_widths_nm"]):
         sigma_p = effective_sigma_p(_make_profile(params, width))
@@ -608,7 +629,11 @@ def _run_fig6(params: Mapping[str, object]) -> ScenarioResult:
     )
     n_list = _counts(params, "n_list")
     probe_k = float(params["probe_k_m"])
-    probe_sigma = float(params["probe_sigma_p_rad_per_m"])
+    probe_sigma = _checked(params, "probe_sigma_p_rad_per_m", ">= 0")
+    scan_max = float(params["boundary_scan_max_rad"])
+    scan_step = _checked(params, "boundary_scan_step_rad", "> 0")
+    if scan_max <= scan_step:
+        raise ConfigError(f"boundary_scan_max_rad must exceed boundary_scan_step_rad, got {scan_max!r}")
 
     rows = []
     summary: dict = {}
@@ -617,9 +642,7 @@ def _run_fig6(params: Mapping[str, object]) -> ScenarioResult:
             approx = k31(n, float(rho))
             exact = k31(n, float(rho), sigma_p=probe_sigma, p0=P0_RAD_PER_M, k=probe_k)
             rows.append((n, float(rho), approx.im_weak_value, approx.k31, exact.k31))
-        summary[f"n{n}.boundary_scan_rad"] = negativity_boundary_scan(
-            n, float(params["boundary_scan_max_rad"]), float(params["boundary_scan_step_rad"])
-        )
+        summary[f"n{n}.boundary_scan_rad"] = negativity_boundary_scan(n, scan_max, scan_step)
         summary[f"n{n}.boundary_arctan_rad"] = quantum_region_boundary(n)
     spot = k31(3, 0.0124)
     summary["k31_n3_rho0.0124"] = spot.k31
@@ -704,18 +727,16 @@ def _run_s2(params: Mapping[str, object]) -> ScenarioResult:
 )
 def _run_s3(params: Mapping[str, object]) -> ScenarioResult:
     rho = _rhos(float(params["rho_rad"]), "rho_rad")
-    noise = float(params["noise_floor_V"])
+    noise = _checked(params, "noise_floor_V", "> 0")
     k_values = _k_grid_m(params)
-    i_init = calibrated_i_init_v(
-        float(params["delta_i_coherent_V"]), float(params["target_delta_k_n3_fm"]) * 1e-15, rho
-    )
+    i_init = _i_init_v(params, rho)
     rate = i_init * 0.5 * P0_RAD_PER_M * math.sin(2.0 * rho)  # single pass, V/m
 
     delta_i_by_key = {
         "coherent": float(params["delta_i_coherent_V"]),
-        "0.5": float(params["delta_i_05_V"]),
-        "1": float(params["delta_i_1_V"]),
-        "3": float(params["delta_i_3_V"]),
+        "0.5": _checked(params, "delta_i_05_V", "> 0"),
+        "1": _checked(params, "delta_i_1_V", "> 0"),
+        "3": _checked(params, "delta_i_3_V", "> 0"),
     }
     sources = [("coherent", 0.0)] + [
         (f"{w:g}", w) for w in _floats(params["vsns_widths_nm"])
@@ -771,12 +792,11 @@ def _run_s4(params: Mapping[str, object]) -> ScenarioResult:
         "angles from rho_min_rad to rho_max_rad",
     )
     n_list = _counts(params, "n_list")
-    k_probe = float(params["probe_k_m"])
-    sigma_p = float(params["probe_sigma_p_rad_per_m"])
-    noise = float(params["noise_floor_V"])
-    i_init = calibrated_i_init_v(
-        float(params["delta_i_coherent_V"]), float(params["target_delta_k_n3_fm"]) * 1e-15
-    )
+    k_probe = _checked(params, "probe_k_m", "!= 0")
+    sigma_p = _checked(params, "probe_sigma_p_rad_per_m", ">= 0")
+    noise = _checked(params, "noise_floor_V", "> 0")
+    i_init = _i_init_v(params)
+    target = _checked(params, "anomalous_target", "> 0")
 
     rows = []
     for n in n_list:
@@ -799,7 +819,6 @@ def _run_s4(params: Mapping[str, object]) -> ScenarioResult:
                 )
             )
 
-    target = float(params["anomalous_target"])
     rho_star = math.atan(3.0 / target)
     summary = {
         "rho_star_rad": rho_star,

@@ -251,6 +251,24 @@ class TestCli:
             ("s4_weak_values", "rho_max_rad=2"),
             ("oracle_suite", "rho_list_rad=0.002,0"),
             ("fig3a", "gamma_pi_units=-1"),
+            ("fig3a", "spectrometer_resolution_m=0"),
+            ("fig3a", "spectrometer_resolution_m=-1"),
+            ("fig4", "spectrometer_resolution_m=0"),
+            ("fig3b", "band_threshold=2"),
+            ("fig5", "noise_floor_V=0"),
+            ("s3_intensity", "noise_floor_V=0"),
+            ("s4_weak_values", "noise_floor_V=0"),
+            ("fig5", "delta_i_coherent_V=0"),
+            ("fig5", "target_delta_k_n3_fm=0"),
+            ("s3_intensity", "target_delta_k_n3_fm=0"),
+            ("s4_weak_values", "target_delta_k_n3_fm=0"),
+            ("fig5", "reference_k_m=0"),
+            ("fig6", "probe_sigma_p_rad_per_m=-1"),
+            ("fig6", "boundary_scan_max_rad=0.0001"),
+            ("s4_weak_values", "probe_k_m=0"),
+            ("s4_weak_values", "probe_sigma_p_rad_per_m=-1"),
+            ("s4_weak_values", "anomalous_target=0"),
+            ("s3_intensity", "delta_i_1_V=0"),
         ],
     )
     def test_bad_value_exits_2_without_csv(self, scenario_id, setting, tmp_path, capsys):

@@ -23,15 +23,46 @@ P0 = lambda_p_convert(LAMBDA0)
 GAMMA = 1.9 * math.pi / P0
 RHO = 0.002
 TAUS_AS = np.arange(0.0, 331.0)  # the default 331-point sweep
+UNEVEN_TAUS_AS = 330.0 * np.linspace(0.0, 1.0, 53) ** 2
+SHAPES = ["gaussian", "supergaussian", "rectangular"]
 TO_NM = -(LAMBDA0**2 / (2.0 * math.pi)) * 1e9
 
 
-def phase_lengths(n):
-    return n * (SPEED_OF_LIGHT * TAUS_AS * 1e-18) + GAMMA
+def phase_lengths(n, taus_as=TAUS_AS):
+    return n * (SPEED_OF_LIGHT * taus_as * 1e-18) + GAMMA
 
 
 def sweep_grid(profile, n, **kwargs):
     return build_grid(profile, MwiSettings(1, float(phase_lengths(n)[-1]), 0.0, RHO), **kwargs)
+
+
+def lattice_step(grid):
+    """h of the half-grid lattice x_i = i*h, fitted to all offsets p - p0."""
+    m = grid.points.size // 2
+    index = np.arange(1, m + 1)
+    return np.dot(index, grid.points[m + 1 :] - grid.center) / np.dot(index, index)
+
+
+def direct_levels(grid, lengths, rho, n_levels):
+    """(P, delta_p) of every stride-2^j level with sin and cos taken at every
+    half-grid offset x = i*h."""
+    step = lattice_step(grid)
+    angle = 0.5 * (grid.center * lengths + 2.0 * rho)
+    probs, shifts = [], []
+    level = grid
+    for j in range(n_levels):
+        if j:
+            level = level.half_resolution()
+        half = level.points.size // 2
+        x = 2**j * step * np.arange(1, half + 1)
+        w_omega = level.weights[half + 1 :] * level.density[half + 1 :]
+        half_phase = np.multiply.outer(0.5 * lengths, x)
+        c = 2.0 * np.sin(half_phase) ** 2 @ w_omega / level.integral()
+        t = 2.0 * np.sin(2.0 * half_phase) @ (w_omega * x) / level.integral()
+        prob = np.sin(angle) ** 2 + np.cos(2.0 * angle) * c
+        probs.append(prob)
+        shifts.append(0.5 * np.sin(2.0 * angle) * t / prob)
+    return np.array(probs), np.array(shifts)
 
 
 def rectangular_exact(sigma_p, length, rho):
@@ -61,7 +92,7 @@ class TestKernel:
         profile = SpectralProfile("supergaussian", LAMBDA0, 6e-9)
         grid = sweep_grid(profile, 1)
         lengths = phase_lengths(1)
-        block = meter._BLOCK_ELEMENTS // (grid.points.size // 2)
+        block = meter._BLOCK_ELEMENTS // meter._elements_per_phase_length(grid.points.size // 2, 1)
         assert 1 < block < lengths.size and lengths.size % block != 0
         blocked = collapse_moments_on_grid(grid, lengths, RHO)
         monkeypatch.setattr(meter, "_BLOCK_ELEMENTS", grid.points.size * lengths.size)
@@ -69,6 +100,32 @@ class TestKernel:
         # equal up to the summation order BLAS picks for each block's shape
         for got, want in zip(blocked, single):
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("width_nm", [0.05, 0.5, 6.0, 300.0])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_levels_match_direct_reference(self, shape, width_nm, n):
+        profile = SpectralProfile(shape, LAMBDA0, width_nm * 1e-9)
+        grid = sweep_grid(profile, n, min_points=513)
+        lengths = phase_lengths(n, UNEVEN_TAUS_AS)
+        got = meter._collapse_moments_on_levels(grid, lengths, RHO, 3)
+        for got_values, want_values in zip(got, direct_levels(grid, lengths, RHO, 3)):
+            np.testing.assert_allclose(got_values, want_values, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_fine_grid_matches_direct_reference(self, shape):
+        profile = SpectralProfile(shape, LAMBDA0, 6e-9)
+        grid = sweep_grid(profile, 3, min_points=2**15 + 1)
+        assert grid.points.size == 2**15 + 1
+        # the fitted lattice reproduces every half-grid offset to its rounding
+        m = grid.points.size // 2
+        offsets = grid.points[m + 1 :] - grid.center
+        lattice = lattice_step(grid) * np.arange(1, m + 1)
+        assert np.max(np.abs(lattice - offsets)) <= np.spacing(grid.center)
+        for lengths in (phase_lengths(3, UNEVEN_TAUS_AS), phase_lengths(3, np.array([170.0]))):
+            got = meter._collapse_moments_on_levels(grid, lengths, RHO, 2)
+            for got_values, want_values in zip(got, direct_levels(grid, lengths, RHO, 2)):
+                np.testing.assert_allclose(got_values, want_values, rtol=1e-12, atol=0.0)
 
     def test_rectangular_exact_forms(self):
         profile = SpectralProfile("rectangular", LAMBDA0, 6e-9)
@@ -139,19 +196,28 @@ class TestAdaptiveSweep:
         assert len(calls) <= 5 * int(config.params["n_widths"])
 
     def test_fig3b_one_trig_pass_per_width(self, monkeypatch):
-        half_points = []
+        grid_points = []
+        angle_values = []  # sin of (factor angle, tau) arrays
+        sin = np.sin
 
         def spy_kernel(grid, lengths, rho, n_levels):
-            half_points.append(grid.points.size // 2)  # sin/cos points per tau
+            grid_points.append(grid.points.size)
             return meter._collapse_moments_on_levels(grid, lengths, rho, n_levels)
 
+        def spy_sin(values, *args, **kwargs):
+            if np.ndim(values) == 2:
+                angle_values.append(np.size(values))
+            return sin(values, *args, **kwargs)
+
         monkeypatch.setattr(scenarios, "_collapse_moments_on_levels", spy_kernel)
+        monkeypatch.setattr(np, "sin", spy_sin)
         config = make_config("fig3b")
         execute_scenario(config)
-        assert half_points == [256] * int(config.params["n_widths"])
-
-
-SHAPES = ["gaussian", "supergaussian", "rectangular"]
+        n_widths = int(config.params["n_widths"])
+        # one kernel call per width on the 513-point grid, whose 256 half-grid
+        # points factor into 17 coarse and 16 fine angles per tau
+        assert grid_points == [513] * n_widths
+        assert sum(angle_values) == (17 + 16) * TAUS_AS.size * n_widths
 
 
 class TestStridedLevels:
