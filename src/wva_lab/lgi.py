@@ -11,8 +11,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .meter import postselection_probability_gaussian
 from .polarization import MwiSettings
+
+# angles per block of ``negativity_boundary_scan``
+_SCAN_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -74,19 +79,21 @@ def quantum_region_boundary(n_interactions: int) -> float:
 def negativity_boundary_scan(n_interactions: int, rho_max: float = 1.5, step: float = 1e-3) -> float:
     """Boundary of the K31 < 0 region located by dense scanning.
 
-    Returns the largest scanned rho with K31 < 0; the scan step bounds the
-    deviation from arctan(N).
+    Scans rho = i*step for i = 1..int(rho_max/step), below pi/2, and returns
+    the largest scanned rho with small-coupling K31 < 0 (0.0 if none); the
+    scan step bounds the deviation from arctan(N).  The scan runs in blocks
+    of ``_SCAN_BLOCK`` angles, which bounds its memory for any step.
     """
     if step <= 0.0 or rho_max <= step:
         raise ValueError("need step > 0 and rho_max > step")
+    n_steps = min(int(rho_max / step), math.ceil(0.5 * math.pi / step))
     boundary = 0.0
-    n_steps = int(rho_max / step)
-    for i in range(1, n_steps + 1):
-        rho = i * step
-        if rho >= math.pi / 2:
-            break
-        if k31(n_interactions, rho).k31 < 0.0:
-            boundary = rho
+    for lo in range(1, n_steps + 1, _SCAN_BLOCK):
+        rho = np.arange(lo, min(lo + _SCAN_BLOCK, n_steps + 1)) * step
+        rho = rho[rho < 0.5 * math.pi]
+        negative = rho[2.0 * np.sin(rho) ** 2 * (1.0 - n_interactions / np.tan(rho)) < 0.0]
+        if negative.size:
+            boundary = float(negative[-1])
     return boundary
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .polarization import MwiSettings
-from .spectra import MomentumGrid, SpectralProfile, build_grid, effective_sigma_p
+from .spectra import MomentumGrid, SpectralProfile, _simpson_weights, build_grid, effective_sigma_p
 
 _RELATIVE_SHIFT_RECON_TOL = 1e-12
 # values the a-factor products of one sweep-kernel block hold (bounds its memory)
@@ -125,14 +125,15 @@ def _collapse_moments_on_levels(
     # slot i = a*K + b of the half grid; slot 0 (x = 0) and slots past m weigh 0
     w_omega = np.zeros((n_coarse * base, n_levels))
     totals = np.empty(n_levels)
-    level = grid
     for j in range(n_levels):
-        if j:
-            level = level.half_resolution()
         stride = 2**j
-        level_mid = level.points.size // 2
-        w_omega[stride : m + 1 : stride, j] = level.weights[level_mid + 1 :] * level.density[level_mid + 1 :]
-        totals[j] = level.integral()
+        density = grid.density[::stride]
+        # level j is the stride-2^j subgrid; for j > 0 these are the weights
+        # half_resolution() would give it, without building a grid
+        weights = _simpson_weights(density.size, stride * grid.step) if j else grid.weights
+        level_mid = density.size // 2
+        w_omega[stride : m + 1 : stride, j] = weights[level_mid + 1 :] * density[level_mid + 1 :]
+        totals[j] = float(np.dot(weights, density))
     # each offset p - p0 carries up to ulp(p0)/2 of rounding; a fit over all
     # of them gives the lattice step without it
     index = np.arange(1, m + 1)
@@ -344,6 +345,25 @@ def intensity_shift_approx(sigma_p: float, p0: float, settings: MwiSettings) -> 
     )
 
 
+def _oracle_density(
+    points: np.ndarray, root_density: np.ndarray, settings: MwiSettings, sequential: bool = False
+) -> np.ndarray:
+    """The oracle's collapsed density at momenta ``points``, given the square
+    root of the initial density there: amplitudes, complex per-pass phases,
+    projection and square, as described in ``oracle_joint_state``."""
+    if sequential:
+        amp_h = np.exp(0.5j * settings.gamma * points)
+        step = np.exp(0.5j * settings.k * points)
+        for _ in range(settings.n_interactions):
+            amp_h = amp_h * step
+    else:
+        amp_h = np.exp(0.5j * settings.phase_length * points)
+    amp_v = np.conj(amp_h)
+    rho = settings.rho
+    proj = 0.5 * (np.exp(1j * rho) * amp_h - np.exp(-1j * rho) * amp_v) * root_density
+    return (proj * np.conj(proj)).real
+
+
 def oracle_joint_state(
     profile: SpectralProfile,
     settings: MwiSettings,
@@ -361,18 +381,7 @@ def oracle_joint_state(
     """
     if profile.is_monochromatic:
         raise ValueError("monochromatic profile: oracle needs a momentum grid")
-    p = grid.points
-    if sequential:
-        amp_h = np.exp(0.5j * settings.gamma * p)
-        step = np.exp(0.5j * settings.k * p)
-        for _ in range(settings.n_interactions):
-            amp_h = amp_h * step
-    else:
-        amp_h = np.exp(0.5j * settings.phase_length * p)
-    amp_v = np.conj(amp_h)
-    rho = settings.rho
-    proj = 0.5 * (np.exp(1j * rho) * amp_h - np.exp(-1j * rho) * amp_v) * np.sqrt(grid.density)
-    collapsed = (proj * np.conj(proj)).real
+    collapsed = _oracle_density(grid.points, np.sqrt(grid.density), settings, sequential)
     prob, mom1 = _moments(grid, collapsed)
     delta_p = mom1 / prob
     return CollapseResult(

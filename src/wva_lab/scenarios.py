@@ -22,11 +22,12 @@ from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError, NumericalError
 from .lgi import k31, negativity_boundary_scan, quantum_region_boundary, weak_value_from_shift
 from .meter import (
+    _collapse,
     _collapse_moments_on_levels,
+    _oracle_density,
     collapsed_density,
     intensity_after_postselection,
     intensity_shift_approx,
-    oracle_joint_state,
     pointer_shift_p_gaussian,
     postselection_probability_gaussian,
 )
@@ -37,6 +38,7 @@ from .spectra import (
     SpectralProfile,
     build_grid,
     effective_sigma_p,
+    grid_point_count,
     lambda_p_convert,
 )
 
@@ -847,6 +849,8 @@ def _run_s4(params: Mapping[str, object]) -> ScenarioResult:
 def oracle_case_matrix(params: Mapping[str, object]):
     """(shape, width_nm, n, k, rho, gamma_pi) tuples for the verification matrix."""
     shapes = [s.strip() for s in str(params["shapes"]).split(",") if s.strip()]
+    if not shapes:
+        raise ConfigError(f"shapes must name at least one shape, got {params['shapes']!r}")
     for shape in shapes:
         for n in _counts(params, "n_list"):
             for k in _floats(params["k_list_m"]):
@@ -855,25 +859,30 @@ def oracle_case_matrix(params: Mapping[str, object]):
                         yield shape, float(params["sigma_lambda_nm"]), n, k, rho, gamma_pi
 
 
-def oracle_pointwise_deviation(profile, settings) -> float:
-    """Max relative pointwise deviation between the collapsed density and the
-    joint-state oracle on a shared grid (points above 1e-15 of peak)."""
-    grid = build_grid(profile, settings)
-    direct = collapsed_density(profile, settings, grid=grid)
-    oracle = oracle_joint_state(profile, settings, grid)
-    d = direct.density.density
-    o = oracle.density.density
-    mask = d > 1e-15 * float(d.max())
-    return float(np.max(np.abs(d[mask] - o[mask]) / d[mask]))
-
-
 def oracle_deviation_rows(params: Mapping[str, object]) -> list:
     """(shape, width_nm, n, k, rho, gamma_pi, deviation) for every case of the
-    verification matrix, deviation as in ``oracle_pointwise_deviation``."""
+    verification matrix.  The deviation is the max relative pointwise
+    difference between the collapsed density and the joint-state oracle on
+    the case's ``build_grid`` grid, over points above 1e-15 of the peak.
+
+    A grid depends on the case only through its profile and point count, so
+    each distinct grid (and the oracle's sqrt of its density) is built once
+    per call and shared by the cases that need it.
+    """
+    grids: dict = {}
     rows = []
     for shape, width_nm, n, k, rho, gamma_pi in oracle_case_matrix(params):
+        profile = _make_profile(params, width_nm, shape)
         settings = MwiSettings(n, k, _gamma_m(gamma_pi), rho)
-        dev = oracle_pointwise_deviation(_make_profile(params, width_nm, shape), settings)
+        key = (profile, grid_point_count(profile, settings))
+        if key not in grids:
+            grid = build_grid(profile, settings)
+            grids[key] = (grid, np.sqrt(grid.density))
+        grid, root_density = grids[key]
+        d = _collapse(grid, settings.phase_length, 2.0 * settings.rho)
+        o = _oracle_density(grid.points, root_density, settings)
+        mask = d > 1e-15 * float(d.max())
+        dev = float(np.max(np.abs(d[mask] - o[mask]) / d[mask]))
         rows.append((shape, width_nm, n, k, rho, gamma_pi, dev))
     return rows
 
@@ -1006,9 +1015,10 @@ def run_scenario(config: ScenarioConfig, stream: Optional[TextIO] = None) -> Sce
     """Execute a scenario, write its CSV, and print the summary as key=value lines."""
     stream = stream if stream is not None else sys.stdout
     result = execute_scenario(config)
+    text = render_csv(result, config)
     out_path = config.out_path or f"{config.scenario_id}.csv"
     with open(out_path, "w", newline="\n") as fh:
-        fh.write(render_csv(result, config))
+        fh.write(text)
     print(f"csv={out_path}", file=stream)
     print(f"rows={len(result.rows)}", file=stream)
     for key, value in result.summary.items():

@@ -201,6 +201,55 @@ class MomentumGrid:
         )
 
 
+def _grid_half_span(profile: SpectralProfile, span_sigmas: float) -> float:
+    """Half span of a profile's grid: +- ``span_sigmas`` effective widths, or
+    exactly the support of a rectangular profile."""
+    sigma_p = effective_sigma_p(profile)
+    if profile.shape is Shape.RECTANGULAR:
+        return _rectangular_half_width(sigma_p)
+    return span_sigmas * sigma_p
+
+
+def grid_point_count(
+    profile: SpectralProfile,
+    settings: Optional[MwiSettings] = None,
+    *,
+    span_sigmas: float = 8.0,
+    min_points: int = MIN_GRID_POINTS,
+    samples_per_period: int = 32,
+    max_points: int = MAX_GRID_POINTS,
+) -> int:
+    """Point count of ``build_grid`` for these arguments: the smallest 2^m + 1
+    that samples the postselection modulation (momentum period
+    2*pi/(N*k + gamma)) at least ``samples_per_period`` times over the grid's
+    span, with a floor of ``min_points``.
+
+    Raises
+    ------
+    ValueError
+        For monochromatic profiles (no momentum grid; use the closed-form
+        intensity path instead).
+    NumericalError
+        If the count would exceed ``max_points``.
+    """
+    if profile.is_monochromatic:
+        raise ValueError("monochromatic profile has no momentum grid; use the intensity path")
+    n_intervals = max(min_points - 1, 4)
+    if settings is not None and settings.phase_length != 0.0:
+        max_step = 2.0 * math.pi / (samples_per_period * abs(settings.phase_length))
+        needed = math.ceil(2.0 * _grid_half_span(profile, span_sigmas) / max_step)
+        while n_intervals < needed:
+            n_intervals *= 2
+    # power-of-two interval count so stride-2 subsampling stays a Simpson grid
+    n_intervals = 2 ** math.ceil(math.log2(n_intervals))
+    if n_intervals + 1 > max_points:
+        raise NumericalError(
+            f"grid would need {n_intervals + 1} points (> {max_points}); "
+            "modulation period too short for this span"
+        )
+    return n_intervals + 1
+
+
 def build_grid(
     profile: SpectralProfile,
     settings: Optional[MwiSettings] = None,
@@ -214,11 +263,10 @@ def build_grid(
 
     The grid spans +- ``span_sigmas`` effective widths, except for a
     rectangular profile, whose grid spans exactly its support +- sqrt(3)*sigma_p
-    (Simpson's rule is not applied across the band edge).  The point count is
-    the smallest 2^m + 1 that samples the postselection modulation (momentum
-    period 2*pi/(N*k + gamma)) at least ``samples_per_period`` times, with a
-    floor of ``min_points``.  The density is normalized to unit integral
-    under the grid's own Simpson rule.
+    (Simpson's rule is not applied across the band edge).  Its point count
+    is ``grid_point_count`` of the same arguments, so the grid depends on
+    ``settings`` only through that count.  The density is normalized to unit
+    integral under the grid's own Simpson rule.
 
     Raises
     ------
@@ -226,30 +274,17 @@ def build_grid(
         For monochromatic profiles (no momentum grid; use the closed-form
         intensity path instead).
     """
-    if profile.is_monochromatic:
-        raise ValueError("monochromatic profile has no momentum grid; use the intensity path")
+    n_points = grid_point_count(
+        profile,
+        settings,
+        span_sigmas=span_sigmas,
+        min_points=min_points,
+        samples_per_period=samples_per_period,
+        max_points=max_points,
+    )
     p0 = lambda_p_convert(profile.center_wavelength)
-    sigma_p = effective_sigma_p(profile)
-    if profile.shape is Shape.RECTANGULAR:
-        span = _rectangular_half_width(sigma_p)
-    else:
-        span = span_sigmas * sigma_p
-
-    n_intervals = max(min_points - 1, 4)
-    if settings is not None and settings.phase_length != 0.0:
-        max_step = 2.0 * math.pi / (samples_per_period * abs(settings.phase_length))
-        needed = math.ceil(2.0 * span / max_step)
-        while n_intervals < needed:
-            n_intervals *= 2
-    # power-of-two interval count so stride-2 subsampling stays a Simpson grid
-    n_intervals = 2 ** math.ceil(math.log2(n_intervals))
-    if n_intervals + 1 > max_points:
-        raise NumericalError(
-            f"grid would need {n_intervals + 1} points (> {max_points}); "
-            "modulation period too short for this span"
-        )
-
-    x = np.linspace(-span, span, n_intervals + 1)
+    span = _grid_half_span(profile, span_sigmas)
+    x = np.linspace(-span, span, n_points)
     density = _density_offsets(profile, x)
     weights = _simpson_weights(x.size, float(x[1] - x[0]))
     total = float(np.dot(weights, density))

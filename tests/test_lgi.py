@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from wva_lab import lgi
 from wva_lab.lgi import (
     k31,
     negativity_boundary_scan,
@@ -83,6 +84,30 @@ class TestNegativityRegion:
         for n in (1, 2, 3):
             scanned = negativity_boundary_scan(n, 1.5, step)
             assert abs(scanned - quantum_region_boundary(n)) <= step
+
+    @staticmethod
+    def _loop_scan(n, rho_max, step):
+        """The boundary scan as one k31 call per scanned angle."""
+        boundary = 0.0
+        for i in range(1, int(rho_max / step) + 1):
+            rho = i * step
+            if rho >= math.pi / 2:
+                break
+            if k31(n, rho).k31 < 0.0:
+                boundary = rho
+        return boundary
+
+    @pytest.mark.parametrize("step", [1e-3, 7e-4, 1.3e-2, 0.1])
+    @pytest.mark.parametrize("rho_max", [0.5, 1.5, 1.5707963267948966, 3.0])
+    def test_scan_matches_loop(self, step, rho_max):
+        for n in range(1, 9):
+            assert negativity_boundary_scan(n, rho_max, step) == self._loop_scan(n, rho_max, step)
+
+    def test_scan_blocks_match_one_block(self, monkeypatch):
+        one_block = [negativity_boundary_scan(n, 1.5, 7e-4) for n in (1, 3, 8)]
+        monkeypatch.setattr(lgi, "_SCAN_BLOCK", 97)
+        assert [negativity_boundary_scan(n, 1.5, 7e-4) for n in (1, 3, 8)] == one_block
+        assert one_block == [self._loop_scan(n, 1.5, 7e-4) for n in (1, 3, 8)]
 
     def test_region_grows_with_passes(self):
         assert negativity_boundary_scan(3) > negativity_boundary_scan(1)

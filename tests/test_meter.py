@@ -5,6 +5,7 @@ import pytest
 
 from wva_lab.meter import (
     IntensityResult,
+    _oracle_density,
     collapse_moments_on_grid,
     collapsed_density,
     intensity_after_postselection,
@@ -240,6 +241,14 @@ class TestOracle:
         stepwise = oracle_joint_state(gaussian(), settings, grid, sequential=True).density.density
         mask = one_shot > 1e-15 * one_shot.max()
         assert np.max(np.abs(one_shot[mask] - stepwise[mask]) / one_shot[mask]) <= 1e-14
+
+    @pytest.mark.parametrize("sequential", [False, True])
+    def test_array_core_is_the_oracle(self, sequential):
+        settings = MwiSettings(3, 1e-10, 1.9 * math.pi / P0, 0.01)
+        grid = build_grid(gaussian(), settings)
+        core = _oracle_density(grid.points, np.sqrt(grid.density), settings, sequential)
+        oracle = oracle_joint_state(gaussian(), settings, grid, sequential=sequential)
+        assert np.array_equal(core, oracle.density.density)
 
 
 class TestAmplificationDeepLinearRegime:

@@ -6,6 +6,8 @@ import pytest
 from wva_lab import scenarios
 from wva_lab.cli import main
 from wva_lab.errors import ConfigError, NumericalError
+from wva_lab.meter import collapsed_density, oracle_joint_state
+from wva_lab.polarization import MwiSettings
 from wva_lab.scenarios import (
     SCENARIOS,
     ScenarioResult,
@@ -14,6 +16,7 @@ from wva_lab.scenarios import (
     linear_region_rate,
     list_scenarios,
     make_config,
+    oracle_deviation_rows,
     parse_config_text,
     peak_local_rate,
     render_csv,
@@ -250,6 +253,7 @@ class TestCli:
             ("s3_intensity", "rho_rad=-0.1"),
             ("s4_weak_values", "rho_max_rad=2"),
             ("oracle_suite", "rho_list_rad=0.002,0"),
+            ("oracle_suite", "shapes="),
             ("fig3a", "gamma_pi_units=-1"),
             ("fig3a", "spectrometer_resolution_m=0"),
             ("fig3a", "spectrometer_resolution_m=-1"),
@@ -288,6 +292,17 @@ class TestCli:
         assert capsys.readouterr().err.startswith("numerical failure: ")
         assert not out_file.exists()
 
+    def test_failed_render_leaves_no_csv(self, tmp_path, monkeypatch):
+        def failing_render(result, config):
+            raise ValueError("numeric column lacks a unit suffix")
+
+        monkeypatch.setattr(scenarios, "render_csv", failing_render)
+        out_file = tmp_path / "out.csv"
+        config = make_config("s4_weak_values", FAST_OVERRIDES["s4_weak_values"], out_path=str(out_file))
+        with pytest.raises(ValueError, match="unit suffix"):
+            run_scenario(config)
+        assert not out_file.exists()
+
     def test_missing_config_file_exits_2(self, capsys):
         assert main(["run", "fig6", "--config", "/nonexistent/cfg.txt"]) == 2
 
@@ -322,6 +337,58 @@ class TestCli:
         out = capsys.readouterr().out
         assert "rho_star_inferred=true" in out
         assert result.summary["weak_value_at_rho_star_1"] == pytest.approx(1478.0, rel=1e-12)
+
+
+class TestOracleRows:
+    """``oracle_deviation_rows`` shares grids between cases; each row must
+    equal the deviation computed the long way, one grid per case."""
+
+    @staticmethod
+    def _reference_rows(params):
+        rows = []
+        for case in scenarios.oracle_case_matrix(params):
+            shape, width_nm, n, k, rho, gamma_pi = case
+            profile = scenarios._make_profile(params, width_nm, shape)
+            settings = MwiSettings(n, k, scenarios._gamma_m(gamma_pi), rho)
+            grid = scenarios.build_grid(profile, settings)
+            d = collapsed_density(profile, settings, grid=grid).density.density
+            o = oracle_joint_state(profile, settings, grid).density.density
+            mask = d > 1e-15 * float(d.max())
+            rows.append((*case, float(np.max(np.abs(d[mask] - o[mask]) / d[mask]))))
+        return rows
+
+    @staticmethod
+    def _spy_build_grid(monkeypatch):
+        sizes = []
+        build_grid = scenarios.build_grid
+
+        def spy(*args, **kwargs):
+            grid = build_grid(*args, **kwargs)
+            sizes.append(grid.points.size)
+            return grid
+
+        monkeypatch.setattr(scenarios, "build_grid", spy)
+        return sizes
+
+    def test_default_matrix_one_grid_per_shape(self, monkeypatch):
+        params = SCENARIOS["oracle_suite"].defaults
+        expected = self._reference_rows(params)
+        sizes = self._spy_build_grid(monkeypatch)
+        rows = oracle_deviation_rows(params)
+        assert len(rows) == 162
+        assert rows == expected
+        assert sizes == [8193, 8193, 8193]
+
+    def test_one_grid_per_point_count(self, monkeypatch):
+        # N k = 7.5e-3 m needs twice the 8,193-point floor on the 8-sigma span
+        params = make_config(
+            "oracle_suite",
+            {"shapes": "supergaussian", "n_list": "1,3", "k_list_m": "1e-12,2.5e-3", "gamma_pi_list": "0"},
+        ).params
+        expected = self._reference_rows(params)
+        sizes = self._spy_build_grid(monkeypatch)
+        assert oracle_deviation_rows(params) == expected
+        assert sorted(sizes) == [8193, 16385]
 
 
 class TestScenarioPhysicsSpots:

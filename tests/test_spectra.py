@@ -10,6 +10,7 @@ from wva_lab.spectra import (
     SpectralProfile,
     build_grid,
     effective_sigma_p,
+    grid_point_count,
     lambda_p_convert,
 )
 
@@ -131,6 +132,17 @@ class TestBuildGrid:
         settings = MwiSettings(1, 0.0, gamma=1.9 * math.pi / P0, rho=0.002)
         grid = build_grid(gaussian(), settings)
         assert abs(settings.phase_length) * grid.step <= 2.0 * math.pi / 32.0
+
+    # 32 samples per period of N k over the 8-sigma span: N k = 7.5e-3 m and
+    # 1.5e-2 m need 2x and 4x the 8,193-point floor
+    @pytest.mark.parametrize(
+        "n, k, points", [(1, 0.0, 8193), (1, 2.5e-3, 8193), (3, 2.5e-3, 16385), (3, 5e-3, 32769)]
+    )
+    def test_point_count_is_build_grid_size(self, n, k, points):
+        settings = MwiSettings(n, k, 0.0, 0.002)
+        assert grid_point_count(gaussian(), settings) == points
+        for profile in (gaussian(), SpectralProfile("rectangular", LAMBDA0, 6e-9)):
+            assert grid_point_count(profile, settings) == build_grid(profile, settings).points.size
 
     def test_span_covers_eight_widths(self):
         grid = build_grid(gaussian())
