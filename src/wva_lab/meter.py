@@ -10,8 +10,10 @@ The momentum (P) pointer is the density-weighted mean shift of D, reported
 also as a wavelength shift; the intensity (I) pointer is the postselected
 total signal.  Two grid paths compute them: ``collapsed_density`` collapses
 the full grid for one setting under a stride-2 refinement guard, and the
-sweep kernel ``collapse_moments_on_grid`` evaluates a whole sweep of phase
-lengths at once from the symmetric-density identity in its docstring.
+sweep kernel ``_collapse_moments_on_levels`` evaluates a whole sweep of
+phase lengths at once, on a grid and its strided coarser levels, from the
+symmetric-density identity in the docstring of its level-0 wrapper
+``collapse_moments_on_grid``.
 Alongside them this module provides exact closed forms for Gaussian
 densities, the linear-regime approximations, and a brute-force joint-state
 oracle for verification.
@@ -345,21 +347,25 @@ def intensity_shift_approx(sigma_p: float, p0: float, settings: MwiSettings) -> 
     )
 
 
-def _oracle_density(
-    points: np.ndarray, root_density: np.ndarray, settings: MwiSettings, sequential: bool = False
-) -> np.ndarray:
-    """The oracle's collapsed density at momenta ``points``, given the square
-    root of the initial density there: amplitudes, complex per-pass phases,
-    projection and square, as described in ``oracle_joint_state``."""
+def _oracle_amplitude(points: np.ndarray, settings: MwiSettings, sequential: bool = False) -> np.ndarray:
+    """The oracle's |H> amplitude phase at momenta ``points``: the complex
+    per-pass phases of ``oracle_joint_state`` (|V> carries the conjugate).
+    Without ``sequential`` it depends on ``settings`` only through the
+    phase length."""
     if sequential:
         amp_h = np.exp(0.5j * settings.gamma * points)
         step = np.exp(0.5j * settings.k * points)
         for _ in range(settings.n_interactions):
             amp_h = amp_h * step
-    else:
-        amp_h = np.exp(0.5j * settings.phase_length * points)
+        return amp_h
+    return np.exp(0.5j * settings.phase_length * points)
+
+
+def _oracle_project(amp_h: np.ndarray, root_density: np.ndarray, rho: float) -> np.ndarray:
+    """The oracle's collapsed density from the |H> amplitude phase and the
+    square root of the initial density: projection onto the postselection
+    state at angle ``rho``, and square."""
     amp_v = np.conj(amp_h)
-    rho = settings.rho
     proj = 0.5 * (np.exp(1j * rho) * amp_h - np.exp(-1j * rho) * amp_v) * root_density
     return (proj * np.conj(proj)).real
 
@@ -381,7 +387,8 @@ def oracle_joint_state(
     """
     if profile.is_monochromatic:
         raise ValueError("monochromatic profile: oracle needs a momentum grid")
-    collapsed = _oracle_density(grid.points, np.sqrt(grid.density), settings, sequential)
+    amp_h = _oracle_amplitude(grid.points, settings, sequential)
+    collapsed = _oracle_project(amp_h, np.sqrt(grid.density), settings.rho)
     prob, mom1 = _moments(grid, collapsed)
     delta_p = mom1 / prob
     return CollapseResult(

@@ -24,7 +24,8 @@ from .lgi import k31, negativity_boundary_scan, quantum_region_boundary, weak_va
 from .meter import (
     _collapse,
     _collapse_moments_on_levels,
-    _oracle_density,
+    _oracle_amplitude,
+    _oracle_project,
     collapsed_density,
     intensity_after_postselection,
     intensity_shift_approx,
@@ -35,6 +36,7 @@ from .metrology import precision, snr_db
 from .polarization import MwiSettings
 from .spectra import (
     MAX_GRID_POINTS,
+    MomentumGrid,
     SpectralProfile,
     build_grid,
     effective_sigma_p,
@@ -304,7 +306,7 @@ def _sweep_delta_lambda(
     widest = MwiSettings(n_interactions, k_max, gamma, rho)
     phase_lengths = n_interactions * (SPEED_OF_LIGHT * taus_as * 1e-18) + gamma
     sigma_p = effective_sigma_p(profile)
-    n_intervals = build_grid(profile, widest, min_points=_SWEEP_MIN_GRID_POINTS).points.size - 1
+    n_intervals = grid_point_count(profile, widest, min_points=_SWEEP_MIN_GRID_POINTS) - 1
     n_levels = 3  # the first call reads the grid and its stride-2 and stride-4 subgrids
     while True:
         while n_levels > 1 and n_intervals * 2 ** (n_levels - 1) + 1 > MAX_GRID_POINTS:
@@ -865,26 +867,48 @@ def oracle_deviation_rows(params: Mapping[str, object]) -> list:
     difference between the collapsed density and the joint-state oracle on
     the case's ``build_grid`` grid, over points above 1e-15 of the peak.
 
-    A grid depends on the case only through its profile and point count, so
-    each distinct grid (and the oracle's sqrt of its density) is built once
-    per call and shared by the cases that need it.
+    Both densities depend on a case only through its grid (profile and point
+    count), its phase length L = N*k + gamma and rho.  The cases are grouped
+    by grid, then by L, then by rho: each distinct grid is built once, one
+    at a time; the oracle's complex phase is taken once per (grid, L); the
+    two densities and their deviation once per (grid, L, rho), and shared by
+    every case with those values.
     """
-    grids: dict = {}
-    rows = []
-    for shape, width_nm, n, k, rho, gamma_pi in oracle_case_matrix(params):
+    cases = list(oracle_case_matrix(params))
+    # (profile, point count) -> L -> (settings of its first case, rho -> case indices)
+    groups: dict = {}
+    for index, (shape, width_nm, n, k, rho, gamma_pi) in enumerate(cases):
         profile = _make_profile(params, width_nm, shape)
         settings = MwiSettings(n, k, _gamma_m(gamma_pi), rho)
-        key = (profile, grid_point_count(profile, settings))
-        if key not in grids:
-            grid = build_grid(profile, settings)
-            grids[key] = (grid, np.sqrt(grid.density))
-        grid, root_density = grids[key]
-        d = _collapse(grid, settings.phase_length, 2.0 * settings.rho)
-        o = _oracle_density(grid.points, root_density, settings)
-        mask = d > 1e-15 * float(d.max())
-        dev = float(np.max(np.abs(d[mask] - o[mask]) / d[mask]))
-        rows.append((shape, width_nm, n, k, rho, gamma_pi, dev))
-    return rows
+        by_length = groups.setdefault((profile, grid_point_count(profile, settings)), {})
+        _, by_rho = by_length.setdefault(settings.phase_length, (settings, {}))
+        by_rho.setdefault(rho, []).append(index)
+    deviations = [0.0] * len(cases)
+    for (profile, n_points), by_length in groups.items():
+        _fill_grid_deviations(build_grid(profile, min_points=n_points), by_length, deviations)
+    return [(*case, dev) for case, dev in zip(cases, deviations)]
+
+
+def _fill_grid_deviations(grid: MomentumGrid, by_length: dict, deviations: list) -> None:
+    """Write the oracle deviation of every case on one grid into
+    ``deviations``; the grid and its arrays are released on return."""
+    root_density = np.sqrt(grid.density)
+    for phase_length, (settings, by_rho) in by_length.items():
+        amp_h = _oracle_amplitude(grid.points, settings)
+        for rho, indices in by_rho.items():
+            d = _collapse(grid, phase_length, 2.0 * rho)
+            o = _oracle_project(amp_h, root_density, rho)
+            mask = d > 1e-15 * float(d.max())
+            dev = float(np.max(np.abs(d[mask] - o[mask]) / d[mask]))
+            for index in indices:
+                deviations[index] = dev
+
+
+def _check_denominator(name: str, value: float, case: str) -> None:
+    """A closed form that a relative deviation divides by must be finite and
+    nonzero (the Gaussian shift underflows to 0 once sigma_p * L passes ~38)."""
+    if value == 0.0 or not math.isfinite(value):
+        raise NumericalError(f"closed-form {name} is {value!r} for case {case}: no relative deviation")
 
 
 def closed_form_deviations(params: Mapping[str, object]) -> tuple:
@@ -900,8 +924,11 @@ def closed_form_deviations(params: Mapping[str, object]) -> tuple:
         settings = MwiSettings(n, k, _gamma_m(gamma_pi), rho)
         sigma_p = effective_sigma_p(profile)
         quad = collapsed_density(profile, settings)
+        case = f"shape={shape} n={n} k={k!r} rho={rho!r} gamma_pi={gamma_pi!r}"
         prob_closed = postselection_probability_gaussian(sigma_p, P0_RAD_PER_M, settings)
+        _check_denominator("probability", prob_closed, case)
         shift_closed = pointer_shift_p_gaussian(sigma_p, P0_RAD_PER_M, settings)
+        _check_denominator("shift", shift_closed, case)
         worst_prob = max(worst_prob, abs(quad.postselection_probability - prob_closed) / prob_closed)
         worst_shift = max(worst_shift, abs(quad.delta_p - shift_closed) / abs(shift_closed))
     return worst_prob, worst_shift

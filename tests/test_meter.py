@@ -5,7 +5,8 @@ import pytest
 
 from wva_lab.meter import (
     IntensityResult,
-    _oracle_density,
+    _oracle_amplitude,
+    _oracle_project,
     collapse_moments_on_grid,
     collapsed_density,
     intensity_after_postselection,
@@ -246,7 +247,8 @@ class TestOracle:
     def test_array_core_is_the_oracle(self, sequential):
         settings = MwiSettings(3, 1e-10, 1.9 * math.pi / P0, 0.01)
         grid = build_grid(gaussian(), settings)
-        core = _oracle_density(grid.points, np.sqrt(grid.density), settings, sequential)
+        amp_h = _oracle_amplitude(grid.points, settings, sequential)
+        core = _oracle_project(amp_h, np.sqrt(grid.density), settings.rho)
         oracle = oracle_joint_state(gaussian(), settings, grid, sequential=sequential)
         assert np.array_equal(core, oracle.density.density)
 

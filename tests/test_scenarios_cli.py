@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -303,6 +304,18 @@ class TestCli:
             run_scenario(config)
         assert not out_file.exists()
 
+    def test_closed_form_underflow_exits_3_without_csv(self, tmp_path, capsys):
+        # sigma_p * L = 47 for k = 3e-3: the Gaussian closed-form shift underflows to 0
+        out_file = tmp_path / "o.csv"
+        code = main(
+            ["run", "oracle_suite", "--set", "k_list_m=0,1e-12,1e-10,3e-3", "--out", str(out_file)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: closed-form shift is 0.0 for case shape=gaussian")
+        assert err.count("\n") == 1
+        assert not out_file.exists()
+
     def test_missing_config_file_exits_2(self, capsys):
         assert main(["run", "fig6", "--config", "/nonexistent/cfg.txt"]) == 2
 
@@ -340,8 +353,9 @@ class TestCli:
 
 
 class TestOracleRows:
-    """``oracle_deviation_rows`` shares grids between cases; each row must
-    equal the deviation computed the long way, one grid per case."""
+    """``oracle_deviation_rows`` shares grids, phases and densities between
+    cases; each row must equal the deviation computed the long way, one grid
+    per case."""
 
     @staticmethod
     def _reference_rows(params):
@@ -370,14 +384,37 @@ class TestOracleRows:
         monkeypatch.setattr(scenarios, "build_grid", spy)
         return sizes
 
+    @staticmethod
+    def _spy_evaluations(monkeypatch):
+        """Record each oracle phase as its phase length and each direct-path
+        collapse as (grid density bytes, L, 2 rho)."""
+        calls = {"amplitude": [], "collapse": []}
+        amplitude, collapse = scenarios._oracle_amplitude, scenarios._collapse
+
+        def spy_amplitude(points, settings, *args):
+            calls["amplitude"].append(settings.phase_length)
+            return amplitude(points, settings, *args)
+
+        def spy_collapse(grid, phase_length, two_rho):
+            calls["collapse"].append((grid.density.tobytes(), phase_length, two_rho))
+            return collapse(grid, phase_length, two_rho)
+
+        monkeypatch.setattr(scenarios, "_oracle_amplitude", spy_amplitude)
+        monkeypatch.setattr(scenarios, "_collapse", spy_collapse)
+        return calls
+
     def test_default_matrix_one_grid_per_shape(self, monkeypatch):
         params = SCENARIOS["oracle_suite"].defaults
         expected = self._reference_rows(params)
         sizes = self._spy_build_grid(monkeypatch)
+        calls = self._spy_evaluations(monkeypatch)
         rows = oracle_deviation_rows(params)
         assert len(rows) == 162
         assert rows == expected
         assert sizes == [8193, 8193, 8193]
+        # per shape, 14 phase lengths (k = 0 repeats across N) x 3 rho
+        assert len(calls["amplitude"]) == 42
+        assert len(calls["collapse"]) == 126
 
     def test_one_grid_per_point_count(self, monkeypatch):
         # N k = 7.5e-3 m needs twice the 8,193-point floor on the 8-sigma span
@@ -389,6 +426,49 @@ class TestOracleRows:
         sizes = self._spy_build_grid(monkeypatch)
         assert oracle_deviation_rows(params) == expected
         assert sorted(sizes) == [8193, 16385]
+
+    def test_repeated_entries_evaluated_once(self, monkeypatch):
+        params = make_config("oracle_suite", {"n_list": "1,1,2", "rho_list_rad": "0.01,0.01"}).params
+        expected = self._reference_rows(params)
+        distinct = set()
+        for shape, width_nm, n, k, rho, gamma_pi in scenarios.oracle_case_matrix(params):
+            settings = MwiSettings(n, k, scenarios._gamma_m(gamma_pi), rho)
+            distinct.add((shape, settings.phase_length, rho))
+        calls = self._spy_evaluations(monkeypatch)
+        rows = oracle_deviation_rows(params)
+        assert len(rows) == 108
+        assert rows == expected
+        assert len(distinct) == 30
+        assert len(calls["collapse"]) == len(set(calls["collapse"])) == len(distinct)
+        # gaussian and supergaussian grids share their points, so count the phases
+        assert len(calls["amplitude"]) == len({(s, length) for s, length, _ in distinct})
+
+    def test_one_grid_alive_at_a_time(self):
+        # measured on the default matrix: about 1.16 MB for the call, against
+        # 1.51 MB for three grids held with one case evaluated on top
+        params = SCENARIOS["oracle_suite"].defaults
+        oracle_deviation_rows(params)  # first-call allocations out of the way
+        settings = MwiSettings(3, 1e-10, scenarios._gamma_m(1.9), 0.002)
+        tracemalloc.start()
+        try:
+            held = []
+            for shape in ("gaussian", "supergaussian", "rectangular"):
+                grid = scenarios.build_grid(scenarios._make_profile(params, 6.0, shape), settings)
+                held.append((grid, np.sqrt(grid.density)))
+            grid, root_density = held[-1]
+            d = scenarios._collapse(grid, settings.phase_length, 2.0 * settings.rho)
+            amp_h = scenarios._oracle_amplitude(grid.points, settings)
+            o = scenarios._oracle_project(amp_h, root_density, settings.rho)
+            mask = d > 1e-15 * float(d.max())
+            float(np.max(np.abs(d[mask] - o[mask]) / d[mask]))
+            three_grids_peak = tracemalloc.get_traced_memory()[1]
+            del held, grid, root_density, d, amp_h, o, mask
+            tracemalloc.reset_peak()
+            oracle_deviation_rows(params)
+            call_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert call_peak < three_grids_peak
 
 
 class TestScenarioPhysicsSpots:
