@@ -10,10 +10,14 @@ The momentum (P) pointer is the density-weighted mean shift of D, reported
 also as a wavelength shift; the intensity (I) pointer is the postselected
 total signal.  Two grid paths compute them: ``collapsed_density`` collapses
 the full grid for one setting under a stride-2 refinement guard, and the
-sweep kernel ``_collapse_moments_on_levels`` evaluates a whole sweep of
-phase lengths at once, on a grid and its strided coarser levels, from the
-symmetric-density identity in the docstring of its level-0 wrapper
-``collapse_moments_on_grid``.
+sweep path evaluates a whole sweep of phase lengths at once from the
+symmetric-density identity in the docstring of ``collapse_moments_on_grid``.
+The sweep path has two steps: the kernel ``_level_moments`` sums C/I and
+T/I on a grid and its strided coarser levels, and ``_pointer_readout``
+turns (C/I, T/I, A) into (P, delta_p).  ``_collapse_moments_on_levels`` and
+``collapse_moments_on_grid`` compose the two; the sweeps of
+``wva_lab.scenarios`` call them apart, to read a kernel call made at
+scaled phase lengths out at each source's own.
 Alongside them this module provides exact closed forms for Gaussian
 densities, the linear-regime approximations, and a brute-force joint-state
 oracle for verification.
@@ -94,14 +98,14 @@ def _elements_per_phase_length(half_points: int, n_levels: int) -> int:
     return 3 * 2 * n_levels * _factor_base(half_points)
 
 
-def _collapse_moments_on_levels(
-    grid: MomentumGrid, phase_lengths: np.ndarray, rho: float, n_levels: int
+def _level_moments(
+    grid: MomentumGrid, phase_lengths: np.ndarray, n_levels: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The sweep kernel on a grid and its coarser levels at once.
+    """The sweep kernel: C/I and T/I on a grid and its coarser levels at once.
 
     Level j is the stride-2^j subgrid of ``grid`` (a Simpson grid while the
-    interval count stays even).  Returns (probabilities, delta_p), each of
-    shape (n_levels, len(phase_lengths)).  C and T are sums over the x > 0
+    interval count stays even).  Returns (C/I, T/I), each of shape
+    (n_levels, len(phase_lengths)).  C and T are sums over the x > 0
     half grid, x_i = i*h for i = 1..m, of weights (each level's Simpson
     weights x Omega on its own points, zero elsewhere) times sin^2(x_i L/2)
     and x_i sin(x_i L); each level is normalized by its own integral I.
@@ -163,13 +167,32 @@ def _collapse_moments_on_levels(
         t[:, lo : lo + block] = (sc[1] * (cc_b - ss_b) + (cc[1] - ss[1]) * sc_b).sum(axis=1)
     c *= 2.0 / totals[:, np.newaxis]
     t *= 4.0 / totals[:, np.newaxis]  # doubled half sum, and sin(xL) = 2 sin(xL/2) cos(xL/2)
-    a = 0.5 * (grid.center * phase_lengths + 2.0 * rho)
+    return c, t
+
+
+def _pointer_readout(
+    p0: float, phase_lengths: np.ndarray, rho: float, c: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(P, delta_p) from C/I and T/I at each phase length (the identity in
+    ``collapse_moments_on_grid``); ``c`` and ``t`` may carry a leading level
+    axis.  Raises NumericalError where P is not positive and finite."""
+    a = 0.5 * (p0 * np.asarray(phase_lengths, dtype=float) + 2.0 * rho)
     sin_a = np.sin(a)
     prob = sin_a * sin_a + np.cos(2.0 * a) * c
     if not np.all(np.isfinite(prob) & (prob > 0.0)):
         raise NumericalError("collapsed density integrated to a non-positive value")
     delta_p = 0.5 * np.sin(2.0 * a) * t / prob
     return prob, delta_p
+
+
+def _collapse_moments_on_levels(
+    grid: MomentumGrid, phase_lengths: np.ndarray, rho: float, n_levels: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(P, delta_p) on ``grid`` and its coarser levels, each of shape
+    (n_levels, len(phase_lengths)): ``_level_moments`` read out by
+    ``_pointer_readout``."""
+    c, t = _level_moments(grid, phase_lengths, n_levels)
+    return _pointer_readout(grid.center, phase_lengths, rho, c, t)
 
 
 def collapse_moments_on_grid(
@@ -191,7 +214,7 @@ def collapse_moments_on_grid(
     values.
     Skips the refinement guard of ``collapsed_density``; the sweep caller
     guards convergence by comparing grid levels.  This is level 0 of
-    ``_collapse_moments_on_levels``.
+    ``_level_moments``, read out by ``_pointer_readout``.
     """
     prob, delta_p = _collapse_moments_on_levels(grid, phase_lengths, rho, 1)
     return prob[0], delta_p[0]

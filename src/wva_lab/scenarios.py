@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import dataclass, replace
+from itertools import product, repeat
 from typing import Callable, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
@@ -23,9 +23,10 @@ from .errors import ConfigError, NumericalError
 from .lgi import k31, negativity_boundary_scan, quantum_region_boundary, weak_value_from_shift
 from .meter import (
     _collapse,
-    _collapse_moments_on_levels,
+    _level_moments,
     _oracle_amplitude,
     _oracle_project,
+    _pointer_readout,
     collapsed_density,
     intensity_after_postselection,
     intensity_shift_approx,
@@ -36,8 +37,8 @@ from .metrology import precision, snr_db
 from .polarization import MwiSettings
 from .spectra import (
     MAX_GRID_POINTS,
-    MomentumGrid,
     SpectralProfile,
+    _grid_half_span,
     build_grid,
     effective_sigma_p,
     grid_point_count,
@@ -53,6 +54,7 @@ SPECTROMETER_RESOLUTION_M = 0.04e-12
 NOISE_FLOOR_V = 0.5e-3
 DELTA_I_V = {"coherent": 0.045e-3, "0.5": 0.072e-3, "1": 0.11e-3, "3": 0.21e-3}
 TARGET_DELTA_K_N3_M = 148.8e-15   # calibration anchor for the intensity pointer
+_DELTA_I_KEYS = {"0.5": "delta_i_05_V", "1": "delta_i_1_V", "3": "delta_i_3_V"}  # width -> config key
 
 # Quoted reference values the summaries report deviations against
 QUOTED_DELTA_K_FM = {"coherent": 497.8, "0.5": 782.7, "1": 1190.6, "3": 2312.2}
@@ -284,49 +286,69 @@ def _wlabel(width_nm: float) -> str:
     return f"w{width_nm:g}nm"
 
 
-def _sweep_delta_lambda(
-    profile: SpectralProfile,
-    taus_as: np.ndarray,
-    n_interactions: int,
-    gamma: float,
-    rho: float,
-):
-    """Wavelength-shift and probability traces over a time-difference sweep.
+def _distinct(key: str, labels: list) -> None:
+    """Reject a list whose entries share a summary label."""
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"{key} entries must have distinct summary labels, got {labels!r}")
 
-    The grid levels are built for the largest phase length (the last tau):
-    the first has a floor of ``_SWEEP_MIN_GRID_POINTS`` points and each next
-    one doubles it.  Consecutive levels are compared until two agree to
-    ``_SWEEP_TOLERANCE`` (probability relative to itself, delta_p relative to
-    sigma_p), and the finer of the two is returned.  Coarser levels are read
-    as strided subgrids of a finer grid, so one kernel call covers the first
-    three levels and each later call adds one.  Raises NumericalError if a
-    level would take more than MAX_GRID_POINTS points.
+
+def _sweep_delta_lambda(jobs: Sequence, taus_as: np.ndarray, gamma: float, rho: float):
+    """Wavelength-shift and probability traces over a time-difference sweep:
+    arrays (delta_lambda_nm, P), one row per job (profile, N) of ``jobs``.
+
+    A job's grid levels are built for its largest phase length (the last
+    tau) from a floor of ``_SWEEP_MIN_GRID_POINTS`` points, each doubling
+    the last, until two consecutive levels agree to ``_SWEEP_TOLERANCE``
+    (P relative to itself, delta_p relative to sigma_p); the finer one is
+    returned.  Coarser levels are strided subgrids, so the first kernel call
+    reads three levels and each later call adds one.
+
+    Jobs whose profiles differ only in width share one lattice in units of
+    sigma_p: with r = sigma_p(job)/sigma_p(ref), a job's C/I at L is the
+    reference's at r*L and its T/I is r times the reference's.  So jobs are
+    grouped by profile without width and by first-level point count; a group
+    calls the kernel on the grid of its widest job (whose offsets from p0
+    carry the least relative rounding) at every job's lengths times its r,
+    and its jobs not yet converged go on doubling as a smaller group.
+    Raises NumericalError, naming the job, past MAX_GRID_POINTS points.
     """
-    k_max = SPEED_OF_LIGHT * float(taus_as[-1]) * 1e-18
-    widest = MwiSettings(n_interactions, k_max, gamma, rho)
-    phase_lengths = n_interactions * (SPEED_OF_LIGHT * taus_as * 1e-18) + gamma
-    sigma_p = effective_sigma_p(profile)
-    n_intervals = grid_point_count(profile, widest, min_points=_SWEEP_MIN_GRID_POINTS) - 1
-    n_levels = 3  # the first call reads the grid and its stride-2 and stride-4 subgrids
-    while True:
-        while n_levels > 1 and n_intervals * 2 ** (n_levels - 1) + 1 > MAX_GRID_POINTS:
-            n_levels -= 1
-        if n_levels == 1:
-            raise NumericalError(
-                f"sweep quadrature did not converge to {_SWEEP_TOLERANCE:g} "
-                f"within {MAX_GRID_POINTS} grid points"
-            )
-        n_intervals *= 2 ** (n_levels - 1)
-        grid = build_grid(profile, widest, min_points=n_intervals + 1)
-        prob, delta_p = _collapse_moments_on_levels(grid, phase_lengths, rho, n_levels)
-        # level j is the stride-2^j subgrid: compare the coarsest pair first
-        for fine in range(n_levels - 2, -1, -1):
-            if np.all(np.abs(prob[fine] - prob[fine + 1]) <= _SWEEP_TOLERANCE * prob[fine]) and np.all(
-                np.abs(delta_p[fine] - delta_p[fine + 1]) <= _SWEEP_TOLERANCE * sigma_p
-            ):
-                to_nm = -(profile.center_wavelength**2 / (2.0 * math.pi)) * 1e9
-                return to_nm * delta_p[fine], prob[fine]
-        n_levels = 2
+    k = SPEED_OF_LIGHT * taus_as * 1e-18
+    delta_lambda, prob = np.empty((2, len(jobs), taus_as.size))
+    groups: dict = {}
+    for index, (profile, n) in enumerate(jobs):
+        count = grid_point_count(profile, MwiSettings(n, float(k[-1]), gamma, rho), min_points=_SWEEP_MIN_GRID_POINTS)
+        groups.setdefault((replace(profile, width=1.0), count), []).append(index)
+    for (_, count), members in groups.items():
+        n_intervals, n_levels = count - 1, 3  # the first call reads the grid and its stride-2 and stride-4 subgrids
+        while members:
+            while n_levels > 1 and n_intervals * 2 ** (n_levels - 1) + 1 > MAX_GRID_POINTS:
+                n_levels -= 1
+            sigma_p = np.array([effective_sigma_p(jobs[i][0]) for i in members])
+            profile, n = jobs[members[int(np.argmax(sigma_p))]]
+            if n_levels == 1:
+                raise NumericalError(
+                    f"sweep quadrature for a {profile.shape.value} source of width {profile.width * 1e9:g} nm "
+                    f"at N = {n} did not converge to {_SWEEP_TOLERANCE:g} within {MAX_GRID_POINTS} grid points"
+                )
+            n_intervals *= 2 ** (n_levels - 1)
+            grid = build_grid(profile, min_points=n_intervals + 1)
+            ratio = np.repeat(sigma_p / sigma_p.max(), k.size)  # r at each phase length
+            lengths = (np.array([jobs[i][1] for i in members])[:, np.newaxis] * k + gamma).ravel()
+            c, t = _level_moments(grid, ratio * lengths, n_levels)
+            readout = _pointer_readout(grid.center, lengths, rho, c, ratio * t)
+            p, dp = (values.reshape(n_levels, len(members), k.size) for values in readout)
+            # agree[j, job]: levels j and j + 1 (the stride-2^j and 2^(j+1) subgrids) agree
+            agree = (np.abs(p[1:] - p[:-1]) <= _SWEEP_TOLERANCE * p[:-1]).all(axis=2) & (
+                np.abs(dp[1:] - dp[:-1]) <= _SWEEP_TOLERANCE * sigma_p[:, np.newaxis]
+            ).all(axis=2)
+            done = np.flatnonzero(agree.any(axis=0))
+            level = (n_levels - 2 - np.argmax(agree[::-1], axis=0))[done]  # finer level of the coarsest pair
+            rows = np.array(members)[done]
+            delta_lambda[rows] = -(profile.center_wavelength**2 / (2.0 * math.pi)) * 1e9 * dp[level, done]
+            prob[rows] = p[level, done]
+            members = [i for i, ok in zip(members, agree.any(axis=0)) if not ok]
+            n_levels = 2
+    return delta_lambda, prob
 
 
 def linear_region_rate(taus_as: np.ndarray, values: np.ndarray) -> float:
@@ -350,15 +372,15 @@ def peak_local_rate(taus_as: np.ndarray, values: np.ndarray) -> float:
     return float(np.max(np.abs(slopes)))
 
 
-def _delta_tau_as_from_rate(rate_nm_per_as: float, resolution_m: float) -> float:
-    """Momentum-pointer precision from a wavelength-shift rate, attoseconds."""
-    rate_per_m_of_k = rate_nm_per_as * 1e-9 / (SPEED_OF_LIGHT * 1e-18)  # d(dlam)/dk, m/m
-    return precision(resolution_m, rate_per_m_of_k, pointer="P").delta_tau * 1e18
-
-
-def _echo_presets(summary: dict, pairs: Mapping[str, object]) -> None:
-    for key, value in pairs.items():
-        summary[f"preset.{key}"] = value
+def _rate_summary(summary: dict, label: str, taus_as: np.ndarray, dlam: np.ndarray, res_m: float) -> float:
+    """Fitted and peak shift rates of one trace and its momentum-pointer
+    precision (attoseconds), into ``summary`` under ``label``; returns the peak rate."""
+    fitted = linear_region_rate(taus_as, dlam)
+    summary[f"{label}.fitted_rate_nm_per_as"] = fitted
+    summary[f"{label}.peak_rate_nm_per_as"] = peak = peak_local_rate(taus_as, dlam)
+    rate_per_m_of_k = fitted * 1e-9 / (SPEED_OF_LIGHT * 1e-18)  # d(dlam)/dk, m/m
+    summary[f"{label}.delta_tau_as"] = precision(res_m, rate_per_m_of_k, pointer="P").delta_tau * 1e18
+    return peak
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +407,7 @@ _TRACE_DEFAULTS = {
 )
 def _run_fig3a(params: Mapping[str, object]) -> ScenarioResult:
     widths = _floats(params["widths_nm"])
+    _distinct("widths_nm", [_wlabel(width) for width in widths])
     taus = _tau_grid_as(params)
     gamma = _gamma_m(float(params["gamma_pi_units"]))
     rho = _rhos(float(params["rho_rad"]), "rho_rad")
@@ -392,22 +415,12 @@ def _run_fig3a(params: Mapping[str, object]) -> ScenarioResult:
     res_m = _checked(params, "spectrometer_resolution_m", "> 0")
 
     rows = []
-    summary: dict = {}
-    _echo_presets(summary, {
-        "lambda0_nm": LAMBDA0_M * 1e9,
-        "rho_rad": rho,
-        "gamma_pi_units": float(params["gamma_pi_units"]),
-        "spectrometer_resolution_pm": res_m * 1e12,
-    })
-    for width in widths:
-        profile = _make_profile(params, width)
-        dlam, prob = _sweep_delta_lambda(profile, taus, n, gamma, rho)
-        fitted = linear_region_rate(taus, dlam)
-        peak = peak_local_rate(taus, dlam)
-        label = _wlabel(width)
-        summary[f"{label}.fitted_rate_nm_per_as"] = fitted
-        summary[f"{label}.peak_rate_nm_per_as"] = peak
-        summary[f"{label}.delta_tau_as"] = _delta_tau_as_from_rate(fitted, res_m)
+    presets = {"lambda0_nm": LAMBDA0_M * 1e9, "rho_rad": rho, "gamma_pi_units": float(params["gamma_pi_units"])}
+    summary = {f"preset.{key}": value for key, value in presets.items()}
+    summary["preset.spectrometer_resolution_pm"] = res_m * 1e12
+    traces = _sweep_delta_lambda([(_make_profile(params, width), n) for width in widths], taus, gamma, rho)
+    for width, dlam, prob in zip(widths, *traces):
+        _rate_summary(summary, _wlabel(width), taus, dlam, res_m)
         rows.extend(zip(repeat(width), taus.tolist(), dlam.tolist(), prob.tolist()))
     return ScenarioResult(
         "fig3a",
@@ -440,25 +453,18 @@ def _run_fig3b(params: Mapping[str, object]) -> ScenarioResult:
     if not 0.0 < threshold <= 1.0:
         raise ConfigError(f"band_threshold must lie in (0, 1], got {threshold!r}")
 
+    dlam, _ = _sweep_delta_lambda([(_make_profile(params, float(w)), n) for w in widths], taus, gamma, rho)
+    rates = np.abs((dlam[:, 2:] - dlam[:, :-2]) / (taus[2:] - taus[:-2]))
+    peaks = rates.max(axis=1)
+    best = int(np.argmax(peaks))  # the first width at the largest peak rate
     rows = []
-    width_peaks = []
-    best = (-1.0, 0.0, 0.0)  # (rate, width, tau)
-    for width in widths:
-        profile = _make_profile(params, float(width))
-        dlam, _ = _sweep_delta_lambda(profile, taus, n, gamma, rho)
-        slopes = (dlam[2:] - dlam[:-2]) / (taus[2:] - taus[:-2])
-        rates = np.abs(slopes)
-        width_peaks.append(float(np.max(rates)))
-        if width_peaks[-1] > best[0]:
-            best = (width_peaks[-1], float(width), float(taus[1:-1][int(np.argmax(rates))]))
-        rows.extend(zip(repeat(float(width)), taus[1:-1].tolist(), dlam[1:-1].tolist(), rates.tolist()))
-
-    peaks = np.array(width_peaks)
-    in_band = widths[peaks >= threshold * best[0]]
+    for width, dlam_w, rates_w in zip(widths.tolist(), dlam[:, 1:-1].tolist(), rates.tolist()):
+        rows.extend(zip(repeat(width), taus[1:-1].tolist(), dlam_w, rates_w))
+    in_band = widths[peaks >= threshold * peaks[best]]
     summary = {
-        "max_rate_nm_per_as": best[0],
-        "max_rate_sigma_lambda_nm": best[1],
-        "max_rate_tau_as": best[2],
+        "max_rate_nm_per_as": float(peaks[best]),
+        "max_rate_sigma_lambda_nm": float(widths[best]),
+        "max_rate_tau_as": float(taus[1 + int(np.argmax(rates[best]))]),
         "band_threshold": threshold,
         "band_lo_sigma_lambda_nm": float(in_band.min()),
         "band_hi_sigma_lambda_nm": float(in_band.max()),
@@ -480,6 +486,7 @@ def _run_fig3b(params: Mapping[str, object]) -> ScenarioResult:
 def _run_fig4(params: Mapping[str, object]) -> ScenarioResult:
     width = float(params["width_nm"])
     n_list = _counts(params, "n_list")
+    _distinct("n_list", n_list)
     taus = _tau_grid_as(params)
     gamma = _gamma_m(float(params["gamma_pi_units"]))
     rho = _rhos(float(params["rho_rad"]), "rho_rad")
@@ -489,14 +496,9 @@ def _run_fig4(params: Mapping[str, object]) -> ScenarioResult:
     rows = []
     summary: dict = {}
     peak_rates = {}
-    for n in n_list:
-        dlam, prob = _sweep_delta_lambda(profile, taus, n, gamma, rho)
-        fitted = linear_region_rate(taus, dlam)
-        peak = peak_local_rate(taus, dlam)
-        peak_rates[n] = peak
-        summary[f"n{n}.fitted_rate_nm_per_as"] = fitted
-        summary[f"n{n}.peak_rate_nm_per_as"] = peak
-        summary[f"n{n}.delta_tau_as"] = _delta_tau_as_from_rate(fitted, res_m)
+    traces = _sweep_delta_lambda([(profile, n) for n in n_list], taus, gamma, rho)
+    for n, dlam, prob in zip(n_list, *traces):
+        peak_rates[n] = _rate_summary(summary, f"n{n}", taus, dlam, res_m)
         rows.extend(zip(repeat(n), taus.tolist(), dlam.tolist(), prob.tolist()))
     base = n_list[0]
     for n in n_list[1:]:
@@ -537,6 +539,20 @@ def _intensity_trace(i_init, sigma_p, rho, n, k_values, noise):
             intensity, shift = res.intensity, res.relative_shift
         rows.append((float(k), intensity, shift, snr_db(intensity, noise)))
     return rows
+
+
+def _delta_k_summary(summary: dict, label: str, key: str, delta_i_by_key: dict, rate: float) -> None:
+    """The displacement precision delta_i / rate (fm) of source ``key`` into
+    ``summary`` under ``label``, with its quoted value and the deviation from
+    it; nothing for a source without a delta_i (trace rows only)."""
+    if key not in delta_i_by_key:
+        return
+    delta_k_fm = delta_i_by_key[key] / rate * 1e15
+    summary[f"{label}.delta_k_fm"] = delta_k_fm
+    quoted = QUOTED_DELTA_K_FM.get(key)
+    if quoted is not None:
+        summary[f"{label}.quoted_delta_k_fm"] = quoted
+        summary[f"{label}.quoted_deviation_percent"] = (delta_k_fm - quoted) / quoted * 100.0
 
 
 @_register(
@@ -582,27 +598,12 @@ def _run_fig5(params: Mapping[str, object]) -> ScenarioResult:
         / QUOTED_DELTA_K_FM["coherent"] * 100.0
     )
 
-    delta_i_by_key = {
-        "0.5": _checked(params, "delta_i_05_V", "> 0"),
-        "1": _checked(params, "delta_i_1_V", "> 0"),
-        "3": _checked(params, "delta_i_3_V", "> 0"),
-    }
+    delta_i_by_key = {key: _checked(params, name, "> 0") for key, name in _DELTA_I_KEYS.items()}
     for width in _floats(params["vsns_widths_nm"]):
         sigma_p = effective_sigma_p(_make_profile(params, width))
         for k, intensity, shift, snr in _intensity_trace(i_init, sigma_p, rho, 1, k_values, noise):
             rows.append((width, 1, k, intensity, shift, snr))
-        key = f"{width:g}"
-        delta_i = delta_i_by_key.get(key)
-        if delta_i is None:
-            continue  # no quoted uncertainty for this width; trace rows only
-        delta_k = delta_i / rate_base
-        summary[f"{_wlabel(width)}.delta_k_fm"] = delta_k * 1e15
-        quoted = QUOTED_DELTA_K_FM.get(key)
-        if quoted is not None:
-            summary[f"{_wlabel(width)}.quoted_delta_k_fm"] = quoted
-            summary[f"{_wlabel(width)}.quoted_deviation_percent"] = (
-                (delta_k * 1e15 - quoted) / quoted * 100.0
-            )
+        _delta_k_summary(summary, _wlabel(width), f"{width:g}", delta_i_by_key, rate_base)
     return ScenarioResult(
         "fig5",
         ("sigma_lambda_nm", "n_1", "k_m", "intensity_V", "relative_shift_1", "snr_db"),
@@ -736,12 +737,8 @@ def _run_s3(params: Mapping[str, object]) -> ScenarioResult:
     i_init = _i_init_v(params, rho)
     rate = i_init * 0.5 * P0_RAD_PER_M * math.sin(2.0 * rho)  # single pass, V/m
 
-    delta_i_by_key = {
-        "coherent": float(params["delta_i_coherent_V"]),
-        "0.5": _checked(params, "delta_i_05_V", "> 0"),
-        "1": _checked(params, "delta_i_1_V", "> 0"),
-        "3": _checked(params, "delta_i_3_V", "> 0"),
-    }
+    delta_i_by_key = {"coherent": float(params["delta_i_coherent_V"])}
+    delta_i_by_key.update((key, _checked(params, name, "> 0")) for key, name in _DELTA_I_KEYS.items())
     sources = [("coherent", 0.0)] + [
         (f"{w:g}", w) for w in _floats(params["vsns_widths_nm"])
     ]
@@ -753,15 +750,7 @@ def _run_s3(params: Mapping[str, object]) -> ScenarioResult:
         rows.extend((width, k, intensity, shift, snr) for k, intensity, shift, snr in trace)
         label = "coherent" if width == 0.0 else _wlabel(width)
         summary[f"{label}.max_snr_db"] = max(snr for _, _, _, snr in trace)
-        delta_i = delta_i_by_key.get(key)
-        if delta_i is None:
-            continue
-        delta_k_fm = delta_i / rate * 1e15
-        summary[f"{label}.delta_k_fm"] = delta_k_fm
-        quoted = QUOTED_DELTA_K_FM.get(key)
-        if quoted is not None:
-            summary[f"{label}.quoted_delta_k_fm"] = quoted
-            summary[f"{label}.quoted_deviation_percent"] = (delta_k_fm - quoted) / quoted * 100.0
+        _delta_k_summary(summary, label, key, delta_i_by_key, rate)
     summary["coherent.quoted_op_snr_db"] = snr_db(
         noise * 10 ** (QUOTED_OP_SNR_DB / 10.0), noise
     )
@@ -853,12 +842,10 @@ def oracle_case_matrix(params: Mapping[str, object]):
     shapes = [s.strip() for s in str(params["shapes"]).split(",") if s.strip()]
     if not shapes:
         raise ConfigError(f"shapes must name at least one shape, got {params['shapes']!r}")
-    for shape in shapes:
-        for n in _counts(params, "n_list"):
-            for k in _floats(params["k_list_m"]):
-                for rho in _rhos(_floats(params["rho_list_rad"]), "rho_list_rad entries"):
-                    for gamma_pi in _floats(params["gamma_pi_list"]):
-                        yield shape, float(params["sigma_lambda_nm"]), n, k, rho, gamma_pi
+    n_list, k_list = _counts(params, "n_list"), _floats(params["k_list_m"])
+    rhos, gammas = _rhos(_floats(params["rho_list_rad"]), "rho_list_rad entries"), _floats(params["gamma_pi_list"])
+    for shape, n, k, rho, gamma_pi in product(shapes, n_list, k_list, rhos, gammas):
+        yield shape, float(params["sigma_lambda_nm"]), n, k, rho, gamma_pi
 
 
 def oracle_deviation_rows(params: Mapping[str, object]) -> list:
@@ -868,40 +855,46 @@ def oracle_deviation_rows(params: Mapping[str, object]) -> list:
     the case's ``build_grid`` grid, over points above 1e-15 of the peak.
 
     Both densities depend on a case only through its grid (profile and point
-    count), its phase length L = N*k + gamma and rho.  The cases are grouped
-    by grid, then by L, then by rho: each distinct grid is built once, one
-    at a time; the oracle's complex phase is taken once per (grid, L); the
-    two densities and their deviation once per (grid, L, rho), and shared by
-    every case with those values.
+    count), its phase length L = N*k + gamma and rho, and the oracle's
+    complex phase only through the grid's points (center, half span, point
+    count) and L.  The cases are grouped by points, then by L, then by
+    profile, then by rho: the grids that share their points are built once
+    and held together, one such set at a time; the phase is taken once per
+    (points, L); the two densities and their deviation once per (grid, L,
+    rho), and shared by every case with those values.
     """
     cases = list(oracle_case_matrix(params))
-    # (profile, point count) -> L -> (settings of its first case, rho -> case indices)
+    # (center, half span, point count) -> L -> (settings of its first case, profile -> rho -> case indices)
     groups: dict = {}
     for index, (shape, width_nm, n, k, rho, gamma_pi) in enumerate(cases):
         profile = _make_profile(params, width_nm, shape)
         settings = MwiSettings(n, k, _gamma_m(gamma_pi), rho)
-        by_length = groups.setdefault((profile, grid_point_count(profile, settings)), {})
-        _, by_rho = by_length.setdefault(settings.phase_length, (settings, {}))
-        by_rho.setdefault(rho, []).append(index)
+        key = (profile.center_wavelength, _grid_half_span(profile, 8.0), grid_point_count(profile, settings))
+        _, by_profile = groups.setdefault(key, {}).setdefault(settings.phase_length, (settings, {}))
+        by_profile.setdefault(profile, {}).setdefault(rho, []).append(index)
     deviations = [0.0] * len(cases)
-    for (profile, n_points), by_length in groups.items():
-        _fill_grid_deviations(build_grid(profile, min_points=n_points), by_length, deviations)
+    for (_, _, n_points), by_length in groups.items():
+        profiles = dict.fromkeys(profile for _, by_profile in by_length.values() for profile in by_profile)
+        _fill_grid_deviations({p: build_grid(p, min_points=n_points) for p in profiles}, by_length, deviations)
     return [(*case, dev) for case, dev in zip(cases, deviations)]
 
 
-def _fill_grid_deviations(grid: MomentumGrid, by_length: dict, deviations: list) -> None:
-    """Write the oracle deviation of every case on one grid into
-    ``deviations``; the grid and its arrays are released on return."""
-    root_density = np.sqrt(grid.density)
-    for phase_length, (settings, by_rho) in by_length.items():
-        amp_h = _oracle_amplitude(grid.points, settings)
-        for rho, indices in by_rho.items():
-            d = _collapse(grid, phase_length, 2.0 * rho)
-            o = _oracle_project(amp_h, root_density, rho)
-            mask = d > 1e-15 * float(d.max())
-            dev = float(np.max(np.abs(d[mask] - o[mask]) / d[mask]))
-            for index in indices:
-                deviations[index] = dev
+def _fill_grid_deviations(grids: dict, by_length: dict, deviations: list) -> None:
+    """Write the oracle deviation of every case on ``grids`` (profile ->
+    grid, all on the same points) into ``deviations``; the grids and their
+    arrays are released on return."""
+    root_densities = {profile: np.sqrt(grid.density) for profile, grid in grids.items()}
+    points = next(iter(grids.values())).points
+    for phase_length, (settings, by_profile) in by_length.items():
+        amp_h = _oracle_amplitude(points, settings)
+        for profile, by_rho in by_profile.items():
+            for rho, indices in by_rho.items():
+                d = _collapse(grids[profile], phase_length, 2.0 * rho)
+                o = _oracle_project(amp_h, root_densities[profile], rho)
+                mask = d > 1e-15 * float(d.max())
+                dev = float(np.max(np.abs(d[mask] - o[mask]) / d[mask]))
+                for index in indices:
+                    deviations[index] = dev
 
 
 def _check_denominator(name: str, value: float, case: str) -> None:
@@ -1016,9 +1009,15 @@ def _format_cell(value) -> str:
 def _format_column(values: Sequence) -> list:
     """``_format_cell`` of every value; a column of floats is formatted in one
     ``repr`` of a list of Python floats, which gives the same shortest
-    round-trip text per value."""
+    round-trip text per value, and each distinct float once when values
+    repeat (not with a zero: 0.0 and -0.0 are one key but two texts)."""
     if all(issubclass(kind, float) for kind in set(map(type, values))):
-        return repr(list(map(float, values)))[1:-1].split(", ")
+        floats = list(map(float, values))
+        distinct = set(floats)
+        if len(distinct) == len(floats) or 0.0 in distinct:
+            return repr(floats)[1:-1].split(", ")
+        text = dict(zip(distinct, repr(list(distinct))[1:-1].split(", ")))
+        return list(map(text.__getitem__, floats))
     return [_format_cell(v) for v in values]
 
 

@@ -142,6 +142,7 @@ class TestCsvOutput:
     @pytest.mark.parametrize("n_rows", [1, scenarios._RENDER_CHUNK_ROWS, 2 * scenarios._RENDER_CHUNK_ROWS + 37])
     def test_column_render_matches_per_cell_reference(self, n_rows):
         floats = [-0.0, 5e-324, 1e16, 0.1, 1.0 / 3.0, -2.5e-300, 123456789.0, float("inf")]
+        repeated = [0.5, 1.0 / 3.0, -2.5e-300, 1e16]
         rows = [
             (
                 n_rows - i,  # unique first column: the sort never compares the others
@@ -151,10 +152,14 @@ class TestCsvOutput:
                 np.float64(floats[i % len(floats)]),
                 floats[(i + 3) % len(floats)],
                 i if i % 5 == 0 else floats[i % len(floats)],
+                np.float64(repeated[i % 3]),  # few distinct values, no zero
+                repeated[i % 4] if i % 7 else (-0.0, 0.0)[i % 2],  # repeats with both zeros
             )
             for i in range(n_rows)
         ]
-        columns = ("index_1", "shape", "flag_1", "count_1", "numpy_1", "python_1", "mixed_1")
+        columns = (
+            "index_1", "shape", "flag_1", "count_1", "numpy_1", "python_1", "mixed_1", "repeated_1", "zeros_1",
+        )
         result = ScenarioResult("fig6", columns, rows, {})
         config = make_config("fig6", FAST_OVERRIDES["fig6"])
         reference = [f"# wva-lab {scenarios._pkg_version}", "# scenario=fig6"]
@@ -274,6 +279,8 @@ class TestCli:
             ("s4_weak_values", "probe_sigma_p_rad_per_m=-1"),
             ("s4_weak_values", "anomalous_target=0"),
             ("s3_intensity", "delta_i_1_V=0"),
+            ("fig3a", "widths_nm=6,6.0000001"),
+            ("fig4", "n_list=1,1"),
         ],
     )
     def test_bad_value_exits_2_without_csv(self, scenario_id, setting, tmp_path, capsys):
@@ -412,8 +419,9 @@ class TestOracleRows:
         assert len(rows) == 162
         assert rows == expected
         assert sizes == [8193, 8193, 8193]
-        # per shape, 14 phase lengths (k = 0 repeats across N) x 3 rho
-        assert len(calls["amplitude"]) == 42
+        # 14 phase lengths (k = 0 repeats across N) per grid of points (gaussian
+        # and supergaussian share theirs, rectangular has its own), x 3 rho per shape
+        assert len(calls["amplitude"]) == 28
         assert len(calls["collapse"]) == 126
 
     def test_one_grid_per_point_count(self, monkeypatch):
@@ -440,8 +448,13 @@ class TestOracleRows:
         assert rows == expected
         assert len(distinct) == 30
         assert len(calls["collapse"]) == len(set(calls["collapse"])) == len(distinct)
-        # gaussian and supergaussian grids share their points, so count the phases
-        assert len(calls["amplitude"]) == len({(s, length) for s, length, _ in distinct})
+        # gaussian and supergaussian grids share their points, so one phase serves both
+        points = {
+            shape: scenarios.build_grid(scenarios._make_profile(params, 6.0, shape)).points.tobytes()
+            for shape in ("gaussian", "supergaussian", "rectangular")
+        }
+        assert len({points["gaussian"], points["supergaussian"], points["rectangular"]}) == 2
+        assert len(calls["amplitude"]) == len({(points[s], length) for s, length, _ in distinct}) == 20
 
     def test_one_grid_alive_at_a_time(self):
         # measured on the default matrix: about 1.16 MB for the call, against

@@ -16,7 +16,7 @@ from wva_lab.meter import (
 )
 from wva_lab.polarization import MwiSettings
 from wva_lab.scenarios import execute_scenario, make_config
-from wva_lab.spectra import SpectralProfile, build_grid, effective_sigma_p, lambda_p_convert
+from wva_lab.spectra import SpectralProfile, build_grid, effective_sigma_p, grid_point_count, lambda_p_convert
 
 LAMBDA0 = 1550e-9
 P0 = lambda_p_convert(LAMBDA0)
@@ -143,7 +143,7 @@ class TestAdaptiveSweep:
     @pytest.mark.parametrize("width_nm", [0.5, 6.0, 300.0])
     def test_matches_fixed_fine_grid(self, shape, width_nm):
         profile = SpectralProfile(shape, LAMBDA0, width_nm * 1e-9)
-        dlam, prob = scenarios._sweep_delta_lambda(profile, TAUS_AS, 1, GAMMA, RHO)
+        (dlam,), (prob,) = scenarios._sweep_delta_lambda([(profile, 1)], TAUS_AS, GAMMA, RHO)
         fine = sweep_grid(profile, 1, min_points=2**15 + 1)
         prob_fine, delta_p_fine = collapse_moments_on_grid(fine, phase_lengths(1), RHO)
         dlam_fine = TO_NM * delta_p_fine
@@ -184,12 +184,12 @@ class TestAdaptiveSweep:
             sizes.append(grid.points.size)
             return grid
 
-        def spy_kernel(grid, lengths, rho, n_levels):
+        def spy_kernel(grid, lengths, n_levels):
             calls.append(grid.points.size)
-            return meter._collapse_moments_on_levels(grid, lengths, rho, n_levels)
+            return meter._level_moments(grid, lengths, n_levels)
 
         monkeypatch.setattr(scenarios, "build_grid", spy_build_grid)
-        monkeypatch.setattr(scenarios, "_collapse_moments_on_levels", spy_kernel)
+        monkeypatch.setattr(scenarios, "_level_moments", spy_kernel)
         config = make_config("fig3b")
         execute_scenario(config)
         assert max(sizes) <= 1025
@@ -200,24 +200,94 @@ class TestAdaptiveSweep:
         angle_values = []  # sin of (factor angle, tau) arrays
         sin = np.sin
 
-        def spy_kernel(grid, lengths, rho, n_levels):
-            grid_points.append(grid.points.size)
-            return meter._collapse_moments_on_levels(grid, lengths, rho, n_levels)
+        def spy_kernel(grid, lengths, n_levels):
+            grid_points.append((grid.points.size, lengths.size))
+            return meter._level_moments(grid, lengths, n_levels)
 
         def spy_sin(values, *args, **kwargs):
             if np.ndim(values) == 2:
                 angle_values.append(np.size(values))
             return sin(values, *args, **kwargs)
 
-        monkeypatch.setattr(scenarios, "_collapse_moments_on_levels", spy_kernel)
+        monkeypatch.setattr(scenarios, "_level_moments", spy_kernel)
         monkeypatch.setattr(np, "sin", spy_sin)
         config = make_config("fig3b")
         execute_scenario(config)
         n_widths = int(config.params["n_widths"])
-        # one kernel call per width on the 513-point grid, whose 256 half-grid
-        # points factor into 17 coarse and 16 fine angles per tau
-        assert grid_points == [513] * n_widths
+        # one kernel call on the 513-point grid takes every width's taus, and
+        # its 256 half-grid points factor into 17 coarse and 16 fine angles per tau
+        assert grid_points == [(513, TAUS_AS.size * n_widths)]
         assert sum(angle_values) == (17 + 16) * TAUS_AS.size * n_widths
+
+
+def per_job_sweep(profile, n):
+    """(delta_lambda_nm, P, kernel calls) of one job on its own grids: the
+    level loop of the sweep with ``_collapse_moments_on_levels``."""
+    lengths = phase_lengths(n)
+    sigma_p = effective_sigma_p(profile)
+    widest = MwiSettings(n, SPEED_OF_LIGHT * TAUS_AS[-1] * 1e-18, GAMMA, RHO)
+    n_intervals = grid_point_count(profile, widest, min_points=129) - 1
+    calls = []
+    for n_levels in (3, 2, 2, 2):
+        n_intervals *= 2 ** (n_levels - 1)
+        grid = build_grid(profile, min_points=n_intervals + 1)
+        calls.append((grid.points.size, n_levels))
+        prob, delta_p = meter._collapse_moments_on_levels(grid, lengths, RHO, n_levels)
+        for fine in range(n_levels - 2, -1, -1):
+            if np.all(np.abs(prob[fine] - prob[fine + 1]) <= 1e-10 * prob[fine]) and np.all(
+                np.abs(delta_p[fine] - delta_p[fine + 1]) <= 1e-10 * sigma_p
+            ):
+                return TO_NM * delta_p[fine], prob[fine], calls
+    raise AssertionError("reference sweep did not converge")
+
+
+class TestBatchedSweep:
+    """Every job of a sweep scenario shares its group's grid in units of
+    sigma_p; each must match the job swept alone on its own grids."""
+
+    @staticmethod
+    def _check(jobs, monkeypatch):
+        calls = []
+
+        def spy_kernel(grid, lengths, n_levels):
+            calls.append((grid.points.size, n_levels))
+            return meter._level_moments(grid, lengths, n_levels)
+
+        monkeypatch.setattr(scenarios, "_level_moments", spy_kernel)
+        dlam, prob = scenarios._sweep_delta_lambda(jobs, TAUS_AS, GAMMA, RHO)
+        want_calls = set()
+        for job, dlam_job, prob_job in zip(jobs, dlam, prob):
+            want_dlam, want_prob, job_calls = per_job_sweep(*job)
+            want_calls.update(job_calls)
+            # past about 1,500 nm delta_lambda is a small remainder of sums of
+            # order sigma_lambda, and either path carries up to 2e-13 of the
+            # column scale in rounding (measured against long double at 2,493 nm)
+            sigma_lambda_nm = job[0].sigma_lambda * 1e9
+            limit = 1e-13 * np.max(np.abs(want_dlam)) + 1e-15 * sigma_lambda_nm
+            assert np.max(np.abs(dlam_job - want_dlam)) <= limit
+            assert np.max(np.abs(prob_job - want_prob)) <= 1e-13 * np.max(want_prob)
+        # the groups compare the grid levels each job compares alone
+        assert set(calls) == want_calls
+        return calls
+
+    def test_all_shapes(self, monkeypatch):
+        widths_nm = (0.05, 0.5, 6.0, 300.0)
+        jobs = [(SpectralProfile(shape, LAMBDA0, w * 1e-9), n) for shape in SHAPES for w in widths_nm for n in (1, 3)]
+        self._check(jobs, monkeypatch)
+
+    def test_fig3b_four_groups(self, monkeypatch):
+        params = make_config("fig3b", {"width_max_nm": "3000"}).params
+        widths = scenarios._geomspace(params, "width_min_nm", "width_max_nm", "n_widths")
+        profiles = [scenarios._make_profile(params, float(width)) for width in widths]
+        widest = MwiSettings(1, SPEED_OF_LIGHT * TAUS_AS[-1] * 1e-18, GAMMA, RHO)
+        counts = {grid_point_count(profile, widest, min_points=129) for profile in profiles}
+        assert counts == {129, 257, 513, 1025}
+        calls = self._check([(profile, 1) for profile in profiles], monkeypatch)
+        assert sorted(calls) == [(513, 3), (1025, 3), (2049, 3), (4097, 3)]
+
+    def test_fig4_pass_counts(self, monkeypatch):
+        profile = SpectralProfile("supergaussian", LAMBDA0, 6e-9)
+        self._check([(profile, n) for n in (1, 2, 3)], monkeypatch)
 
 
 class TestStridedLevels:
@@ -250,20 +320,20 @@ class TestStridedLevels:
 class TestSweepGuard:
     @pytest.fixture
     def never_converges(self, monkeypatch):
-        def drifting_kernel(grid, lengths, rho, n_levels):
+        def drifting_kernel(grid, lengths, n_levels):
             # consecutive grid levels differ by far more than the tolerance
             level_points = (grid.points.size - 1) / 2.0 ** np.arange(n_levels) + 1
             values = np.repeat((0.5 + 1e-3 / level_points)[:, np.newaxis], lengths.size, axis=1)
             return values, values
 
-        monkeypatch.setattr(scenarios, "_collapse_moments_on_levels", drifting_kernel)
+        monkeypatch.setattr(scenarios, "_level_moments", drifting_kernel)
         # a lower ceiling keeps the doubling (and the memory it takes) small
         monkeypatch.setattr(scenarios, "MAX_GRID_POINTS", 2**12 + 1)
 
     def test_raises_numerical_error(self, never_converges):
         profile = SpectralProfile("supergaussian", LAMBDA0, 6e-9)
-        with pytest.raises(NumericalError, match="did not converge"):
-            scenarios._sweep_delta_lambda(profile, TAUS_AS, 1, GAMMA, RHO)
+        with pytest.raises(NumericalError, match="supergaussian source of width 6 nm at N = 1 did not converge"):
+            scenarios._sweep_delta_lambda([(profile, 1)], TAUS_AS, GAMMA, RHO)
 
     def test_run_exits_3_without_csv(self, never_converges, tmp_path, capsys):
         out = tmp_path / "fig3a.csv"
