@@ -82,7 +82,7 @@ def _moments(grid: MomentumGrid, collapsed) -> tuple[float, float]:
     """Simpson moments of a collapsed density: (integral D, integral (p - p0) D)."""
     wd = grid.weights * collapsed
     prob = float(wd.sum())
-    mom1 = float((wd * (grid.points - grid.center)).sum())
+    mom1 = float((wd * grid.offsets).sum())
     return prob, mom1
 
 
@@ -103,12 +103,12 @@ def _level_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The sweep kernel: C/I and T/I on a grid and its coarser levels at once.
 
-    Level j is the stride-2^j subgrid of ``grid`` (a Simpson grid while the
-    interval count stays even).  Returns (C/I, T/I), each of shape
-    (n_levels, len(phase_lengths)).  C and T are sums over the x > 0
-    half grid, x_i = i*h for i = 1..m, of weights (each level's Simpson
-    weights x Omega on its own points, zero elsewhere) times sin^2(x_i L/2)
-    and x_i sin(x_i L); each level is normalized by its own integral I.
+    Level j is the stride-2^j subgrid of ``grid``, the lattice of step 2^j*h
+    (a Simpson grid while the interval count stays even).  Returns (C/I, T/I),
+    each of shape (n_levels, len(phase_lengths)).  C and T are sums over the
+    x > 0 half grid, x_i = i*h for i = 1..m, of weights (each level's Simpson
+    weights of step 2^j*h x Omega on its own points, zero elsewhere) times
+    sin^2(x_i L/2) and x_i sin(x_i L); each level is normalized by its own I.
 
     With i = a*K + b (``_factor_base``) the half phase x_i L/2 is
     alpha + beta, alpha = a*K*h*L/2 and beta = b*h*L/2, so
@@ -125,7 +125,8 @@ def _level_moments(
     nonnegative, so the expansion does not cancel.
     """
     phase_lengths = np.asarray(phase_lengths, dtype=float)
-    m = grid.points.size // 2
+    m = grid.density.size // 2
+    h = grid.step
     base = _factor_base(m)
     n_coarse = m // base + 1
     # slot i = a*K + b of the half grid; slot 0 (x = 0) and slots past m weigh 0
@@ -134,16 +135,10 @@ def _level_moments(
     for j in range(n_levels):
         stride = 2**j
         density = grid.density[::stride]
-        # level j is the stride-2^j subgrid; for j > 0 these are the weights
-        # half_resolution() would give it, without building a grid
-        weights = _simpson_weights(density.size, stride * grid.step) if j else grid.weights
+        weights = _simpson_weights(density.size, stride * h)
         level_mid = density.size // 2
         w_omega[stride : m + 1 : stride, j] = weights[level_mid + 1 :] * density[level_mid + 1 :]
         totals[j] = float(np.dot(weights, density))
-    # each offset p - p0 carries up to ulp(p0)/2 of rounding; a fit over all
-    # of them gives the lattice step without it
-    index = np.arange(1, m + 1)
-    h = float(np.dot(index, grid.points[m + 1 :] - grid.center) / np.dot(index, index))
     x = h * np.arange(n_coarse * base)
     weights = np.concatenate([w_omega, w_omega * x[:, np.newaxis]], axis=1)
     weights = weights.reshape(n_coarse, base, 2 * n_levels).transpose(2, 1, 0).reshape(-1, n_coarse)

@@ -37,6 +37,7 @@ from .metrology import precision, snr_db
 from .polarization import MwiSettings
 from .spectra import (
     MAX_GRID_POINTS,
+    MomentumGrid,
     SpectralProfile,
     _grid_half_span,
     build_grid,
@@ -191,6 +192,8 @@ def _floats(value: object) -> list:
         raise ConfigError(f"cannot parse list {value!r}") from exc
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"list {value!r} has a non-finite entry")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"list {value!r} repeats an entry")
     return values
 
 
@@ -202,10 +205,10 @@ def _count(params: Mapping[str, object], key: str) -> int:
 
 
 def _counts(params: Mapping[str, object], key: str) -> list:
-    values = [int(v) for v in _floats(params[key])]
-    if min(values) < 1:
-        raise ConfigError(f"{key} entries must be >= 1, got {params[key]!r}")
-    return values
+    values = _floats(params[key])
+    if min(values) < 1 or any(v != int(v) for v in values):
+        raise ConfigError(f"{key} entries must be whole numbers >= 1, got {params[key]!r}")
+    return [int(v) for v in values]
 
 
 def _stepped(params: Mapping[str, object], lo: float, hi_key: str, step_key: str, min_points: int) -> np.ndarray:
@@ -223,7 +226,10 @@ def _geomspace(params: Mapping[str, object], lo_key: str, hi_key: str, count_key
     lo, hi = float(params[lo_key]), float(params[hi_key])
     if not 0 < lo <= hi:
         raise ConfigError(f"need 0 < {lo_key} <= {hi_key}, got {lo!r}, {hi!r}")
-    return np.geomspace(lo, hi, _count(params, count_key))
+    count = _count(params, count_key)
+    if lo == hi and count > 1:
+        raise ConfigError(f"{lo_key} = {hi_key} would repeat one value {count} times; need {count_key} = 1")
+    return np.geomspace(lo, hi, count)
 
 
 def _tau_grid_as(params: Mapping[str, object]) -> np.ndarray:
@@ -307,9 +313,9 @@ def _sweep_delta_lambda(jobs: Sequence, taus_as: np.ndarray, gamma: float, rho: 
     sigma_p: with r = sigma_p(job)/sigma_p(ref), a job's C/I at L is the
     reference's at r*L and its T/I is r times the reference's.  So jobs are
     grouped by profile without width and by first-level point count; a group
-    calls the kernel on the grid of its widest job (whose offsets from p0
-    carry the least relative rounding) at every job's lengths times its r,
-    and its jobs not yet converged go on doubling as a smaller group.
+    calls the kernel on the grid of its first job at every job's lengths
+    times its r, and its jobs not yet converged go on doubling as a smaller
+    group.
     Raises NumericalError, naming the job, past MAX_GRID_POINTS points.
     """
     k = SPEED_OF_LIGHT * taus_as * 1e-18
@@ -324,7 +330,7 @@ def _sweep_delta_lambda(jobs: Sequence, taus_as: np.ndarray, gamma: float, rho: 
             while n_levels > 1 and n_intervals * 2 ** (n_levels - 1) + 1 > MAX_GRID_POINTS:
                 n_levels -= 1
             sigma_p = np.array([effective_sigma_p(jobs[i][0]) for i in members])
-            profile, n = jobs[members[int(np.argmax(sigma_p))]]
+            profile, n = jobs[members[0]]
             if n_levels == 1:
                 raise NumericalError(
                     f"sweep quadrature for a {profile.shape.value} source of width {profile.width * 1e9:g} nm "
@@ -332,7 +338,7 @@ def _sweep_delta_lambda(jobs: Sequence, taus_as: np.ndarray, gamma: float, rho: 
                 )
             n_intervals *= 2 ** (n_levels - 1)
             grid = build_grid(profile, min_points=n_intervals + 1)
-            ratio = np.repeat(sigma_p / sigma_p.max(), k.size)  # r at each phase length
+            ratio = np.repeat(sigma_p / sigma_p[0], k.size)  # r at each phase length
             lengths = (np.array([jobs[i][1] for i in members])[:, np.newaxis] * k + gamma).ravel()
             c, t = _level_moments(grid, ratio * lengths, n_levels)
             readout = _pointer_readout(grid.center, lengths, rho, c, ratio * t)
@@ -486,7 +492,6 @@ def _run_fig3b(params: Mapping[str, object]) -> ScenarioResult:
 def _run_fig4(params: Mapping[str, object]) -> ScenarioResult:
     width = float(params["width_nm"])
     n_list = _counts(params, "n_list")
-    _distinct("n_list", n_list)
     taus = _tau_grid_as(params)
     gamma = _gamma_m(float(params["gamma_pi_units"]))
     rho = _rhos(float(params["rho_rad"]), "rho_rad")
@@ -599,7 +604,9 @@ def _run_fig5(params: Mapping[str, object]) -> ScenarioResult:
     )
 
     delta_i_by_key = {key: _checked(params, name, "> 0") for key, name in _DELTA_I_KEYS.items()}
-    for width in _floats(params["vsns_widths_nm"]):
+    vsns_widths = _floats(params["vsns_widths_nm"])
+    _distinct("vsns_widths_nm", [_wlabel(width) for width in vsns_widths])
+    for width in vsns_widths:
         sigma_p = effective_sigma_p(_make_profile(params, width))
         for k, intensity, shift, snr in _intensity_trace(i_init, sigma_p, rho, 1, k_values, noise):
             rows.append((width, 1, k, intensity, shift, snr))
@@ -742,13 +749,14 @@ def _run_s3(params: Mapping[str, object]) -> ScenarioResult:
     sources = [("coherent", 0.0)] + [
         (f"{w:g}", w) for w in _floats(params["vsns_widths_nm"])
     ]
+    labels = ["coherent" if width == 0.0 else _wlabel(width) for _, width in sources]
+    _distinct("vsns_widths_nm", labels)
     rows = []
     summary: dict = {"i_init_V": i_init}
-    for key, width in sources:
+    for (key, width), label in zip(sources, labels):
         sigma_p = 0.0 if width == 0.0 else effective_sigma_p(_make_profile(params, width))
         trace = _intensity_trace(i_init, sigma_p, rho, 1, k_values, noise)
         rows.extend((width, k, intensity, shift, snr) for k, intensity, shift, snr in trace)
-        label = "coherent" if width == 0.0 else _wlabel(width)
         summary[f"{label}.max_snr_db"] = max(snr for _, _, _, snr in trace)
         _delta_k_summary(summary, label, key, delta_i_by_key, rate)
     summary["coherent.quoted_op_snr_db"] = snr_db(
@@ -842,6 +850,7 @@ def oracle_case_matrix(params: Mapping[str, object]):
     shapes = [s.strip() for s in str(params["shapes"]).split(",") if s.strip()]
     if not shapes:
         raise ConfigError(f"shapes must name at least one shape, got {params['shapes']!r}")
+    _distinct("shapes", shapes)
     n_list, k_list = _counts(params, "n_list"), _floats(params["k_list_m"])
     rhos, gammas = _rhos(_floats(params["rho_list_rad"]), "rho_list_rad entries"), _floats(params["gamma_pi_list"])
     for shape, n, k, rho, gamma_pi in product(shapes, n_list, k_list, rhos, gammas):
@@ -889,12 +898,21 @@ def _fill_grid_deviations(grids: dict, by_length: dict, deviations: list) -> Non
         amp_h = _oracle_amplitude(points, settings)
         for profile, by_rho in by_profile.items():
             for rho, indices in by_rho.items():
-                d = _collapse(grids[profile], phase_length, 2.0 * rho)
-                o = _oracle_project(amp_h, root_densities[profile], rho)
-                mask = d > 1e-15 * float(d.max())
-                dev = float(np.max(np.abs(d[mask] - o[mask]) / d[mask]))
+                dev = _oracle_deviation(grids[profile], amp_h, root_densities[profile], phase_length, rho)
                 for index in indices:
                     deviations[index] = dev
+
+
+def _oracle_deviation(
+    grid: MomentumGrid, amp_h: np.ndarray, root_density: np.ndarray, phase_length: float, rho: float
+) -> float:
+    """Max relative difference of the oracle's collapsed density from the
+    direct path's on ``grid``, over points above 1e-15 of the peak; both
+    densities are released on return."""
+    d = _collapse(grid, phase_length, 2.0 * rho)
+    o = _oracle_project(amp_h, root_density, rho)
+    mask = d > 1e-15 * float(d.max())
+    return float(np.max(np.abs(d[mask] - o[mask]) / d[mask]))
 
 
 def _check_denominator(name: str, value: float, case: str) -> None:

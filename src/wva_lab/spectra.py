@@ -9,14 +9,16 @@ quoted width is interpreted according to ``width_convention``:
   is matched the same way).
 * ``"fwhm"``: the quoted width is the full width at half maximum.
 
-Grids are uniform, carry composite-Simpson weights, and normalize the
-sampled density to unit integral under their own quadrature rule.
+Grids are exact offset lattices p0 + i*h stored as (p0, h, density), carry
+composite-Simpson weights, and normalize the sampled density to unit
+integral under their own quadrature rule.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -113,7 +115,9 @@ def _simpson_weights(n_points: int, dx: float) -> np.ndarray:
     w = np.ones(n_points)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w * (dx / 3.0)
+    w *= dx / 3.0
+    w.setflags(write=False)
+    return w
 
 
 def _rectangular_half_width(sigma_p: float) -> float:
@@ -137,36 +141,42 @@ def _density_offsets(profile: SpectralProfile, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MomentumGrid:
-    """Uniform momentum grid with Simpson weights and a density sampled on it."""
+    """Uniform momentum lattice p0 + i*h, i = -m..m, with a density on it.
+    Only (p0, h, density) is stored: the offsets i*h round relative to
+    themselves, not to p0, and ``points`` and ``weights`` derive from them."""
 
-    points: np.ndarray   # rad/m, strictly increasing, odd length
-    weights: np.ndarray  # composite-Simpson weights (include dx/3)
-    density: np.ndarray  # nonnegative
     center: float        # p0, rad/m
+    step: float          # h, rad/m
+    density: np.ndarray  # finite and >= 0 at each of the 2m + 1 points
 
     def __post_init__(self) -> None:
-        points = np.asarray(self.points, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
         density = np.asarray(self.density, dtype=float)
-        if points.ndim != 1 or points.size < 3 or points.size % 2 == 0:
+        if density.ndim != 1 or density.size < 3 or density.size % 2 == 0:
             raise ValueError("grid needs an odd number of points >= 3")
-        if not (points.size == weights.size == density.size):
-            raise ValueError("points, weights and density must have equal length")
-        if np.any(np.diff(points) <= 0.0):
-            raise ValueError("grid points must be strictly increasing")
-        if np.any(weights <= 0.0):
-            raise ValueError("quadrature weights must be positive")
+        if not (self.step > 0.0 and math.isfinite(self.step)):
+            raise ValueError(f"grid step must be positive and finite, got {self.step!r}")
         if np.any(density < 0.0) or not np.all(np.isfinite(density)):
             raise ValueError("density values must be finite and >= 0")
-        for arr, name in ((points, "points"), (weights, "weights"), (density, "density")):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        density.setflags(write=False)
+        object.__setattr__(self, "density", density)
 
     @property
-    def step(self) -> float:
-        """Uniform spacing, from the span: one difference of absolute momenta
-        near p0 would carry up to ulp(p0) of rounding."""
-        return float(self.points[-1] - self.points[0]) / (self.points.size - 1)
+    def offsets(self) -> np.ndarray:
+        """p - p0 = i*h for i = -m..m, symmetric about 0."""
+        m = self.density.size // 2
+        return self.step * np.arange(-m, m + 1)
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """Absolute momenta p0 + i*h, rad/m (read-only)."""
+        points = self.center + self.offsets
+        points.setflags(write=False)
+        return points
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Composite-Simpson weights, including h/3 (read-only)."""
+        return _simpson_weights(self.density.size, self.step)
 
     def integral(self, values: Optional[np.ndarray] = None) -> float:
         """Simpson integral of ``values`` (the stored density by default)."""
@@ -174,16 +184,16 @@ class MomentumGrid:
         return float(np.dot(self.weights, v))
 
     def mean(self, values: Optional[np.ndarray] = None) -> float:
-        """Density-weighted mean momentum, computed in centered coordinates."""
+        """Density-weighted mean momentum, computed on the offsets."""
         v = self.density if values is None else values
         wv = self.weights * v
-        return self.center + float(np.dot(wv, self.points - self.center) / np.sum(wv))
+        return self.center + float(np.dot(wv, self.offsets) / np.sum(wv))
 
     def variance(self, values: Optional[np.ndarray] = None) -> float:
         v = self.density if values is None else values
         wv = self.weights * v
         total = np.sum(wv)
-        x = self.points - self.center
+        x = self.offsets
         m1 = float(np.dot(wv, x) / total)
         return float(np.dot(wv, (x - m1) ** 2) / total)
 
@@ -192,13 +202,7 @@ class MomentumGrid:
 
     def half_resolution(self) -> "MomentumGrid":
         """Stride-2 subgrid (valid Simpson grid when the point count is 2^m + 1)."""
-        pts = self.points[::2]
-        return MomentumGrid(
-            points=pts,
-            weights=_simpson_weights(pts.size, 2.0 * self.step),
-            density=self.density[::2],
-            center=self.center,
-        )
+        return MomentumGrid(center=self.center, step=2.0 * self.step, density=self.density[::2])
 
 
 def _grid_half_span(profile: SpectralProfile, span_sigmas: float) -> float:
@@ -282,12 +286,10 @@ def build_grid(
         samples_per_period=samples_per_period,
         max_points=max_points,
     )
-    p0 = lambda_p_convert(profile.center_wavelength)
-    span = _grid_half_span(profile, span_sigmas)
-    x = np.linspace(-span, span, n_points)
-    density = _density_offsets(profile, x)
-    weights = _simpson_weights(x.size, float(x[1] - x[0]))
-    total = float(np.dot(weights, density))
+    m = n_points // 2
+    step = _grid_half_span(profile, span_sigmas) / m  # m is a power of two: m*h is the half span exactly
+    density = _density_offsets(profile, step * np.arange(-m, m + 1))
+    total = float(np.dot(_simpson_weights(n_points, step), density))
     if not (total > 0.0 and math.isfinite(total)):
         raise NumericalError("density integral is not positive and finite")
-    return MomentumGrid(points=p0 + x, weights=weights, density=density / total, center=p0)
+    return MomentumGrid(center=lambda_p_convert(profile.center_wavelength), step=step, density=density / total)

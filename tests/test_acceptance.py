@@ -124,7 +124,7 @@ def test_criterion_10_runtime_and_determinism(tmp_path):
     elapsed = time.perf_counter() - start
 
     identical = True
-    for scenario_id in ("fig3a", "fig6", "s4_weak_values"):
+    for scenario_id in SCENARIOS:
         config = make_config(scenario_id)
         first = render_csv(execute_scenario(config), config)
         second = render_csv(execute_scenario(config), config)

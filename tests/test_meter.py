@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from wva_lab.constants import SPEED_OF_LIGHT
 from wva_lab.meter import (
     IntensityResult,
+    _collapse,
+    _moments,
     _oracle_amplitude,
     _oracle_project,
     collapse_moments_on_grid,
@@ -104,6 +107,28 @@ class TestCollapsedDensity:
         for width_nm in np.geomspace(0.005, 0.5, 60):
             res = collapsed_density(SpectralProfile(shape, LAMBDA0, width_nm * 1e-9), settings)
             assert 0.0 < res.postselection_probability < 1.0
+
+    @pytest.mark.parametrize("width_nm", [0.05, 0.5])
+    @pytest.mark.parametrize("shape", ["gaussian", "supergaussian", "rectangular"])
+    def test_moments_on_exact_lattice(self, shape, width_nm):
+        # the Simpson sums of delta_p over one collapsed density, against the
+        # same sums in long double on the lattice x_i = i*h; offsets taken as
+        # absolute momenta minus p0 carry up to ulp(p0)/2 each, which moved
+        # delta_p by 9.5e-13 relative on these grids
+        grid = build_grid(SpectralProfile(shape, LAMBDA0, width_nm * 1e-9), min_points=129)
+        assert grid.density.size == 129
+        step = np.longdouble(grid.step)
+        x = step * np.arange(-64, 65)  # i*h is exact in long double
+        weights = np.ones(129, dtype=np.longdouble)
+        weights[1:-1:2], weights[2:-1:2] = 4, 2
+        weights *= step / 3
+        gamma, rho = 1.9 * math.pi / P0, 0.002
+        for tau_as in (40.0, 170.0, 330.0):
+            collapsed = _collapse(grid, SPEED_OF_LIGHT * tau_as * 1e-18 + gamma, 2.0 * rho)
+            prob, mom1 = _moments(grid, collapsed)
+            wd = weights * collapsed
+            want = np.sum(wd * x) / np.sum(wd)
+            assert abs(mom1 / prob - want) <= 2e-13 * abs(want)
 
     def test_quadrature_against_independent_simpson(self):
         # third route: scipy Simpson on an independently constructed grid

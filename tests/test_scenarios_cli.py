@@ -281,6 +281,18 @@ class TestCli:
             ("s3_intensity", "delta_i_1_V=0"),
             ("fig3a", "widths_nm=6,6.0000001"),
             ("fig4", "n_list=1,1"),
+            ("fig4", "n_list=1,1.5"),
+            ("fig5", "coherent_n_list=1,1"),
+            ("fig5", "vsns_widths_nm=3,3"),
+            ("fig6", "n_list=1,1"),
+            ("s3_intensity", "vsns_widths_nm=0.5,0.5"),
+            ("s3_intensity", "vsns_widths_nm=0"),
+            ("s2_spectrum_evolution", "tau_list_as=0,0"),
+            ("s4_weak_values", "n_list=1,1"),
+            ("oracle_suite", "n_list=1,1"),
+            ("oracle_suite", "shapes=gaussian,gaussian"),
+            ("fig3b", "width_max_nm=0.5"),
+            ("s4_weak_values", "rho_max_rad=0.002"),
         ],
     )
     def test_bad_value_exits_2_without_csv(self, scenario_id, setting, tmp_path, capsys):
@@ -435,8 +447,9 @@ class TestOracleRows:
         assert oracle_deviation_rows(params) == expected
         assert sorted(sizes) == [8193, 16385]
 
-    def test_repeated_entries_evaluated_once(self, monkeypatch):
-        params = make_config("oracle_suite", {"n_list": "1,1,2", "rho_list_rad": "0.01,0.01"}).params
+    def test_repeated_phase_lengths_evaluated_once(self, monkeypatch):
+        # distinct entries, repeated N*k: 1 x 2e-12 is bitwise 2 x 1e-12
+        params = make_config("oracle_suite", {"n_list": "1,2", "k_list_m": "0,1e-12,2e-12"}).params
         expected = self._reference_rows(params)
         distinct = set()
         for shape, width_nm, n, k, rho, gamma_pi in scenarios.oracle_case_matrix(params):
@@ -446,7 +459,7 @@ class TestOracleRows:
         rows = oracle_deviation_rows(params)
         assert len(rows) == 108
         assert rows == expected
-        assert len(distinct) == 30
+        assert len(distinct) == 72
         assert len(calls["collapse"]) == len(set(calls["collapse"])) == len(distinct)
         # gaussian and supergaussian grids share their points, so one phase serves both
         points = {
@@ -454,11 +467,11 @@ class TestOracleRows:
             for shape in ("gaussian", "supergaussian", "rectangular")
         }
         assert len({points["gaussian"], points["supergaussian"], points["rectangular"]}) == 2
-        assert len(calls["amplitude"]) == len({(points[s], length) for s, length, _ in distinct}) == 20
+        assert len(calls["amplitude"]) == len({(points[s], length) for s, length, _ in distinct}) == 16
 
     def test_one_grid_alive_at_a_time(self):
-        # measured on the default matrix: about 1.16 MB for the call, against
-        # 1.51 MB for three grids held with one case evaluated on top
+        # measured on the default matrix: about 1.15 MB for the call, against
+        # 1.18 MB for three grids held with one case evaluated on top
         params = SCENARIOS["oracle_suite"].defaults
         oracle_deviation_rows(params)  # first-call allocations out of the way
         settings = MwiSettings(3, 1e-10, scenarios._gamma_m(1.9), 0.002)

@@ -124,8 +124,7 @@ class TestBuildGrid:
         profile = SpectralProfile("rectangular", LAMBDA0, 3e-9)
         grid = build_grid(profile)
         half_width = math.sqrt(3.0) * effective_sigma_p(profile)
-        assert grid.points[-1] - grid.center == pytest.approx(half_width, rel=1e-12)
-        assert grid.center - grid.points[0] == pytest.approx(half_width, rel=1e-12)
+        assert grid.offsets[-1] == half_width and grid.offsets[0] == -half_width
         assert np.all(grid.density == grid.density[grid.points.size // 2])
 
     def test_modulation_period_resolved(self):
@@ -162,19 +161,38 @@ class TestBuildGrid:
 
 class TestMomentumGridValidation:
     def test_rejects_bad_inputs(self):
-        pts = np.linspace(0.0, 1.0, 5)
-        w = np.full(5, 0.1)
-        d = np.ones(5)
-        with pytest.raises(ValueError):
-            MomentumGrid(pts[::-1].copy(), w, d, 0.5)
-        with pytest.raises(ValueError):
-            MomentumGrid(pts, -w, d, 0.5)
-        with pytest.raises(ValueError):
-            MomentumGrid(pts, w, -d, 0.5)
-        with pytest.raises(ValueError):
-            MomentumGrid(np.linspace(0, 1, 4), np.full(4, 0.1), np.ones(4), 0.5)
+        bad = [
+            (1.0, np.ones(4)),                     # even point count
+            (1.0, np.ones(1)),                     # too short
+            (1.0, np.ones((3, 3))),                # not one lattice
+            (1.0, np.array([1.0, -1.0, 1.0])),     # negative density
+            (1.0, np.array([1.0, np.nan, 1.0])),   # non-finite density
+            (1.0, np.array([1.0, np.inf, 1.0])),
+            (0.0, np.ones(3)),                     # step not positive
+            (-1.0, np.ones(3)),
+            (np.inf, np.ones(3)),                  # step not finite
+            (np.nan, np.ones(3)),
+        ]
+        for step, density in bad:
+            with pytest.raises(ValueError):
+                MomentumGrid(center=P0, step=step, density=density)
 
     def test_arrays_read_only(self):
         grid = build_grid(gaussian())
-        with pytest.raises(ValueError):
-            grid.density[0] = 1.0
+        for values in (grid.density, grid.points, grid.weights):
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+        assert grid.points is grid.points  # cached, not rebuilt per access
+
+
+class TestLattice:
+    @pytest.mark.parametrize("width_nm", [0.05, 6.0])
+    @pytest.mark.parametrize("shape", ["gaussian", "supergaussian", "rectangular"])
+    def test_offsets_are_exact_lattice(self, shape, width_nm):
+        grid = build_grid(SpectralProfile(shape, LAMBDA0, width_nm * 1e-9), min_points=129)
+        m = grid.density.size // 2
+        assert np.array_equal(grid.offsets, grid.step * np.arange(-m, m + 1))
+        assert np.array_equal(grid.offsets, -grid.offsets[::-1])
+        assert np.array_equal(grid.half_resolution().offsets, grid.offsets[::2])
+        assert np.array_equal(grid.points, grid.center + grid.offsets)
+        assert grid.points.size == grid.weights.size == grid.density.size == 2 * m + 1

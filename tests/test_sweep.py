@@ -36,17 +36,10 @@ def sweep_grid(profile, n, **kwargs):
     return build_grid(profile, MwiSettings(1, float(phase_lengths(n)[-1]), 0.0, RHO), **kwargs)
 
 
-def lattice_step(grid):
-    """h of the half-grid lattice x_i = i*h, fitted to all offsets p - p0."""
-    m = grid.points.size // 2
-    index = np.arange(1, m + 1)
-    return np.dot(index, grid.points[m + 1 :] - grid.center) / np.dot(index, index)
-
-
 def direct_levels(grid, lengths, rho, n_levels):
     """(P, delta_p) of every stride-2^j level with sin and cos taken at every
     half-grid offset x = i*h."""
-    step = lattice_step(grid)
+    step = grid.step
     angle = 0.5 * (grid.center * lengths + 2.0 * rho)
     probs, shifts = [], []
     level = grid
@@ -117,11 +110,9 @@ class TestKernel:
         profile = SpectralProfile(shape, LAMBDA0, 6e-9)
         grid = sweep_grid(profile, 3, min_points=2**15 + 1)
         assert grid.points.size == 2**15 + 1
-        # the fitted lattice reproduces every half-grid offset to its rounding
+        # the half grid is the lattice x_i = i*h the kernel factors
         m = grid.points.size // 2
-        offsets = grid.points[m + 1 :] - grid.center
-        lattice = lattice_step(grid) * np.arange(1, m + 1)
-        assert np.max(np.abs(lattice - offsets)) <= np.spacing(grid.center)
+        assert np.array_equal(grid.offsets[m + 1 :], grid.step * np.arange(1, m + 1))
         for lengths in (phase_lengths(3, UNEVEN_TAUS_AS), phase_lengths(3, np.array([170.0]))):
             got = meter._collapse_moments_on_levels(grid, lengths, RHO, 2)
             for got_values, want_values in zip(got, direct_levels(grid, lengths, RHO, 2)):
