@@ -8,16 +8,17 @@ path-imbalance phase is
 
 The momentum (P) pointer is the density-weighted mean shift of D, reported
 also as a wavelength shift; the intensity (I) pointer is the postselected
-total signal.  Two grid paths compute them: ``collapsed_density`` collapses
-the full grid for one setting under a stride-2 refinement guard, and the
-sweep path evaluates a whole sweep of phase lengths at once from the
-symmetric-density identity in the docstring of ``collapse_moments_on_grid``.
-The sweep path has two steps: the kernel ``_level_moments`` sums C/I and
-T/I on a grid and its strided coarser levels, and ``_pointer_readout``
-turns (C/I, T/I, A) into (P, delta_p).  ``_collapse_moments_on_levels`` and
-``collapse_moments_on_grid`` compose the two; the sweeps of
-``wva_lab.scenarios`` call them apart, to read a kernel call made at
-scaled phase lengths out at each source's own.
+total signal.  Two grid paths compute them.  ``collapsed_density(profile,
+settings)`` is the direct reference: it builds its own grid, collapses it
+for one setting and doubles the grid until a stride-2 guard agrees; it
+takes no other argument, so there is one way to call it.  The sweep path
+evaluates a whole sweep of phase lengths at once from the symmetric-density
+identity in the docstring of ``collapse_moments_on_grid``.  It has two
+steps: the kernel ``_level_moments`` sums C/I and T/I on a grid and its
+strided coarser levels, and ``_pointer_readout`` turns (C/I, T/I, A) into
+(P, delta_p).  ``collapse_moments_on_grid`` composes the two at level 0;
+the sweeps of ``wva_lab.scenarios`` call them apart, to read a kernel call
+made at scaled phase lengths out at each source's own.
 Alongside them this module provides exact closed forms for Gaussian
 densities, the linear-regime approximations, and a brute-force joint-state
 oracle for verification.
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -35,6 +35,10 @@ from .polarization import MwiSettings
 from .spectra import MomentumGrid, SpectralProfile, _simpson_weights, build_grid, effective_sigma_p
 
 _RELATIVE_SHIFT_RECON_TOL = 1e-12
+# collapsed_density's stride-2 guard: the agreement it asks of the full and
+# half-resolution moments, and the grid doublings it makes before giving up
+_GUARD_TOLERANCE = 1e-9
+_GUARD_REBUILDS = 3
 # values the a-factor products of one sweep-kernel block hold (bounds its memory)
 _BLOCK_ELEMENTS = 2**16
 
@@ -180,16 +184,6 @@ def _pointer_readout(
     return prob, delta_p
 
 
-def _collapse_moments_on_levels(
-    grid: MomentumGrid, phase_lengths: np.ndarray, rho: float, n_levels: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(P, delta_p) on ``grid`` and its coarser levels, each of shape
-    (n_levels, len(phase_lengths)): ``_level_moments`` read out by
-    ``_pointer_readout``."""
-    c, t = _level_moments(grid, phase_lengths, n_levels)
-    return _pointer_readout(grid.center, phase_lengths, rho, c, t)
-
-
 def collapse_moments_on_grid(
     grid: MomentumGrid, phase_lengths: np.ndarray, rho: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -211,38 +205,33 @@ def collapse_moments_on_grid(
     guards convergence by comparing grid levels.  This is level 0 of
     ``_level_moments``, read out by ``_pointer_readout``.
     """
-    prob, delta_p = _collapse_moments_on_levels(grid, phase_lengths, rho, 1)
-    return prob[0], delta_p[0]
+    c, t = _level_moments(grid, phase_lengths, 1)
+    return _pointer_readout(grid.center, phase_lengths, rho, c[0], t[0])
 
 
-def collapsed_density(
-    profile: SpectralProfile,
-    settings: MwiSettings,
-    grid: Optional[MomentumGrid] = None,
-    *,
-    refine_tolerance: float = 1e-9,
-    max_refinements: int = 3,
-) -> CollapseResult:
+def collapsed_density(profile: SpectralProfile, settings: MwiSettings) -> CollapseResult:
     """Collapse the meter density under postselection and integrate its moments.
 
-    Parameters
-    ----------
-    profile, settings
-        Source spectrum and interaction-chain settings.
-    grid
-        Optional pre-built grid (reused across a sweep, or shared with the
-        oracle).  When omitted, a grid is built for these settings and a
-        stride-2 Simpson comparison guards the quadrature: full- and
-        half-resolution estimates must agree to ``refine_tolerance``
-        (relative for the probability, relative to sigma_p for the mean
-        shift) or the grid is rebuilt at double resolution.
+    The grid is ``build_grid(profile, settings)``.  A stride-2 Simpson
+    comparison guards the quadrature: the moments on the full grid and on
+    its stride-2 subgrid (the same collapsed values read at every other
+    point) must agree to ``_GUARD_TOLERANCE`` (relative for the
+    probability, relative to sigma_p for the mean shift), or the grid is
+    rebuilt at double resolution, at most ``_GUARD_REBUILDS`` times.
 
     Returns
     -------
     CollapseResult
-        D(p) on the grid, postselection probability (integral ratio against
-        the initial density), the mean momentum shift delta_p, and
-        delta_lambda = -(lambda0^2/2pi) * delta_p.
+        D(p) on the grid the guard accepted, postselection probability
+        (integral ratio against the initial density), the mean momentum
+        shift delta_p, and delta_lambda = -(lambda0^2/2pi) * delta_p.
+
+    Raises
+    ------
+    ValueError
+        For a monochromatic profile (no momentum pointer).
+    NumericalError
+        If the guard still disagrees after the last rebuild.
     """
     if profile.is_monochromatic:
         raise ValueError(
@@ -250,39 +239,26 @@ def collapsed_density(
             "use intensity_after_postselection"
         )
     sigma_p = effective_sigma_p(profile)
-    phase_length = settings.phase_length
-    two_rho = 2.0 * settings.rho
-
-    own_grid = grid is None
-    if own_grid:
-        grid = build_grid(profile, settings)
-
-    refinements = 0
-    while True:
-        collapsed = _collapse(grid, phase_length, two_rho)
+    grid = build_grid(profile, settings)
+    for rebuilds in range(_GUARD_REBUILDS + 1):
+        if rebuilds:
+            grid = build_grid(profile, settings, min_points=2 * (grid.points.size - 1) + 1)
+        collapsed = _collapse(grid, settings.phase_length, 2.0 * settings.rho)
         prob_full, mom_full = _moments(grid, collapsed)
-        if not own_grid:
-            break
-        half = grid.half_resolution()
-        prob_half, mom_half = _moments(half, _collapse(half, phase_length, two_rho))
-        prob_ok = abs(prob_full - prob_half) <= refine_tolerance * abs(prob_full)
-        shift_ok = abs(mom_full / prob_full - mom_half / prob_half) <= refine_tolerance * sigma_p
+        prob_half, mom_half = _moments(grid.half_resolution(), collapsed[::2])
+        prob_ok = abs(prob_full - prob_half) <= _GUARD_TOLERANCE * abs(prob_full)
+        shift_ok = abs(mom_full / prob_full - mom_half / prob_half) <= _GUARD_TOLERANCE * sigma_p
         if prob_ok and shift_ok:
             break
-        if refinements >= max_refinements:
-            raise NumericalError("collapse quadrature did not converge under grid refinement")
-        refinements += 1
-        grid = build_grid(profile, settings, min_points=2 * (grid.points.size - 1) + 1)
+    else:
+        raise NumericalError("collapse quadrature did not converge under grid refinement")
 
-    omega_total = grid.integral()
-    probability = prob_full / omega_total
     delta_p = mom_full / prob_full
-    delta_lambda = -(profile.center_wavelength**2 / (2.0 * math.pi)) * delta_p
     return CollapseResult(
         density=grid.with_density(collapsed),
-        postselection_probability=probability,
+        postselection_probability=prob_full / grid.integral(),
         delta_p=delta_p,
-        delta_lambda=delta_lambda,
+        delta_lambda=-(profile.center_wavelength**2 / (2.0 * math.pi)) * delta_p,
     )
 
 

@@ -182,18 +182,20 @@ def make_config(
 # Shared sweep machinery
 # ---------------------------------------------------------------------------
 
-def _floats(value: object) -> list:
+def _floats(params: Mapping[str, object], key: str) -> list:
+    """The ``key`` value as a list of distinct finite floats (comma separated)."""
+    value = params[key]
     parts = [p for p in str(value).split(",") if p.strip()]
     if not parts:
-        raise ConfigError(f"empty list value {value!r}")
+        raise ConfigError(f"{key} is an empty list: {value!r}")
     try:
         values = [float(p) for p in parts]
     except ValueError as exc:
-        raise ConfigError(f"cannot parse list {value!r}") from exc
+        raise ConfigError(f"{key}: cannot parse list {value!r}") from exc
     if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"list {value!r} has a non-finite entry")
+        raise ConfigError(f"{key} list {value!r} has a non-finite entry")
     if len(set(values)) < len(values):
-        raise ConfigError(f"list {value!r} repeats an entry")
+        raise ConfigError(f"{key} list {value!r} repeats an entry")
     return values
 
 
@@ -205,7 +207,7 @@ def _count(params: Mapping[str, object], key: str) -> int:
 
 
 def _counts(params: Mapping[str, object], key: str) -> list:
-    values = _floats(params[key])
+    values = _floats(params, key)
     if min(values) < 1 or any(v != int(v) for v in values):
         raise ConfigError(f"{key} entries must be whole numbers >= 1, got {params[key]!r}")
     return [int(v) for v in values]
@@ -274,18 +276,21 @@ def _gamma_m(gamma_pi_units: float) -> float:
 
 
 def _make_profile(
-    params: Mapping[str, object], width_nm: float, shape: Optional[str] = None
+    params: Mapping[str, object], width_key: str, width_nm: float, shape: Optional[str] = None
 ) -> SpectralProfile:
+    """The profile of width ``width_nm`` (read from ``width_key``) with the
+    config's ``order`` and ``width_convention``, and its ``shape`` unless
+    ``shape`` is given."""
     try:
         return SpectralProfile(
-            shape=shape or str(params.get("shape", "supergaussian")),
+            shape=shape or str(params["shape"]),
             center_wavelength=LAMBDA0_M,
             width=width_nm * 1e-9,
-            order=int(params.get("order", 6)),
-            width_convention=str(params.get("width_convention", "sigma")),
+            order=int(params["order"]),
+            width_convention=str(params["width_convention"]),
         )
     except ValueError as exc:
-        raise ConfigError(f"spectral profile: {exc}") from exc
+        raise ConfigError(f"spectral profile of width {width_nm!r} nm ({width_key}): {exc}") from exc
 
 
 def _wlabel(width_nm: float) -> str:
@@ -412,7 +417,7 @@ _TRACE_DEFAULTS = {
     {**_TRACE_DEFAULTS, "widths_nm": "0.5,1,3,6", "n_interactions": 1},
 )
 def _run_fig3a(params: Mapping[str, object]) -> ScenarioResult:
-    widths = _floats(params["widths_nm"])
+    widths = _floats(params, "widths_nm")
     _distinct("widths_nm", [_wlabel(width) for width in widths])
     taus = _tau_grid_as(params)
     gamma = _gamma_m(float(params["gamma_pi_units"]))
@@ -424,7 +429,8 @@ def _run_fig3a(params: Mapping[str, object]) -> ScenarioResult:
     presets = {"lambda0_nm": LAMBDA0_M * 1e9, "rho_rad": rho, "gamma_pi_units": float(params["gamma_pi_units"])}
     summary = {f"preset.{key}": value for key, value in presets.items()}
     summary["preset.spectrometer_resolution_pm"] = res_m * 1e12
-    traces = _sweep_delta_lambda([(_make_profile(params, width), n) for width in widths], taus, gamma, rho)
+    jobs = [(_make_profile(params, "widths_nm", width), n) for width in widths]
+    traces = _sweep_delta_lambda(jobs, taus, gamma, rho)
     for width, dlam, prob in zip(widths, *traces):
         _rate_summary(summary, _wlabel(width), taus, dlam, res_m)
         rows.extend(zip(repeat(width), taus.tolist(), dlam.tolist(), prob.tolist()))
@@ -459,7 +465,8 @@ def _run_fig3b(params: Mapping[str, object]) -> ScenarioResult:
     if not 0.0 < threshold <= 1.0:
         raise ConfigError(f"band_threshold must lie in (0, 1], got {threshold!r}")
 
-    dlam, _ = _sweep_delta_lambda([(_make_profile(params, float(w)), n) for w in widths], taus, gamma, rho)
+    profiles = [_make_profile(params, "widths from width_min_nm to width_max_nm", float(w)) for w in widths]
+    dlam, _ = _sweep_delta_lambda([(profile, n) for profile in profiles], taus, gamma, rho)
     rates = np.abs((dlam[:, 2:] - dlam[:, :-2]) / (taus[2:] - taus[:-2]))
     peaks = rates.max(axis=1)
     best = int(np.argmax(peaks))  # the first width at the largest peak rate
@@ -496,7 +503,7 @@ def _run_fig4(params: Mapping[str, object]) -> ScenarioResult:
     gamma = _gamma_m(float(params["gamma_pi_units"]))
     rho = _rhos(float(params["rho_rad"]), "rho_rad")
     res_m = _checked(params, "spectrometer_resolution_m", "> 0")
-    profile = _make_profile(params, width)
+    profile = _make_profile(params, "width_nm", width)
 
     rows = []
     summary: dict = {}
@@ -536,13 +543,8 @@ def _k_grid_m(params: Mapping[str, object]) -> np.ndarray:
 def _intensity_trace(i_init, sigma_p, rho, n, k_values, noise):
     rows = []
     for k in k_values:
-        if k == 0.0:
-            prob = postselection_probability_gaussian(sigma_p, P0_RAD_PER_M, MwiSettings(n, 0.0, 0.0, rho))
-            intensity, shift = i_init * prob, 0.0
-        else:
-            res = intensity_after_postselection(i_init, sigma_p, P0_RAD_PER_M, MwiSettings(n, float(k), 0.0, rho))
-            intensity, shift = res.intensity, res.relative_shift
-        rows.append((float(k), intensity, shift, snr_db(intensity, noise)))
+        res = intensity_after_postselection(i_init, sigma_p, P0_RAD_PER_M, MwiSettings(n, float(k), 0.0, rho))
+        rows.append((float(k), res.intensity, res.relative_shift, snr_db(res.intensity, noise)))
     return rows
 
 
@@ -604,10 +606,10 @@ def _run_fig5(params: Mapping[str, object]) -> ScenarioResult:
     )
 
     delta_i_by_key = {key: _checked(params, name, "> 0") for key, name in _DELTA_I_KEYS.items()}
-    vsns_widths = _floats(params["vsns_widths_nm"])
+    vsns_widths = _floats(params, "vsns_widths_nm")
     _distinct("vsns_widths_nm", [_wlabel(width) for width in vsns_widths])
     for width in vsns_widths:
-        sigma_p = effective_sigma_p(_make_profile(params, width))
+        sigma_p = effective_sigma_p(_make_profile(params, "vsns_widths_nm", width))
         for k, intensity, shift, snr in _intensity_trace(i_init, sigma_p, rho, 1, k_values, noise):
             rows.append((width, 1, k, intensity, shift, snr))
         _delta_k_summary(summary, _wlabel(width), f"{width:g}", delta_i_by_key, rate_base)
@@ -688,11 +690,11 @@ def _run_fig6(params: Mapping[str, object]) -> ScenarioResult:
     },
 )
 def _run_s2(params: Mapping[str, object]) -> ScenarioResult:
-    profile = _make_profile(params, float(params["width_nm"]))
+    profile = _make_profile(params, "width_nm", float(params["width_nm"]))
     gamma = _gamma_m(float(params["gamma_pi_units"]))
     rho = _rhos(float(params["rho_rad"]), "rho_rad")
     n = _count(params, "n_interactions")
-    taus = _floats(params["tau_list_as"])
+    taus = _floats(params, "tau_list_as")
     stride = _count(params, "subsample_stride")
 
     k_max = SPEED_OF_LIGHT * max(taus) * 1e-18
@@ -700,7 +702,7 @@ def _run_s2(params: Mapping[str, object]) -> ScenarioResult:
     rows = []
     for tau_as in taus:
         settings = MwiSettings(n, SPEED_OF_LIGHT * tau_as * 1e-18, gamma, rho)
-        res = collapsed_density(profile, settings, grid=grid)
+        collapsed = _collapse(grid, settings.phase_length, 2.0 * settings.rho)
         for idx in range(0, grid.points.size, stride):
             lam = lambda_p_convert(float(grid.points[idx]))
             to_per_nm = (2.0 * math.pi / lam**2) * 1e-9  # |dp/dlambda| in rad/m per nm
@@ -709,7 +711,7 @@ def _run_s2(params: Mapping[str, object]) -> ScenarioResult:
                     tau_as,
                     lam * 1e9,
                     float(grid.density[idx]) * to_per_nm,
-                    float(res.density.density[idx]) * to_per_nm,
+                    float(collapsed[idx]) * to_per_nm,
                 )
             )
     summary = {
@@ -747,14 +749,14 @@ def _run_s3(params: Mapping[str, object]) -> ScenarioResult:
     delta_i_by_key = {"coherent": float(params["delta_i_coherent_V"])}
     delta_i_by_key.update((key, _checked(params, name, "> 0")) for key, name in _DELTA_I_KEYS.items())
     sources = [("coherent", 0.0)] + [
-        (f"{w:g}", w) for w in _floats(params["vsns_widths_nm"])
+        (f"{w:g}", w) for w in _floats(params, "vsns_widths_nm")
     ]
     labels = ["coherent" if width == 0.0 else _wlabel(width) for _, width in sources]
     _distinct("vsns_widths_nm", labels)
     rows = []
     summary: dict = {"i_init_V": i_init}
     for (key, width), label in zip(sources, labels):
-        sigma_p = 0.0 if width == 0.0 else effective_sigma_p(_make_profile(params, width))
+        sigma_p = 0.0 if width == 0.0 else effective_sigma_p(_make_profile(params, "vsns_widths_nm", width))
         trace = _intensity_trace(i_init, sigma_p, rho, 1, k_values, noise)
         rows.extend((width, k, intensity, shift, snr) for k, intensity, shift, snr in trace)
         summary[f"{label}.max_snr_db"] = max(snr for _, _, _, snr in trace)
@@ -851,8 +853,8 @@ def oracle_case_matrix(params: Mapping[str, object]):
     if not shapes:
         raise ConfigError(f"shapes must name at least one shape, got {params['shapes']!r}")
     _distinct("shapes", shapes)
-    n_list, k_list = _counts(params, "n_list"), _floats(params["k_list_m"])
-    rhos, gammas = _rhos(_floats(params["rho_list_rad"]), "rho_list_rad entries"), _floats(params["gamma_pi_list"])
+    n_list, k_list = _counts(params, "n_list"), _floats(params, "k_list_m")
+    rhos, gammas = _rhos(_floats(params, "rho_list_rad"), "rho_list_rad entries"), _floats(params, "gamma_pi_list")
     for shape, n, k, rho, gamma_pi in product(shapes, n_list, k_list, rhos, gammas):
         yield shape, float(params["sigma_lambda_nm"]), n, k, rho, gamma_pi
 
@@ -876,9 +878,9 @@ def oracle_deviation_rows(params: Mapping[str, object]) -> list:
     # (center, half span, point count) -> L -> (settings of its first case, profile -> rho -> case indices)
     groups: dict = {}
     for index, (shape, width_nm, n, k, rho, gamma_pi) in enumerate(cases):
-        profile = _make_profile(params, width_nm, shape)
+        profile = _make_profile(params, "sigma_lambda_nm", width_nm, shape)
         settings = MwiSettings(n, k, _gamma_m(gamma_pi), rho)
-        key = (profile.center_wavelength, _grid_half_span(profile, 8.0), grid_point_count(profile, settings))
+        key = (profile.center_wavelength, _grid_half_span(profile), grid_point_count(profile, settings))
         _, by_profile = groups.setdefault(key, {}).setdefault(settings.phase_length, (settings, {}))
         by_profile.setdefault(profile, {}).setdefault(rho, []).append(index)
     deviations = [0.0] * len(cases)
@@ -931,7 +933,7 @@ def closed_form_deviations(params: Mapping[str, object]) -> tuple:
     for shape, width_nm, n, k, rho, gamma_pi in oracle_case_matrix(params):
         if shape != "gaussian" or gamma_pi != 0.0 or k == 0.0:
             continue
-        profile = _make_profile(params, width_nm, shape)
+        profile = _make_profile(params, "sigma_lambda_nm", width_nm, shape)
         settings = MwiSettings(n, k, _gamma_m(gamma_pi), rho)
         sigma_p = effective_sigma_p(profile)
         quad = collapsed_density(profile, settings)

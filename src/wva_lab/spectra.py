@@ -28,6 +28,8 @@ from .polarization import MwiSettings
 
 MIN_GRID_POINTS = 2**13 + 1
 MAX_GRID_POINTS = 2**21 + 1
+_SPAN_WIDTHS = 8.0       # grid half span in effective widths sigma_p (not rectangular)
+_PERIOD_SAMPLES = 32     # grid points per period of the postselection modulation
 
 
 class Shape(str, enum.Enum):
@@ -56,6 +58,8 @@ class SpectralProfile:
     width_convention: str = "sigma"
 
     def __post_init__(self) -> None:
+        if self.shape not in {s.value for s in Shape}:
+            raise ValueError(f"shape must be one of {[s.value for s in Shape]}, got {self.shape!r}")
         object.__setattr__(self, "shape", Shape(self.shape))
         if self.center_wavelength <= 0.0:
             raise ValueError(f"center wavelength must be > 0, got {self.center_wavelength!r}")
@@ -205,27 +209,21 @@ class MomentumGrid:
         return MomentumGrid(center=self.center, step=2.0 * self.step, density=self.density[::2])
 
 
-def _grid_half_span(profile: SpectralProfile, span_sigmas: float) -> float:
-    """Half span of a profile's grid: +- ``span_sigmas`` effective widths, or
+def _grid_half_span(profile: SpectralProfile) -> float:
+    """Half span of a profile's grid: +- ``_SPAN_WIDTHS`` effective widths, or
     exactly the support of a rectangular profile."""
     sigma_p = effective_sigma_p(profile)
     if profile.shape is Shape.RECTANGULAR:
         return _rectangular_half_width(sigma_p)
-    return span_sigmas * sigma_p
+    return _SPAN_WIDTHS * sigma_p
 
 
 def grid_point_count(
-    profile: SpectralProfile,
-    settings: Optional[MwiSettings] = None,
-    *,
-    span_sigmas: float = 8.0,
-    min_points: int = MIN_GRID_POINTS,
-    samples_per_period: int = 32,
-    max_points: int = MAX_GRID_POINTS,
+    profile: SpectralProfile, settings: Optional[MwiSettings] = None, *, min_points: int = MIN_GRID_POINTS
 ) -> int:
     """Point count of ``build_grid`` for these arguments: the smallest 2^m + 1
     that samples the postselection modulation (momentum period
-    2*pi/(N*k + gamma)) at least ``samples_per_period`` times over the grid's
+    2*pi/(N*k + gamma)) at least ``_PERIOD_SAMPLES`` times over the grid's
     span, with a floor of ``min_points``.
 
     Raises
@@ -234,38 +232,32 @@ def grid_point_count(
         For monochromatic profiles (no momentum grid; use the closed-form
         intensity path instead).
     NumericalError
-        If the count would exceed ``max_points``.
+        If the count would exceed ``MAX_GRID_POINTS``.
     """
     if profile.is_monochromatic:
         raise ValueError("monochromatic profile has no momentum grid; use the intensity path")
     n_intervals = max(min_points - 1, 4)
     if settings is not None and settings.phase_length != 0.0:
-        max_step = 2.0 * math.pi / (samples_per_period * abs(settings.phase_length))
-        needed = math.ceil(2.0 * _grid_half_span(profile, span_sigmas) / max_step)
+        max_step = 2.0 * math.pi / (_PERIOD_SAMPLES * abs(settings.phase_length))
+        needed = math.ceil(2.0 * _grid_half_span(profile) / max_step)
         while n_intervals < needed:
             n_intervals *= 2
     # power-of-two interval count so stride-2 subsampling stays a Simpson grid
     n_intervals = 2 ** math.ceil(math.log2(n_intervals))
-    if n_intervals + 1 > max_points:
+    if n_intervals + 1 > MAX_GRID_POINTS:
         raise NumericalError(
-            f"grid would need {n_intervals + 1} points (> {max_points}); "
+            f"grid would need {n_intervals + 1} points (> {MAX_GRID_POINTS}); "
             "modulation period too short for this span"
         )
     return n_intervals + 1
 
 
 def build_grid(
-    profile: SpectralProfile,
-    settings: Optional[MwiSettings] = None,
-    *,
-    span_sigmas: float = 8.0,
-    min_points: int = MIN_GRID_POINTS,
-    samples_per_period: int = 32,
-    max_points: int = MAX_GRID_POINTS,
+    profile: SpectralProfile, settings: Optional[MwiSettings] = None, *, min_points: int = MIN_GRID_POINTS
 ) -> MomentumGrid:
     """Build a uniform momentum grid around p0 = 2*pi/lambda0.
 
-    The grid spans +- ``span_sigmas`` effective widths, except for a
+    The grid spans +- ``_SPAN_WIDTHS`` (8) effective widths, except for a
     rectangular profile, whose grid spans exactly its support +- sqrt(3)*sigma_p
     (Simpson's rule is not applied across the band edge).  Its point count
     is ``grid_point_count`` of the same arguments, so the grid depends on
@@ -277,17 +269,12 @@ def build_grid(
     ValueError
         For monochromatic profiles (no momentum grid; use the closed-form
         intensity path instead).
+    NumericalError
+        If the point count would exceed ``MAX_GRID_POINTS``.
     """
-    n_points = grid_point_count(
-        profile,
-        settings,
-        span_sigmas=span_sigmas,
-        min_points=min_points,
-        samples_per_period=samples_per_period,
-        max_points=max_points,
-    )
+    n_points = grid_point_count(profile, settings, min_points=min_points)
     m = n_points // 2
-    step = _grid_half_span(profile, span_sigmas) / m  # m is a power of two: m*h is the half span exactly
+    step = _grid_half_span(profile) / m  # m is a power of two: m*h is the half span exactly
     density = _density_offsets(profile, step * np.arange(-m, m + 1))
     total = float(np.dot(_simpson_weights(n_points, step), density))
     if not (total > 0.0 and math.isfinite(total)):

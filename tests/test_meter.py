@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from wva_lab import meter
+from wva_lab.cli import main
 from wva_lab.constants import SPEED_OF_LIGHT
+from wva_lab.errors import NumericalError
 from wva_lab.meter import (
     IntensityResult,
     _collapse,
@@ -86,14 +89,16 @@ class TestCollapsedDensity:
     def test_probability_is_integral_ratio(self):
         settings = MwiSettings(2, 1e-11, 0.0, 0.01)
         grid = build_grid(gaussian(), settings)
-        res = collapsed_density(gaussian(), settings, grid=grid)
+        res = collapsed_density(gaussian(), settings)
+        assert np.array_equal(res.density.points, grid.points)  # the guard kept the grid built here
         ratio = res.density.integral() / grid.integral()
         assert res.postselection_probability == pytest.approx(ratio, rel=1e-9)
 
     def test_fused_moments_match(self):
         settings = MwiSettings(3, 2e-11, 1.9 * math.pi / P0, 0.002)
         grid = build_grid(gaussian(), settings)
-        res = collapsed_density(gaussian(), settings, grid=grid)
+        res = collapsed_density(gaussian(), settings)
+        assert np.array_equal(res.density.points, grid.points)  # the guard kept the grid built here
         lengths = np.array([settings.phase_length])
         prob, delta_p = collapse_moments_on_grid(grid, lengths, settings.rho)
         assert prob[0] == pytest.approx(res.postselection_probability, rel=1e-12)
@@ -145,6 +150,65 @@ class TestCollapsedDensity:
         res = collapsed_density(gaussian(), MwiSettings(1, k, 0.0, 0.002))
         assert res.postselection_probability == pytest.approx(prob_ref, rel=1e-9)
         assert res.delta_p == pytest.approx(dp_ref, rel=1e-6)
+
+
+class TestRefinementGuard:
+    """The stride-2 guard of ``collapsed_density``: a grid whose full- and
+    half-resolution moments disagree is rebuilt at twice the intervals, up
+    to ``_GUARD_REBUILDS`` times, and then the call raises."""
+
+    SETTINGS = MwiSettings(1, 3e-12, 0.0, 0.002)
+
+    @staticmethod
+    def _spy_build_grid(monkeypatch):
+        sizes = []
+
+        def spy(*args, **kwargs):
+            grid = build_grid(*args, **kwargs)
+            sizes.append(grid.points.size)
+            return grid
+
+        monkeypatch.setattr(meter, "build_grid", spy)
+        return sizes
+
+    @pytest.fixture
+    def never_agrees(self, monkeypatch):
+        monkeypatch.setattr(meter, "_GUARD_TOLERANCE", -1.0)  # no difference is within a negative bound
+
+    def test_one_disagreement_rebuilds_at_double_resolution(self, monkeypatch):
+        moments = meter._moments
+        evaluated = []
+
+        def disagree_once(grid, collapsed):
+            prob, mom1 = moments(grid, collapsed)
+            evaluated.append(grid.density.size)
+            if len(evaluated) == 2:  # the first half-resolution estimate
+                prob *= 1.0 + 1e-6
+            return prob, mom1
+
+        monkeypatch.setattr(meter, "_moments", disagree_once)
+        sizes = self._spy_build_grid(monkeypatch)
+        res = collapsed_density(gaussian(), self.SETTINGS)
+        assert sizes == [8193, 16385]
+        assert evaluated == [8193, 4097, 16385, 8193]
+        fine = build_grid(gaussian(), self.SETTINGS, min_points=16385)
+        assert np.array_equal(res.density.points, fine.points)
+        prob, mom1 = moments(fine, _collapse(fine, self.SETTINGS.phase_length, 2.0 * self.SETTINGS.rho))
+        assert res.postselection_probability == prob / fine.integral()
+        assert res.delta_p == mom1 / prob
+
+    def test_never_agreeing_guard_raises(self, never_agrees, monkeypatch):
+        sizes = self._spy_build_grid(monkeypatch)
+        with pytest.raises(NumericalError, match="did not converge under grid refinement"):
+            collapsed_density(gaussian(), self.SETTINGS)
+        assert len(sizes) == meter._GUARD_REBUILDS + 1
+        assert sizes == [8193 * 2**j - 2**j + 1 for j in range(len(sizes))]
+
+    def test_oracle_suite_exits_3_without_csv(self, never_agrees, tmp_path, capsys):
+        out = tmp_path / "oracle_suite.csv"
+        assert main(["run", "oracle_suite", "--out", str(out)]) == 3
+        assert "did not converge under grid refinement" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGaussianClosedForms:
@@ -244,7 +308,8 @@ class TestOracle:
     def test_equivalence_spot_case(self):
         settings = MwiSettings(2, 1e-11, 0.0, 0.005)
         grid = build_grid(gaussian(), settings)
-        direct = collapsed_density(gaussian(), settings, grid=grid)
+        direct = collapsed_density(gaussian(), settings)
+        assert np.array_equal(direct.density.points, grid.points)  # the guard kept the grid built here
         oracle = oracle_joint_state(gaussian(), settings, grid)
         d, o = direct.density.density, oracle.density.density
         mask = d > 1e-15 * d.max()

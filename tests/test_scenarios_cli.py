@@ -300,6 +300,7 @@ class TestCli:
         assert main(["run", scenario_id, "--set", setting, "--out", str(out_file)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+        assert setting.split("=", 1)[0] in err  # the message names the key to fix
         assert not out_file.exists()
 
     def test_numerical_error_exits_3(self, tmp_path, monkeypatch, capsys):
@@ -381,10 +382,12 @@ class TestOracleRows:
         rows = []
         for case in scenarios.oracle_case_matrix(params):
             shape, width_nm, n, k, rho, gamma_pi = case
-            profile = scenarios._make_profile(params, width_nm, shape)
+            profile = scenarios._make_profile(params, "sigma_lambda_nm", width_nm, shape)
             settings = MwiSettings(n, k, scenarios._gamma_m(gamma_pi), rho)
             grid = scenarios.build_grid(profile, settings)
-            d = collapsed_density(profile, settings, grid=grid).density.density
+            direct = collapsed_density(profile, settings)
+            assert np.array_equal(direct.density.points, grid.points)  # the guard kept the grid built here
+            d = direct.density.density
             o = oracle_joint_state(profile, settings, grid).density.density
             mask = d > 1e-15 * float(d.max())
             rows.append((*case, float(np.max(np.abs(d[mask] - o[mask]) / d[mask]))))
@@ -463,7 +466,7 @@ class TestOracleRows:
         assert len(calls["collapse"]) == len(set(calls["collapse"])) == len(distinct)
         # gaussian and supergaussian grids share their points, so one phase serves both
         points = {
-            shape: scenarios.build_grid(scenarios._make_profile(params, 6.0, shape)).points.tobytes()
+            shape: scenarios.build_grid(scenarios._make_profile(params, "sigma_lambda_nm", 6.0, shape)).points.tobytes()
             for shape in ("gaussian", "supergaussian", "rectangular")
         }
         assert len({points["gaussian"], points["supergaussian"], points["rectangular"]}) == 2
@@ -479,7 +482,7 @@ class TestOracleRows:
         try:
             held = []
             for shape in ("gaussian", "supergaussian", "rectangular"):
-                grid = scenarios.build_grid(scenarios._make_profile(params, 6.0, shape), settings)
+                grid = scenarios.build_grid(scenarios._make_profile(params, "sigma_lambda_nm", 6.0, shape), settings)
                 held.append((grid, np.sqrt(grid.density)))
             grid, root_density = held[-1]
             d = scenarios._collapse(grid, settings.phase_length, 2.0 * settings.rho)

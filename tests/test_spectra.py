@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from wva_lab.constants import SPEED_OF_LIGHT
+from wva_lab.meter import _collapse
 from wva_lab.polarization import MwiSettings
 from wva_lab.spectra import (
     MomentumGrid,
@@ -194,5 +196,9 @@ class TestLattice:
         assert np.array_equal(grid.offsets, grid.step * np.arange(-m, m + 1))
         assert np.array_equal(grid.offsets, -grid.offsets[::-1])
         assert np.array_equal(grid.half_resolution().offsets, grid.offsets[::2])
+        # so the stride-2 guard of collapsed_density reads its half level off the full collapse
+        for phase_length, rho in ((SPEED_OF_LIGHT * 330e-18 + 1.9 * math.pi / P0, 0.002), (3e-10, 0.1)):
+            half = _collapse(grid.half_resolution(), phase_length, 2.0 * rho)
+            assert np.array_equal(half, _collapse(grid, phase_length, 2.0 * rho)[::2])
         assert np.array_equal(grid.points, grid.center + grid.offsets)
         assert grid.points.size == grid.weights.size == grid.density.size == 2 * m + 1

@@ -36,6 +36,13 @@ def sweep_grid(profile, n, **kwargs):
     return build_grid(profile, MwiSettings(1, float(phase_lengths(n)[-1]), 0.0, RHO), **kwargs)
 
 
+def kernel_levels(grid, lengths, rho, n_levels):
+    """(P, delta_p) on ``grid`` and its coarser levels, each of shape
+    (n_levels, len(lengths)): the sweep kernel read out as the sweeps do."""
+    c, t = meter._level_moments(grid, lengths, n_levels)
+    return meter._pointer_readout(grid.center, lengths, rho, c, t)
+
+
 def direct_levels(grid, lengths, rho, n_levels):
     """(P, delta_p) of every stride-2^j level with sin and cos taken at every
     half-grid offset x = i*h."""
@@ -101,7 +108,7 @@ class TestKernel:
         profile = SpectralProfile(shape, LAMBDA0, width_nm * 1e-9)
         grid = sweep_grid(profile, n, min_points=513)
         lengths = phase_lengths(n, UNEVEN_TAUS_AS)
-        got = meter._collapse_moments_on_levels(grid, lengths, RHO, 3)
+        got = kernel_levels(grid, lengths, RHO, 3)
         for got_values, want_values in zip(got, direct_levels(grid, lengths, RHO, 3)):
             np.testing.assert_allclose(got_values, want_values, rtol=1e-12, atol=0.0)
 
@@ -114,7 +121,7 @@ class TestKernel:
         m = grid.points.size // 2
         assert np.array_equal(grid.offsets[m + 1 :], grid.step * np.arange(1, m + 1))
         for lengths in (phase_lengths(3, UNEVEN_TAUS_AS), phase_lengths(3, np.array([170.0]))):
-            got = meter._collapse_moments_on_levels(grid, lengths, RHO, 2)
+            got = kernel_levels(grid, lengths, RHO, 2)
             for got_values, want_values in zip(got, direct_levels(grid, lengths, RHO, 2)):
                 np.testing.assert_allclose(got_values, want_values, rtol=1e-12, atol=0.0)
 
@@ -213,7 +220,7 @@ class TestAdaptiveSweep:
 
 def per_job_sweep(profile, n):
     """(delta_lambda_nm, P, kernel calls) of one job on its own grids: the
-    level loop of the sweep with ``_collapse_moments_on_levels``."""
+    level loop of the sweep with ``kernel_levels``."""
     lengths = phase_lengths(n)
     sigma_p = effective_sigma_p(profile)
     widest = MwiSettings(n, SPEED_OF_LIGHT * TAUS_AS[-1] * 1e-18, GAMMA, RHO)
@@ -223,7 +230,7 @@ def per_job_sweep(profile, n):
         n_intervals *= 2 ** (n_levels - 1)
         grid = build_grid(profile, min_points=n_intervals + 1)
         calls.append((grid.points.size, n_levels))
-        prob, delta_p = meter._collapse_moments_on_levels(grid, lengths, RHO, n_levels)
+        prob, delta_p = kernel_levels(grid, lengths, RHO, n_levels)
         for fine in range(n_levels - 2, -1, -1):
             if np.all(np.abs(prob[fine] - prob[fine + 1]) <= 1e-10 * prob[fine]) and np.all(
                 np.abs(delta_p[fine] - delta_p[fine + 1]) <= 1e-10 * sigma_p
@@ -269,7 +276,7 @@ class TestBatchedSweep:
     def test_fig3b_four_groups(self, monkeypatch):
         params = make_config("fig3b", {"width_max_nm": "3000"}).params
         widths = scenarios._geomspace(params, "width_min_nm", "width_max_nm", "n_widths")
-        profiles = [scenarios._make_profile(params, float(width)) for width in widths]
+        profiles = [scenarios._make_profile(params, "widths", float(width)) for width in widths]
         widest = MwiSettings(1, SPEED_OF_LIGHT * TAUS_AS[-1] * 1e-18, GAMMA, RHO)
         counts = {grid_point_count(profile, widest, min_points=129) for profile in profiles}
         assert counts == {129, 257, 513, 1025}
@@ -296,7 +303,7 @@ class TestStridedLevels:
     def test_levels_match_kernel_on_coarser_builds(self, shape):
         profile = SpectralProfile(shape, LAMBDA0, 6e-9)
         lengths = phase_lengths(1)
-        prob, delta_p = meter._collapse_moments_on_levels(
+        prob, delta_p = kernel_levels(
             sweep_grid(profile, 1, min_points=513), lengths, RHO, 3
         )
         assert prob.shape == delta_p.shape == (3, lengths.size)
