@@ -30,11 +30,9 @@ from .meter import (
 )
 from .metrology import (
     PrecisionReport,
-    ShiftRateEstimate,
     TiltGeometry,
     k_from_tau,
     precision,
-    shift_rate,
     snr_db,
     tau_from_tilt,
 )
@@ -84,11 +82,9 @@ __all__ = [
     "pointer_shift_p_gaussian",
     "postselection_probability_gaussian",
     "PrecisionReport",
-    "ShiftRateEstimate",
     "TiltGeometry",
     "k_from_tau",
     "precision",
-    "shift_rate",
     "snr_db",
     "tau_from_tilt",
     "MwiSettings",

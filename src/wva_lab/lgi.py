@@ -13,7 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .meter import postselection_probability_gaussian
+from .errors import NumericalError
+from .meter import _neg_square, postselection_probability_gaussian
 from .polarization import MwiSettings
 
 # angles per block of ``negativity_boundary_scan``
@@ -103,9 +104,12 @@ def weak_value_from_shift(
     """Invert the linear-regime intensity shift to the Im weak value.
 
     Returns delta_ell / (exp(-(sigma_p N k)^2) p0 k); on shifts produced by
-    the forward linear model this recovers N cot(rho) exactly.
+    the forward linear model this recovers N cot(rho) exactly.  Raises
+    NumericalError where the damping underflows to 0.
     """
     if k == 0.0:
         raise ValueError("k = 0: weak value from an intensity shift is undefined")
-    damp = math.exp(-((sigma_p * n_interactions * k) ** 2))
+    damp = math.exp(_neg_square(sigma_p * n_interactions * k))
+    if damp == 0.0:
+        raise NumericalError("the damping exp(-(sigma_p N k)^2) underflows to 0: no weak value")
     return delta_ell / (damp * p0 * k)

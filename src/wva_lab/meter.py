@@ -262,6 +262,12 @@ def collapsed_density(profile: SpectralProfile, settings: MwiSettings) -> Collap
     )
 
 
+def _neg_square(x: float) -> float:
+    """-x**2, or -inf where the square overflows: the exponent of a Gaussian
+    damping factor, whose exponential is 0 long before that."""
+    return -(x**2) if abs(x) < 1e154 else -math.inf
+
+
 def postselection_probability_gaussian(sigma_p: float, p0: float, settings: MwiSettings) -> float:
     """Postselection probability for a Gaussian momentum density, exact.
 
@@ -275,7 +281,7 @@ def postselection_probability_gaussian(sigma_p: float, p0: float, settings: MwiS
     L = settings.phase_length
     theta = L * p0 + 2.0 * settings.rho
     # 1/2(1 - d cos) = sin^2(theta/2) + (1 - d)/2 cos(theta), both terms stable
-    half_one_minus_damp = -0.5 * math.expm1(-0.5 * (sigma_p * L) ** 2)
+    half_one_minus_damp = -0.5 * math.expm1(0.5 * _neg_square(sigma_p * L))
     return math.sin(0.5 * theta) ** 2 + half_one_minus_damp * math.cos(theta)
 
 
@@ -310,7 +316,8 @@ def intensity_after_postselection(
     """Postselected intensity i_init * P and its relative shift.
 
     The baseline is the same chain at k = 0 (same gamma and rho): the
-    reference is zero interaction strength, not zero total phase.
+    reference is zero interaction strength, not zero total phase.  Raises
+    NumericalError where the baseline underflows to 0.
     """
     if i_init <= 0.0:
         raise ValueError(f"initial intensity must be > 0, got {i_init!r}")
@@ -318,6 +325,8 @@ def intensity_after_postselection(
     prob0 = postselection_probability_gaussian(sigma_p, p0, replace(settings, k=0.0))
     intensity = i_init * prob
     baseline = i_init * prob0
+    if not baseline > 0.0:
+        raise NumericalError(f"baseline intensity {baseline!r} at k = 0: no relative shift")
     return IntensityResult(
         intensity=intensity,
         baseline_intensity=baseline,
@@ -333,7 +342,7 @@ def intensity_shift_approx(sigma_p: float, p0: float, settings: MwiSettings) -> 
     """
     nk = settings.n_interactions * settings.k
     return (
-        math.exp(-((sigma_p * nk) ** 2))
+        math.exp(_neg_square(sigma_p * nk))
         * p0
         * settings.k
         * settings.n_interactions

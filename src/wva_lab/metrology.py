@@ -1,18 +1,15 @@
 """Wave-plate tilt geometry and derived metrology.
 
-Maps a wave-plate tilt to the time difference it introduces, differentiates
-pointer signals against the interaction strength, and turns instrument
-resolutions into precisions delta_k = delta_m / |dS/dk| and
-delta_tau = delta_k / c.
+Maps a wave-plate tilt to the time difference it introduces, and turns
+instrument resolutions and pointer shift rates dS/dk into precisions
+delta_k = delta_m / |dS/dk| and delta_tau = delta_k / c.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .constants import SPEED_OF_LIGHT
-from .errors import NumericalError
 
 
 @dataclass(frozen=True)
@@ -30,14 +27,6 @@ class TiltGeometry:
             raise ValueError(f"refractive index must be > 1, got {self.refractive_index!r}")
         if self.wavelength <= 0.0:
             raise ValueError(f"wavelength must be > 0, got {self.wavelength!r}")
-
-
-@dataclass(frozen=True)
-class ShiftRateEstimate:
-    """Finite-difference slope with an error estimate from step halving."""
-
-    value: float
-    error: float
 
 
 @dataclass(frozen=True)
@@ -69,35 +58,6 @@ def tau_from_tilt(geom: TiltGeometry) -> float:
 def k_from_tau(tau: float) -> float:
     """Interaction strength k = c * tau, meters."""
     return SPEED_OF_LIGHT * tau
-
-
-DEFAULT_RATE_K0 = k_from_tau(0.05e-18)
-DEFAULT_RATE_HALF_WINDOW = k_from_tau(0.02e-18)
-
-
-def shift_rate(
-    signal_fn: Callable[[float], float],
-    k0: float = DEFAULT_RATE_K0,
-    half_window: float = DEFAULT_RATE_HALF_WINDOW,
-) -> ShiftRateEstimate:
-    """Central-difference slope of ``signal_fn`` at ``k0``, Richardson refined once.
-
-    Evaluates [S(k0+h) - S(k0-h)]/(2h) at h and h/2 and extrapolates; the
-    deviation between the two estimates is returned as the error.  Already
-    exact (to rounding) for quadratics at the first step.
-    """
-    if half_window <= 0.0:
-        raise ValueError(f"half_window must be > 0, got {half_window!r}")
-
-    def central(h: float) -> float:
-        hi, lo = signal_fn(k0 + h), signal_fn(k0 - h)
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise NumericalError(f"signal not finite near k0 = {k0!r}")
-        return (hi - lo) / (2.0 * h)
-
-    coarse = central(half_window)
-    fine = central(0.5 * half_window)
-    return ShiftRateEstimate(value=(4.0 * fine - coarse) / 3.0, error=abs(fine - coarse))
 
 
 def precision(instrument_resolution: float, rate: float, pointer: str = "P") -> PrecisionReport:

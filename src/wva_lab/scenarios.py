@@ -1,15 +1,16 @@
 """Named parameter sweeps emitting deterministic CSV tables and summaries.
 
-Each scenario is a registered runner with a flat default config (every key
-overridable from a key=value file or ``--set`` flags).  Tables carry
-``#``-prefixed provenance lines (version and config echo), unit-suffixed
-column headers, and rows sorted by their input coordinates; numbers are
-written in shortest round-trip form so repeated runs are byte-identical.
+Each scenario is a registered runner with a flat config schema: every key
+is declared once, with its default, kind and rule, and is overridable from
+a key=value file or ``--set`` flags.  ``make_config`` checks every key and
+every cross-key rule before a runner starts.  Tables carry ``#``-prefixed
+provenance lines (version and config echo), unit-suffixed column headers,
+and rows sorted by their input coordinates; numbers are written in shortest
+round-trip form so repeated runs are byte-identical.
 """
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass, replace
 from itertools import product, repeat
@@ -36,8 +37,10 @@ from .meter import (
 from .metrology import precision, snr_db
 from .polarization import MwiSettings
 from .spectra import (
+    _WIDTH_CONVENTIONS,
     MAX_GRID_POINTS,
     MomentumGrid,
+    Shape,
     SpectralProfile,
     _grid_half_span,
     build_grid,
@@ -74,23 +77,24 @@ _ALLOWED_UNIT_SUFFIXES = {
     "1", "as", "s", "m", "nm", "pm", "fm", "rad", "V", "mV", "db", "W",
 }
 
+# The size budget: the most points on a derived axis, table rows, angles of
+# the fig6 boundary scan, and the largest count a config may ask for.  The
+# largest default is fig3b's 15,792 rows.
+SIZE_BUDGET = 2**18
 
-def calibrated_i_init_v(
-    delta_i_coherent_v: float = DELTA_I_V["coherent"],
-    target_delta_k_m: float = TARGET_DELTA_K_N3_M,
-    rho: float = RHO_RAD,
-    p0: float = P0_RAD_PER_M,
-) -> float:
-    """Intensity scale fixed once so the coherent three-pass case reaches the
-    target displacement precision: delta_k(N) = delta_i / (i_init N/2 p0 sin 2 rho)."""
-    rate_n3 = delta_i_coherent_v / target_delta_k_m
-    return rate_n3 / (1.5 * p0 * math.sin(2.0 * rho))
+
+Values = Mapping[str, object]  # a checked config's parsed keys and derived axes, as runners read them
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A checked config: ``params`` holds each key's value as set (the CSV
+    echoes it; list keys keep their text) and ``values`` what the runner
+    reads: each key's parsed value and the points of each derived axis."""
+
     scenario_id: str
     params: Mapping[str, object]
+    values: Values
     out_path: Optional[str] = None
 
 
@@ -104,18 +108,23 @@ class ScenarioResult:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    scenario_id: str
     description: str
-    defaults: Mapping[str, object]
-    runner: Callable[[Mapping[str, object]], ScenarioResult]
+    schema: Mapping[str, tuple]   # key -> (default, kind, rule)
+    axes: Mapping[str, tuple]     # name -> (kind, lo key, hi key, step or count key, fewest points, rule)
+    checks: tuple                 # cross-key rules: functions of the values that raise ConfigError
+    rows: Callable[[Values], int]
+    runner: Callable[[Values], ScenarioResult]
 
 
 SCENARIOS: dict[str, ScenarioSpec] = {}
 
 
-def _register(scenario_id: str, description: str, defaults: Mapping[str, object]):
+def _register(scenario_id: str, description: str, schema: Mapping[str, tuple], *, rows, axes=None, checks=()):
+    if "order" in schema:  # a spectral profile: its shape and order are checked together
+        checks = (_supergaussian_order, *checks)
+
     def wrap(fn):
-        SCENARIOS[scenario_id] = ScenarioSpec(scenario_id, description, dict(defaults), fn)
+        SCENARIOS[scenario_id] = ScenarioSpec(description, schema, axes or {}, checks, rows, fn)
         return fn
 
     return wrap
@@ -123,12 +132,118 @@ def _register(scenario_id: str, description: str, defaults: Mapping[str, object]
 
 def list_scenarios() -> list:
     """Registered (id, description) pairs in registration order."""
-    return [(spec.scenario_id, spec.description) for spec in SCENARIOS.values()]
+    return [(scenario_id, spec.description) for scenario_id, spec in SCENARIOS.items()]
 
 
 # ---------------------------------------------------------------------------
-# Config handling
+# Config schema
 # ---------------------------------------------------------------------------
+#
+# A key's schema entry is (default, kind, rule).  The kind parses the key's
+# text, raising ValueError that names what it expects; the rule is None or
+# a key of _RULES, and holds for the value or for every entry of a list.
+
+def _number(raw) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError("a finite number")
+    return value
+
+
+def _whole(raw) -> int:
+    """The one count parser: pass counts, list entries, point counts, orders."""
+    value = _number(raw)
+    if not (value == int(value) and 1 <= value <= SIZE_BUDGET):
+        raise ValueError(f"a whole number from 1 to {SIZE_BUDGET}")
+    return int(value)
+
+
+def _choice(options: tuple):
+    def parse(raw) -> str:
+        if raw not in options:
+            raise ValueError(f"one of {', '.join(options)}")
+        return raw
+
+    return parse
+
+
+def _list_of(parse):
+    """The kind of a comma-separated list of ``parse`` entries, non-empty
+    and without repeats."""
+
+    def parse_list(raw) -> tuple:
+        values = tuple(parse(part.strip()) for part in str(raw).split(",") if part.strip())
+        if not values:
+            raise ValueError("a non-empty list")
+        if len(set(values)) < len(values):
+            raise ValueError("a list without repeats")
+        return values
+
+    return parse_list
+
+
+_SHAPE = _choice(tuple(shape.value for shape in Shape if shape is not Shape.MONOCHROMATIC))  # shapes with a grid
+_CONVENTION = _choice(_WIDTH_CONVENTIONS)
+_FLOATS, _COUNTS, _SHAPES = _list_of(_number), _list_of(_whole), _list_of(_SHAPE)
+
+
+def _wlabel(width_nm: float) -> str:
+    return f"w{width_nm:g}nm"
+
+
+# rule -> test of a value's entries (a tuple; a scalar is one entry)
+_RULES = {
+    "> 0": lambda v: min(v) > 0.0,
+    ">= 0": lambda v: min(v) >= 0.0,
+    "!= 0": lambda v: 0.0 not in v,
+    "in (0, 1]": lambda v: 0.0 < min(v) and max(v) <= 1.0,
+    "in (0, pi/2)": lambda v: 0.0 < min(v) and max(v) < 0.5 * math.pi,
+    "> 0 with distinct w<width>nm labels": lambda v: min(v) > 0.0 and len(set(map(_wlabel, v))) == len(v),
+}
+
+
+def _axis(axis: tuple, values: Values) -> np.ndarray:
+    """The points of a derived axis (kind, lo key, hi key, n key, fewest
+    points, rule).  A "stepped" axis runs lo, lo + step, ... up to hi,
+    rounded to whole steps, with lo = 0 where it has no lo key; a
+    "geometric" axis has n points from lo to hi.  The points satisfy the rule."""
+    kind, lo_key, hi_key, n_key, fewest, rule = axis
+    keys = ", ".join(filter(None, (lo_key, hi_key, n_key)))
+    lo, hi, n = values[lo_key] if lo_key else 0.0, values[hi_key], values[n_key]
+    if kind == "geometric":
+        if not lo <= hi or (lo == hi and n > 1):
+            raise ConfigError(f"config keys {keys}: need lo < hi, or lo = hi for one point; got {lo!r}, {hi!r}, {n}")
+        points = np.geomspace(lo, hi, n)
+    else:
+        span = (hi - lo) / n
+        count = int(round(span)) + 1 if abs(span) < SIZE_BUDGET else 0
+        if not fewest <= count <= SIZE_BUDGET:
+            raise ConfigError(f"config keys {keys} give {span + 1:.4g} points, need {fewest} to {SIZE_BUDGET}")
+        points = lo + n * np.arange(count)
+    if rule is not None and not _RULES[rule]((float(points[0]), float(points[-1]))):
+        raise ConfigError(f"config keys {keys} give points from {points[0]!r} to {points[-1]!r}, not {rule}")
+    return points
+
+
+def _supergaussian_order(values: Values) -> None:
+    """A supergaussian profile needs an even order."""
+    if values["order"] % 2 and "supergaussian" in values.get("shapes", (values.get("shape"),)):
+        raise ConfigError(f"config key order must be even for a supergaussian shape, got {values['order']}")
+
+
+def _scan_angles(values: Values) -> None:
+    """fig6's boundary scan needs more than one angle below pi/2 (so a
+    largest angle above its step), and at most SIZE_BUDGET of them."""
+    angles = min(values["boundary_scan_max_rad"], 0.5 * math.pi) / values["boundary_scan_step_rad"]
+    if not 1.0 < angles <= SIZE_BUDGET:
+        raise ConfigError(
+            f"config keys boundary_scan_max_rad, boundary_scan_step_rad give {angles:.4g} scan angles below pi/2, "
+            f"need more than 1 and at most {SIZE_BUDGET}"
+        )
+
 
 def parse_config_text(text: str) -> dict:
     """Parse flat key=value lines; '#' starts a comment, blank lines ignored."""
@@ -144,163 +259,54 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def _coerce(key: str, raw: object, default: object) -> object:
-    value = raw
-    if isinstance(raw, str):
-        try:
-            if isinstance(default, bool):
-                value = raw.lower() in ("1", "true", "yes")
-            elif isinstance(default, int):
-                value = int(raw)
-            elif isinstance(default, float):
-                value = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key}: cannot parse {raw!r} as {type(default).__name__}") from exc
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"config key {key}: {raw!r} is not a finite number")
-    return value
-
-
 def make_config(
-    scenario_id: str,
-    overrides: Optional[Mapping[str, object]] = None,
-    out_path: Optional[str] = None,
+    scenario_id: str, overrides: Optional[Mapping[str, object]] = None, out_path: Optional[str] = None
 ) -> ScenarioConfig:
-    """Merge overrides into the scenario defaults, rejecting unknown keys."""
+    """Merge overrides into the scenario's defaults and check the result
+    against its schema: every key, every derived axis and cross-key rule,
+    and the table's row count against SIZE_BUDGET."""
     if scenario_id not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario_id!r}; see 'wva-lab list'")
-    defaults = SCENARIOS[scenario_id].defaults
-    params = dict(defaults)
-    for key, raw in (overrides or {}).items():
-        if key not in defaults:
+    spec = SCENARIOS[scenario_id]
+    overrides = overrides or {}
+    for key in overrides:
+        if key not in spec.schema:
             raise ConfigError(f"unknown config key {key!r} for scenario {scenario_id}")
-        params[key] = _coerce(key, raw, defaults[key])
-    return ScenarioConfig(scenario_id=scenario_id, params=params, out_path=out_path)
+    params, values = {}, {}
+    for key, (default, kind, rule) in spec.schema.items():
+        raw = overrides.get(key, default)
+        try:
+            value = kind(raw)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key}: cannot parse {raw!r} as {exc}") from None
+        if rule is not None and not _RULES[rule](value if isinstance(value, tuple) else (value,)):
+            raise ConfigError(f"config key {key} must be {rule}, got {raw!r}")
+        params[key] = str(raw) if isinstance(value, tuple) else value
+        values[key] = value
+    for name, axis in spec.axes.items():
+        values[name] = _axis(axis, values)
+    for check in spec.checks:
+        check(values)
+    rows = spec.rows(values)
+    if rows > SIZE_BUDGET:
+        raise ConfigError(f"config keys {', '.join(sorted(overrides))} give {rows} table rows, more than {SIZE_BUDGET}")
+    return ScenarioConfig(scenario_id=scenario_id, params=params, out_path=out_path, values=values)
 
 
 # ---------------------------------------------------------------------------
 # Shared sweep machinery
 # ---------------------------------------------------------------------------
 
-def _floats(params: Mapping[str, object], key: str) -> list:
-    """The ``key`` value as a list of distinct finite floats (comma separated)."""
-    value = params[key]
-    parts = [p for p in str(value).split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(f"{key} is an empty list: {value!r}")
-    try:
-        values = [float(p) for p in parts]
-    except ValueError as exc:
-        raise ConfigError(f"{key}: cannot parse list {value!r}") from exc
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"{key} list {value!r} has a non-finite entry")
-    if len(set(values)) < len(values):
-        raise ConfigError(f"{key} list {value!r} repeats an entry")
-    return values
+def _profile(values: Values, width_nm: float, shape: Optional[str] = None) -> SpectralProfile:
+    """The profile of width ``width_nm`` with the config's order and width
+    convention, and its shape unless ``shape`` is given."""
+    order, convention = values["order"], values["width_convention"]
+    return SpectralProfile(shape or values["shape"], LAMBDA0_M, width_nm * 1e-9, order, convention)
 
 
-def _count(params: Mapping[str, object], key: str) -> int:
-    value = int(params[key])
-    if value < 1:
-        raise ConfigError(f"{key} must be >= 1, got {value}")
-    return value
-
-
-def _counts(params: Mapping[str, object], key: str) -> list:
-    values = _floats(params, key)
-    if min(values) < 1 or any(v != int(v) for v in values):
-        raise ConfigError(f"{key} entries must be whole numbers >= 1, got {params[key]!r}")
-    return [int(v) for v in values]
-
-
-def _stepped(params: Mapping[str, object], lo: float, hi_key: str, step_key: str, min_points: int) -> np.ndarray:
-    """lo, lo + step, ... up to the ``hi_key`` value, rounded to whole steps."""
-    step = float(params[step_key])
-    if step <= 0:
-        raise ConfigError(f"{step_key} must be > 0, got {step!r}")
-    count = int(round((float(params[hi_key]) - lo) / step)) + 1
-    if count < min_points:
-        raise ConfigError(f"{hi_key} and {step_key} give {count} points, need at least {min_points}")
-    return lo + step * np.arange(count)
-
-
-def _geomspace(params: Mapping[str, object], lo_key: str, hi_key: str, count_key: str) -> np.ndarray:
-    lo, hi = float(params[lo_key]), float(params[hi_key])
-    if not 0 < lo <= hi:
-        raise ConfigError(f"need 0 < {lo_key} <= {hi_key}, got {lo!r}, {hi!r}")
-    count = _count(params, count_key)
-    if lo == hi and count > 1:
-        raise ConfigError(f"{lo_key} = {hi_key} would repeat one value {count} times; need {count_key} = 1")
-    return np.geomspace(lo, hi, count)
-
-
-def _tau_grid_as(params: Mapping[str, object]) -> np.ndarray:
-    # at least 3 points: the rates are central differences
-    return _stepped(params, 0.0, "tau_max_as", "tau_step_as", 3)
-
-
-def _rhos(values, what: str):
-    """``values`` (one postselection angle or an array of them), checked to
-    lie in (0, pi/2)."""
-    angles = np.asarray(values, dtype=float)
-    outside = angles[~((angles > 0.0) & (angles < 0.5 * math.pi))]
-    if outside.size:
-        raise ConfigError(f"{what} must lie in (0, pi/2), got {float(outside[0])!r}")
-    return values
-
-
-_RULES = {"> 0": operator.gt, ">= 0": operator.ge, "!= 0": operator.ne}
-
-
-def _checked(params: Mapping[str, object], key: str, rule: str) -> float:
-    """The ``key`` value as a float, checked against ``rule`` (a key of _RULES)."""
-    value = float(params[key])
-    if not _RULES[rule](value, 0.0):
-        raise ConfigError(f"{key} must be {rule}, got {value!r}")
-    return value
-
-
-def _i_init_v(params: Mapping[str, object], rho: float = RHO_RAD) -> float:
-    """``calibrated_i_init_v`` from the config's calibration anchors."""
-    return calibrated_i_init_v(
-        _checked(params, "delta_i_coherent_V", "> 0"),
-        _checked(params, "target_delta_k_n3_fm", "> 0") * 1e-15,
-        rho,
-    )
-
-
-def _gamma_m(gamma_pi_units: float) -> float:
-    if gamma_pi_units < 0.0:
-        raise ConfigError(f"gamma_pi_units must be >= 0, got {gamma_pi_units!r}")
+def _gamma_length(gamma_pi_units: float) -> float:
+    """The path imbalance gamma (m) with gamma * p0 = gamma_pi_units * pi."""
     return gamma_pi_units * math.pi / P0_RAD_PER_M
-
-
-def _make_profile(
-    params: Mapping[str, object], width_key: str, width_nm: float, shape: Optional[str] = None
-) -> SpectralProfile:
-    """The profile of width ``width_nm`` (read from ``width_key``) with the
-    config's ``order`` and ``width_convention``, and its ``shape`` unless
-    ``shape`` is given."""
-    try:
-        return SpectralProfile(
-            shape=shape or str(params["shape"]),
-            center_wavelength=LAMBDA0_M,
-            width=width_nm * 1e-9,
-            order=int(params["order"]),
-            width_convention=str(params["width_convention"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"spectral profile of width {width_nm!r} nm ({width_key}): {exc}") from exc
-
-
-def _wlabel(width_nm: float) -> str:
-    return f"w{width_nm:g}nm"
-
-
-def _distinct(key: str, labels: list) -> None:
-    """Reject a list whose entries share a summary label."""
-    if len(set(labels)) < len(labels):
-        raise ConfigError(f"{key} entries must have distinct summary labels, got {labels!r}")
 
 
 def _sweep_delta_lambda(jobs: Sequence, taus_as: np.ndarray, gamma: float, rho: float):
@@ -385,8 +391,11 @@ def peak_local_rate(taus_as: np.ndarray, values: np.ndarray) -> float:
 
 def _rate_summary(summary: dict, label: str, taus_as: np.ndarray, dlam: np.ndarray, res_m: float) -> float:
     """Fitted and peak shift rates of one trace and its momentum-pointer
-    precision (attoseconds), into ``summary`` under ``label``; returns the peak rate."""
+    precision (attoseconds), into ``summary`` under ``label``; returns the peak rate.
+    Raises NumericalError for a trace without a fitted rate."""
     fitted = linear_region_rate(taus_as, dlam)
+    if not fitted > 0.0:
+        raise NumericalError(f"{label}: the fitted shift rate is {fitted!r}, no precision")
     summary[f"{label}.fitted_rate_nm_per_as"] = fitted
     summary[f"{label}.peak_rate_nm_per_as"] = peak = peak_local_rate(taus_as, dlam)
     rate_per_m_of_k = fitted * 1e-9 / (SPEED_OF_LIGHT * 1e-18)  # d(dlam)/dk, m/m
@@ -398,39 +407,47 @@ def _rate_summary(summary: dict, label: str, taus_as: np.ndarray, dlam: np.ndarr
 # Scenarios
 # ---------------------------------------------------------------------------
 
-_TRACE_DEFAULTS = {
-    "shape": "supergaussian",
-    "order": 6,
-    "width_convention": "sigma",
-    "rho_rad": RHO_RAD,
-    "gamma_pi_units": GAMMA_PI_UNITS,
-    "tau_max_as": 330.0,
-    "tau_step_as": 1.0,
-    "spectrometer_resolution_m": SPECTROMETER_RESOLUTION_M,
+_PROFILE_KEYS = {
+    "shape": ("supergaussian", _SHAPE, None),
+    "order": (6, _whole, None),
+    "width_convention": ("sigma", _CONVENTION, None),
 }
+_TRACE_KEYS = {
+    **_PROFILE_KEYS,
+    "rho_rad": (RHO_RAD, _number, "in (0, pi/2)"),
+    "gamma_pi_units": (GAMMA_PI_UNITS, _number, ">= 0"),
+}
+_TAU_KEYS = {"tau_max_as": (330.0, _number, None), "tau_step_as": (1.0, _number, "> 0")}
+_TAU_AXIS = {"taus_as": ("stepped", None, "tau_max_as", "tau_step_as", 3, None)}  # the rates are central differences
+_N_KEY = {"n_interactions": (1, _whole, None)}
+_RESOLUTION_KEY = {"spectrometer_resolution_m": (SPECTROMETER_RESOLUTION_M, _number, "> 0")}
 
 
 @_register(
     "fig3a",
     "Wavelength-shift traces vs time difference for four flat-top source widths; "
     "extracts linear-region shift rates and momentum-pointer precisions",
-    {**_TRACE_DEFAULTS, "widths_nm": "0.5,1,3,6", "n_interactions": 1},
+    {
+        **_TRACE_KEYS,
+        **_TAU_KEYS,
+        **_N_KEY,
+        **_RESOLUTION_KEY,
+        "widths_nm": ("0.5,1,3,6", _FLOATS, "> 0 with distinct w<width>nm labels"),
+    },
+    axes=_TAU_AXIS,
+    rows=lambda v: len(v["widths_nm"]) * v["taus_as"].size,
 )
-def _run_fig3a(params: Mapping[str, object]) -> ScenarioResult:
-    widths = _floats(params, "widths_nm")
-    _distinct("widths_nm", [_wlabel(width) for width in widths])
-    taus = _tau_grid_as(params)
-    gamma = _gamma_m(float(params["gamma_pi_units"]))
-    rho = _rhos(float(params["rho_rad"]), "rho_rad")
-    n = _count(params, "n_interactions")
-    res_m = _checked(params, "spectrometer_resolution_m", "> 0")
-
+def _run_fig3a(v: Values) -> ScenarioResult:
+    widths, taus, rho, res_m = v["widths_nm"], v["taus_as"], v["rho_rad"], v["spectrometer_resolution_m"]
     rows = []
-    presets = {"lambda0_nm": LAMBDA0_M * 1e9, "rho_rad": rho, "gamma_pi_units": float(params["gamma_pi_units"])}
-    summary = {f"preset.{key}": value for key, value in presets.items()}
-    summary["preset.spectrometer_resolution_pm"] = res_m * 1e12
-    jobs = [(_make_profile(params, "widths_nm", width), n) for width in widths]
-    traces = _sweep_delta_lambda(jobs, taus, gamma, rho)
+    summary = {
+        "preset.lambda0_nm": LAMBDA0_M * 1e9,
+        "preset.rho_rad": rho,
+        "preset.gamma_pi_units": v["gamma_pi_units"],
+        "preset.spectrometer_resolution_pm": res_m * 1e12,
+    }
+    jobs = [(_profile(v, width), v["n_interactions"]) for width in widths]
+    traces = _sweep_delta_lambda(jobs, taus, _gamma_length(v["gamma_pi_units"]), rho)
     for width, dlam, prob in zip(widths, *traces):
         _rate_summary(summary, _wlabel(width), taus, dlam, res_m)
         rows.extend(zip(repeat(width), taus.tolist(), dlam.tolist(), prob.tolist()))
@@ -447,26 +464,21 @@ def _run_fig3a(params: Mapping[str, object]) -> ScenarioResult:
     "Map of the local wavelength-shift rate over time difference and source width "
     "(up to 300 nm); locates the maximum-rate band",
     {
-        **_TRACE_DEFAULTS,
-        "n_interactions": 1,
-        "width_min_nm": 0.5,
-        "width_max_nm": 300.0,
-        "n_widths": 48,
-        "band_threshold": 0.95,
+        **_TRACE_KEYS,
+        **_TAU_KEYS,
+        **_N_KEY,
+        "width_min_nm": (0.5, _number, "> 0"),
+        "width_max_nm": (300.0, _number, "> 0"),
+        "n_widths": (48, _whole, None),
+        "band_threshold": (0.95, _number, "in (0, 1]"),
     },
+    axes={**_TAU_AXIS, "widths_nm": ("geometric", "width_min_nm", "width_max_nm", "n_widths", 1, None)},
+    rows=lambda v: v["widths_nm"].size * (v["taus_as"].size - 2),
 )
-def _run_fig3b(params: Mapping[str, object]) -> ScenarioResult:
-    widths = _geomspace(params, "width_min_nm", "width_max_nm", "n_widths")
-    taus = _tau_grid_as(params)
-    gamma = _gamma_m(float(params["gamma_pi_units"]))
-    rho = _rhos(float(params["rho_rad"]), "rho_rad")
-    n = _count(params, "n_interactions")
-    threshold = float(params["band_threshold"])
-    if not 0.0 < threshold <= 1.0:
-        raise ConfigError(f"band_threshold must lie in (0, 1], got {threshold!r}")
-
-    profiles = [_make_profile(params, "widths from width_min_nm to width_max_nm", float(w)) for w in widths]
-    dlam, _ = _sweep_delta_lambda([(profile, n) for profile in profiles], taus, gamma, rho)
+def _run_fig3b(v: Values) -> ScenarioResult:
+    widths, taus, threshold = v["widths_nm"], v["taus_as"], v["band_threshold"]
+    jobs = [(_profile(v, float(w)), v["n_interactions"]) for w in widths]
+    dlam, _ = _sweep_delta_lambda(jobs, taus, _gamma_length(v["gamma_pi_units"]), v["rho_rad"])
     rates = np.abs((dlam[:, 2:] - dlam[:, :-2]) / (taus[2:] - taus[:-2]))
     peaks = rates.max(axis=1)
     best = int(np.argmax(peaks))  # the first width at the largest peak rate
@@ -494,21 +506,23 @@ def _run_fig3b(params: Mapping[str, object]) -> ScenarioResult:
     "fig4",
     "Wavelength-shift traces at N = 1, 2, 3 passes for one source width; "
     "extracts per-N rates, amplification ratios, and precisions",
-    {**_TRACE_DEFAULTS, "width_nm": 6.0, "n_list": "1,2,3"},
+    {
+        **_TRACE_KEYS,
+        **_TAU_KEYS,
+        **_RESOLUTION_KEY,
+        "width_nm": (6.0, _number, "> 0"),
+        "n_list": ("1,2,3", _COUNTS, None),
+    },
+    axes=_TAU_AXIS,
+    rows=lambda v: len(v["n_list"]) * v["taus_as"].size,
 )
-def _run_fig4(params: Mapping[str, object]) -> ScenarioResult:
-    width = float(params["width_nm"])
-    n_list = _counts(params, "n_list")
-    taus = _tau_grid_as(params)
-    gamma = _gamma_m(float(params["gamma_pi_units"]))
-    rho = _rhos(float(params["rho_rad"]), "rho_rad")
-    res_m = _checked(params, "spectrometer_resolution_m", "> 0")
-    profile = _make_profile(params, "width_nm", width)
-
+def _run_fig4(v: Values) -> ScenarioResult:
+    n_list, taus, res_m = v["n_list"], v["taus_as"], v["spectrometer_resolution_m"]
+    profile = _profile(v, v["width_nm"])
     rows = []
     summary: dict = {}
     peak_rates = {}
-    traces = _sweep_delta_lambda([(profile, n) for n in n_list], taus, gamma, rho)
+    traces = _sweep_delta_lambda([(profile, n) for n in n_list], taus, _gamma_length(v["gamma_pi_units"]), v["rho_rad"])
     for n, dlam, prob in zip(n_list, *traces):
         peak_rates[n] = _rate_summary(summary, f"n{n}", taus, dlam, res_m)
         rows.extend(zip(repeat(n), taus.tolist(), dlam.tolist(), prob.tolist()))
@@ -523,28 +537,42 @@ def _run_fig4(params: Mapping[str, object]) -> ScenarioResult:
     )
 
 
-_INTENSITY_DEFAULTS = {
-    "rho_rad": RHO_RAD,
-    "k_max_m": 4.5e-10,
-    "k_step_m": 7.5e-12,
-    "shape": "supergaussian",
-    "order": 6,
-    "width_convention": "sigma",
-    "noise_floor_V": NOISE_FLOOR_V,
-    "delta_i_coherent_V": DELTA_I_V["coherent"],
-    "target_delta_k_n3_fm": TARGET_DELTA_K_N3_M * 1e15,
+_CALIBRATION_KEYS = {
+    "noise_floor_V": (NOISE_FLOOR_V, _number, "> 0"),
+    "delta_i_coherent_V": (DELTA_I_V["coherent"], _number, "> 0"),
+    "target_delta_k_n3_fm": (TARGET_DELTA_K_N3_M * 1e15, _number, "> 0"),
 }
+_INTENSITY_KEYS = {
+    **_PROFILE_KEYS,
+    **_CALIBRATION_KEYS,
+    "rho_rad": (RHO_RAD, _number, "in (0, pi/2)"),
+    "k_max_m": (4.5e-10, _number, None),
+    "k_step_m": (7.5e-12, _number, "> 0"),
+    "vsns_widths_nm": ("0.5,1,3", _FLOATS, "> 0 with distinct w<width>nm labels"),
+    **{name: (DELTA_I_V[key], _number, "> 0") for key, name in _DELTA_I_KEYS.items()},
+}
+_K_AXIS = {"ks_m": ("stepped", None, "k_max_m", "k_step_m", 2, None)}
 
 
-def _k_grid_m(params: Mapping[str, object]) -> np.ndarray:
-    return _stepped(params, 0.0, "k_max_m", "k_step_m", 2)
+def _i_init_v(v: Values, rho: float = RHO_RAD) -> float:
+    """Intensity scale fixed once so the coherent three-pass case reaches the
+    config's target displacement precision: delta_k(N) = delta_i / (i_init N/2 p0 sin 2 rho)."""
+    rate_n3 = v["delta_i_coherent_V"] / (v["target_delta_k_n3_fm"] * 1e-15)
+    return rate_n3 / (1.5 * P0_RAD_PER_M * math.sin(2.0 * rho))
+
+
+def _snr_db(signal: float, noise: float) -> float:
+    """``snr_db``; raises NumericalError for a signal that is not positive."""
+    if not signal > 0.0:
+        raise NumericalError(f"signal {signal!r} V has no signal-to-noise ratio")
+    return snr_db(signal, noise)
 
 
 def _intensity_trace(i_init, sigma_p, rho, n, k_values, noise):
     rows = []
     for k in k_values:
         res = intensity_after_postselection(i_init, sigma_p, P0_RAD_PER_M, MwiSettings(n, float(k), 0.0, rho))
-        rows.append((float(k), res.intensity, res.relative_shift, snr_db(res.intensity, noise)))
+        rows.append((float(k), res.intensity, res.relative_shift, _snr_db(res.intensity, noise)))
     return rows
 
 
@@ -567,51 +595,44 @@ def _delta_k_summary(summary: dict, label: str, key: str, delta_i_by_key: dict, 
     "Intensity-pointer response vs interaction strength for coherent and flat-top "
     "sources at N = 1, 2, 3; calibrated displacement precisions",
     {
-        **_INTENSITY_DEFAULTS,
-        "coherent_n_list": "1,2,3",
-        "vsns_widths_nm": "0.5,1,3",
-        "reference_k_m": 3e-12,
-        "delta_i_05_V": DELTA_I_V["0.5"],
-        "delta_i_1_V": DELTA_I_V["1"],
-        "delta_i_3_V": DELTA_I_V["3"],
+        **_INTENSITY_KEYS,
+        "coherent_n_list": ("1,2,3", _COUNTS, None),
+        "reference_k_m": (3e-12, _number, "!= 0"),
     },
+    axes=_K_AXIS,
+    rows=lambda v: (len(v["coherent_n_list"]) + len(v["vsns_widths_nm"])) * v["ks_m"].size,
 )
-def _run_fig5(params: Mapping[str, object]) -> ScenarioResult:
-    rho = _rhos(float(params["rho_rad"]), "rho_rad")
-    noise = _checked(params, "noise_floor_V", "> 0")
-    k_values = _k_grid_m(params)
-    i_init = _i_init_v(params, rho)
+def _run_fig5(v: Values) -> ScenarioResult:
+    rho, noise, k_values, k_ref = v["rho_rad"], v["noise_floor_V"], v["ks_m"], v["reference_k_m"]
+    i_init = _i_init_v(v, rho)
     rate_base = i_init * 0.5 * P0_RAD_PER_M * math.sin(2.0 * rho)  # dI/dk per pass, V/m
 
     rows = []
     summary: dict = {"i_init_V": i_init}
-    k_ref = _checked(params, "reference_k_m", "!= 0")
     shifts_at_ref = {}
-    coherent_n_list = _counts(params, "coherent_n_list")
+    coherent_n_list = v["coherent_n_list"]
     for n in coherent_n_list:
-        for k, intensity, shift, snr in _intensity_trace(i_init, 0.0, rho, n, k_values, noise):
-            rows.append((0.0, n, k, intensity, shift, snr))
+        rows.extend((0.0, n, *row) for row in _intensity_trace(i_init, 0.0, rho, n, k_values, noise))
         shifts_at_ref[n] = intensity_after_postselection(
             i_init, 0.0, P0_RAD_PER_M, MwiSettings(n, k_ref, 0.0, rho)
         ).relative_shift
-        delta_k = float(params["delta_i_coherent_V"]) / (rate_base * n)
+        delta_k = v["delta_i_coherent_V"] / (rate_base * n)
         summary[f"coherent.n{n}.delta_k_fm"] = delta_k * 1e15
     base_n = coherent_n_list[0]
+    if shifts_at_ref[base_n] == 0.0:
+        raise NumericalError(f"the relative shift at reference_k_m = {k_ref!r} m is 0 at N = {base_n}: no ratios")
     for n in coherent_n_list[1:]:
         summary[f"delta_ell_ratio_n{n}_over_n{base_n}"] = shifts_at_ref[n] / shifts_at_ref[base_n]
     summary["coherent.n1.quoted_delta_k_fm"] = QUOTED_DELTA_K_FM["coherent"]
     summary["coherent.n1.quoted_deviation_percent"] = (
-        (float(params["delta_i_coherent_V"]) / rate_base * 1e15 - QUOTED_DELTA_K_FM["coherent"])
+        (v["delta_i_coherent_V"] / rate_base * 1e15 - QUOTED_DELTA_K_FM["coherent"])
         / QUOTED_DELTA_K_FM["coherent"] * 100.0
     )
 
-    delta_i_by_key = {key: _checked(params, name, "> 0") for key, name in _DELTA_I_KEYS.items()}
-    vsns_widths = _floats(params, "vsns_widths_nm")
-    _distinct("vsns_widths_nm", [_wlabel(width) for width in vsns_widths])
-    for width in vsns_widths:
-        sigma_p = effective_sigma_p(_make_profile(params, "vsns_widths_nm", width))
-        for k, intensity, shift, snr in _intensity_trace(i_init, sigma_p, rho, 1, k_values, noise):
-            rows.append((width, 1, k, intensity, shift, snr))
+    delta_i_by_key = {key: v[name] for key, name in _DELTA_I_KEYS.items()}
+    for width in v["vsns_widths_nm"]:
+        sigma_p = effective_sigma_p(_profile(v, width))
+        rows.extend((width, 1, *row) for row in _intensity_trace(i_init, sigma_p, rho, 1, k_values, noise))
         _delta_k_summary(summary, _wlabel(width), f"{width:g}", delta_i_by_key, rate_base)
     return ScenarioResult(
         "fig5",
@@ -626,37 +647,30 @@ def _run_fig5(params: Mapping[str, object]) -> ScenarioResult:
     "K31 values and weak values over the postselection angle at N = 1, 2, 3; "
     "maps the negativity (quantum-effect) region",
     {
-        "rho_min_rad": 0.002,
-        "rho_max_rad": 0.0124,
-        "rho_step_rad": 2e-4,
-        "n_list": "1,2,3",
-        "probe_k_m": 1e-13,
-        "probe_sigma_p_rad_per_m": 0.0,
-        "boundary_scan_step_rad": 1e-3,
-        "boundary_scan_max_rad": 1.5,
+        "rho_min_rad": (0.002, _number, "in (0, pi/2)"),
+        "rho_max_rad": (0.0124, _number, "in (0, pi/2)"),
+        "rho_step_rad": (2e-4, _number, "> 0"),
+        "n_list": ("1,2,3", _COUNTS, None),
+        "probe_k_m": (1e-13, _number, None),
+        "probe_sigma_p_rad_per_m": (0.0, _number, ">= 0"),
+        "boundary_scan_step_rad": (1e-3, _number, "> 0"),
+        "boundary_scan_max_rad": (1.5, _number, None),
     },
+    axes={"rhos_rad": ("stepped", "rho_min_rad", "rho_max_rad", "rho_step_rad", 1, "in (0, pi/2)")},
+    checks=(_scan_angles,),
+    rows=lambda v: len(v["n_list"]) * v["rhos_rad"].size,
 )
-def _run_fig6(params: Mapping[str, object]) -> ScenarioResult:
-    rhos = _rhos(
-        _stepped(params, float(params["rho_min_rad"]), "rho_max_rad", "rho_step_rad", 1),
-        "angles from rho_min_rad to rho_max_rad",
-    )
-    n_list = _counts(params, "n_list")
-    probe_k = float(params["probe_k_m"])
-    probe_sigma = _checked(params, "probe_sigma_p_rad_per_m", ">= 0")
-    scan_max = float(params["boundary_scan_max_rad"])
-    scan_step = _checked(params, "boundary_scan_step_rad", "> 0")
-    if scan_max <= scan_step:
-        raise ConfigError(f"boundary_scan_max_rad must exceed boundary_scan_step_rad, got {scan_max!r}")
-
+def _run_fig6(v: Values) -> ScenarioResult:
     rows = []
     summary: dict = {}
-    for n in n_list:
-        for rho in rhos:
+    for n in v["n_list"]:
+        for rho in v["rhos_rad"]:
             approx = k31(n, float(rho))
-            exact = k31(n, float(rho), sigma_p=probe_sigma, p0=P0_RAD_PER_M, k=probe_k)
+            exact = k31(n, float(rho), sigma_p=v["probe_sigma_p_rad_per_m"], p0=P0_RAD_PER_M, k=v["probe_k_m"])
             rows.append((n, float(rho), approx.im_weak_value, approx.k31, exact.k31))
-        summary[f"n{n}.boundary_scan_rad"] = negativity_boundary_scan(n, scan_max, scan_step)
+        summary[f"n{n}.boundary_scan_rad"] = negativity_boundary_scan(
+            n, v["boundary_scan_max_rad"], v["boundary_scan_step_rad"]
+        )
         summary[f"n{n}.boundary_arctan_rad"] = quantum_region_boundary(n)
     spot = k31(3, 0.0124)
     summary["k31_n3_rho0.0124"] = spot.k31
@@ -673,37 +687,38 @@ def _run_fig6(params: Mapping[str, object]) -> ScenarioResult:
     )
 
 
+def _s2_grid_args(v: Values) -> tuple:
+    """(profile, settings) of s2's grid: built for its largest time
+    difference.  Raises NumericalError where k = c tau overflows."""
+    taus = v["tau_list_as"]
+    if not math.isfinite(SPEED_OF_LIGHT * max(map(abs, taus)) * 1e-18):
+        raise NumericalError(f"tau_list_as {taus!r} holds a time difference whose k = c tau overflows")
+    k_max = SPEED_OF_LIGHT * max(taus) * 1e-18
+    settings = MwiSettings(v["n_interactions"], k_max, _gamma_length(v["gamma_pi_units"]), v["rho_rad"])
+    return _profile(v, v["width_nm"]), settings
+
+
 @_register(
     "s2_spectrum_evolution",
     "Collapsed spectra at a sequence of time differences for a 3 nm source "
     "(both pointer shifts visible in the table)",
     {
-        "width_nm": 3.0,
-        "shape": "supergaussian",
-        "order": 6,
-        "width_convention": "sigma",
-        "rho_rad": RHO_RAD,
-        "gamma_pi_units": GAMMA_PI_UNITS,
-        "n_interactions": 1,
-        "tau_list_as": "0,40,80,120,160,200,240",
-        "subsample_stride": 32,
+        **_TRACE_KEYS,
+        **_N_KEY,
+        "width_nm": (3.0, _number, "> 0"),
+        "tau_list_as": ("0,40,80,120,160,200,240", _FLOATS, None),
+        "subsample_stride": (32, _whole, None),
     },
+    rows=lambda v: len(v["tau_list_as"]) * -(-grid_point_count(*_s2_grid_args(v)) // v["subsample_stride"]),
 )
-def _run_s2(params: Mapping[str, object]) -> ScenarioResult:
-    profile = _make_profile(params, "width_nm", float(params["width_nm"]))
-    gamma = _gamma_m(float(params["gamma_pi_units"]))
-    rho = _rhos(float(params["rho_rad"]), "rho_rad")
-    n = _count(params, "n_interactions")
-    taus = _floats(params, "tau_list_as")
-    stride = _count(params, "subsample_stride")
-
-    k_max = SPEED_OF_LIGHT * max(taus) * 1e-18
-    grid = build_grid(profile, MwiSettings(n, k_max, gamma, rho))
+def _run_s2(v: Values) -> ScenarioResult:
+    profile, widest = _s2_grid_args(v)
+    grid = build_grid(profile, widest)
     rows = []
-    for tau_as in taus:
-        settings = MwiSettings(n, SPEED_OF_LIGHT * tau_as * 1e-18, gamma, rho)
+    for tau_as in v["tau_list_as"]:
+        settings = replace(widest, k=SPEED_OF_LIGHT * tau_as * 1e-18)
         collapsed = _collapse(grid, settings.phase_length, 2.0 * settings.rho)
-        for idx in range(0, grid.points.size, stride):
+        for idx in range(0, grid.points.size, v["subsample_stride"]):
             lam = lambda_p_convert(float(grid.points[idx]))
             to_per_nm = (2.0 * math.pi / lam**2) * 1e-9  # |dp/dlambda| in rad/m per nm
             rows.append(
@@ -731,34 +746,25 @@ def _run_s2(params: Mapping[str, object]) -> ScenarioResult:
     "s3_intensity",
     "Single-pass intensity-pointer sweeps for coherent and narrow flat-top sources: "
     "signal, relative shift, SNR, and displacement precisions",
-    {
-        **_INTENSITY_DEFAULTS,
-        "vsns_widths_nm": "0.5,1,3",
-        "delta_i_05_V": DELTA_I_V["0.5"],
-        "delta_i_1_V": DELTA_I_V["1"],
-        "delta_i_3_V": DELTA_I_V["3"],
-    },
+    _INTENSITY_KEYS,
+    axes=_K_AXIS,
+    rows=lambda v: (1 + len(v["vsns_widths_nm"])) * v["ks_m"].size,
 )
-def _run_s3(params: Mapping[str, object]) -> ScenarioResult:
-    rho = _rhos(float(params["rho_rad"]), "rho_rad")
-    noise = _checked(params, "noise_floor_V", "> 0")
-    k_values = _k_grid_m(params)
-    i_init = _i_init_v(params, rho)
+def _run_s3(v: Values) -> ScenarioResult:
+    rho, noise, k_values = v["rho_rad"], v["noise_floor_V"], v["ks_m"]
+    i_init = _i_init_v(v, rho)
     rate = i_init * 0.5 * P0_RAD_PER_M * math.sin(2.0 * rho)  # single pass, V/m
 
-    delta_i_by_key = {"coherent": float(params["delta_i_coherent_V"])}
-    delta_i_by_key.update((key, _checked(params, name, "> 0")) for key, name in _DELTA_I_KEYS.items())
-    sources = [("coherent", 0.0)] + [
-        (f"{w:g}", w) for w in _floats(params, "vsns_widths_nm")
-    ]
-    labels = ["coherent" if width == 0.0 else _wlabel(width) for _, width in sources]
-    _distinct("vsns_widths_nm", labels)
+    delta_i_by_key = {"coherent": v["delta_i_coherent_V"]}
+    delta_i_by_key.update((key, v[name]) for key, name in _DELTA_I_KEYS.items())
+    sources = [("coherent", 0.0)] + [(f"{w:g}", w) for w in v["vsns_widths_nm"]]
     rows = []
     summary: dict = {"i_init_V": i_init}
-    for (key, width), label in zip(sources, labels):
-        sigma_p = 0.0 if width == 0.0 else effective_sigma_p(_make_profile(params, "vsns_widths_nm", width))
+    for key, width in sources:
+        label = "coherent" if width == 0.0 else _wlabel(width)
+        sigma_p = 0.0 if width == 0.0 else effective_sigma_p(_profile(v, width))
         trace = _intensity_trace(i_init, sigma_p, rho, 1, k_values, noise)
-        rows.extend((width, k, intensity, shift, snr) for k, intensity, shift, snr in trace)
+        rows.extend((width, *row) for row in trace)
         summary[f"{label}.max_snr_db"] = max(snr for _, _, _, snr in trace)
         _delta_k_summary(summary, label, key, delta_i_by_key, rate)
     summary["coherent.quoted_op_snr_db"] = snr_db(
@@ -777,89 +783,61 @@ def _run_s3(params: Mapping[str, object]) -> ScenarioResult:
     "Weak-value extraction from forward intensity shifts over the postselection "
     "angle, with the round-trip recovery error and SNR",
     {
-        "n_list": "1,3",
-        "rho_min_rad": 0.002,
-        "rho_max_rad": 0.1,
-        "n_rhos": 40,
-        "probe_k_m": 3e-12,
-        "probe_sigma_p_rad_per_m": 0.0,
-        "noise_floor_V": NOISE_FLOOR_V,
-        "delta_i_coherent_V": DELTA_I_V["coherent"],
-        "target_delta_k_n3_fm": TARGET_DELTA_K_N3_M * 1e15,
-        "anomalous_target": 1478.0,
+        **_CALIBRATION_KEYS,
+        "n_list": ("1,3", _COUNTS, None),
+        "rho_min_rad": (0.002, _number, "in (0, pi/2)"),
+        "rho_max_rad": (0.1, _number, "in (0, pi/2)"),
+        "n_rhos": (40, _whole, None),
+        "probe_k_m": (3e-12, _number, "!= 0"),
+        "probe_sigma_p_rad_per_m": (0.0, _number, ">= 0"),
+        "anomalous_target": (1478.0, _number, "> 0"),
     },
+    axes={"rhos_rad": ("geometric", "rho_min_rad", "rho_max_rad", "n_rhos", 1, None)},
+    rows=lambda v: len(v["n_list"]) * v["rhos_rad"].size,
 )
-def _run_s4(params: Mapping[str, object]) -> ScenarioResult:
-    rhos = _rhos(
-        _geomspace(params, "rho_min_rad", "rho_max_rad", "n_rhos"),
-        "angles from rho_min_rad to rho_max_rad",
-    )
-    n_list = _counts(params, "n_list")
-    k_probe = _checked(params, "probe_k_m", "!= 0")
-    sigma_p = _checked(params, "probe_sigma_p_rad_per_m", ">= 0")
-    noise = _checked(params, "noise_floor_V", "> 0")
-    i_init = _i_init_v(params)
-    target = _checked(params, "anomalous_target", "> 0")
-
+def _run_s4(v: Values) -> ScenarioResult:
+    k_probe, sigma_p, noise = v["probe_k_m"], v["probe_sigma_p_rad_per_m"], v["noise_floor_V"]
+    i_init = _i_init_v(v)
     rows = []
-    for n in n_list:
-        for rho in rhos:
+    for n in v["n_list"]:
+        for rho in v["rhos_rad"]:
             rho = float(rho)
             settings = MwiSettings(n, k_probe, 0.0, rho)
             forward = intensity_shift_approx(sigma_p, P0_RAD_PER_M, settings)
             recovered = weak_value_from_shift(forward, k_probe, P0_RAD_PER_M, sigma_p, n)
             theory = n / math.tan(rho)
-            rows.append(
-                (
-                    n,
-                    rho,
-                    theory,
-                    k31(n, rho).k31,
-                    forward,
-                    recovered,
-                    abs(recovered - theory) / theory,
-                    snr_db(i_init * math.sin(rho) ** 2, noise),
-                )
-            )
+            snr = _snr_db(i_init * math.sin(rho) ** 2, noise)
+            rows.append((n, rho, theory, k31(n, rho).k31, forward, recovered, abs(recovered - theory) / theory, snr))
 
-    rho_star = math.atan(3.0 / target)
+    rho_star = math.atan(3.0 / v["anomalous_target"])
+    if not rho_star < 0.5 * math.pi:
+        raise NumericalError(f"anomalous_target {v['anomalous_target']!r} puts rho_star at pi/2")
     summary = {
         "rho_star_rad": rho_star,
         "rho_star_inferred": True,  # back-solved from the anomalous target, not quoted
         "weak_value_at_rho_star_1": 3.0 / math.tan(rho_star),
         "k31_at_rho_star_1": k31(3, rho_star).k31,
-        "snr_at_rho_star_db": snr_db(i_init * math.sin(rho_star) ** 2, noise),
+        "snr_at_rho_star_db": _snr_db(i_init * math.sin(rho_star) ** 2, noise),
     }
     return ScenarioResult(
         "s4_weak_values",
-        (
-            "n_1",
-            "rho_rad",
-            "im_weak_value_theory_1",
-            "k31_1",
-            "forward_relative_shift_1",
-            "recovered_im_weak_value_1",
-            "recovery_rel_error_1",
-            "snr_db",
-        ),
+        ("n_1", "rho_rad", "im_weak_value_theory_1", "k31_1", "forward_relative_shift_1",
+         "recovered_im_weak_value_1", "recovery_rel_error_1", "snr_db"),
         rows,
         summary,
     )
 
 
-def oracle_case_matrix(params: Mapping[str, object]):
+_ORACLE_LISTS = ("shapes", "n_list", "k_list_m", "rho_list_rad", "gamma_pi_list")  # the matrix's axes
+
+
+def oracle_case_matrix(values: Values):
     """(shape, width_nm, n, k, rho, gamma_pi) tuples for the verification matrix."""
-    shapes = [s.strip() for s in str(params["shapes"]).split(",") if s.strip()]
-    if not shapes:
-        raise ConfigError(f"shapes must name at least one shape, got {params['shapes']!r}")
-    _distinct("shapes", shapes)
-    n_list, k_list = _counts(params, "n_list"), _floats(params, "k_list_m")
-    rhos, gammas = _rhos(_floats(params, "rho_list_rad"), "rho_list_rad entries"), _floats(params, "gamma_pi_list")
-    for shape, n, k, rho, gamma_pi in product(shapes, n_list, k_list, rhos, gammas):
-        yield shape, float(params["sigma_lambda_nm"]), n, k, rho, gamma_pi
+    for shape, n, k, rho, gamma_pi in product(*(values[key] for key in _ORACLE_LISTS)):
+        yield shape, values["sigma_lambda_nm"], n, k, rho, gamma_pi
 
 
-def oracle_deviation_rows(params: Mapping[str, object]) -> list:
+def oracle_deviation_rows(values: Values) -> list:
     """(shape, width_nm, n, k, rho, gamma_pi, deviation) for every case of the
     verification matrix.  The deviation is the max relative pointwise
     difference between the collapsed density and the joint-state oracle on
@@ -874,12 +852,12 @@ def oracle_deviation_rows(params: Mapping[str, object]) -> list:
     (points, L); the two densities and their deviation once per (grid, L,
     rho), and shared by every case with those values.
     """
-    cases = list(oracle_case_matrix(params))
+    cases = list(oracle_case_matrix(values))
     # (center, half span, point count) -> L -> (settings of its first case, profile -> rho -> case indices)
     groups: dict = {}
     for index, (shape, width_nm, n, k, rho, gamma_pi) in enumerate(cases):
-        profile = _make_profile(params, "sigma_lambda_nm", width_nm, shape)
-        settings = MwiSettings(n, k, _gamma_m(gamma_pi), rho)
+        profile = _profile(values, width_nm, shape)
+        settings = MwiSettings(n, k, _gamma_length(gamma_pi), rho)
         key = (profile.center_wavelength, _grid_half_span(profile), grid_point_count(profile, settings))
         _, by_profile = groups.setdefault(key, {}).setdefault(settings.phase_length, (settings, {}))
         by_profile.setdefault(profile, {}).setdefault(rho, []).append(index)
@@ -924,17 +902,17 @@ def _check_denominator(name: str, value: float, case: str) -> None:
         raise NumericalError(f"closed-form {name} is {value!r} for case {case}: no relative deviation")
 
 
-def closed_form_deviations(params: Mapping[str, object]) -> tuple:
+def closed_form_deviations(values: Values) -> tuple:
     """Worst relative deviations (probability, delta_p) of the refinement-guarded
     quadrature from the Gaussian closed forms, over the matrix's Gaussian cases
     with gamma = 0 and k != 0."""
     worst_prob = 0.0
     worst_shift = 0.0
-    for shape, width_nm, n, k, rho, gamma_pi in oracle_case_matrix(params):
+    for shape, width_nm, n, k, rho, gamma_pi in oracle_case_matrix(values):
         if shape != "gaussian" or gamma_pi != 0.0 or k == 0.0:
             continue
-        profile = _make_profile(params, "sigma_lambda_nm", width_nm, shape)
-        settings = MwiSettings(n, k, _gamma_m(gamma_pi), rho)
+        profile = _profile(values, width_nm, shape)
+        settings = MwiSettings(n, k, _gamma_length(gamma_pi), rho)
         sigma_p = effective_sigma_p(profile)
         quad = collapsed_density(profile, settings)
         case = f"shape={shape} n={n} k={k!r} rho={rho!r} gamma_pi={gamma_pi!r}"
@@ -947,40 +925,40 @@ def closed_form_deviations(params: Mapping[str, object]) -> tuple:
     return worst_prob, worst_shift
 
 
+
 @_register(
     "oracle_suite",
     "Joint-state oracle vs collapsed-density comparison over the shape x N x k x rho "
     "x gamma matrix, plus Gaussian closed-form consistency checks",
     {
-        "shapes": "gaussian,supergaussian,rectangular",
-        "sigma_lambda_nm": 6.0,
-        "n_list": "1,2,3",
-        "k_list_m": "0,1e-12,1e-10",
-        "rho_list_rad": "0.002,0.01,0.1",
-        "gamma_pi_list": "0,1.9",
-        "order": 6,
-        "width_convention": "sigma",
-        "oracle_tolerance": 1e-10,
-        "prob_tolerance": 1e-9,
-        "shift_tolerance": 1e-6,
+        "shapes": ("gaussian,supergaussian,rectangular", _SHAPES, None),
+        "sigma_lambda_nm": (6.0, _number, "> 0"),
+        "n_list": ("1,2,3", _COUNTS, None),
+        "k_list_m": ("0,1e-12,1e-10", _FLOATS, None),
+        "rho_list_rad": ("0.002,0.01,0.1", _FLOATS, "in (0, pi/2)"),
+        "gamma_pi_list": ("0,1.9", _FLOATS, ">= 0"),
+        **{key: entry for key, entry in _PROFILE_KEYS.items() if key != "shape"},
+        "oracle_tolerance": (1e-10, _number, None),
+        "prob_tolerance": (1e-9, _number, None),
+        "shift_tolerance": (1e-6, _number, None),
     },
+    rows=lambda v: math.prod(len(v[key]) for key in _ORACLE_LISTS),
 )
-def _run_oracle_suite(params: Mapping[str, object]) -> ScenarioResult:
-    rows = oracle_deviation_rows(params)
+def _run_oracle_suite(v: Values) -> ScenarioResult:
+    rows = oracle_deviation_rows(v)
     worst_oracle = max((row[-1] for row in rows), default=0.0)
-    worst_prob, worst_shift = closed_form_deviations(params)
+    worst_prob, worst_shift = closed_form_deviations(v)
+    tolerances = {key: v[key] for key in ("oracle_tolerance", "prob_tolerance", "shift_tolerance")}
     passed = (
-        worst_oracle <= float(params["oracle_tolerance"])
-        and worst_prob <= float(params["prob_tolerance"])
-        and worst_shift <= float(params["shift_tolerance"])
+        worst_oracle <= tolerances["oracle_tolerance"]
+        and worst_prob <= tolerances["prob_tolerance"]
+        and worst_shift <= tolerances["shift_tolerance"]
     )
     summary = {
         "oracle_worst_rel_dev": worst_oracle,
         "closed_form_prob_worst_rel_dev": worst_prob,
         "closed_form_shift_worst_rel_dev": worst_shift,
-        "oracle_tolerance": float(params["oracle_tolerance"]),
-        "prob_tolerance": float(params["prob_tolerance"]),
-        "shift_tolerance": float(params["shift_tolerance"]),
+        **tolerances,
         "pass": passed,
     }
     return ScenarioResult(
@@ -996,9 +974,9 @@ def _run_oracle_suite(params: Mapping[str, object]) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 def execute_scenario(config: ScenarioConfig) -> ScenarioResult:
-    if config.scenario_id not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {config.scenario_id!r}; see 'wva-lab list'")
-    result = SCENARIOS[config.scenario_id].runner(config.params)
+    """Run the scenario of a config from ``make_config`` on its checked values.
+    Raises NumericalError for a table with a non-finite value."""
+    result = SCENARIOS[config.scenario_id].runner(config.values)
     for column in zip(*result.rows):
         if not isinstance(column[0], str) and not np.all(np.isfinite(np.array(column, dtype=float))):
             raise NumericalError(f"scenario {config.scenario_id} produced a non-finite value")

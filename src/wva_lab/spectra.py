@@ -239,7 +239,12 @@ def grid_point_count(
     n_intervals = max(min_points - 1, 4)
     if settings is not None and settings.phase_length != 0.0:
         max_step = 2.0 * math.pi / (_PERIOD_SAMPLES * abs(settings.phase_length))
-        needed = math.ceil(2.0 * _grid_half_span(profile) / max_step)
+        needed = 2.0 * _grid_half_span(profile) / max_step
+        if needed > MAX_GRID_POINTS - 1:
+            raise NumericalError(
+                f"grid would need {needed:.4g} intervals (> {MAX_GRID_POINTS - 1}); "
+                "modulation period too short for this span"
+            )
         while n_intervals < needed:
             n_intervals *= 2
     # power-of-two interval count so stride-2 subsampling stays a Simpson grid

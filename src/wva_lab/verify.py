@@ -28,8 +28,8 @@ from .polarization import MwiSettings
 from .scenarios import (
     LAMBDA0_M,
     P0_RAD_PER_M,
-    SCENARIOS,
     closed_form_deviations,
+    make_config,
     oracle_deviation_rows,
 )
 from .spectra import SpectralProfile, effective_sigma_p
@@ -38,10 +38,10 @@ from .spectra import SpectralProfile, effective_sigma_p
 
 
 def check_oracle_equivalence() -> list:
-    params = SCENARIOS["oracle_suite"].defaults
-    rows = oracle_deviation_rows(params)
+    values = make_config("oracle_suite").values
+    rows = oracle_deviation_rows(values)
     worst = max(row[-1] for row in rows)
-    tol = float(params["oracle_tolerance"])
+    tol = values["oracle_tolerance"]
     return [
         (
             "oracle_equivalence",
@@ -52,10 +52,10 @@ def check_oracle_equivalence() -> list:
 
 
 def check_closed_form_consistency() -> list:
-    params = SCENARIOS["oracle_suite"].defaults
-    worst_prob, worst_shift = closed_form_deviations(params)
-    prob_tol = float(params["prob_tolerance"])
-    shift_tol = float(params["shift_tolerance"])
+    values = make_config("oracle_suite").values
+    worst_prob, worst_shift = closed_form_deviations(values)
+    prob_tol = values["prob_tolerance"]
+    shift_tol = values["shift_tolerance"]
     return [
         (
             "closed_form_consistency",

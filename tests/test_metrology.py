@@ -5,16 +5,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wva_lab.constants import SPEED_OF_LIGHT
-from wva_lab.errors import NumericalError
 from wva_lab.metrology import (
     PrecisionReport,
     TiltGeometry,
     k_from_tau,
     precision,
-    shift_rate,
     snr_db,
     tau_from_tilt,
 )
+
+
+def central_slope(signal, k0=k_from_tau(0.05e-18), h=k_from_tau(0.02e-18)):
+    """Central-difference slope of ``signal`` at ``k0``."""
+    return (signal(k0 + h) - signal(k0 - h)) / (2.0 * h)
+
 
 # frozen from 40-digit evaluation of the tilt formula (n = 1.54, 1550 nm)
 TAU_10_DEG = 1.6592649084640633e-17
@@ -60,31 +64,6 @@ class TestKFromTau:
         assert k_from_tau(0.0) == 0.0
         assert k_from_tau(1e-18) == pytest.approx(2.99792458e-10, rel=1e-15)
         assert k_from_tau(1e-17) == pytest.approx(2.99792458e-9, rel=1e-15)
-
-
-class TestShiftRate:
-    def test_linear_function_exact(self):
-        est = shift_rate(lambda k: 5.0 * k, k0=1e-12, half_window=1e-13)
-        assert est.value == pytest.approx(5.0, rel=1e-12)
-
-    def test_quadratic_exact(self):
-        est = shift_rate(lambda k: 3.0 * k**2 + 2.0 * k + 1.0, k0=2e-3, half_window=1e-4)
-        assert est.value == pytest.approx(6.0 * 2e-3 + 2.0, rel=1e-9)
-
-    def test_richardson_improves_smooth_function(self):
-        k0, h = 0.3, 0.05
-        est = shift_rate(math.sin, k0=k0, half_window=h)
-        plain = (math.sin(k0 + h) - math.sin(k0 - h)) / (2 * h)
-        assert abs(est.value - math.cos(k0)) < abs(plain - math.cos(k0))
-        assert est.error > 0.0
-
-    def test_non_finite_signal_raises(self):
-        with pytest.raises(NumericalError):
-            shift_rate(lambda k: math.inf, k0=1e-12, half_window=1e-13)
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            shift_rate(lambda k: k, k0=0.0, half_window=0.0)
 
 
 class TestPrecision:
@@ -148,11 +127,11 @@ class TestRateOnPointerSignals:
             return pointer_shift_p_gaussian(sigma_p, p0, MwiSettings(1, k, 0.0, 0.002))
 
         k0, h = k_from_tau(0.05e-18), k_from_tau(0.02e-18)
-        rate_lambda = shift_rate(lambda k: -factor * delta_p(k), k0, h)
-        rate_p = shift_rate(delta_p, k0, h)
+        rate_lambda = central_slope(lambda k: -factor * delta_p(k), k0, h)
+        rate_p = central_slope(delta_p, k0, h)
         delta_m = 0.04e-12
-        via_lambda = precision(delta_m, rate_lambda.value).delta_tau
-        via_momentum = delta_m / factor / abs(rate_p.value) / SPEED_OF_LIGHT
+        via_lambda = precision(delta_m, rate_lambda).delta_tau
+        via_momentum = delta_m / factor / abs(rate_p) / SPEED_OF_LIGHT
         assert via_lambda == pytest.approx(via_momentum, rel=1e-9)
 
     def test_pass_count_triples_trace_slope(self):
@@ -175,5 +154,5 @@ class TestRateOnPointerSignals:
 
             return signal
 
-        rates = {n: shift_rate(delta_lambda_fn(n)).value for n in (1, 3)}
+        rates = {n: central_slope(delta_lambda_fn(n)) for n in (1, 3)}
         assert rates[3] / rates[1] == pytest.approx(3.0, rel=0.01)

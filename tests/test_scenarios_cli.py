@@ -339,7 +339,9 @@ class TestCli:
     def test_missing_config_file_exits_2(self, capsys):
         assert main(["run", "fig6", "--config", "/nonexistent/cfg.txt"]) == 2
 
-    def test_failed_suite_exits_3(self, tmp_path):
+    def test_failed_suite_exits_3(self, tmp_path, capsys):
+        # the one non-zero exit that writes its CSV: the deviation table is the diagnostic
+        out_file = tmp_path / "o.csv"
         code = main(
             [
                 "run",
@@ -357,10 +359,12 @@ class TestCli:
                 "--set",
                 "gamma_pi_list=0",
                 "--out",
-                str(tmp_path / "o.csv"),
+                str(out_file),
             ]
         )
         assert code == 3
+        assert out_file.exists()
+        assert "pass=false" in capsys.readouterr().out
 
     def test_run_scenario_prints_summary(self, tmp_path, capsys):
         config = make_config(
@@ -372,18 +376,69 @@ class TestCli:
         assert result.summary["weak_value_at_rho_star_1"] == pytest.approx(1478.0, rel=1e-12)
 
 
+FUZZ_VALUES = ("0", "-1", "1e300", "1e-300", "nan", "x", "1,1", "")
+
+
+class _ReadRecorder(dict):
+    """A runner's values that record which keys it reads."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+class TestSchema:
+    @pytest.mark.parametrize("scenario_id", sorted(EXPECTED_IDS))
+    def test_fuzzed_keys_exit_cleanly(self, scenario_id, tmp_path, capsys):
+        """Each key set to each of FUZZ_VALUES on top of FAST_OVERRIDES exits
+        0, 2 or 3 (a traceback fails the test); exit 2 prints one config
+        error naming the key, and a non-zero exit leaves no CSV unless it is
+        a failed oracle_suite."""
+        out_file = tmp_path / "out.csv"
+        failures = []
+        for key in SCENARIOS[scenario_id].schema:
+            for value in FUZZ_VALUES:
+                sets = {**FAST_OVERRIDES[scenario_id], key: value}
+                argv = ["run", scenario_id, "--out", str(out_file)] + [f"--set={k}={v}" for k, v in sets.items()]
+                out_file.unlink(missing_ok=True)
+                code = main(argv)
+                out, err = capsys.readouterr()
+                failed_suite = scenario_id == "oracle_suite" and code == 3 and "pass=false" in out
+                if code not in (0, 2, 3):
+                    failures.append((key, value, f"exit {code}"))
+                elif code == 2 and not (err.startswith("config error: ") and err.count("\n") == 1 and key in err):
+                    failures.append((key, value, err))
+                elif code != 0 and out_file.exists() and not failed_suite:
+                    failures.append((key, value, "left a CSV"))
+        assert not failures
+
+    @pytest.mark.parametrize("scenario_id", sorted(EXPECTED_IDS))
+    def test_every_declared_key_is_read(self, scenario_id):
+        spec = SCENARIOS[scenario_id]
+        values = _ReadRecorder(make_config(scenario_id, FAST_OVERRIDES[scenario_id]).values)
+        spec.runner(values)
+        read = set(values.read)
+        for name in values.read & spec.axes.keys():
+            read.update(filter(None, spec.axes[name][1:4]))  # an axis reads its lo, hi and n keys
+        assert set(spec.schema) - read == set()
+
+
 class TestOracleRows:
     """``oracle_deviation_rows`` shares grids, phases and densities between
     cases; each row must equal the deviation computed the long way, one grid
     per case."""
 
     @staticmethod
-    def _reference_rows(params):
+    def _reference_rows(values):
         rows = []
-        for case in scenarios.oracle_case_matrix(params):
+        for case in scenarios.oracle_case_matrix(values):
             shape, width_nm, n, k, rho, gamma_pi = case
-            profile = scenarios._make_profile(params, "sigma_lambda_nm", width_nm, shape)
-            settings = MwiSettings(n, k, scenarios._gamma_m(gamma_pi), rho)
+            profile = scenarios._profile(values, width_nm, shape)
+            settings = MwiSettings(n, k, scenarios._gamma_length(gamma_pi), rho)
             grid = scenarios.build_grid(profile, settings)
             direct = collapsed_density(profile, settings)
             assert np.array_equal(direct.density.points, grid.points)  # the guard kept the grid built here
@@ -426,11 +481,11 @@ class TestOracleRows:
         return calls
 
     def test_default_matrix_one_grid_per_shape(self, monkeypatch):
-        params = SCENARIOS["oracle_suite"].defaults
-        expected = self._reference_rows(params)
+        values = make_config("oracle_suite").values
+        expected = self._reference_rows(values)
         sizes = self._spy_build_grid(monkeypatch)
         calls = self._spy_evaluations(monkeypatch)
-        rows = oracle_deviation_rows(params)
+        rows = oracle_deviation_rows(values)
         assert len(rows) == 162
         assert rows == expected
         assert sizes == [8193, 8193, 8193]
@@ -441,32 +496,32 @@ class TestOracleRows:
 
     def test_one_grid_per_point_count(self, monkeypatch):
         # N k = 7.5e-3 m needs twice the 8,193-point floor on the 8-sigma span
-        params = make_config(
+        values = make_config(
             "oracle_suite",
             {"shapes": "supergaussian", "n_list": "1,3", "k_list_m": "1e-12,2.5e-3", "gamma_pi_list": "0"},
-        ).params
-        expected = self._reference_rows(params)
+        ).values
+        expected = self._reference_rows(values)
         sizes = self._spy_build_grid(monkeypatch)
-        assert oracle_deviation_rows(params) == expected
+        assert oracle_deviation_rows(values) == expected
         assert sorted(sizes) == [8193, 16385]
 
     def test_repeated_phase_lengths_evaluated_once(self, monkeypatch):
         # distinct entries, repeated N*k: 1 x 2e-12 is bitwise 2 x 1e-12
-        params = make_config("oracle_suite", {"n_list": "1,2", "k_list_m": "0,1e-12,2e-12"}).params
-        expected = self._reference_rows(params)
+        values = make_config("oracle_suite", {"n_list": "1,2", "k_list_m": "0,1e-12,2e-12"}).values
+        expected = self._reference_rows(values)
         distinct = set()
-        for shape, width_nm, n, k, rho, gamma_pi in scenarios.oracle_case_matrix(params):
-            settings = MwiSettings(n, k, scenarios._gamma_m(gamma_pi), rho)
+        for shape, width_nm, n, k, rho, gamma_pi in scenarios.oracle_case_matrix(values):
+            settings = MwiSettings(n, k, scenarios._gamma_length(gamma_pi), rho)
             distinct.add((shape, settings.phase_length, rho))
         calls = self._spy_evaluations(monkeypatch)
-        rows = oracle_deviation_rows(params)
+        rows = oracle_deviation_rows(values)
         assert len(rows) == 108
         assert rows == expected
         assert len(distinct) == 72
         assert len(calls["collapse"]) == len(set(calls["collapse"])) == len(distinct)
         # gaussian and supergaussian grids share their points, so one phase serves both
         points = {
-            shape: scenarios.build_grid(scenarios._make_profile(params, "sigma_lambda_nm", 6.0, shape)).points.tobytes()
+            shape: scenarios.build_grid(scenarios._profile(values, 6.0, shape)).points.tobytes()
             for shape in ("gaussian", "supergaussian", "rectangular")
         }
         assert len({points["gaussian"], points["supergaussian"], points["rectangular"]}) == 2
@@ -475,14 +530,14 @@ class TestOracleRows:
     def test_one_grid_alive_at_a_time(self):
         # measured on the default matrix: about 1.15 MB for the call, against
         # 1.18 MB for three grids held with one case evaluated on top
-        params = SCENARIOS["oracle_suite"].defaults
-        oracle_deviation_rows(params)  # first-call allocations out of the way
-        settings = MwiSettings(3, 1e-10, scenarios._gamma_m(1.9), 0.002)
+        values = make_config("oracle_suite").values
+        oracle_deviation_rows(values)  # first-call allocations out of the way
+        settings = MwiSettings(3, 1e-10, scenarios._gamma_length(1.9), 0.002)
         tracemalloc.start()
         try:
             held = []
             for shape in ("gaussian", "supergaussian", "rectangular"):
-                grid = scenarios.build_grid(scenarios._make_profile(params, "sigma_lambda_nm", 6.0, shape), settings)
+                grid = scenarios.build_grid(scenarios._profile(values, 6.0, shape), settings)
                 held.append((grid, np.sqrt(grid.density)))
             grid, root_density = held[-1]
             d = scenarios._collapse(grid, settings.phase_length, 2.0 * settings.rho)
@@ -493,7 +548,7 @@ class TestOracleRows:
             three_grids_peak = tracemalloc.get_traced_memory()[1]
             del held, grid, root_density, d, amp_h, o, mask
             tracemalloc.reset_peak()
-            oracle_deviation_rows(params)
+            oracle_deviation_rows(values)
             call_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -274,9 +274,8 @@ class TestBatchedSweep:
         self._check(jobs, monkeypatch)
 
     def test_fig3b_four_groups(self, monkeypatch):
-        params = make_config("fig3b", {"width_max_nm": "3000"}).params
-        widths = scenarios._geomspace(params, "width_min_nm", "width_max_nm", "n_widths")
-        profiles = [scenarios._make_profile(params, "widths", float(width)) for width in widths]
+        values = make_config("fig3b", {"width_max_nm": "3000"}).values
+        profiles = [scenarios._profile(values, float(width)) for width in values["widths_nm"]]
         widest = MwiSettings(1, SPEED_OF_LIGHT * TAUS_AS[-1] * 1e-18, GAMMA, RHO)
         counts = {grid_point_count(profile, widest, min_points=129) for profile in profiles}
         assert counts == {129, 257, 513, 1025}
