@@ -10,7 +10,6 @@ from ._version import __version__
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError, NumericalError
 from .lgi import (
-    LgiPoint,
     k31,
     negativity_boundary_scan,
     quantum_region_boundary,
@@ -38,13 +37,9 @@ from .metrology import (
 )
 from .polarization import (
     MwiSettings,
-    PauliObservable,
-    PolarizationState,
-    WeakValue,
-    coupling_observable,
+    im_weak_value,
     postselection_state,
     preselection_state,
-    weak_value,
 )
 from .spectra import (
     MomentumGrid,
@@ -66,7 +61,6 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "ConfigError",
     "NumericalError",
-    "LgiPoint",
     "k31",
     "negativity_boundary_scan",
     "quantum_region_boundary",
@@ -88,13 +82,9 @@ __all__ = [
     "snr_db",
     "tau_from_tilt",
     "MwiSettings",
-    "PauliObservable",
-    "PolarizationState",
-    "WeakValue",
-    "coupling_observable",
+    "im_weak_value",
     "postselection_state",
     "preselection_state",
-    "weak_value",
     "MomentumGrid",
     "Shape",
     "SpectralProfile",

@@ -1,70 +1,41 @@
 """Leggett-Garg K31 values, the quantum-effect (negativity) region, and
 weak-value extraction from measured intensity shifts.
 
-K31 = 2 P (1 - Im of the N-pass weak value) goes negative exactly when the
-weak value is anomalous (Im > 1); the small-coupling boundary of the
-negativity region in the postselection angle is arctan(N).
+K31 = 2 P (1 - Im W) with Im W = N cot(rho), the N-pass weak value of
+``polarization.im_weak_value``, goes negative exactly when the weak value
+is anomalous (Im W > 1); the small-coupling boundary of the negativity
+region in the postselection angle is arctan(N).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import NumericalError
-from .meter import _neg_square, postselection_probability_gaussian
-from .polarization import MwiSettings
+from .meter import _neg_square
+from .polarization import im_weak_value
 
 # angles per block of ``negativity_boundary_scan``
 _SCAN_BLOCK = 2**16
 
 
-@dataclass(frozen=True)
-class LgiPoint:
-    rho: float
-    n_interactions: int
-    k31: float
-    im_weak_value: float
-
-
-def k31(
-    n_interactions: int,
-    rho: float,
-    *,
-    sigma_p: Optional[float] = None,
-    p0: Optional[float] = None,
-    k: Optional[float] = None,
-) -> LgiPoint:
+def k31(n_interactions: int, rho: float, probability: Optional[float] = None) -> float:
     """K31 = 2 P (1 - N cot rho) at the given postselection angle.
 
-    By default P is the small-coupling postselection probability sin^2(rho).
-    Passing all of (sigma_p, p0, k) switches to the exact Gaussian
-    probability for that coupling strength.
+    P is the small-coupling postselection probability sin^2(rho) unless
+    ``probability`` is given (for example the exact Gaussian one of
+    ``meter.postselection_probability_gaussian``).
 
     Raises
     ------
     ValueError
-        rho outside (0, pi/2) (the weak value is singular at rho = 0), or a
-        partial set of exact-mode arguments.
+        N < 1, or rho outside (0, pi/2) (the weak value is singular at rho = 0).
     """
-    if n_interactions < 1:
-        raise ValueError(f"n_interactions must be >= 1, got {n_interactions!r}")
-    if not (0.0 < rho < math.pi / 2):
-        raise ValueError(f"rho must lie in (0, pi/2), got {rho!r}")
-    exact_args = (sigma_p, p0, k)
-    if any(a is not None for a in exact_args) and not all(a is not None for a in exact_args):
-        raise ValueError("exact mode needs all of sigma_p, p0 and k")
-
-    im = n_interactions / math.tan(rho)
-    if sigma_p is None:
-        prob = math.sin(rho) ** 2
-    else:
-        prob = postselection_probability_gaussian(
-            sigma_p, p0, MwiSettings(n_interactions=n_interactions, k=k, gamma=0.0, rho=rho)
-        )
-    return LgiPoint(rho=rho, n_interactions=n_interactions, k31=2.0 * prob * (1.0 - im), im_weak_value=im)
+    im = im_weak_value(n_interactions, rho)
+    prob = math.sin(rho) ** 2 if probability is None else probability
+    return 2.0 * prob * (1.0 - im)
 
 
 def quantum_region_boundary(n_interactions: int) -> float:
@@ -80,19 +51,20 @@ def quantum_region_boundary(n_interactions: int) -> float:
 def negativity_boundary_scan(n_interactions: int, rho_max: float = 1.5, step: float = 1e-3) -> float:
     """Boundary of the K31 < 0 region located by dense scanning.
 
-    Scans rho = i*step for i = 1..int(rho_max/step), below pi/2, and returns
+    Scans rho = i*step for i = 1..int(min(rho_max, pi/2)/step), below pi/2
+    (the cap keeps the count finite for any rho_max), and returns
     the largest scanned rho with small-coupling K31 < 0 (0.0 if none); the
     scan step bounds the deviation from arctan(N).  The scan runs in blocks
     of ``_SCAN_BLOCK`` angles, which bounds its memory for any step.
     """
     if step <= 0.0 or rho_max <= step:
         raise ValueError("need step > 0 and rho_max > step")
-    n_steps = min(int(rho_max / step), math.ceil(0.5 * math.pi / step))
+    n_steps = int(min(rho_max, 0.5 * math.pi) / step)
     boundary = 0.0
     for lo in range(1, n_steps + 1, _SCAN_BLOCK):
         rho = np.arange(lo, min(lo + _SCAN_BLOCK, n_steps + 1)) * step
         rho = rho[rho < 0.5 * math.pi]
-        negative = rho[2.0 * np.sin(rho) ** 2 * (1.0 - n_interactions / np.tan(rho)) < 0.0]
+        negative = rho[2.0 * np.sin(rho) ** 2 * (1.0 - im_weak_value(n_interactions, rho)) < 0.0]
         if negative.size:
             boundary = float(negative[-1])
     return boundary

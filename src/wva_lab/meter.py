@@ -20,8 +20,9 @@ strided coarser levels, and ``_pointer_readout`` turns (C/I, T/I, A) into
 the sweeps of ``wva_lab.scenarios`` call them apart, to read a kernel call
 made at scaled phase lengths out at each source's own.
 Alongside them this module provides exact closed forms for Gaussian
-densities, the linear-regime approximations, and a brute-force joint-state
-oracle for verification.
+densities, the linear-regime approximations (through the weak value
+``polarization.im_weak_value``), and a brute-force joint-state oracle for
+verification, which projects onto the states of ``wva_lab.polarization``.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalError
-from .polarization import MwiSettings
+from .polarization import MwiSettings, im_weak_value, postselection_state, preselection_state
 from .spectra import MomentumGrid, SpectralProfile, _simpson_weights, build_grid, effective_sigma_p
 
 _RELATIVE_SHIFT_RECON_TOL = 1e-12
@@ -280,6 +281,8 @@ def postselection_probability_gaussian(sigma_p: float, p0: float, settings: MwiS
         raise ValueError(f"sigma_p must be >= 0, got {sigma_p!r}")
     L = settings.phase_length
     theta = L * p0 + 2.0 * settings.rho
+    if not math.isfinite(theta):
+        raise NumericalError(f"postselection phase L*p0 + 2 rho = {theta!r} for L = {L!r} m: no probability")
     # 1/2(1 - d cos) = sin^2(theta/2) + (1 - d)/2 cos(theta), both terms stable
     half_one_minus_damp = -0.5 * math.expm1(0.5 * _neg_square(sigma_p * L))
     return math.sin(0.5 * theta) ** 2 + half_one_minus_damp * math.cos(theta)
@@ -307,7 +310,7 @@ def pointer_shift_p_approx(sigma_p: float, settings: MwiSettings) -> float:
     """
     if sigma_p <= 0.0:
         raise ValueError("no momentum pointer for a monochromatic source (sigma_p = 0)")
-    return settings.k * sigma_p**2 * settings.n_interactions / math.tan(settings.rho)
+    return settings.k * sigma_p**2 * im_weak_value(settings.n_interactions, settings.rho)
 
 
 def intensity_after_postselection(
@@ -340,19 +343,14 @@ def intensity_shift_approx(sigma_p: float, p0: float, settings: MwiSettings) -> 
     Reference small-signal form: grows linearly with N and decreases
     strictly with sigma_p for N*k != 0.
     """
-    nk = settings.n_interactions * settings.k
-    return (
-        math.exp(_neg_square(sigma_p * nk))
-        * p0
-        * settings.k
-        * settings.n_interactions
-        / math.tan(settings.rho)
-    )
+    damp = math.exp(_neg_square(sigma_p * (settings.n_interactions * settings.k)))
+    return damp * p0 * settings.k * im_weak_value(settings.n_interactions, settings.rho)
 
 
 def _oracle_amplitude(points: np.ndarray, settings: MwiSettings, sequential: bool = False) -> np.ndarray:
     """The oracle's |H> amplitude phase at momenta ``points``: the complex
-    per-pass phases of ``oracle_joint_state`` (|V> carries the conjugate).
+    per-pass phases of ``oracle_joint_state``.  |V>, the -1 eigenvector of
+    the coupling diag(+1, -1), carries the conjugate.
     Without ``sequential`` it depends on ``settings`` only through the
     phase length."""
     if sequential:
@@ -366,10 +364,11 @@ def _oracle_amplitude(points: np.ndarray, settings: MwiSettings, sequential: boo
 
 def _oracle_project(amp_h: np.ndarray, root_density: np.ndarray, rho: float) -> np.ndarray:
     """The oracle's collapsed density from the |H> amplitude phase and the
-    square root of the initial density: projection onto the postselection
-    state at angle ``rho``, and square."""
-    amp_v = np.conj(amp_h)
-    proj = 0.5 * (np.exp(1j * rho) * amp_h - np.exp(-1j * rho) * amp_v) * root_density
+    square root of the initial density: projection of the joint state onto
+    the postselection state at angle ``rho``, with coefficients
+    <post|H><H|pre> and <post|V><V|pre>, and square."""
+    (pre_h, pre_v), (post_h, post_v) = preselection_state(), postselection_state(rho)
+    proj = (post_h.conjugate() * pre_h * amp_h + post_v.conjugate() * pre_v * np.conj(amp_h)) * root_density
     return (proj * np.conj(proj)).real
 
 

@@ -7,9 +7,11 @@ delta_k = delta_m / |dS/dk| and delta_tau = delta_k / c.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .constants import SPEED_OF_LIGHT
+from .errors import NumericalError
 
 
 @dataclass(frozen=True)
@@ -61,15 +63,18 @@ def k_from_tau(tau: float) -> float:
 
 
 def precision(instrument_resolution: float, rate: float, pointer: str = "P") -> PrecisionReport:
-    """delta_k = resolution / |rate| and delta_tau = delta_k / c."""
+    """delta_k = resolution / |rate| and delta_tau = delta_k / c.  Raises
+    NumericalError where delta_tau is not a normal float, so that
+    delta_k = c delta_tau no longer holds to rounding."""
     if instrument_resolution <= 0.0:
         raise ValueError(f"instrument resolution must be > 0, got {instrument_resolution!r}")
     if rate == 0.0:
         raise ValueError("zero shift rate: precision undefined")
     delta_k = instrument_resolution / abs(rate)
-    return PrecisionReport(
-        shift_rate=rate, delta_k=delta_k, delta_tau=delta_k / SPEED_OF_LIGHT, pointer=pointer
-    )
+    delta_tau = delta_k / SPEED_OF_LIGHT
+    if not delta_tau >= sys.float_info.min:
+        raise NumericalError(f"precision delta_tau = {delta_tau!r} s is below the normal float range")
+    return PrecisionReport(shift_rate=rate, delta_k=delta_k, delta_tau=delta_tau, pointer=pointer)
 
 
 def snr_db(signal: float, noise: float) -> float:

@@ -1,11 +1,14 @@
-"""Two-level polarization algebra: pre/postselected states and weak values.
+"""Two-level polarization algebra: the interaction chain, the pre- and
+postselected states, and the weak value.
 
-The system lives in the {|H>, |V>} basis.  Preselection is the balanced
-superposition; postselection projects onto a state parameterized by an angle
-rho that controls how close to orthogonal the projection is (squared overlap
-with the preselection equals sin^2(rho)).  The weak value of the N-pass
-coupling observable is purely imaginary, i*N*cot(rho), and grows linearly
-with the number of interactions.
+The system lives in the {|H>, |V>} basis, and a state is its pair of
+amplitudes (H, V).  Preselection is the balanced superposition;
+postselection projects onto a state parameterized by an angle rho that
+controls how close to orthogonal the projection is (squared overlap with
+the preselection equals sin^2(rho)).  The weak value of the N-pass
+coupling observable diag(+1, -1) is purely imaginary, i*N*cot(rho), and
+grows linearly with the number of interactions; ``im_weak_value`` is the
+one statement of N*cot(rho) in the package.
 """
 from __future__ import annotations
 
@@ -14,59 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-_NORM_TOL = 1e-12
-_HERMITIAN_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PolarizationState:
-    """Normalized two-component polarization amplitude in the (H, V) basis."""
-
-    amp_h: complex
-    amp_v: complex
-
-    def __post_init__(self) -> None:
-        norm = abs(self.amp_h) ** 2 + abs(self.amp_v) ** 2
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"state not normalized: |H|^2 + |V|^2 = {norm!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.amp_h, self.amp_v], dtype=np.complex128)
-
-    def overlap(self, other: "PolarizationState") -> complex:
-        """Inner product <self|other>."""
-        return complex(
-            np.conj(self.amp_h) * other.amp_h + np.conj(self.amp_v) * other.amp_v
-        )
-
-    def projection_probability(self, other: "PolarizationState") -> float:
-        """Squared magnitude of the overlap with ``other``."""
-        return abs(self.overlap(other)) ** 2
-
-
-@dataclass(frozen=True)
-class PauliObservable:
-    """Hermitian 2x2 observable; the weak coupling uses diag(+1, -1)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=np.complex128)
-        if m.shape != (2, 2):
-            raise ValueError(f"observable must be 2x2, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > _HERMITIAN_TOL:
-            raise ValueError("observable must be Hermitian")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-
-def coupling_observable() -> PauliObservable:
-    """The observable entering the weak coupling: +1 on |H>, -1 on |V>."""
-    return PauliObservable(np.diag([1.0 + 0j, -1.0 + 0j]))
 
 
 @dataclass(frozen=True)
@@ -107,48 +57,42 @@ class MwiSettings:
         return self.n_interactions * self.k + self.gamma
 
 
-@dataclass(frozen=True)
-class WeakValue:
-    """Weak value of the coupled observable (purely imaginary here)."""
-
-    value: complex
-
-    @property
-    def imag(self) -> float:
-        return self.value.imag
-
-
-def preselection_state() -> PolarizationState:
-    """Balanced input state (|H> + |V>)/sqrt(2)."""
+def preselection_state() -> tuple[complex, complex]:
+    """Balanced input state (|H> + |V>)/sqrt(2), as its (H, V) amplitudes."""
     r = 1.0 / math.sqrt(2.0)
-    return PolarizationState(complex(r), complex(r))
+    return complex(r), complex(r)
 
 
-def postselection_state(rho: float) -> PolarizationState:
-    """Projection state (e^{-i rho}|H> - e^{+i rho}|V>)/sqrt(2).
+def postselection_state(rho: float) -> tuple[complex, complex]:
+    """Projection state (e^{-i rho}|H> - e^{+i rho}|V>)/sqrt(2), as its (H, V)
+    amplitudes.
 
-    rho = 0 is the exactly orthogonal limit and is permitted here; operations
-    that divide by tan(rho) reject it separately.
+    rho = 0 is the exactly orthogonal limit and is permitted here; the weak
+    value rejects it separately.
     """
     if not (0.0 <= rho < math.pi / 2):
         raise ValueError(f"rho must lie in [0, pi/2), got {rho!r}")
     r = 1.0 / math.sqrt(2.0)
-    return PolarizationState(r * cmath.exp(-1j * rho), -r * cmath.exp(1j * rho))
+    return r * cmath.exp(-1j * rho), -r * cmath.exp(1j * rho)
 
 
-def weak_value(n_interactions: int, rho: float) -> WeakValue:
-    """Weak value i*N*cot(rho) of the N-pass coupling observable.
+def im_weak_value(n_interactions: int, rho):
+    """Im of the weak value i*N*cot(rho) of the N-pass coupling observable,
+    N / tan(rho): ``math.tan`` for a float angle, ``np.tan`` for an array.
 
-    Equals N times the single-pass weak value exactly.
+    A float angle is checked; the caller of the array form keeps its angles
+    in (0, pi/2).
 
     Raises
     ------
     ValueError
-        If rho is outside (0, pi/2); the postselection is singular at rho = 0.
+        If N < 1, or a float rho is outside (0, pi/2): the postselection is
+        singular at rho = 0.
     """
+    if isinstance(rho, np.ndarray):
+        return n_interactions / np.tan(rho)
     if n_interactions < 1:
         raise ValueError(f"n_interactions must be >= 1, got {n_interactions!r}")
     if not (0.0 < rho < math.pi / 2):
         raise ValueError(f"singular postselection: rho must lie in (0, pi/2), got {rho!r}")
-    # written as N * (single-pass value) so linearity in N is bit-exact
-    return WeakValue(n_interactions * (1j / math.tan(rho)))
+    return n_interactions / math.tan(rho)

@@ -35,7 +35,7 @@ from .meter import (
     postselection_probability_gaussian,
 )
 from .metrology import precision, snr_db
-from .polarization import MwiSettings
+from .polarization import MwiSettings, im_weak_value
 from .spectra import (
     _WIDTH_CONVENTIONS,
     MAX_GRID_POINTS,
@@ -300,8 +300,10 @@ def make_config(
 def _profile(values: Values, width_nm: float, shape: Optional[str] = None) -> SpectralProfile:
     """The profile of width ``width_nm`` with the config's order and width
     convention, and its shape unless ``shape`` is given."""
-    order, convention = values["order"], values["width_convention"]
-    return SpectralProfile(shape or values["shape"], LAMBDA0_M, width_nm * 1e-9, order, convention)
+    width = width_nm * 1e-9
+    if width == 0.0:
+        raise NumericalError(f"source width {width_nm!r} nm rounds to 0 m")
+    return SpectralProfile(shape or values["shape"], LAMBDA0_M, width, values["order"], values["width_convention"])
 
 
 def _gamma_length(gamma_pi_units: float) -> float:
@@ -520,7 +522,7 @@ def _run_fig4(v: Values) -> ScenarioResult:
     n_list, taus, res_m = v["n_list"], v["taus_as"], v["spectrometer_resolution_m"]
     profile = _profile(v, v["width_nm"])
     rows = []
-    summary: dict = {}
+    summary = {}
     peak_rates = {}
     traces = _sweep_delta_lambda([(profile, n) for n in n_list], taus, _gamma_length(v["gamma_pi_units"]), v["rho_rad"])
     for n, dlam, prob in zip(n_list, *traces):
@@ -557,8 +559,10 @@ _K_AXIS = {"ks_m": ("stepped", None, "k_max_m", "k_step_m", 2, None)}
 def _i_init_v(v: Values, rho: float = RHO_RAD) -> float:
     """Intensity scale fixed once so the coherent three-pass case reaches the
     config's target displacement precision: delta_k(N) = delta_i / (i_init N/2 p0 sin 2 rho)."""
-    rate_n3 = v["delta_i_coherent_V"] / (v["target_delta_k_n3_fm"] * 1e-15)
-    return rate_n3 / (1.5 * P0_RAD_PER_M * math.sin(2.0 * rho))
+    target_m = v["target_delta_k_n3_fm"] * 1e-15
+    if target_m == 0.0:
+        raise NumericalError("target_delta_k_n3_fm rounds to 0 m")
+    return v["delta_i_coherent_V"] / target_m / (1.5 * P0_RAD_PER_M * math.sin(2.0 * rho))
 
 
 def _snr_db(signal: float, noise: float) -> float:
@@ -608,7 +612,7 @@ def _run_fig5(v: Values) -> ScenarioResult:
     rate_base = i_init * 0.5 * P0_RAD_PER_M * math.sin(2.0 * rho)  # dI/dk per pass, V/m
 
     rows = []
-    summary: dict = {"i_init_V": i_init}
+    summary = {"i_init_V": i_init}
     shifts_at_ref = {}
     coherent_n_list = v["coherent_n_list"]
     for n in coherent_n_list:
@@ -662,23 +666,21 @@ def _run_fig5(v: Values) -> ScenarioResult:
 )
 def _run_fig6(v: Values) -> ScenarioResult:
     rows = []
-    summary: dict = {}
+    summary = {}
     for n in v["n_list"]:
-        for rho in v["rhos_rad"]:
-            approx = k31(n, float(rho))
-            exact = k31(n, float(rho), sigma_p=v["probe_sigma_p_rad_per_m"], p0=P0_RAD_PER_M, k=v["probe_k_m"])
-            rows.append((n, float(rho), approx.im_weak_value, approx.k31, exact.k31))
+        for rho in v["rhos_rad"].tolist():
+            exact = postselection_probability_gaussian(
+                v["probe_sigma_p_rad_per_m"], P0_RAD_PER_M, MwiSettings(n, v["probe_k_m"], 0.0, rho)
+            )
+            rows.append((n, rho, im_weak_value(n, rho), k31(n, rho), k31(n, rho, exact)))
         summary[f"n{n}.boundary_scan_rad"] = negativity_boundary_scan(
             n, v["boundary_scan_max_rad"], v["boundary_scan_step_rad"]
         )
         summary[f"n{n}.boundary_arctan_rad"] = quantum_region_boundary(n)
-    spot = k31(3, 0.0124)
-    summary["k31_n3_rho0.0124"] = spot.k31
-    summary["im_weak_value_n3_rho0.0124"] = spot.im_weak_value
+    summary["k31_n3_rho0.0124"] = k31(3, 0.0124)
+    summary["im_weak_value_n3_rho0.0124"] = im = im_weak_value(3, 0.0124)
     summary["quoted_im_weak_value"] = QUOTED_IM_WEAK_VALUE_238
-    summary["im_weak_value_deviation_percent"] = (
-        (spot.im_weak_value - QUOTED_IM_WEAK_VALUE_238) / QUOTED_IM_WEAK_VALUE_238 * 100.0
-    )
+    summary["im_weak_value_deviation_percent"] = (im - QUOTED_IM_WEAK_VALUE_238) / QUOTED_IM_WEAK_VALUE_238 * 100.0
     return ScenarioResult(
         "fig6",
         ("n_1", "rho_rad", "im_weak_value_1", "k31_approx_1", "k31_exact_1"),
@@ -721,14 +723,7 @@ def _run_s2(v: Values) -> ScenarioResult:
         for idx in range(0, grid.points.size, v["subsample_stride"]):
             lam = lambda_p_convert(float(grid.points[idx]))
             to_per_nm = (2.0 * math.pi / lam**2) * 1e-9  # |dp/dlambda| in rad/m per nm
-            rows.append(
-                (
-                    tau_as,
-                    lam * 1e9,
-                    float(grid.density[idx]) * to_per_nm,
-                    float(collapsed[idx]) * to_per_nm,
-                )
-            )
+            rows.append((tau_as, lam * 1e9, float(grid.density[idx]) * to_per_nm, float(collapsed[idx]) * to_per_nm))
     summary = {
         "grid_points": int(grid.points.size),
         "emitted_rows": len(rows),
@@ -759,7 +754,7 @@ def _run_s3(v: Values) -> ScenarioResult:
     delta_i_by_key.update((key, v[name]) for key, name in _DELTA_I_KEYS.items())
     sources = [("coherent", 0.0)] + [(f"{w:g}", w) for w in v["vsns_widths_nm"]]
     rows = []
-    summary: dict = {"i_init_V": i_init}
+    summary = {"i_init_V": i_init}
     for key, width in sources:
         label = "coherent" if width == 0.0 else _wlabel(width)
         sigma_p = 0.0 if width == 0.0 else effective_sigma_p(_profile(v, width))
@@ -767,9 +762,7 @@ def _run_s3(v: Values) -> ScenarioResult:
         rows.extend((width, *row) for row in trace)
         summary[f"{label}.max_snr_db"] = max(snr for _, _, _, snr in trace)
         _delta_k_summary(summary, label, key, delta_i_by_key, rate)
-    summary["coherent.quoted_op_snr_db"] = snr_db(
-        noise * 10 ** (QUOTED_OP_SNR_DB / 10.0), noise
-    )
+    summary["coherent.quoted_op_snr_db"] = snr_db(noise * 10 ** (QUOTED_OP_SNR_DB / 10.0), noise)
     return ScenarioResult(
         "s3_intensity",
         ("sigma_lambda_nm", "k_m", "intensity_V", "relative_shift_1", "snr_db"),
@@ -800,14 +793,13 @@ def _run_s4(v: Values) -> ScenarioResult:
     i_init = _i_init_v(v)
     rows = []
     for n in v["n_list"]:
-        for rho in v["rhos_rad"]:
-            rho = float(rho)
+        for rho in v["rhos_rad"].tolist():
             settings = MwiSettings(n, k_probe, 0.0, rho)
             forward = intensity_shift_approx(sigma_p, P0_RAD_PER_M, settings)
             recovered = weak_value_from_shift(forward, k_probe, P0_RAD_PER_M, sigma_p, n)
-            theory = n / math.tan(rho)
+            theory = im_weak_value(n, rho)
             snr = _snr_db(i_init * math.sin(rho) ** 2, noise)
-            rows.append((n, rho, theory, k31(n, rho).k31, forward, recovered, abs(recovered - theory) / theory, snr))
+            rows.append((n, rho, theory, k31(n, rho), forward, recovered, abs(recovered - theory) / theory, snr))
 
     rho_star = math.atan(3.0 / v["anomalous_target"])
     if not rho_star < 0.5 * math.pi:
@@ -815,8 +807,8 @@ def _run_s4(v: Values) -> ScenarioResult:
     summary = {
         "rho_star_rad": rho_star,
         "rho_star_inferred": True,  # back-solved from the anomalous target, not quoted
-        "weak_value_at_rho_star_1": 3.0 / math.tan(rho_star),
-        "k31_at_rho_star_1": k31(3, rho_star).k31,
+        "weak_value_at_rho_star_1": im_weak_value(3, rho_star),
+        "k31_at_rho_star_1": k31(3, rho_star),
         "snr_at_rho_star_db": _snr_db(i_init * math.sin(rho_star) ** 2, noise),
     }
     return ScenarioResult(
@@ -925,7 +917,6 @@ def closed_form_deviations(values: Values) -> tuple:
     return worst_prob, worst_shift
 
 
-
 @_register(
     "oracle_suite",
     "Joint-state oracle vs collapsed-density comparison over the shape x N x k x rho "
@@ -938,9 +929,9 @@ def closed_form_deviations(values: Values) -> tuple:
         "rho_list_rad": ("0.002,0.01,0.1", _FLOATS, "in (0, pi/2)"),
         "gamma_pi_list": ("0,1.9", _FLOATS, ">= 0"),
         **{key: entry for key, entry in _PROFILE_KEYS.items() if key != "shape"},
-        "oracle_tolerance": (1e-10, _number, None),
-        "prob_tolerance": (1e-9, _number, None),
-        "shift_tolerance": (1e-6, _number, None),
+        "oracle_tolerance": (1e-10, _number, "> 0"),
+        "prob_tolerance": (1e-9, _number, "> 0"),
+        "shift_tolerance": (1e-6, _number, "> 0"),
     },
     rows=lambda v: math.prod(len(v[key]) for key in _ORACLE_LISTS),
 )

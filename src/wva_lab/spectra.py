@@ -239,7 +239,7 @@ def grid_point_count(
     n_intervals = max(min_points - 1, 4)
     if settings is not None and settings.phase_length != 0.0:
         max_step = 2.0 * math.pi / (_PERIOD_SAMPLES * abs(settings.phase_length))
-        needed = 2.0 * _grid_half_span(profile) / max_step
+        needed = 2.0 * _grid_half_span(profile) / max_step if max_step > 0.0 else math.inf  # L overflows to inf
         if needed > MAX_GRID_POINTS - 1:
             raise NumericalError(
                 f"grid would need {needed:.4g} intervals (> {MAX_GRID_POINTS - 1}); "

@@ -10,8 +10,8 @@ from wva_lab.lgi import (
     quantum_region_boundary,
     weak_value_from_shift,
 )
-from wva_lab.meter import intensity_shift_approx
-from wva_lab.polarization import MwiSettings
+from wva_lab.meter import intensity_shift_approx, postselection_probability_gaussian
+from wva_lab.polarization import MwiSettings, im_weak_value
 from wva_lab.spectra import lambda_p_convert
 
 P0 = lambda_p_convert(1550e-9)
@@ -24,50 +24,49 @@ ARCTAN_3 = 1.2490457723982544
 RHO_STAR = 0.0020297671718836917  # back-solved from 3 cot(rho) = 1478
 
 
+def _exact_probability(n, rho, k):
+    """The exact Gaussian postselection probability of a monochromatic probe."""
+    return postselection_probability_gaussian(0.0, P0, MwiSettings(n, k, 0.0, rho))
+
+
 class TestK31:
     def test_zero_crossing_at_quarter_pi(self):
-        assert abs(k31(1, math.pi / 4).k31) < 1e-15
+        assert abs(k31(1, math.pi / 4)) < 1e-15
 
     def test_triple_pass_operating_point(self):
-        point = k31(3, 0.0124)
-        assert point.k31 == pytest.approx(K31_3_00124, rel=1e-12)
-        assert point.im_weak_value == pytest.approx(IM_3_00124, rel=1e-12)
+        assert k31(3, 0.0124) == pytest.approx(K31_3_00124, rel=1e-12)
+        assert im_weak_value(3, 0.0124) == pytest.approx(IM_3_00124, rel=1e-12)
 
     def test_single_pass_small_angle(self):
-        assert k31(1, 0.002).k31 == pytest.approx(K31_1_0002, rel=1e-12)
+        assert k31(1, 0.002) == pytest.approx(K31_1_0002, rel=1e-12)
 
     def test_exact_mode_matches_approx_at_tiny_coupling(self):
         # N p0 k cot(rho) <= 1e-6 makes the probability correction invisible
-        approx = k31(3, 0.002).k31
-        exact = k31(3, 0.002, sigma_p=0.0, p0=P0, k=1e-17).k31
+        approx = k31(3, 0.002)
+        exact = k31(3, 0.002, _exact_probability(3, 0.002, 1e-17))
         assert exact == pytest.approx(approx, rel=1e-6)
 
     def test_exact_mode_deviates_linearly_in_coupling(self):
         k = 1e-12
         approx = k31(3, 0.002)
-        exact = k31(3, 0.002, sigma_p=0.0, p0=P0, k=k)
+        exact = k31(3, 0.002, _exact_probability(3, 0.002, k))
         expected_rel = 3 * P0 * k / math.tan(0.002)  # leading probability correction
-        assert (exact.k31 - approx.k31) / approx.k31 == pytest.approx(expected_rel, rel=0.01)
+        assert (exact - approx) / approx == pytest.approx(expected_rel, rel=0.01)
 
     @given(st.floats(min_value=1e-3, max_value=1.5), st.integers(min_value=1, max_value=3))
     def test_negative_iff_anomalous(self, rho, n):
-        point = k31(n, rho)
-        assert (point.k31 < 0.0) == (point.im_weak_value > 1.0)
+        assert (k31(n, rho) < 0.0) == (im_weak_value(n, rho) > 1.0)
 
     def test_invariants_reconstruct(self):
-        point = k31(2, 0.01)
-        assert point.im_weak_value == pytest.approx(2.0 / math.tan(0.01), rel=1e-12)
-        assert point.k31 == pytest.approx(
-            2.0 * math.sin(0.01) ** 2 * (1.0 - point.im_weak_value), rel=1e-12
-        )
+        im = im_weak_value(2, 0.01)
+        assert im == pytest.approx(2.0 / math.tan(0.01), rel=1e-12)
+        assert k31(2, 0.01) == pytest.approx(2.0 * math.sin(0.01) ** 2 * (1.0 - im), rel=1e-12)
 
     def test_errors(self):
         with pytest.raises(ValueError):
             k31(1, 0.0)
         with pytest.raises(ValueError):
             k31(1, math.pi / 2)
-        with pytest.raises(ValueError, match="exact mode"):
-            k31(1, 0.01, sigma_p=0.0)
 
 
 class TestNegativityRegion:
@@ -93,7 +92,7 @@ class TestNegativityRegion:
             rho = i * step
             if rho >= math.pi / 2:
                 break
-            if k31(n, rho).k31 < 0.0:
+            if k31(n, rho) < 0.0:
                 boundary = rho
         return boundary
 

@@ -293,6 +293,9 @@ class TestCli:
             ("oracle_suite", "shapes=gaussian,gaussian"),
             ("fig3b", "width_max_nm=0.5"),
             ("s4_weak_values", "rho_max_rad=0.002"),
+            ("oracle_suite", "oracle_tolerance=-1"),
+            ("oracle_suite", "prob_tolerance=-1"),
+            ("oracle_suite", "shift_tolerance=-1"),
         ],
     )
     def test_bad_value_exits_2_without_csv(self, scenario_id, setting, tmp_path, capsys):
@@ -376,7 +379,7 @@ class TestCli:
         assert result.summary["weak_value_at_rho_star_1"] == pytest.approx(1478.0, rel=1e-12)
 
 
-FUZZ_VALUES = ("0", "-1", "1e300", "1e-300", "nan", "x", "1,1", "")
+FUZZ_VALUES = ("0", "-1", "1e300", "1e-300", "nan", "x", "1,1", "", "1e-320", "5e-324", "1e308", "-1e308")
 
 
 class _ReadRecorder(dict):
@@ -558,13 +561,13 @@ class TestOracleRows:
 class TestScenarioPhysicsSpots:
     def test_fig6_rows_match_library(self):
         from wva_lab.lgi import k31
+        from wva_lab.polarization import im_weak_value
 
         config = make_config("fig6", FAST_OVERRIDES["fig6"])
         result = execute_scenario(config)
         for n, rho, im, k31_approx, _ in result.rows:
-            point = k31(int(n), float(rho))
-            assert k31_approx == pytest.approx(point.k31, abs=1e-12)
-            assert im == pytest.approx(point.im_weak_value, rel=1e-12)
+            assert k31_approx == pytest.approx(k31(int(n), float(rho)), abs=1e-12)
+            assert im == pytest.approx(im_weak_value(int(n), float(rho)), rel=1e-12)
 
     def test_fig5_delta_k_scaling(self):
         config = make_config("fig5", {"coherent_n_list": "1,2,3", "vsns_widths_nm": "3",
