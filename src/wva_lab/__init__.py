@@ -17,7 +17,6 @@ from .lgi import (
 )
 from .meter import (
     CollapseResult,
-    IntensityResult,
     collapse_moments_on_grid,
     collapsed_density,
     intensity_after_postselection,
@@ -28,7 +27,6 @@ from .meter import (
     postselection_probability_gaussian,
 )
 from .metrology import (
-    PrecisionReport,
     TiltGeometry,
     k_from_tau,
     precision,
@@ -48,8 +46,6 @@ from .spectra import (
     build_grid,
     effective_sigma_p,
     lambda_p_convert,
-    momentum_to_wavelength,
-    wavelength_to_momentum,
 )
 
 # Every numeric path is plain numpy; the name stays for run records that log it.
@@ -66,7 +62,6 @@ __all__ = [
     "quantum_region_boundary",
     "weak_value_from_shift",
     "CollapseResult",
-    "IntensityResult",
     "collapse_moments_on_grid",
     "collapsed_density",
     "intensity_after_postselection",
@@ -75,7 +70,6 @@ __all__ = [
     "pointer_shift_p_approx",
     "pointer_shift_p_gaussian",
     "postselection_probability_gaussian",
-    "PrecisionReport",
     "TiltGeometry",
     "k_from_tau",
     "precision",
@@ -91,6 +85,4 @@ __all__ = [
     "build_grid",
     "effective_sigma_p",
     "lambda_p_convert",
-    "momentum_to_wavelength",
-    "wavelength_to_momentum",
 ]

@@ -35,7 +35,6 @@ from .errors import NumericalError
 from .polarization import MwiSettings, im_weak_value, postselection_state, preselection_state
 from .spectra import MomentumGrid, SpectralProfile, _simpson_weights, build_grid, effective_sigma_p
 
-_RELATIVE_SHIFT_RECON_TOL = 1e-12
 # collapsed_density's stride-2 guard: the agreement it asks of the full and
 # half-resolution moments, and the grid doublings it makes before giving up
 _GUARD_TOLERANCE = 1e-9
@@ -58,22 +57,6 @@ class CollapseResult:
             raise ValueError(
                 f"postselection probability outside [0, 1]: {self.postselection_probability!r}"
             )
-
-
-@dataclass(frozen=True)
-class IntensityResult:
-    """Postselected intensity and its relative shift against the k = 0 baseline."""
-
-    intensity: float
-    baseline_intensity: float
-    relative_shift: float
-
-    def __post_init__(self) -> None:
-        if self.intensity < 0.0 or self.baseline_intensity <= 0.0:
-            raise ValueError("intensities must be nonnegative (baseline positive)")
-        recon = (self.intensity - self.baseline_intensity) / self.baseline_intensity
-        if abs(recon - self.relative_shift) > _RELATIVE_SHIFT_RECON_TOL * max(1.0, abs(recon)):
-            raise ValueError("relative_shift does not reconstruct from the stored intensities")
 
 
 def _collapse(grid: MomentumGrid, phase_length: float, two_rho: float) -> np.ndarray:
@@ -315,8 +298,8 @@ def pointer_shift_p_approx(sigma_p: float, settings: MwiSettings) -> float:
 
 def intensity_after_postselection(
     i_init: float, sigma_p: float, p0: float, settings: MwiSettings
-) -> IntensityResult:
-    """Postselected intensity i_init * P and its relative shift.
+) -> tuple[float, float]:
+    """Postselected intensity i_init * P and its relative shift (I - I0) / I0.
 
     The baseline is the same chain at k = 0 (same gamma and rho): the
     reference is zero interaction strength, not zero total phase.  Raises
@@ -330,11 +313,7 @@ def intensity_after_postselection(
     baseline = i_init * prob0
     if not baseline > 0.0:
         raise NumericalError(f"baseline intensity {baseline!r} at k = 0: no relative shift")
-    return IntensityResult(
-        intensity=intensity,
-        baseline_intensity=baseline,
-        relative_shift=(intensity - baseline) / baseline,
-    )
+    return intensity, (intensity - baseline) / baseline
 
 
 def intensity_shift_approx(sigma_p: float, p0: float, settings: MwiSettings) -> float:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .constants import SPEED_OF_LIGHT
 from .errors import NumericalError
+from .paper import PAPER
 
 
 @dataclass(frozen=True)
@@ -20,7 +21,7 @@ class TiltGeometry:
 
     theta: float                    # rad
     refractive_index: float = 1.54
-    wavelength: float = 1550e-9     # m
+    wavelength: float = PAPER["lambda0_m"].value
 
     def __post_init__(self) -> None:
         if not abs(self.theta) < math.pi / 2:
@@ -29,22 +30,6 @@ class TiltGeometry:
             raise ValueError(f"refractive index must be > 1, got {self.refractive_index!r}")
         if self.wavelength <= 0.0:
             raise ValueError(f"wavelength must be > 0, got {self.wavelength!r}")
-
-
-@dataclass(frozen=True)
-class PrecisionReport:
-    """Resolution divided by shift rate, in both k (meters) and tau (seconds)."""
-
-    shift_rate: float
-    delta_k: float
-    delta_tau: float
-    pointer: str = "P"
-
-    def __post_init__(self) -> None:
-        if self.shift_rate == 0.0:
-            raise ValueError("shift rate must be nonzero when precisions are populated")
-        if abs(self.delta_k - SPEED_OF_LIGHT * self.delta_tau) > 1e-12 * abs(self.delta_k):
-            raise ValueError("delta_k and delta_tau are inconsistent (delta_k = c delta_tau)")
 
 
 def tau_from_tilt(geom: TiltGeometry) -> float:
@@ -62,10 +47,11 @@ def k_from_tau(tau: float) -> float:
     return SPEED_OF_LIGHT * tau
 
 
-def precision(instrument_resolution: float, rate: float, pointer: str = "P") -> PrecisionReport:
-    """delta_k = resolution / |rate| and delta_tau = delta_k / c.  Raises
-    NumericalError where delta_tau is not a normal float, so that
-    delta_k = c delta_tau no longer holds to rounding."""
+def precision(instrument_resolution: float, rate: float) -> tuple[float, float]:
+    """(delta_k, delta_tau): delta_k = resolution / |rate| in meters and
+    delta_tau = delta_k / c in seconds.  Raises NumericalError where
+    delta_tau is not a normal float, so that delta_k = c delta_tau no longer
+    holds to rounding."""
     if instrument_resolution <= 0.0:
         raise ValueError(f"instrument resolution must be > 0, got {instrument_resolution!r}")
     if rate == 0.0:
@@ -74,7 +60,7 @@ def precision(instrument_resolution: float, rate: float, pointer: str = "P") -> 
     delta_tau = delta_k / SPEED_OF_LIGHT
     if not delta_tau >= sys.float_info.min:
         raise NumericalError(f"precision delta_tau = {delta_tau!r} s is below the normal float range")
-    return PrecisionReport(shift_rate=rate, delta_k=delta_k, delta_tau=delta_tau, pointer=pointer)
+    return delta_k, delta_tau
 
 
 def snr_db(signal: float, noise: float) -> float:

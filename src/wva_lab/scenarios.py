@@ -35,6 +35,7 @@ from .meter import (
     postselection_probability_gaussian,
 )
 from .metrology import precision, snr_db
+from .paper import PAPER
 from .polarization import MwiSettings, im_weak_value
 from .spectra import (
     _WIDTH_CONVENTIONS,
@@ -49,21 +50,9 @@ from .spectra import (
     lambda_p_convert,
 )
 
-# Experimental presets shared by the scenario defaults
-LAMBDA0_M = 1550e-9
+LAMBDA0_M = PAPER["lambda0_m"].value
 P0_RAD_PER_M = lambda_p_convert(LAMBDA0_M)
-RHO_RAD = 0.002
-GAMMA_PI_UNITS = 1.9              # gamma = units * pi / p0
-SPECTROMETER_RESOLUTION_M = 0.04e-12
-NOISE_FLOOR_V = 0.5e-3
-DELTA_I_V = {"coherent": 0.045e-3, "0.5": 0.072e-3, "1": 0.11e-3, "3": 0.21e-3}
-TARGET_DELTA_K_N3_M = 148.8e-15   # calibration anchor for the intensity pointer
 _DELTA_I_KEYS = {"0.5": "delta_i_05_V", "1": "delta_i_1_V", "3": "delta_i_3_V"}  # width -> config key
-
-# Quoted reference values the summaries report deviations against
-QUOTED_DELTA_K_FM = {"coherent": 497.8, "0.5": 782.7, "1": 1190.6, "3": 2312.2}
-QUOTED_IM_WEAK_VALUE_238 = 238.0
-QUOTED_OP_SNR_DB = 17.5
 
 # Sweep grids start at this floor, well below MIN_GRID_POINTS, and double
 # until consecutive levels agree to the tolerance.
@@ -188,6 +177,11 @@ def _list_of(parse):
 _SHAPE = _choice(tuple(shape.value for shape in Shape if shape is not Shape.MONOCHROMATIC))  # shapes with a grid
 _CONVENTION = _choice(_WIDTH_CONVENTIONS)
 _FLOATS, _COUNTS, _SHAPES = _list_of(_number), _list_of(_whole), _list_of(_SHAPE)
+
+
+def _paper_defaults(rules: Mapping[str, str]) -> dict:
+    """Schema entries, with their rules, of number keys whose defaults are the paper's numbers of the same names."""
+    return {key: (PAPER[key].value, _number, rule) for key, rule in rules.items()}
 
 
 def _wlabel(width_nm: float) -> str:
@@ -401,7 +395,8 @@ def _rate_summary(summary: dict, label: str, taus_as: np.ndarray, dlam: np.ndarr
     summary[f"{label}.fitted_rate_nm_per_as"] = fitted
     summary[f"{label}.peak_rate_nm_per_as"] = peak = peak_local_rate(taus_as, dlam)
     rate_per_m_of_k = fitted * 1e-9 / (SPEED_OF_LIGHT * 1e-18)  # d(dlam)/dk, m/m
-    summary[f"{label}.delta_tau_as"] = precision(res_m, rate_per_m_of_k, pointer="P").delta_tau * 1e18
+    _, delta_tau = precision(res_m, rate_per_m_of_k)
+    summary[f"{label}.delta_tau_as"] = delta_tau * 1e18
     return peak
 
 
@@ -414,15 +409,11 @@ _PROFILE_KEYS = {
     "order": (6, _whole, None),
     "width_convention": ("sigma", _CONVENTION, None),
 }
-_TRACE_KEYS = {
-    **_PROFILE_KEYS,
-    "rho_rad": (RHO_RAD, _number, "in (0, pi/2)"),
-    "gamma_pi_units": (GAMMA_PI_UNITS, _number, ">= 0"),
-}
+_TRACE_KEYS = {**_PROFILE_KEYS, **_paper_defaults({"rho_rad": "in (0, pi/2)", "gamma_pi_units": ">= 0"})}
 _TAU_KEYS = {"tau_max_as": (330.0, _number, None), "tau_step_as": (1.0, _number, "> 0")}
 _TAU_AXIS = {"taus_as": ("stepped", None, "tau_max_as", "tau_step_as", 3, None)}  # the rates are central differences
 _N_KEY = {"n_interactions": (1, _whole, None)}
-_RESOLUTION_KEY = {"spectrometer_resolution_m": (SPECTROMETER_RESOLUTION_M, _number, "> 0")}
+_RESOLUTION_KEY = _paper_defaults({"spectrometer_resolution_m": "> 0"})
 
 
 @_register(
@@ -539,24 +530,21 @@ def _run_fig4(v: Values) -> ScenarioResult:
     )
 
 
-_CALIBRATION_KEYS = {
-    "noise_floor_V": (NOISE_FLOOR_V, _number, "> 0"),
-    "delta_i_coherent_V": (DELTA_I_V["coherent"], _number, "> 0"),
-    "target_delta_k_n3_fm": (TARGET_DELTA_K_N3_M * 1e15, _number, "> 0"),
-}
+_CALIBRATION_KEYS = _paper_defaults(
+    {"noise_floor_V": "> 0", "delta_i_coherent_V": "> 0", "target_delta_k_n3_fm": "> 0"}
+)
 _INTENSITY_KEYS = {
     **_PROFILE_KEYS,
     **_CALIBRATION_KEYS,
-    "rho_rad": (RHO_RAD, _number, "in (0, pi/2)"),
+    **_paper_defaults({"rho_rad": "in (0, pi/2)", **dict.fromkeys(_DELTA_I_KEYS.values(), "> 0")}),
     "k_max_m": (4.5e-10, _number, None),
     "k_step_m": (7.5e-12, _number, "> 0"),
     "vsns_widths_nm": ("0.5,1,3", _FLOATS, "> 0 with distinct w<width>nm labels"),
-    **{name: (DELTA_I_V[key], _number, "> 0") for key, name in _DELTA_I_KEYS.items()},
 }
 _K_AXIS = {"ks_m": ("stepped", None, "k_max_m", "k_step_m", 2, None)}
 
 
-def _i_init_v(v: Values, rho: float = RHO_RAD) -> float:
+def _i_init_v(v: Values, rho: float = PAPER["rho_rad"].value) -> float:
     """Intensity scale fixed once so the coherent three-pass case reaches the
     config's target displacement precision: delta_k(N) = delta_i / (i_init N/2 p0 sin 2 rho)."""
     target_m = v["target_delta_k_n3_fm"] * 1e-15
@@ -575,8 +563,9 @@ def _snr_db(signal: float, noise: float) -> float:
 def _intensity_trace(i_init, sigma_p, rho, n, k_values, noise):
     rows = []
     for k in k_values:
-        res = intensity_after_postselection(i_init, sigma_p, P0_RAD_PER_M, MwiSettings(n, float(k), 0.0, rho))
-        rows.append((float(k), res.intensity, res.relative_shift, _snr_db(res.intensity, noise)))
+        settings = MwiSettings(n, float(k), 0.0, rho)
+        intensity, shift = intensity_after_postselection(i_init, sigma_p, P0_RAD_PER_M, settings)
+        rows.append((float(k), intensity, shift, _snr_db(intensity, noise)))
     return rows
 
 
@@ -588,10 +577,10 @@ def _delta_k_summary(summary: dict, label: str, key: str, delta_i_by_key: dict, 
         return
     delta_k_fm = delta_i_by_key[key] / rate * 1e15
     summary[f"{label}.delta_k_fm"] = delta_k_fm
-    quoted = QUOTED_DELTA_K_FM.get(key)
+    quoted = PAPER.get("fig5.coherent.n1.delta_k_fm" if key == "coherent" else f"fig5.{label}.delta_k_fm")
     if quoted is not None:
-        summary[f"{label}.quoted_delta_k_fm"] = quoted
-        summary[f"{label}.quoted_deviation_percent"] = (delta_k_fm - quoted) / quoted * 100.0
+        summary[f"{label}.quoted_delta_k_fm"] = quoted.value
+        summary[f"{label}.quoted_deviation_percent"] = quoted.deviation(delta_k_fm) * 100.0
 
 
 @_register(
@@ -617,9 +606,7 @@ def _run_fig5(v: Values) -> ScenarioResult:
     coherent_n_list = v["coherent_n_list"]
     for n in coherent_n_list:
         rows.extend((0.0, n, *row) for row in _intensity_trace(i_init, 0.0, rho, n, k_values, noise))
-        shifts_at_ref[n] = intensity_after_postselection(
-            i_init, 0.0, P0_RAD_PER_M, MwiSettings(n, k_ref, 0.0, rho)
-        ).relative_shift
+        _, shifts_at_ref[n] = intensity_after_postselection(i_init, 0.0, P0_RAD_PER_M, MwiSettings(n, k_ref, 0.0, rho))
         delta_k = v["delta_i_coherent_V"] / (rate_base * n)
         summary[f"coherent.n{n}.delta_k_fm"] = delta_k * 1e15
     base_n = coherent_n_list[0]
@@ -627,11 +614,10 @@ def _run_fig5(v: Values) -> ScenarioResult:
         raise NumericalError(f"the relative shift at reference_k_m = {k_ref!r} m is 0 at N = {base_n}: no ratios")
     for n in coherent_n_list[1:]:
         summary[f"delta_ell_ratio_n{n}_over_n{base_n}"] = shifts_at_ref[n] / shifts_at_ref[base_n]
-    summary["coherent.n1.quoted_delta_k_fm"] = QUOTED_DELTA_K_FM["coherent"]
-    summary["coherent.n1.quoted_deviation_percent"] = (
-        (v["delta_i_coherent_V"] / rate_base * 1e15 - QUOTED_DELTA_K_FM["coherent"])
-        / QUOTED_DELTA_K_FM["coherent"] * 100.0
-    )
+    quoted = PAPER["fig5.coherent.n1.delta_k_fm"]
+    summary["coherent.n1.quoted_delta_k_fm"] = quoted.value
+    delta_k_n1_fm = v["delta_i_coherent_V"] / rate_base * 1e15
+    summary["coherent.n1.quoted_deviation_percent"] = quoted.deviation(delta_k_n1_fm) * 100.0
 
     delta_i_by_key = {key: v[name] for key, name in _DELTA_I_KEYS.items()}
     for width in v["vsns_widths_nm"]:
@@ -677,10 +663,12 @@ def _run_fig6(v: Values) -> ScenarioResult:
             n, v["boundary_scan_max_rad"], v["boundary_scan_step_rad"]
         )
         summary[f"n{n}.boundary_arctan_rad"] = quantum_region_boundary(n)
-    summary["k31_n3_rho0.0124"] = k31(3, 0.0124)
-    summary["im_weak_value_n3_rho0.0124"] = im = im_weak_value(3, 0.0124)
-    summary["quoted_im_weak_value"] = QUOTED_IM_WEAK_VALUE_238
-    summary["im_weak_value_deviation_percent"] = (im - QUOTED_IM_WEAK_VALUE_238) / QUOTED_IM_WEAK_VALUE_238 * 100.0
+    rho = PAPER["lgi_rho_rad"].value
+    summary[f"k31_n3_rho{rho:g}"] = k31(3, rho)
+    summary[f"im_weak_value_n3_rho{rho:g}"] = im = im_weak_value(3, rho)
+    quoted = PAPER[f"fig6.im_weak_value_n3_rho{rho:g}"]
+    summary["quoted_im_weak_value"] = quoted.value
+    summary["im_weak_value_deviation_percent"] = quoted.deviation(im) * 100.0
     return ScenarioResult(
         "fig6",
         ("n_1", "rho_rad", "im_weak_value_1", "k31_approx_1", "k31_exact_1"),
@@ -762,7 +750,7 @@ def _run_s3(v: Values) -> ScenarioResult:
         rows.extend((width, *row) for row in trace)
         summary[f"{label}.max_snr_db"] = max(snr for _, _, _, snr in trace)
         _delta_k_summary(summary, label, key, delta_i_by_key, rate)
-    summary["coherent.quoted_op_snr_db"] = snr_db(noise * 10 ** (QUOTED_OP_SNR_DB / 10.0), noise)
+    summary["coherent.quoted_op_snr_db"] = PAPER["s3_intensity.coherent.quoted_op_snr_db"].value
     return ScenarioResult(
         "s3_intensity",
         ("sigma_lambda_nm", "k_m", "intensity_V", "relative_shift_1", "snr_db"),
@@ -783,7 +771,7 @@ def _run_s3(v: Values) -> ScenarioResult:
         "n_rhos": (40, _whole, None),
         "probe_k_m": (3e-12, _number, "!= 0"),
         "probe_sigma_p_rad_per_m": (0.0, _number, ">= 0"),
-        "anomalous_target": (1478.0, _number, "> 0"),
+        **_paper_defaults({"anomalous_target": "> 0"}),
     },
     axes={"rhos_rad": ("geometric", "rho_min_rad", "rho_max_rad", "n_rhos", 1, None)},
     rows=lambda v: len(v["n_list"]) * v["rhos_rad"].size,

@@ -104,10 +104,6 @@ def lambda_p_convert(value: float) -> float:
     return 2.0 * math.pi / value
 
 
-wavelength_to_momentum = lambda_p_convert
-momentum_to_wavelength = lambda_p_convert
-
-
 def effective_sigma_p(profile: SpectralProfile) -> float:
     """First-order momentum-space width (2*pi/lambda0^2) * sigma_lambda, rad/m."""
     return 2.0 * math.pi * profile.sigma_lambda / profile.center_wavelength**2

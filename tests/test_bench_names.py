@@ -9,6 +9,9 @@ harness files as they are and resolve every such name.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import wva_lab
@@ -34,14 +37,17 @@ def _package_imports():
 
 
 def test_traced_functions_resolve():
-    layers = _spans_module().LAYERS
-    pairs = [pair for _, functions, _ in layers.values() for pair in functions]
-    missing = [
-        (module, name)
-        for module, name in pairs
-        if not callable(getattr(importlib.import_module(f"wva_lab.{module}"), name, None))
-    ]
-    assert pairs and not missing
+    # The tracer looks each LAYERS module up in sys.modules, so every one must
+    # be loaded by ``import wva_lab.cli`` alone (not lazily, later) in a fresh
+    # interpreter, and hold its function.
+    pairs = [pair for _, functions, _ in _spans_module().LAYERS.values() for pair in functions]
+    code = (
+        "import sys, wva_lab.cli\n"
+        f"print([p for p in {pairs!r} if not callable(getattr(sys.modules.get('wva_lab.' + p[0]), p[1], None))])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(BENCH.parent / "src")}
+    missing = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert pairs and missing.stdout == "[]\n"
 
 
 def test_imported_names_resolve():
@@ -51,3 +57,4 @@ def test_imported_names_resolve():
     missing = [(module, name) for module, name in imports if not hasattr(importlib.import_module(module), name)]
     assert not missing
     assert wva_lab.kernel_backend == "numpy"
+

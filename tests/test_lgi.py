@@ -12,9 +12,7 @@ from wva_lab.lgi import (
 )
 from wva_lab.meter import intensity_shift_approx, postselection_probability_gaussian
 from wva_lab.polarization import MwiSettings, im_weak_value
-from wva_lab.spectra import lambda_p_convert
-
-P0 = lambda_p_convert(1550e-9)
+from wva_lab.scenarios import P0_RAD_PER_M as P0
 
 # frozen from 40-digit evaluation
 K31_3_00124 = -0.074084869499628511

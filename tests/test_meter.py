@@ -8,7 +8,6 @@ from wva_lab.cli import main
 from wva_lab.constants import SPEED_OF_LIGHT
 from wva_lab.errors import NumericalError
 from wva_lab.meter import (
-    IntensityResult,
     _collapse,
     _moments,
     _oracle_amplitude,
@@ -23,10 +22,9 @@ from wva_lab.meter import (
     postselection_probability_gaussian,
 )
 from wva_lab.polarization import MwiSettings
-from wva_lab.spectra import SpectralProfile, build_grid, lambda_p_convert
+from wva_lab.scenarios import LAMBDA0_M as LAMBDA0, P0_RAD_PER_M as P0
+from wva_lab.spectra import SpectralProfile, build_grid
 
-LAMBDA0 = 1550e-9
-P0 = lambda_p_convert(LAMBDA0)
 SIGMA_P_6NM = 15691.617832706564
 SIN2_0002 = 3.9999946666695111e-6
 
@@ -271,37 +269,35 @@ class TestGaussianClosedForms:
 
 class TestIntensityPointer:
     def test_zero_coupling_zero_shift(self):
-        res = intensity_after_postselection(1.0, 0.0, P0, MwiSettings(2, 0.0, 0.0, 0.002))
-        assert res.relative_shift == 0.0
+        _, shift = intensity_after_postselection(1.0, 0.0, P0, MwiSettings(2, 0.0, 0.0, 0.002))
+        assert shift == 0.0
 
     def test_coherent_frozen_values(self):
-        res = intensity_after_postselection(1.0, 0.0, P0, MwiSettings(1, 3e-12, 0.0, 0.002))
-        assert res.relative_shift == pytest.approx(DL_COH_N1_K3E12, rel=1e-10)
+        _, shift = intensity_after_postselection(1.0, 0.0, P0, MwiSettings(1, 3e-12, 0.0, 0.002))
+        assert shift == pytest.approx(DL_COH_N1_K3E12, rel=1e-10)
         approx = intensity_shift_approx(0.0, P0, MwiSettings(1, 3e-12, 0.0, 0.002))
         assert approx == pytest.approx(DL_APPROX_N1_K3E12, rel=1e-12)
-        assert res.relative_shift / approx == pytest.approx(1.0, abs=0.01)
+        assert shift / approx == pytest.approx(1.0, abs=0.01)
 
     def test_coherent_outside_linear_regime(self):
-        res = intensity_after_postselection(1.0, 0.0, P0, MwiSettings(3, 3e-10, 0.0, 0.002))
-        assert res.relative_shift == pytest.approx(DL_COH_N3_K3E10, rel=1e-10)
+        _, shift = intensity_after_postselection(1.0, 0.0, P0, MwiSettings(3, 3e-10, 0.0, 0.002))
+        assert shift == pytest.approx(DL_COH_N3_K3E10, rel=1e-10)
 
     def test_intensity_scales_with_input(self):
-        a = intensity_after_postselection(1.0, 0.0, P0, MwiSettings(1, 3e-12, 0.0, 0.002))
-        b = intensity_after_postselection(2.5, 0.0, P0, MwiSettings(1, 3e-12, 0.0, 0.002))
-        assert b.intensity == pytest.approx(2.5 * a.intensity, rel=1e-15)
-        assert b.relative_shift == pytest.approx(a.relative_shift, rel=1e-12)
+        a_intensity, a_shift = intensity_after_postselection(1.0, 0.0, P0, MwiSettings(1, 3e-12, 0.0, 0.002))
+        b_intensity, b_shift = intensity_after_postselection(2.5, 0.0, P0, MwiSettings(1, 3e-12, 0.0, 0.002))
+        assert b_intensity == pytest.approx(2.5 * a_intensity, rel=1e-15)
+        assert b_shift == pytest.approx(a_shift, rel=1e-12)
 
     def test_baseline_keeps_gamma(self):
         gamma = 1.9 * math.pi / P0
-        res = intensity_after_postselection(1.0, 0.0, P0, MwiSettings(1, 3e-12, gamma, 0.002))
+        intensity, shift = intensity_after_postselection(1.0, 0.0, P0, MwiSettings(1, 3e-12, gamma, 0.002))
         baseline = postselection_probability_gaussian(0.0, P0, MwiSettings(1, 0.0, gamma, 0.002))
-        assert res.baseline_intensity == pytest.approx(baseline, rel=1e-12)
+        assert intensity / (1.0 + shift) == pytest.approx(baseline, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             intensity_after_postselection(0.0, 0.0, P0, MwiSettings(1, 1e-12))
-        with pytest.raises(ValueError):
-            IntensityResult(intensity=1.0, baseline_intensity=1.0, relative_shift=0.5)
 
 
 class TestOracle:
@@ -353,7 +349,7 @@ class TestAmplificationDeepLinearRegime:
         for n in (1, 2, 3):
             settings = MwiSettings(n, k, 0.0, rho)
             shifts[n] = collapsed_density(gaussian(), settings).delta_p
-            intensities[n] = intensity_after_postselection(1.0, 0.0, P0, settings).relative_shift
+            _, intensities[n] = intensity_after_postselection(1.0, 0.0, P0, settings)
         for n in (2, 3):
             assert abs(shifts[n] / shifts[1] - n) <= 1e-3 * n
             assert abs(intensities[n] / intensities[1] - n) <= 1e-3 * n

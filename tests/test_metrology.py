@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from wva_lab.constants import SPEED_OF_LIGHT
 from wva_lab.metrology import (
-    PrecisionReport,
     TiltGeometry,
     k_from_tau,
     precision,
@@ -68,28 +67,24 @@ class TestKFromTau:
 
 class TestPrecision:
     def test_identity_case(self):
-        report = precision(1.0, 1.0)
-        assert report.delta_k == 1.0
-        assert report.delta_tau == pytest.approx(1.0 / SPEED_OF_LIGHT, rel=1e-15)
+        delta_k, delta_tau = precision(1.0, 1.0)
+        assert delta_k == 1.0
+        assert delta_tau == pytest.approx(1.0 / SPEED_OF_LIGHT, rel=1e-15)
 
     def test_consistency_relation(self):
-        report = precision(0.04e-12, 1.43)
-        assert report.delta_k == pytest.approx(SPEED_OF_LIGHT * report.delta_tau, rel=1e-12)
+        delta_k, delta_tau = precision(0.04e-12, 1.43)
+        assert delta_k == pytest.approx(SPEED_OF_LIGHT * delta_tau, rel=1e-12)
 
     def test_quoted_momentum_pointer_point(self):
         # 0.04 pm resolution against a 0.43 nm/as wavelength rate:
         # delta_tau = 4e-5 nm / 0.43 nm/as
         rate = 0.43e-9 / (SPEED_OF_LIGHT * 1e-18)  # dimensionless d(shift)/dk
-        report = precision(0.04e-12, rate)
-        assert report.delta_tau * 1e18 == pytest.approx(4e-5 / 0.43, rel=1e-12)
+        _, delta_tau = precision(0.04e-12, rate)
+        assert delta_tau * 1e18 == pytest.approx(4e-5 / 0.43, rel=1e-12)
 
     def test_zero_rate_rejected(self):
         with pytest.raises(ValueError, match="zero shift rate"):
             precision(1e-12, 0.0)
-
-    def test_report_validation(self):
-        with pytest.raises(ValueError):
-            PrecisionReport(shift_rate=1.0, delta_k=1.0, delta_tau=1.0)
 
 
 class TestSnr:
@@ -116,10 +111,8 @@ class TestRateOnPointerSignals:
         # momentum-space route delta_m * (2 pi / lambda0^2) / (c * dDp/dk)
         from wva_lab.meter import pointer_shift_p_gaussian
         from wva_lab.polarization import MwiSettings
-        from wva_lab.spectra import lambda_p_convert
+        from wva_lab.scenarios import LAMBDA0_M as lambda0, P0_RAD_PER_M as p0
 
-        lambda0 = 1550e-9
-        p0 = lambda_p_convert(lambda0)
         sigma_p = 15691.617832706564
         factor = lambda0**2 / (2.0 * math.pi)
 
@@ -130,7 +123,7 @@ class TestRateOnPointerSignals:
         rate_lambda = central_slope(lambda k: -factor * delta_p(k), k0, h)
         rate_p = central_slope(delta_p, k0, h)
         delta_m = 0.04e-12
-        via_lambda = precision(delta_m, rate_lambda).delta_tau
+        _, via_lambda = precision(delta_m, rate_lambda)
         via_momentum = delta_m / factor / abs(rate_p) / SPEED_OF_LIGHT
         assert via_lambda == pytest.approx(via_momentum, rel=1e-9)
 
@@ -139,10 +132,9 @@ class TestRateOnPointerSignals:
         # pass count at small k (within a percent)
         from wva_lab.meter import collapse_moments_on_grid
         from wva_lab.polarization import MwiSettings
-        from wva_lab.spectra import SpectralProfile, build_grid, lambda_p_convert
+        from wva_lab.scenarios import LAMBDA0_M as lambda0, P0_RAD_PER_M as p0
+        from wva_lab.spectra import SpectralProfile, build_grid
 
-        lambda0 = 1550e-9
-        p0 = lambda_p_convert(lambda0)
         gamma = 1.9 * math.pi / p0
         profile = SpectralProfile("supergaussian", lambda0, 6e-9, order=6)
         grid = build_grid(profile, MwiSettings(3, k_from_tau(0.1e-18), gamma, 0.002))

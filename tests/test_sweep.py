@@ -15,11 +15,8 @@ from wva_lab.meter import (
     postselection_probability_gaussian,
 )
 from wva_lab.polarization import MwiSettings
-from wva_lab.scenarios import execute_scenario, make_config
-from wva_lab.spectra import SpectralProfile, build_grid, effective_sigma_p, grid_point_count, lambda_p_convert
-
-LAMBDA0 = 1550e-9
-P0 = lambda_p_convert(LAMBDA0)
+from wva_lab.scenarios import LAMBDA0_M as LAMBDA0, P0_RAD_PER_M as P0, execute_scenario, make_config
+from wva_lab.spectra import SpectralProfile, build_grid, effective_sigma_p, grid_point_count
 GAMMA = 1.9 * math.pi / P0
 RHO = 0.002
 TAUS_AS = np.arange(0.0, 331.0)  # the default 331-point sweep
