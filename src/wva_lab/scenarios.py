@@ -6,14 +6,16 @@ a key=value file or ``--set`` flags.  ``make_config`` checks every key and
 every cross-key rule before a runner starts.  Tables carry ``#``-prefixed
 provenance lines (version and config echo), unit-suffixed column headers,
 and rows sorted by their input coordinates; numbers are written in shortest
-round-trip form so repeated runs are byte-identical.
+round-trip form so repeated runs are byte-identical.  A table is a set of
+named columns from the runner to the CSV; the sort runs only on a table
+whose rows are out of order.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass, replace
-from itertools import product, repeat
+from itertools import product
 from typing import Callable, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
@@ -89,9 +91,10 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    scenario_id: str
-    columns: tuple
-    rows: list
+    """A scenario's table and summary: ``columns`` maps each CSV column name, in order, to its
+    values, a 1-D numpy array of floats, ints or bools, or a sequence of str (a text column)."""
+
+    columns: dict
     summary: dict
 
 
@@ -400,6 +403,11 @@ def _rate_summary(summary: dict, label: str, taus_as: np.ndarray, dlam: np.ndarr
     return peak
 
 
+def _columns(names, rows) -> dict:
+    """The columns, by name, of a table built row by row: a numpy array per name."""
+    return dict(zip(names, map(np.array, zip(*rows))))
+
+
 # ---------------------------------------------------------------------------
 # Scenarios
 # ---------------------------------------------------------------------------
@@ -432,7 +440,6 @@ _RESOLUTION_KEY = _paper_defaults({"spectrometer_resolution_m": "> 0"})
 )
 def _run_fig3a(v: Values) -> ScenarioResult:
     widths, taus, rho, res_m = v["widths_nm"], v["taus_as"], v["rho_rad"], v["spectrometer_resolution_m"]
-    rows = []
     summary = {
         "preset.lambda0_nm": LAMBDA0_M * 1e9,
         "preset.rho_rad": rho,
@@ -440,16 +447,12 @@ def _run_fig3a(v: Values) -> ScenarioResult:
         "preset.spectrometer_resolution_pm": res_m * 1e12,
     }
     jobs = [(_profile(v, width), v["n_interactions"]) for width in widths]
-    traces = _sweep_delta_lambda(jobs, taus, _gamma_length(v["gamma_pi_units"]), rho)
-    for width, dlam, prob in zip(widths, *traces):
-        _rate_summary(summary, _wlabel(width), taus, dlam, res_m)
-        rows.extend(zip(repeat(width), taus.tolist(), dlam.tolist(), prob.tolist()))
-    return ScenarioResult(
-        "fig3a",
-        ("sigma_lambda_nm", "tau_as", "delta_lambda_nm", "postselection_probability_1"),
-        rows,
-        summary,
-    )
+    dlam, prob = _sweep_delta_lambda(jobs, taus, _gamma_length(v["gamma_pi_units"]), rho)
+    for width, trace in zip(widths, dlam):
+        _rate_summary(summary, _wlabel(width), taus, trace, res_m)
+    # a row per (width, tau), width-major
+    return ScenarioResult(dict(sigma_lambda_nm=np.repeat(widths, taus.size), tau_as=np.tile(taus, len(widths)),
+                               delta_lambda_nm=dlam.ravel(), postselection_probability_1=prob.ravel()), summary)
 
 
 @_register(
@@ -475,9 +478,6 @@ def _run_fig3b(v: Values) -> ScenarioResult:
     rates = np.abs((dlam[:, 2:] - dlam[:, :-2]) / (taus[2:] - taus[:-2]))
     peaks = rates.max(axis=1)
     best = int(np.argmax(peaks))  # the first width at the largest peak rate
-    rows = []
-    for width, dlam_w, rates_w in zip(widths.tolist(), dlam[:, 1:-1].tolist(), rates.tolist()):
-        rows.extend(zip(repeat(width), taus[1:-1].tolist(), dlam_w, rates_w))
     in_band = widths[peaks >= threshold * peaks[best]]
     summary = {
         "max_rate_nm_per_as": float(peaks[best]),
@@ -487,12 +487,9 @@ def _run_fig3b(v: Values) -> ScenarioResult:
         "band_lo_sigma_lambda_nm": float(in_band.min()),
         "band_hi_sigma_lambda_nm": float(in_band.max()),
     }
-    return ScenarioResult(
-        "fig3b",
-        ("sigma_lambda_nm", "tau_as", "delta_lambda_nm", "rate_nm_per_as"),
-        rows,
-        summary,
-    )
+    return ScenarioResult(dict(sigma_lambda_nm=np.repeat(widths, taus.size - 2),
+                               tau_as=np.tile(taus[1:-1], widths.size), delta_lambda_nm=dlam[:, 1:-1].ravel(),
+                               rate_nm_per_as=rates.ravel()), summary)
 
 
 @_register(
@@ -512,22 +509,18 @@ def _run_fig3b(v: Values) -> ScenarioResult:
 def _run_fig4(v: Values) -> ScenarioResult:
     n_list, taus, res_m = v["n_list"], v["taus_as"], v["spectrometer_resolution_m"]
     profile = _profile(v, v["width_nm"])
-    rows = []
     summary = {}
     peak_rates = {}
-    traces = _sweep_delta_lambda([(profile, n) for n in n_list], taus, _gamma_length(v["gamma_pi_units"]), v["rho_rad"])
-    for n, dlam, prob in zip(n_list, *traces):
-        peak_rates[n] = _rate_summary(summary, f"n{n}", taus, dlam, res_m)
-        rows.extend(zip(repeat(n), taus.tolist(), dlam.tolist(), prob.tolist()))
+    dlam, prob = _sweep_delta_lambda(
+        [(profile, n) for n in n_list], taus, _gamma_length(v["gamma_pi_units"]), v["rho_rad"]
+    )
+    for n, trace in zip(n_list, dlam):
+        peak_rates[n] = _rate_summary(summary, f"n{n}", taus, trace, res_m)
     base = n_list[0]
     for n in n_list[1:]:
         summary[f"rate_ratio_n{n}_over_n{base}"] = peak_rates[n] / peak_rates[base]
-    return ScenarioResult(
-        "fig4",
-        ("n_1", "tau_as", "delta_lambda_nm", "postselection_probability_1"),
-        rows,
-        summary,
-    )
+    return ScenarioResult(dict(n_1=np.repeat(n_list, taus.size), tau_as=np.tile(taus, len(n_list)),
+                               delta_lambda_nm=dlam.ravel(), postselection_probability_1=prob.ravel()), summary)
 
 
 _CALIBRATION_KEYS = _paper_defaults(
@@ -562,10 +555,9 @@ def _snr_db(signal: float, noise: float) -> float:
 
 def _intensity_trace(i_init, sigma_p, rho, n, k_values, noise):
     rows = []
-    for k in k_values:
-        settings = MwiSettings(n, float(k), 0.0, rho)
-        intensity, shift = intensity_after_postselection(i_init, sigma_p, P0_RAD_PER_M, settings)
-        rows.append((float(k), intensity, shift, _snr_db(intensity, noise)))
+    for k in k_values.tolist():
+        intensity, shift = intensity_after_postselection(i_init, sigma_p, P0_RAD_PER_M, MwiSettings(n, k, 0.0, rho))
+        rows.append((k, intensity, shift, _snr_db(intensity, noise)))
     return rows
 
 
@@ -625,10 +617,7 @@ def _run_fig5(v: Values) -> ScenarioResult:
         rows.extend((width, 1, *row) for row in _intensity_trace(i_init, sigma_p, rho, 1, k_values, noise))
         _delta_k_summary(summary, _wlabel(width), f"{width:g}", delta_i_by_key, rate_base)
     return ScenarioResult(
-        "fig5",
-        ("sigma_lambda_nm", "n_1", "k_m", "intensity_V", "relative_shift_1", "snr_db"),
-        rows,
-        summary,
+        _columns(("sigma_lambda_nm", "n_1", "k_m", "intensity_V", "relative_shift_1", "snr_db"), rows), summary
     )
 
 
@@ -669,12 +658,7 @@ def _run_fig6(v: Values) -> ScenarioResult:
     quoted = PAPER[f"fig6.im_weak_value_n3_rho{rho:g}"]
     summary["quoted_im_weak_value"] = quoted.value
     summary["im_weak_value_deviation_percent"] = quoted.deviation(im) * 100.0
-    return ScenarioResult(
-        "fig6",
-        ("n_1", "rho_rad", "im_weak_value_1", "k31_approx_1", "k31_exact_1"),
-        rows,
-        summary,
-    )
+    return ScenarioResult(_columns(("n_1", "rho_rad", "im_weak_value_1", "k31_approx_1", "k31_exact_1"), rows), summary)
 
 
 def _s2_grid_args(v: Values) -> tuple:
@@ -711,17 +695,14 @@ def _run_s2(v: Values) -> ScenarioResult:
         for idx in range(0, grid.points.size, v["subsample_stride"]):
             lam = lambda_p_convert(float(grid.points[idx]))
             to_per_nm = (2.0 * math.pi / lam**2) * 1e-9  # |dp/dlambda| in rad/m per nm
-            rows.append((tau_as, lam * 1e9, float(grid.density[idx]) * to_per_nm, float(collapsed[idx]) * to_per_nm))
+            rows.append((tau_as, lam * 1e9, grid.density[idx] * to_per_nm, collapsed[idx] * to_per_nm))
     summary = {
         "grid_points": int(grid.points.size),
         "emitted_rows": len(rows),
         "densities_normalized": True,
     }
     return ScenarioResult(
-        "s2_spectrum_evolution",
-        ("tau_as", "lambda_nm", "initial_density_per_nm", "collapsed_density_per_nm"),
-        rows,
-        summary,
+        _columns(("tau_as", "lambda_nm", "initial_density_per_nm", "collapsed_density_per_nm"), rows), summary
     )
 
 
@@ -752,10 +733,7 @@ def _run_s3(v: Values) -> ScenarioResult:
         _delta_k_summary(summary, label, key, delta_i_by_key, rate)
     summary["coherent.quoted_op_snr_db"] = PAPER["s3_intensity.coherent.quoted_op_snr_db"].value
     return ScenarioResult(
-        "s3_intensity",
-        ("sigma_lambda_nm", "k_m", "intensity_V", "relative_shift_1", "snr_db"),
-        rows,
-        summary,
+        _columns(("sigma_lambda_nm", "k_m", "intensity_V", "relative_shift_1", "snr_db"), rows), summary
     )
 
 
@@ -800,11 +778,8 @@ def _run_s4(v: Values) -> ScenarioResult:
         "snr_at_rho_star_db": _snr_db(i_init * math.sin(rho_star) ** 2, noise),
     }
     return ScenarioResult(
-        "s4_weak_values",
-        ("n_1", "rho_rad", "im_weak_value_theory_1", "k31_1", "forward_relative_shift_1",
-         "recovered_im_weak_value_1", "recovery_rel_error_1", "snr_db"),
-        rows,
-        summary,
+        _columns(("n_1", "rho_rad", "im_weak_value_theory_1", "k31_1", "forward_relative_shift_1",
+                  "recovered_im_weak_value_1", "recovery_rel_error_1", "snr_db"), rows), summary
     )
 
 
@@ -941,9 +916,7 @@ def _run_oracle_suite(v: Values) -> ScenarioResult:
         "pass": passed,
     }
     return ScenarioResult(
-        "oracle_suite",
-        ("shape", "sigma_lambda_nm", "n_1", "k_m", "rho_rad", "gamma_pi_1", "oracle_max_rel_dev_1"),
-        rows,
+        _columns(("shape", "sigma_lambda_nm", "n_1", "k_m", "rho_rad", "gamma_pi_1", "oracle_max_rel_dev_1"), rows),
         summary,
     )
 
@@ -956,21 +929,10 @@ def execute_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Run the scenario of a config from ``make_config`` on its checked values.
     Raises NumericalError for a table with a non-finite value."""
     result = SCENARIOS[config.scenario_id].runner(config.values)
-    for column in zip(*result.rows):
-        if not isinstance(column[0], str) and not np.all(np.isfinite(np.array(column, dtype=float))):
+    for column in map(np.asarray, result.columns.values()):
+        if column.dtype.kind != "U" and not np.isfinite(column).all():
             raise NumericalError(f"scenario {config.scenario_id} produced a non-finite value")
     return result
-
-
-def _validate_columns(columns: Sequence[str], rows: Sequence[Sequence]) -> None:
-    for idx, name in enumerate(columns):
-        if rows and all(isinstance(row[idx], str) for row in rows):
-            continue  # text column, no unit suffix required
-        suffix = name.rsplit("_", 1)[-1]
-        if suffix not in _ALLOWED_UNIT_SUFFIXES:
-            raise ValueError(
-                f"numeric column {name!r} lacks a unit suffix (allowed: {sorted(_ALLOWED_UNIT_SUFFIXES)})"
-            )
 
 
 def _format_cell(value) -> str:
@@ -983,34 +945,46 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
-def _format_column(values: Sequence) -> list:
-    """``_format_cell`` of every value; a column of floats is formatted in one
-    ``repr`` of a list of Python floats, which gives the same shortest
+def _format_column(column: np.ndarray) -> list:
+    """``_format_cell`` of every value; a float column is formatted in one
+    ``repr`` of its list of Python floats, which gives the same shortest
     round-trip text per value, and each distinct float once when values
     repeat (not with a zero: 0.0 and -0.0 are one key but two texts)."""
-    if all(issubclass(kind, float) for kind in set(map(type, values))):
-        floats = list(map(float, values))
-        distinct = set(floats)
-        if len(distinct) == len(floats) or 0.0 in distinct:
-            return repr(floats)[1:-1].split(", ")
-        text = dict(zip(distinct, repr(list(distinct))[1:-1].split(", ")))
-        return list(map(text.__getitem__, floats))
-    return [_format_cell(v) for v in values]
+    values = column.tolist()
+    if column.dtype.kind != "f":
+        return list(map(_format_cell, values))
+    distinct = set(values)
+    if len(distinct) == len(values) or 0.0 in distinct:
+        return repr(values)[1:-1].split(", ")
+    text = dict(zip(distinct, repr(list(distinct))[1:-1].split(", ")))
+    return list(map(text.__getitem__, values))
 
 
 def render_csv(result: ScenarioResult, config: ScenarioConfig) -> str:
     """Deterministic CSV body: provenance comments, unit-suffixed header,
     rows sorted by their leading (input-coordinate) columns.  Rows are
     formatted by column, ``_RENDER_CHUNK_ROWS`` rows at a time."""
-    _validate_columns(result.columns, result.rows)
-    lines = [f"# wva-lab {_pkg_version}", f"# scenario={result.scenario_id}"]
-    for key in sorted(config.params.keys()):
-        lines.append(f"# config.{key}={_format_cell(config.params[key])}")
+    columns = list(map(np.asarray, result.columns.values()))
+    for name, column in zip(result.columns, columns):
+        if column.dtype.kind != "U" and name.rsplit("_", 1)[-1] not in _ALLOWED_UNIT_SUFFIXES:
+            raise ValueError(
+                f"numeric column {name!r} lacks a unit suffix (allowed: {sorted(_ALLOWED_UNIT_SUFFIXES)})"
+            )
+    lines = [f"# wva-lab {_pkg_version}", f"# scenario={config.scenario_id}"]
+    lines += (f"# config.{key}={_format_cell(config.params[key])}" for key in sorted(config.params))
     lines.append(",".join(result.columns))
-    rows = sorted(result.rows)
-    for lo in range(0, len(rows), _RENDER_CHUNK_ROWS):
-        columns = zip(*rows[lo : lo + _RENDER_CHUNK_ROWS])
-        lines.extend(map(",".join, zip(*map(_format_column, columns))))
+    # Rows go in the order ``sorted`` gives on row tuples.  Adjacent rows are
+    # compared column by column, left to right, while they tie; only a table
+    # found out of order is sorted, by a stable lexsort.
+    tied = True  # per pair of adjacent rows: equal in every column so far
+    for column in columns:
+        if np.any(tied & (column[1:] < column[:-1])):
+            order = np.lexsort(columns[::-1])
+            columns = [column[order] for column in columns]
+            break
+        tied &= column[1:] == column[:-1]
+    for lo in range(0, columns[0].size, _RENDER_CHUNK_ROWS):
+        lines.extend(map(",".join, zip(*(_format_column(column[lo : lo + _RENDER_CHUNK_ROWS]) for column in columns))))
     return "\n".join(lines) + "\n"
 
 
@@ -1023,7 +997,7 @@ def run_scenario(config: ScenarioConfig, stream: Optional[TextIO] = None) -> Sce
     with open(out_path, "w", newline="\n") as fh:
         fh.write(text)
     print(f"csv={out_path}", file=stream)
-    print(f"rows={len(result.rows)}", file=stream)
+    print(f"rows={len(next(iter(result.columns.values())))}", file=stream)
     for key, value in result.summary.items():
         print(f"{key}={_format_cell(value)}", file=stream)
     return result

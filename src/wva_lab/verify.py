@@ -177,8 +177,12 @@ def check_weak_value_round_trip() -> list:
     _, shift = intensity_after_postselection(1.0, 0.0, P0_RAD_PER_M, MwiSettings(3, k, 0.0, rho_star))
     rec = weak_value_from_shift(shift, k, P0_RAD_PER_M, 0.0, 3)
     detail = f"recovered {rec:.4f} from the exact coherent intensity shift at k = {k:g} (tol {target.tol:.1%})"
+    by_construction = (
+        "[holds by construction: at sigma_p = 0 the inversion divides by the p0 k"
+        " that the forward model multiplies N cot(rho) by]"
+    )
     return [
-        ("weak_value_roundtrip", worst <= 1e-9, f"worst rel error {worst:.3e} (tol 1e-9)"),
+        ("weak_value_roundtrip", worst <= 1e-9, f"worst rel error {worst:.3e} (tol 1e-9) {by_construction}"),
         (f"weak_value_{target.value:g}", target.holds(rec), detail),
     ]
 

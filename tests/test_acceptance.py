@@ -74,6 +74,12 @@ def test_verify_reads_the_paper_table(monkeypatch, capsys, name, value, line):
     assert failed == [line, "verify"]
 
 
+def test_weak_value_roundtrip_labelled_by_construction(capsys):
+    verify_all()
+    line = next(text for text in capsys.readouterr().out.splitlines() if text.startswith("weak_value_roundtrip: "))
+    assert "[holds by construction: " in line
+
+
 def test_criterion_10_runtime_and_determinism(tmp_path):
     start = time.perf_counter()
     for scenario_id in SCENARIOS:

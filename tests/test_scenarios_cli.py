@@ -69,7 +69,7 @@ class TestRegistry:
             scenario_id, FAST_OVERRIDES[scenario_id], out_path=str(tmp_path / "out.csv")
         )
         result = execute_scenario(config)
-        assert result.rows
+        assert all(len(column) for column in result.columns.values())
         assert result.summary
 
     def test_unknown_id_rejected(self):
@@ -121,15 +121,15 @@ class TestCsvOutput:
         lines = [ln for ln in render_csv(result, config).splitlines() if not ln.startswith("#")]
         body = [tuple(float(cell) for cell in ln.split(",")) for ln in lines[1:]]
         assert body == sorted(body)
-        assert sorted(body) == sorted(tuple(map(float, row)) for row in result.rows)
+        assert sorted(body) == sorted(zip(*(map(float, column) for column in result.columns.values())))
 
     def test_unitless_numeric_column_rejected(self):
-        bad = ScenarioResult("fig6", ("rho", "value_1"), [(0.1, 0.2)], {})
+        bad = ScenarioResult({"rho": np.array([0.1]), "value_1": np.array([0.2])}, {})
         with pytest.raises(ValueError, match="unit suffix"):
             render_csv(bad, make_config("fig6", FAST_OVERRIDES["fig6"]))
 
     def test_text_column_allowed(self):
-        ok = ScenarioResult("fig6", ("shape", "value_1"), [("gaussian", 0.2)], {})
+        ok = ScenarioResult({"shape": ["gaussian"], "value_1": np.array([0.2])}, {})
         text = render_csv(ok, make_config("fig6", FAST_OVERRIDES["fig6"]))
         assert "gaussian,0.2" in text
 
@@ -139,28 +139,66 @@ class TestCsvOutput:
             result = execute_scenario(config)
             render_csv(result, config)  # raises if a numeric column lacks units
 
-    @pytest.mark.parametrize("n_rows", [1, scenarios._RENDER_CHUNK_ROWS, 2 * scenarios._RENDER_CHUNK_ROWS + 37])
-    def test_column_render_matches_per_cell_reference(self, n_rows):
+    @staticmethod
+    def _render_rows(case) -> list:
+        """Rows of mixed column types for a render case: a row count n (n rows
+        in reverse order of a unique first column), "tied_lead" (the
+        first column, holding -0.0, 0.0 and 0.5, is in order but ties, so the
+        str, bool, int and float columns decide), "sorted" (tied_lead sorted)
+        and "last_pair_swapped" (sorted, then its last two rows, which differ
+        only in the last column, swapped)."""
         floats = [-0.0, 5e-324, 1e16, 0.1, 1.0 / 3.0, -2.5e-300, 123456789.0, float("inf")]
         repeated = [0.5, 1.0 / 3.0, -2.5e-300, 1e16]
+        if isinstance(case, int):
+            return [
+                (
+                    case - i,  # unique first column: the sort never compares the others
+                    "gaussian" if i % 3 else "rectangular",
+                    i % 2 == 0,
+                    np.int64(3 * i),
+                    np.float64(floats[i % len(floats)]),
+                    floats[(i + 3) % len(floats)],
+                    np.float64(repeated[i % 3]),  # few distinct values, no zero
+                    repeated[i % 4] if i % 7 else (-0.0, 0.0)[i % 2],  # repeats with both zeros
+                )
+                for i in range(case)
+            ]
+        # few distinct values per column, so rows tie on every leading prefix
+        # and some rows differ only in the sign of a zero
+        rng = np.random.default_rng(7)
         rows = [
             (
-                n_rows - i,  # unique first column: the sort never compares the others
-                "gaussian" if i % 3 else "rectangular",
-                i % 2 == 0,
-                np.int64(3 * i),
-                np.float64(floats[i % len(floats)]),
-                floats[(i + 3) % len(floats)],
-                i if i % 5 == 0 else floats[i % len(floats)],
-                np.float64(repeated[i % 3]),  # few distinct values, no zero
-                repeated[i % 4] if i % 7 else (-0.0, 0.0)[i % 2],  # repeats with both zeros
+                (-0.0, 0.0, 0.5)[rng.integers(3)],
+                ("gaussian", "rectangular")[rng.integers(2)],
+                bool(rng.integers(2)),
+                np.int64(rng.integers(-2, 3)),
+                (-0.0, 0.0, 1.0 / 3.0, -2.5e-300)[rng.integers(4)],
             )
-            for i in range(n_rows)
+            for _ in range(2 * scenarios._RENDER_CHUNK_ROWS + 37)
         ]
-        columns = (
-            "index_1", "shape", "flag_1", "count_1", "numpy_1", "python_1", "mixed_1", "repeated_1", "zeros_1",
-        )
-        result = ScenarioResult("fig6", columns, rows, {})
+        rows.sort(key=lambda row: row[0])  # in order by the first column alone (stable: -0.0 ties 0.0)
+        if case == "tied_lead":
+            return rows
+        rows = sorted(rows)
+        if case == "last_pair_swapped":  # last column values above all others, in reverse order
+            rows += [(*rows[-1][:-1], 3.0), (*rows[-1][:-1], 2.0)]
+        return rows
+
+    @pytest.mark.parametrize(
+        "case",
+        [1, scenarios._RENDER_CHUNK_ROWS, 2 * scenarios._RENDER_CHUNK_ROWS + 37,
+         "tied_lead", "sorted", "last_pair_swapped"],
+    )
+    def test_column_render_matches_per_cell_reference(self, case, monkeypatch):
+        rows = self._render_rows(case)
+        names = ("index_1", "shape", "flag_1", "count_1", "numpy_1", "python_1", "repeated_1", "zeros_1")
+        columns = {
+            name: list(values) if isinstance(values[0], str) else np.array(values)
+            for name, values in zip(names[: len(rows[0])], zip(*rows))
+        }
+        if case == "sorted":  # a table already in order is not sorted again
+            monkeypatch.setattr(np, "lexsort", None)
+        result = ScenarioResult(columns, {})
         config = make_config("fig6", FAST_OVERRIDES["fig6"])
         reference = [f"# wva-lab {scenarios._pkg_version}", "# scenario=fig6"]
         reference += [f"# config.{key}={_format_cell(config.params[key])}" for key in sorted(config.params)]
@@ -313,6 +351,27 @@ class TestCli:
         monkeypatch.setitem(SCENARIOS, "fig6", replace(SCENARIOS["fig6"], runner=failing_runner))
         out_file = tmp_path / "out.csv"
         assert main(["run", "fig6", "--out", str(out_file)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("column, value", [("delta_lambda_nm", np.nan), ("sigma_lambda_nm", np.inf)])
+    def test_non_finite_value_exits_3_without_csv(self, column, value, tmp_path, monkeypatch, capsys):
+        # a NaN in a value column, or an inf in a repeated coordinate column:
+        # every row that holds the column's last value (for sigma_lambda_nm, a whole width)
+        run_fig3a = SCENARIOS["fig3a"].runner
+
+        def runner(values):
+            result = run_fig3a(values)
+            bad = result.columns[column].copy()
+            bad[bad == bad[-1]] = value
+            return replace(result, columns={**result.columns, column: bad})
+
+        monkeypatch.setitem(SCENARIOS, "fig3a", replace(SCENARIOS["fig3a"], runner=runner))
+        out_file = tmp_path / "out.csv"
+        argv = ["run", "fig3a", "--out", str(out_file)]
+        for key, setting in FAST_OVERRIDES["fig3a"].items():
+            argv += ["--set", f"{key}={setting}"]
+        assert main(argv) == 3
         assert capsys.readouterr().err.startswith("numerical failure: ")
         assert not out_file.exists()
 
@@ -565,7 +624,8 @@ class TestScenarioPhysicsSpots:
 
         config = make_config("fig6", FAST_OVERRIDES["fig6"])
         result = execute_scenario(config)
-        for n, rho, im, k31_approx, _ in result.rows:
+        names = ("n_1", "rho_rad", "im_weak_value_1", "k31_approx_1")
+        for n, rho, im, k31_approx in zip(*(result.columns[name] for name in names)):
             assert k31_approx == pytest.approx(k31(int(n), float(rho)), abs=1e-12)
             assert im == pytest.approx(im_weak_value(int(n), float(rho)), rel=1e-12)
 
@@ -583,8 +643,8 @@ class TestScenarioPhysicsSpots:
     def test_s2_density_columns_positive_and_normalized_scale(self):
         config = make_config("s2_spectrum_evolution", FAST_OVERRIDES["s2_spectrum_evolution"])
         result = execute_scenario(config)
-        initial = np.array([row[2] for row in result.rows])
-        collapsed = np.array([row[3] for row in result.rows])
+        initial = result.columns["initial_density_per_nm"]
+        collapsed = result.columns["collapsed_density_per_nm"]
         assert np.all(initial >= 0.0) and np.all(collapsed >= 0.0)
         assert np.all(collapsed <= initial * (1 + 1e-12))
 

@@ -146,16 +146,16 @@ class TestAdaptiveSweep:
         assert np.max(np.abs(prob - prob_fine)) <= 1e-12 * np.max(prob_fine)
 
     def test_fig3a_rectangular_matches_exact_forms(self):
-        result = execute_scenario(make_config("fig3a", {"shape": "rectangular"}))
-        rows = np.array(result.rows)
-        for width_nm in np.unique(rows[:, 0]):
-            table = rows[rows[:, 0] == width_nm]
+        columns = execute_scenario(make_config("fig3a", {"shape": "rectangular"})).columns
+        widths = columns["sigma_lambda_nm"]
+        for width_nm in np.unique(widths):
+            rows = widths == width_nm
             sigma_p = effective_sigma_p(SpectralProfile("rectangular", LAMBDA0, width_nm * 1e-9))
-            lengths = SPEED_OF_LIGHT * table[:, 1] * 1e-18 + GAMMA
+            lengths = SPEED_OF_LIGHT * columns["tau_as"][rows] * 1e-18 + GAMMA
             prob, delta_p = rectangular_exact(sigma_p, lengths, RHO)
             dlam = TO_NM * delta_p
-            assert np.max(np.abs(table[:, 3] - prob) / prob) <= 1e-9
-            assert np.max(np.abs(table[:, 2] - dlam)) <= 1e-9 * np.max(np.abs(dlam))
+            assert np.max(np.abs(columns["postselection_probability_1"][rows] - prob) / prob) <= 1e-9
+            assert np.max(np.abs(columns["delta_lambda_nm"][rows] - dlam)) <= 1e-9 * np.max(np.abs(dlam))
 
     @pytest.mark.parametrize(
         "scenario_id, fast",
