@@ -9,32 +9,31 @@ region in the postselection angle is arctan(N).
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import require
 from .meter import _neg_square
-from .polarization import im_weak_value
+from .polarization import _xp, im_weak_value
 
 # angles per block of ``negativity_boundary_scan``
 _SCAN_BLOCK = 2**16
 
 
-def k31(n_interactions: int, rho: float, probability: Optional[float] = None) -> float:
-    """K31 = 2 P (1 - N cot rho) at the given postselection angle.
+def k31(n_interactions: int, rho, probability=None):
+    """K31 = 2 P (1 - N cot rho) at the given postselection angle, a float or an array.
 
     P is the small-coupling postselection probability sin^2(rho) unless
     ``probability`` is given (for example the exact Gaussian one of
-    ``meter.postselection_probability_gaussian``).
+    ``meter.postselection_probability_gaussian``, of the same shape).
 
     Raises
     ------
     ValueError
-        N < 1, or rho outside (0, pi/2) (the weak value is singular at rho = 0).
+        N < 1, or a float rho outside (0, pi/2), where the weak value is singular.
     """
     im = im_weak_value(n_interactions, rho)
-    prob = math.sin(rho) ** 2 if probability is None else probability
+    prob = _xp(rho).sin(rho) ** 2 if probability is None else probability
     return 2.0 * prob * (1.0 - im)
 
 
@@ -64,7 +63,7 @@ def negativity_boundary_scan(n_interactions: int, rho_max: float = 1.5, step: fl
     for lo in range(1, n_steps + 1, _SCAN_BLOCK):
         rho = np.arange(lo, min(lo + _SCAN_BLOCK, n_steps + 1)) * step
         rho = rho[rho < 0.5 * math.pi]
-        negative = rho[2.0 * np.sin(rho) ** 2 * (1.0 - im_weak_value(n_interactions, rho)) < 0.0]
+        negative = rho[k31(n_interactions, rho) < 0.0]
         if negative.size:
             boundary = float(negative[-1])
     return boundary
@@ -82,6 +81,5 @@ def weak_value_from_shift(
     if k == 0.0:
         raise ValueError("k = 0: weak value from an intensity shift is undefined")
     damp = math.exp(_neg_square(sigma_p * n_interactions * k))
-    if damp == 0.0:
-        raise NumericalError("the damping exp(-(sigma_p N k)^2) underflows to 0: no weak value")
+    require(damp != 0.0, "the damping exp(-(sigma_p N k)^2) underflows to 0: no weak value")
     return delta_ell / (damp * p0 * k)

@@ -23,16 +23,17 @@ Alongside them this module provides exact closed forms for Gaussian
 densities, the linear-regime approximations (through the weak value
 ``polarization.im_weak_value``), and a brute-force joint-state oracle for
 verification, which projects onto the states of ``wva_lab.polarization``.
+The closed forms take a float or an array, as settings whose k or rho is an array (a trace) do.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
-from .polarization import MwiSettings, im_weak_value, postselection_state, preselection_state
+from .errors import NumericalError, require
+from .polarization import MwiSettings, _xp, im_weak_value, postselection_state, preselection_state
 from .spectra import MomentumGrid, SpectralProfile, _simpson_weights, build_grid, effective_sigma_p
 
 # collapsed_density's stride-2 guard: the agreement it asks of the full and
@@ -162,8 +163,7 @@ def _pointer_readout(
     a = 0.5 * (p0 * np.asarray(phase_lengths, dtype=float) + 2.0 * rho)
     sin_a = np.sin(a)
     prob = sin_a * sin_a + np.cos(2.0 * a) * c
-    if not np.all(np.isfinite(prob) & (prob > 0.0)):
-        raise NumericalError("collapsed density integrated to a non-positive value")
+    require(np.isfinite(prob) & (prob > 0.0), "collapsed density integrated to a non-positive value")
     delta_p = 0.5 * np.sin(2.0 * a) * t / prob
     return prob, delta_p
 
@@ -246,29 +246,31 @@ def collapsed_density(profile: SpectralProfile, settings: MwiSettings) -> Collap
     )
 
 
-def _neg_square(x: float) -> float:
-    """-x**2, or -inf where the square overflows: the exponent of a Gaussian
-    damping factor, whose exponential is 0 long before that."""
-    return -(x**2) if abs(x) < 1e154 else -math.inf
+def _neg_square(x):
+    """-x**2 of a float or an array, or -inf where |x| >= 1e154 (the square overflows) or x is NaN:
+    the exponent of a Gaussian damping factor, whose exponential is 0 long before that."""
+    small = np.abs(x) < 1e154
+    return np.where(small, -np.square(np.where(small, x, 0.0)), -np.inf)[()]
 
 
-def postselection_probability_gaussian(sigma_p: float, p0: float, settings: MwiSettings) -> float:
+def postselection_probability_gaussian(sigma_p: float, p0: float, settings: MwiSettings):
     """Postselection probability for a Gaussian momentum density, exact.
 
     P = 1/2 [1 - exp(-(sigma_p L)^2 / 2) cos(L p0 + 2 rho)] with
     L = N*k + gamma (the path imbalance enters by the substitution
     N*k -> N*k + gamma).  sigma_p refers to the standard deviation of the
-    momentum density; sigma_p = 0 gives the monochromatic limit.
+    momentum density; sigma_p = 0 gives the monochromatic limit.  An array
+    k or rho gives an array; a phase that is not finite raises NumericalError.
     """
     if sigma_p < 0.0:
         raise ValueError(f"sigma_p must be >= 0, got {sigma_p!r}")
     L = settings.phase_length
     theta = L * p0 + 2.0 * settings.rho
-    if not math.isfinite(theta):
-        raise NumericalError(f"postselection phase L*p0 + 2 rho = {theta!r} for L = {L!r} m: no probability")
+    require(np.isfinite(theta), "postselection phase L*p0 + 2 rho = {!r} for L = {!r} m: no probability", theta, L)
+    x, xp = sigma_p * L, _xp(theta)
     # 1/2(1 - d cos) = sin^2(theta/2) + (1 - d)/2 cos(theta), both terms stable
-    half_one_minus_damp = -0.5 * math.expm1(0.5 * _neg_square(sigma_p * L))
-    return math.sin(0.5 * theta) ** 2 + half_one_minus_damp * math.cos(theta)
+    half_one_minus_damp = -0.5 * _xp(x).expm1(0.5 * _neg_square(x))
+    return xp.sin(0.5 * theta) ** 2 + half_one_minus_damp * xp.cos(theta)
 
 
 def pointer_shift_p_gaussian(sigma_p: float, p0: float, settings: MwiSettings) -> float:
@@ -279,11 +281,8 @@ def pointer_shift_p_gaussian(sigma_p: float, p0: float, settings: MwiSettings) -
     if sigma_p <= 0.0:
         raise ValueError("no momentum pointer for a monochromatic source (sigma_p = 0)")
     L = settings.phase_length
-    theta = L * p0 + 2.0 * settings.rho
     prob = postselection_probability_gaussian(sigma_p, p0, settings)
-    return (
-        sigma_p**2 * L * math.exp(-0.5 * (sigma_p * L) ** 2) * math.sin(theta) / (2.0 * prob)
-    )
+    return sigma_p**2 * L * math.exp(-0.5 * (sigma_p * L) ** 2) * math.sin(L * p0 + 2.0 * settings.rho) / (2.0 * prob)
 
 
 def pointer_shift_p_approx(sigma_p: float, settings: MwiSettings) -> float:
@@ -296,33 +295,30 @@ def pointer_shift_p_approx(sigma_p: float, settings: MwiSettings) -> float:
     return settings.k * sigma_p**2 * im_weak_value(settings.n_interactions, settings.rho)
 
 
-def intensity_after_postselection(
-    i_init: float, sigma_p: float, p0: float, settings: MwiSettings
-) -> tuple[float, float]:
+def intensity_after_postselection(i_init: float, sigma_p: float, p0: float, settings: MwiSettings):
     """Postselected intensity i_init * P and its relative shift (I - I0) / I0.
 
     The baseline is the same chain at k = 0 (same gamma and rho): the
-    reference is zero interaction strength, not zero total phase.  Raises
-    NumericalError where the baseline underflows to 0.
+    reference is zero interaction strength, not zero total phase.  An array k or rho
+    gives arrays.  Raises NumericalError where the baseline underflows to 0.
     """
     if i_init <= 0.0:
         raise ValueError(f"initial intensity must be > 0, got {i_init!r}")
-    prob = postselection_probability_gaussian(sigma_p, p0, settings)
-    prob0 = postselection_probability_gaussian(sigma_p, p0, replace(settings, k=0.0))
-    intensity = i_init * prob
-    baseline = i_init * prob0
-    if not baseline > 0.0:
-        raise NumericalError(f"baseline intensity {baseline!r} at k = 0: no relative shift")
+    k0 = MwiSettings(settings.n_interactions, 0.0, settings.gamma, settings.rho)
+    baseline = i_init * postselection_probability_gaussian(sigma_p, p0, k0)
+    require(baseline > 0.0, "baseline intensity {!r} at k = 0: no relative shift", baseline)
+    intensity = i_init * postselection_probability_gaussian(sigma_p, p0, settings)
     return intensity, (intensity - baseline) / baseline
 
 
-def intensity_shift_approx(sigma_p: float, p0: float, settings: MwiSettings) -> float:
+def intensity_shift_approx(sigma_p: float, p0: float, settings: MwiSettings):
     """Linear-regime intensity shift exp(-(sigma_p N k)^2) p0 k N cot(rho).
 
     Reference small-signal form: grows linearly with N and decreases
-    strictly with sigma_p for N*k != 0.
+    strictly with sigma_p for N*k != 0.  An array sigma_p, k or rho gives an array.
     """
-    damp = math.exp(_neg_square(sigma_p * (settings.n_interactions * settings.k)))
+    x = sigma_p * (settings.n_interactions * settings.k)
+    damp = _xp(x).exp(_neg_square(x))
     return damp * p0 * settings.k * im_weak_value(settings.n_interactions, settings.rho)
 
 

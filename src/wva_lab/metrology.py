@@ -11,8 +11,9 @@ import sys
 from dataclasses import dataclass
 
 from .constants import SPEED_OF_LIGHT
-from .errors import NumericalError
+from .errors import holds, require
 from .paper import PAPER
+from .polarization import _xp
 
 
 @dataclass(frozen=True)
@@ -58,13 +59,12 @@ def precision(instrument_resolution: float, rate: float) -> tuple[float, float]:
         raise ValueError("zero shift rate: precision undefined")
     delta_k = instrument_resolution / abs(rate)
     delta_tau = delta_k / SPEED_OF_LIGHT
-    if not delta_tau >= sys.float_info.min:
-        raise NumericalError(f"precision delta_tau = {delta_tau!r} s is below the normal float range")
+    require(delta_tau >= sys.float_info.min, "precision delta_tau = {!r} s is below the normal float range", delta_tau)
     return delta_k, delta_tau
 
 
-def snr_db(signal: float, noise: float) -> float:
-    """Signal-to-noise ratio 10 log10(signal/noise), decibels."""
-    if signal <= 0.0 or noise <= 0.0:
+def snr_db(signal, noise: float):
+    """Signal-to-noise ratio 10 log10(signal/noise), decibels, of a float or an array signal."""
+    if not holds(signal > 0.0) or noise <= 0.0:
         raise ValueError(f"signal and noise must be > 0, got {signal!r}, {noise!r}")
-    return 10.0 * math.log10(signal / noise)
+    return 10.0 * _xp(signal).log10(signal / noise)

@@ -18,21 +18,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import holds
+
+
+def _xp(x):
+    """numpy for an array, ``math`` for a float: a closed form written once against it takes either."""
+    return np if isinstance(x, np.ndarray) else math
+
 
 @dataclass(frozen=True)
 class MwiSettings:
-    """Interaction-chain settings.
+    """Interaction-chain settings; ``k`` or ``rho`` may be an array, a family of settings (a trace) at once.
 
     Parameters
     ----------
     n_interactions : int
         Number of weak-coupling passes (>= 1).
-    k : float
+    k : float or array
         Single-pass interaction strength in meters (k = c*tau); may be signed.
     gamma : float
         Residual interferometric path imbalance in meters; contributes a
         phase gamma*p and biases the operating point.  Nonnegative.
-    rho : float
+    rho : float or array
         Postselection angle in radians, inside (0, pi/2).
     """
 
@@ -44,11 +51,11 @@ class MwiSettings:
     def __post_init__(self) -> None:
         if int(self.n_interactions) != self.n_interactions or self.n_interactions < 1:
             raise ValueError(f"n_interactions must be an integer >= 1, got {self.n_interactions!r}")
-        if not (0.0 < self.rho < math.pi / 2):
+        if not holds((0.0 < self.rho) & (self.rho < math.pi / 2)):
             raise ValueError(f"rho must lie in (0, pi/2), got {self.rho!r}")
         if self.gamma < 0.0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma!r}")
-        if not math.isfinite(self.k):
+        if not holds(_xp(self.k).isfinite(self.k)):
             raise ValueError(f"k must be finite, got {self.k!r}")
 
     @property
@@ -78,7 +85,7 @@ def postselection_state(rho: float) -> tuple[complex, complex]:
 
 def im_weak_value(n_interactions: int, rho):
     """Im of the weak value i*N*cot(rho) of the N-pass coupling observable,
-    N / tan(rho): ``math.tan`` for a float angle, ``np.tan`` for an array.
+    N / tan(rho), of a float or an array angle.
 
     A float angle is checked; the caller of the array form keeps its angles
     in (0, pi/2).
@@ -89,10 +96,9 @@ def im_weak_value(n_interactions: int, rho):
         If N < 1, or a float rho is outside (0, pi/2): the postselection is
         singular at rho = 0.
     """
-    if isinstance(rho, np.ndarray):
-        return n_interactions / np.tan(rho)
-    if n_interactions < 1:
-        raise ValueError(f"n_interactions must be >= 1, got {n_interactions!r}")
-    if not (0.0 < rho < math.pi / 2):
-        raise ValueError(f"singular postselection: rho must lie in (0, pi/2), got {rho!r}")
-    return n_interactions / math.tan(rho)
+    if not isinstance(rho, np.ndarray):
+        if n_interactions < 1:
+            raise ValueError(f"n_interactions must be >= 1, got {n_interactions!r}")
+        if not (0.0 < rho < math.pi / 2):
+            raise ValueError(f"singular postselection: rho must lie in (0, pi/2), got {rho!r}")
+    return n_interactions / _xp(rho).tan(rho)

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._version import __version__ as _pkg_version
 from .constants import SPEED_OF_LIGHT
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, require
 from .lgi import k31, negativity_boundary_scan, quantum_region_boundary, weak_value_from_shift
 from .meter import (
     _collapse,
@@ -298,8 +298,7 @@ def _profile(values: Values, width_nm: float, shape: Optional[str] = None) -> Sp
     """The profile of width ``width_nm`` with the config's order and width
     convention, and its shape unless ``shape`` is given."""
     width = width_nm * 1e-9
-    if width == 0.0:
-        raise NumericalError(f"source width {width_nm!r} nm rounds to 0 m")
+    require(width != 0.0, "source width {!r} nm rounds to 0 m", width_nm)
     return SpectralProfile(shape or values["shape"], LAMBDA0_M, width, values["order"], values["width_convention"])
 
 
@@ -393,8 +392,7 @@ def _rate_summary(summary: dict, label: str, taus_as: np.ndarray, dlam: np.ndarr
     precision (attoseconds), into ``summary`` under ``label``; returns the peak rate.
     Raises NumericalError for a trace without a fitted rate."""
     fitted = linear_region_rate(taus_as, dlam)
-    if not fitted > 0.0:
-        raise NumericalError(f"{label}: the fitted shift rate is {fitted!r}, no precision")
+    require(fitted > 0.0, label + ": the fitted shift rate is {!r}, no precision", fitted)
     summary[f"{label}.fitted_rate_nm_per_as"] = fitted
     summary[f"{label}.peak_rate_nm_per_as"] = peak = peak_local_rate(taus_as, dlam)
     rate_per_m_of_k = fitted * 1e-9 / (SPEED_OF_LIGHT * 1e-18)  # d(dlam)/dk, m/m
@@ -403,9 +401,11 @@ def _rate_summary(summary: dict, label: str, taus_as: np.ndarray, dlam: np.ndarr
     return peak
 
 
-def _columns(names, rows) -> dict:
-    """The columns, by name, of a table built row by row: a numpy array per name."""
-    return dict(zip(names, map(np.array, zip(*rows))))
+def _stacked(names, blocks) -> dict:
+    """The columns ``names`` of a table built block by block (a row is a block): each block holds, for as
+    many rows as the others, each column's values, an array or one number for all its rows."""
+    rows = max(map(np.size, blocks[0]))
+    return {name: np.concatenate(v) if np.ndim(v[0]) else np.repeat(v, rows) for name, v in zip(names, zip(*blocks))}
 
 
 # ---------------------------------------------------------------------------
@@ -535,30 +535,28 @@ _INTENSITY_KEYS = {
     "vsns_widths_nm": ("0.5,1,3", _FLOATS, "> 0 with distinct w<width>nm labels"),
 }
 _K_AXIS = {"ks_m": ("stepped", None, "k_max_m", "k_step_m", 2, None)}
+_TRACE_NAMES = ("k_m", "intensity_V", "relative_shift_1", "snr_db")  # the columns of ``_intensity_trace``
 
 
 def _i_init_v(v: Values, rho: float = PAPER["rho_rad"].value) -> float:
     """Intensity scale fixed once so the coherent three-pass case reaches the
     config's target displacement precision: delta_k(N) = delta_i / (i_init N/2 p0 sin 2 rho)."""
     target_m = v["target_delta_k_n3_fm"] * 1e-15
-    if target_m == 0.0:
-        raise NumericalError("target_delta_k_n3_fm rounds to 0 m")
+    require(target_m != 0.0, "target_delta_k_n3_fm rounds to 0 m")
     return v["delta_i_coherent_V"] / target_m / (1.5 * P0_RAD_PER_M * math.sin(2.0 * rho))
 
 
-def _snr_db(signal: float, noise: float) -> float:
-    """``snr_db``; raises NumericalError for a signal that is not positive."""
-    if not signal > 0.0:
-        raise NumericalError(f"signal {signal!r} V has no signal-to-noise ratio")
+def _snr_db(signal, noise: float):
+    """``snr_db`` of a float or an array; raises NumericalError at the first signal that is not positive."""
+    require(signal > 0.0, "signal {!r} V has no signal-to-noise ratio", signal)
     return snr_db(signal, noise)
 
 
-def _intensity_trace(i_init, sigma_p, rho, n, k_values, noise):
-    rows = []
-    for k in k_values.tolist():
-        intensity, shift = intensity_after_postselection(i_init, sigma_p, P0_RAD_PER_M, MwiSettings(n, k, 0.0, rho))
-        rows.append((k, intensity, shift, _snr_db(intensity, noise)))
-    return rows
+def _intensity_trace(v, i_init, sigma_p, n):
+    """The arrays of ``_TRACE_NAMES`` over the config's k axis at N passes."""
+    settings = MwiSettings(n, v["ks_m"], 0.0, v["rho_rad"])
+    intensity, shift = intensity_after_postselection(i_init, sigma_p, P0_RAD_PER_M, settings)
+    return settings.k, intensity, shift, _snr_db(intensity, v["noise_floor_V"])
 
 
 def _delta_k_summary(summary: dict, label: str, key: str, delta_i_by_key: dict, rate: float) -> None:
@@ -588,22 +586,21 @@ def _delta_k_summary(summary: dict, label: str, key: str, delta_i_by_key: dict, 
     rows=lambda v: (len(v["coherent_n_list"]) + len(v["vsns_widths_nm"])) * v["ks_m"].size,
 )
 def _run_fig5(v: Values) -> ScenarioResult:
-    rho, noise, k_values, k_ref = v["rho_rad"], v["noise_floor_V"], v["ks_m"], v["reference_k_m"]
+    rho, k_ref = v["rho_rad"], v["reference_k_m"]
     i_init = _i_init_v(v, rho)
     rate_base = i_init * 0.5 * P0_RAD_PER_M * math.sin(2.0 * rho)  # dI/dk per pass, V/m
 
-    rows = []
+    traces, shifts_at_ref = [], {}
     summary = {"i_init_V": i_init}
-    shifts_at_ref = {}
     coherent_n_list = v["coherent_n_list"]
     for n in coherent_n_list:
-        rows.extend((0.0, n, *row) for row in _intensity_trace(i_init, 0.0, rho, n, k_values, noise))
+        traces.append((0.0, n, *_intensity_trace(v, i_init, 0.0, n)))
         _, shifts_at_ref[n] = intensity_after_postselection(i_init, 0.0, P0_RAD_PER_M, MwiSettings(n, k_ref, 0.0, rho))
         delta_k = v["delta_i_coherent_V"] / (rate_base * n)
         summary[f"coherent.n{n}.delta_k_fm"] = delta_k * 1e15
     base_n = coherent_n_list[0]
-    if shifts_at_ref[base_n] == 0.0:
-        raise NumericalError(f"the relative shift at reference_k_m = {k_ref!r} m is 0 at N = {base_n}: no ratios")
+    require(shifts_at_ref[base_n] != 0.0,
+            f"the relative shift at reference_k_m = {k_ref!r} m is 0 at N = {base_n}: no ratios")
     for n in coherent_n_list[1:]:
         summary[f"delta_ell_ratio_n{n}_over_n{base_n}"] = shifts_at_ref[n] / shifts_at_ref[base_n]
     quoted = PAPER["fig5.coherent.n1.delta_k_fm"]
@@ -613,12 +610,9 @@ def _run_fig5(v: Values) -> ScenarioResult:
 
     delta_i_by_key = {key: v[name] for key, name in _DELTA_I_KEYS.items()}
     for width in v["vsns_widths_nm"]:
-        sigma_p = effective_sigma_p(_profile(v, width))
-        rows.extend((width, 1, *row) for row in _intensity_trace(i_init, sigma_p, rho, 1, k_values, noise))
+        traces.append((width, 1, *_intensity_trace(v, i_init, effective_sigma_p(_profile(v, width)), 1)))
         _delta_k_summary(summary, _wlabel(width), f"{width:g}", delta_i_by_key, rate_base)
-    return ScenarioResult(
-        _columns(("sigma_lambda_nm", "n_1", "k_m", "intensity_V", "relative_shift_1", "snr_db"), rows), summary
-    )
+    return ScenarioResult(_stacked(("sigma_lambda_nm", "n_1", *_TRACE_NAMES), traces), summary)
 
 
 @_register(
@@ -640,14 +634,12 @@ def _run_fig5(v: Values) -> ScenarioResult:
     rows=lambda v: len(v["n_list"]) * v["rhos_rad"].size,
 )
 def _run_fig6(v: Values) -> ScenarioResult:
-    rows = []
+    rhos, blocks = v["rhos_rad"], []
     summary = {}
     for n in v["n_list"]:
-        for rho in v["rhos_rad"].tolist():
-            exact = postselection_probability_gaussian(
-                v["probe_sigma_p_rad_per_m"], P0_RAD_PER_M, MwiSettings(n, v["probe_k_m"], 0.0, rho)
-            )
-            rows.append((n, rho, im_weak_value(n, rho), k31(n, rho), k31(n, rho, exact)))
+        settings = MwiSettings(n, v["probe_k_m"], 0.0, rhos)
+        exact = postselection_probability_gaussian(v["probe_sigma_p_rad_per_m"], P0_RAD_PER_M, settings)
+        blocks.append((n, rhos, im_weak_value(n, rhos), k31(n, rhos), k31(n, rhos, exact)))
         summary[f"n{n}.boundary_scan_rad"] = negativity_boundary_scan(
             n, v["boundary_scan_max_rad"], v["boundary_scan_step_rad"]
         )
@@ -658,7 +650,8 @@ def _run_fig6(v: Values) -> ScenarioResult:
     quoted = PAPER[f"fig6.im_weak_value_n3_rho{rho:g}"]
     summary["quoted_im_weak_value"] = quoted.value
     summary["im_weak_value_deviation_percent"] = quoted.deviation(im) * 100.0
-    return ScenarioResult(_columns(("n_1", "rho_rad", "im_weak_value_1", "k31_approx_1", "k31_exact_1"), rows), summary)
+    names = ("n_1", "rho_rad", "im_weak_value_1", "k31_approx_1", "k31_exact_1")
+    return ScenarioResult(_stacked(names, blocks), summary)
 
 
 def _s2_grid_args(v: Values) -> tuple:
@@ -688,22 +681,19 @@ def _s2_grid_args(v: Values) -> tuple:
 def _run_s2(v: Values) -> ScenarioResult:
     profile, widest = _s2_grid_args(v)
     grid = build_grid(profile, widest)
-    rows = []
-    for tau_as in v["tau_list_as"]:
-        settings = replace(widest, k=SPEED_OF_LIGHT * tau_as * 1e-18)
-        collapsed = _collapse(grid, settings.phase_length, 2.0 * settings.rho)
-        for idx in range(0, grid.points.size, v["subsample_stride"]):
-            lam = lambda_p_convert(float(grid.points[idx]))
-            to_per_nm = (2.0 * math.pi / lam**2) * 1e-9  # |dp/dlambda| in rad/m per nm
-            rows.append((tau_as, lam * 1e9, grid.density[idx] * to_per_nm, collapsed[idx] * to_per_nm))
-    summary = {
-        "grid_points": int(grid.points.size),
-        "emitted_rows": len(rows),
-        "densities_normalized": True,
-    }
-    return ScenarioResult(
-        _columns(("tau_as", "lambda_nm", "initial_density_per_nm", "collapsed_density_per_nm"), rows), summary
-    )
+    stride, taus = v["subsample_stride"], v["tau_list_as"]
+    points = grid.points[::stride]
+    require(points[0] > 0.0, "the grid reaches momentum {!r} rad/m: no wavelength", points[0])
+    lam = 2.0 * math.pi / points
+    to_per_nm = (2.0 * math.pi / lam**2) * 1e-9  # |dp/dlambda| in rad/m per nm
+    n, gamma, two_rho = widest.n_interactions, widest.gamma, 2.0 * widest.rho
+    blocks = [(tau, lam * 1e9, grid.density[::stride] * to_per_nm,
+               _collapse(grid, n * (SPEED_OF_LIGHT * tau * 1e-18) + gamma, two_rho)[::stride] * to_per_nm)
+              for tau in taus]
+    summary = {"grid_points": int(grid.points.size), "emitted_rows": len(taus) * points.size,
+               "densities_normalized": True}
+    names = ("tau_as", "lambda_nm", "initial_density_per_nm", "collapsed_density_per_nm")
+    return ScenarioResult(_stacked(names, blocks), summary)
 
 
 @_register(
@@ -715,26 +705,23 @@ def _run_s2(v: Values) -> ScenarioResult:
     rows=lambda v: (1 + len(v["vsns_widths_nm"])) * v["ks_m"].size,
 )
 def _run_s3(v: Values) -> ScenarioResult:
-    rho, noise, k_values = v["rho_rad"], v["noise_floor_V"], v["ks_m"]
+    rho = v["rho_rad"]
     i_init = _i_init_v(v, rho)
     rate = i_init * 0.5 * P0_RAD_PER_M * math.sin(2.0 * rho)  # single pass, V/m
 
     delta_i_by_key = {"coherent": v["delta_i_coherent_V"]}
     delta_i_by_key.update((key, v[name]) for key, name in _DELTA_I_KEYS.items())
     sources = [("coherent", 0.0)] + [(f"{w:g}", w) for w in v["vsns_widths_nm"]]
-    rows = []
+    traces = []
     summary = {"i_init_V": i_init}
     for key, width in sources:
         label = "coherent" if width == 0.0 else _wlabel(width)
         sigma_p = 0.0 if width == 0.0 else effective_sigma_p(_profile(v, width))
-        trace = _intensity_trace(i_init, sigma_p, rho, 1, k_values, noise)
-        rows.extend((width, *row) for row in trace)
-        summary[f"{label}.max_snr_db"] = max(snr for _, _, _, snr in trace)
+        traces.append((width, *_intensity_trace(v, i_init, sigma_p, 1)))
+        summary[f"{label}.max_snr_db"] = float(traces[-1][-1].max())
         _delta_k_summary(summary, label, key, delta_i_by_key, rate)
     summary["coherent.quoted_op_snr_db"] = PAPER["s3_intensity.coherent.quoted_op_snr_db"].value
-    return ScenarioResult(
-        _columns(("sigma_lambda_nm", "k_m", "intensity_V", "relative_shift_1", "snr_db"), rows), summary
-    )
+    return ScenarioResult(_stacked(("sigma_lambda_nm", *_TRACE_NAMES), traces), summary)
 
 
 @_register(
@@ -756,20 +743,16 @@ def _run_s3(v: Values) -> ScenarioResult:
 )
 def _run_s4(v: Values) -> ScenarioResult:
     k_probe, sigma_p, noise = v["probe_k_m"], v["probe_sigma_p_rad_per_m"], v["noise_floor_V"]
-    i_init = _i_init_v(v)
-    rows = []
+    i_init, rhos, blocks = _i_init_v(v), v["rhos_rad"], []
+    snr = _snr_db(i_init * np.sin(rhos) ** 2, noise)
     for n in v["n_list"]:
-        for rho in v["rhos_rad"].tolist():
-            settings = MwiSettings(n, k_probe, 0.0, rho)
-            forward = intensity_shift_approx(sigma_p, P0_RAD_PER_M, settings)
-            recovered = weak_value_from_shift(forward, k_probe, P0_RAD_PER_M, sigma_p, n)
-            theory = im_weak_value(n, rho)
-            snr = _snr_db(i_init * math.sin(rho) ** 2, noise)
-            rows.append((n, rho, theory, k31(n, rho), forward, recovered, abs(recovered - theory) / theory, snr))
+        forward = intensity_shift_approx(sigma_p, P0_RAD_PER_M, MwiSettings(n, k_probe, 0.0, rhos))
+        recovered = weak_value_from_shift(forward, k_probe, P0_RAD_PER_M, sigma_p, n)
+        theory = im_weak_value(n, rhos)
+        blocks.append((n, rhos, theory, k31(n, rhos), forward, recovered, abs(recovered - theory) / theory, snr))
 
     rho_star = math.atan(3.0 / v["anomalous_target"])
-    if not rho_star < 0.5 * math.pi:
-        raise NumericalError(f"anomalous_target {v['anomalous_target']!r} puts rho_star at pi/2")
+    require(rho_star < 0.5 * math.pi, "anomalous_target {!r} puts rho_star at pi/2", v["anomalous_target"])
     summary = {
         "rho_star_rad": rho_star,
         "rho_star_inferred": True,  # back-solved from the anomalous target, not quoted
@@ -777,10 +760,9 @@ def _run_s4(v: Values) -> ScenarioResult:
         "k31_at_rho_star_1": k31(3, rho_star),
         "snr_at_rho_star_db": _snr_db(i_init * math.sin(rho_star) ** 2, noise),
     }
-    return ScenarioResult(
-        _columns(("n_1", "rho_rad", "im_weak_value_theory_1", "k31_1", "forward_relative_shift_1",
-                  "recovered_im_weak_value_1", "recovery_rel_error_1", "snr_db"), rows), summary
-    )
+    names = ("n_1", "rho_rad", "im_weak_value_theory_1", "k31_1", "forward_relative_shift_1",
+             "recovered_im_weak_value_1", "recovery_rel_error_1", "snr_db")
+    return ScenarioResult(_stacked(names, blocks), summary)
 
 
 _ORACLE_LISTS = ("shapes", "n_list", "k_list_m", "rho_list_rad", "gamma_pi_list")  # the matrix's axes
@@ -853,8 +835,8 @@ def _oracle_deviation(
 def _check_denominator(name: str, value: float, case: str) -> None:
     """A closed form that a relative deviation divides by must be finite and
     nonzero (the Gaussian shift underflows to 0 once sigma_p * L passes ~38)."""
-    if value == 0.0 or not math.isfinite(value):
-        raise NumericalError(f"closed-form {name} is {value!r} for case {case}: no relative deviation")
+    require(value != 0.0 and math.isfinite(value),
+            f"closed-form {name} is {value!r} for case {case}: no relative deviation")
 
 
 def closed_form_deviations(values: Values) -> tuple:
@@ -915,10 +897,8 @@ def _run_oracle_suite(v: Values) -> ScenarioResult:
         **tolerances,
         "pass": passed,
     }
-    return ScenarioResult(
-        _columns(("shape", "sigma_lambda_nm", "n_1", "k_m", "rho_rad", "gamma_pi_1", "oracle_max_rel_dev_1"), rows),
-        summary,
-    )
+    names = ("shape", "sigma_lambda_nm", "n_1", "k_m", "rho_rad", "gamma_pi_1", "oracle_max_rel_dev_1")
+    return ScenarioResult(_stacked(names, rows), summary)
 
 
 # ---------------------------------------------------------------------------
@@ -927,8 +907,12 @@ def _run_oracle_suite(v: Values) -> ScenarioResult:
 
 def execute_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Run the scenario of a config from ``make_config`` on its checked values.
-    Raises NumericalError for a table with a non-finite value."""
-    result = SCENARIOS[config.scenario_id].runner(config.values)
+    Raises NumericalError for a table with a non-finite value.  The runner's
+    numpy arithmetic raises no floating-point warning: an overflow or an
+    invalid operation gives inf or NaN, as float arithmetic does, and the
+    check rejects it."""
+    with np.errstate(all="ignore"):
+        result = SCENARIOS[config.scenario_id].runner(config.values)
     for column in map(np.asarray, result.columns.values()):
         if column.dtype.kind != "U" and not np.isfinite(column).all():
             raise NumericalError(f"scenario {config.scenario_id} produced a non-finite value")
@@ -970,6 +954,8 @@ def render_csv(result: ScenarioResult, config: ScenarioConfig) -> str:
             raise ValueError(
                 f"numeric column {name!r} lacks a unit suffix (allowed: {sorted(_ALLOWED_UNIT_SUFFIXES)})"
             )
+        if len(column) != len(columns[0]):
+            raise ValueError(f"columns differ in length: {name!r} has {len(column)} rows, the first {len(columns[0])}")
     lines = [f"# wva-lab {_pkg_version}", f"# scenario={config.scenario_id}"]
     lines += (f"# config.{key}={_format_cell(config.params[key])}" for key in sorted(config.params))
     lines.append(",".join(result.columns))

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, require
 from .polarization import MwiSettings
 
 MIN_GRID_POINTS = 2**13 + 1
@@ -278,6 +278,5 @@ def build_grid(
     step = _grid_half_span(profile) / m  # m is a power of two: m*h is the half span exactly
     density = _density_offsets(profile, step * np.arange(-m, m + 1))
     total = float(np.dot(_simpson_weights(n_points, step), density))
-    if not (total > 0.0 and math.isfinite(total)):
-        raise NumericalError("density integral is not positive and finite")
+    require(total > 0.0 and math.isfinite(total), "density integral is not positive and finite")
     return MomentumGrid(center=lambda_p_convert(profile.center_wavelength), step=step, density=density / total)

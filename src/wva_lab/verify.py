@@ -193,8 +193,8 @@ def check_monotonicity() -> list:
     prop = pointer_shift_p_approx(2.0 * sigma, settings) == 4.0 * pointer_shift_p_approx(sigma, settings)
 
     sigmas = np.linspace(1e3, 1e6, 1024)
-    shifts = [intensity_shift_approx(s, P0_RAD_PER_M, MwiSettings(3, 3e-10, 0.0, 0.002)) for s in sigmas]
-    decreasing = all(b < a for a, b in zip(shifts, shifts[1:]))
+    shifts = intensity_shift_approx(sigmas, P0_RAD_PER_M, MwiSettings(3, 3e-10, 0.0, 0.002))
+    decreasing = bool(np.all(shifts[1:] < shifts[:-1]))
 
     thetas = np.linspace(1e-4, math.pi / 2 - 1e-4, 1024)
     taus = [tau_from_tilt(TiltGeometry(t)) for t in thetas]

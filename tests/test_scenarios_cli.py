@@ -128,6 +128,12 @@ class TestCsvOutput:
         with pytest.raises(ValueError, match="unit suffix"):
             render_csv(bad, make_config("fig6", FAST_OVERRIDES["fig6"]))
 
+    def test_ragged_columns_rejected(self):
+        # zip of the formatted columns would stop at the shortest and write a truncated table
+        ragged = ScenarioResult({"x_1": np.arange(3.0), "y_1": np.arange(2.0)}, {})
+        with pytest.raises(ValueError, match="columns differ in length"):
+            render_csv(ragged, make_config("fig6", FAST_OVERRIDES["fig6"]))
+
     def test_text_column_allowed(self):
         ok = ScenarioResult({"shape": ["gaussian"], "value_1": np.array([0.2])}, {})
         text = render_csv(ok, make_config("fig6", FAST_OVERRIDES["fig6"]))
@@ -396,6 +402,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: closed-form shift is 0.0 for case shape=gaussian")
         assert err.count("\n") == 1
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        ("scenario_id", "setting", "message"),
+        [
+            ("fig5", "rho_rad=1e-170", "baseline intensity 0.0 at k = 0: no relative shift"),
+            ("s3_intensity", "rho_rad=1e-170", "baseline intensity 0.0 at k = 0: no relative shift"),
+            ("s4_weak_values", "rho_min_rad=1e-170", "signal 0.0 V has no signal-to-noise ratio"),
+        ],
+    )
+    def test_closed_form_check_exits_3_without_csv(self, scenario_id, setting, message, tmp_path, capsys):
+        # sin^2(rho) underflows to 0: the checks of the array closed forms still stop the run
+        out_file = tmp_path / "out.csv"
+        assert main(["run", scenario_id, "--set", setting, "--out", str(out_file)]) == 3
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
         assert not out_file.exists()
 
     def test_missing_config_file_exits_2(self, capsys):
