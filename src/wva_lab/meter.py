@@ -24,6 +24,13 @@ densities, the linear-regime approximations (through the weak value
 ``polarization.im_weak_value``), and a brute-force joint-state oracle for
 verification, which projects onto the states of ``wva_lab.polarization``.
 The closed forms take a float or an array, as settings whose k or rho is an array (a trace) do.
+The oracle is three steps: the complex phase ``_oracle_amplitude`` (points
+and L), the profile-free projection ``_oracle_factor`` (and rho), and
+``_oracle_project``, which multiplies by sqrt Omega and squares; the direct
+density is ``_half_phase_sine`` (points, L and rho) squared times Omega.
+``oracle_joint_state`` composes the oracle's steps for one case, and
+``_oracle_deviations`` evaluates a verification matrix on one set of grid
+points, each step once for every profile that shares it.
 """
 from __future__ import annotations
 
@@ -60,10 +67,15 @@ class CollapseResult:
             )
 
 
+def _half_phase_sine(points: np.ndarray, phase_length: float, two_rho: float) -> np.ndarray:
+    """sin((p*L + 2 rho)/2) at momenta ``points``: the collapse's half phase."""
+    return np.sin(0.5 * (points * phase_length + two_rho))
+
+
 def _collapse(grid: MomentumGrid, phase_length: float, two_rho: float) -> np.ndarray:
     """D(p) = Omega(p) * sin^2((p*L + 2 rho)/2) on the grid; the sin^2 form is
     the exact rewrite of (1 - cos)/2 and avoids cancellation at small arguments."""
-    s = np.sin(0.5 * (grid.points * phase_length + two_rho))
+    s = _half_phase_sine(grid.points, phase_length, two_rho)
     return grid.density * s * s
 
 
@@ -273,16 +285,20 @@ def postselection_probability_gaussian(sigma_p: float, p0: float, settings: MwiS
     return xp.sin(0.5 * theta) ** 2 + half_one_minus_damp * xp.cos(theta)
 
 
-def pointer_shift_p_gaussian(sigma_p: float, p0: float, settings: MwiSettings) -> float:
+def pointer_shift_p_gaussian(sigma_p: float, p0: float, settings: MwiSettings):
     """Mean momentum shift for a Gaussian density (exact closed form), rad/m.
 
-    delta_p = sigma_p^2 L exp(-(sigma_p L)^2/2) sin(L p0 + 2 rho) / (2 P).
+    delta_p = sigma_p^2 L exp(-(sigma_p L)^2/2) sin(L p0 + 2 rho) / (2 P),
+    with the damping applied to sigma_p L before the second sigma_p, so a
+    damping of 0 gives 0 where sigma_p^2 L overflows.  An array k or rho
+    gives an array.
     """
     if sigma_p <= 0.0:
         raise ValueError("no momentum pointer for a monochromatic source (sigma_p = 0)")
     L = settings.phase_length
     prob = postselection_probability_gaussian(sigma_p, p0, settings)
-    return sigma_p**2 * L * math.exp(-0.5 * (sigma_p * L) ** 2) * math.sin(L * p0 + 2.0 * settings.rho) / (2.0 * prob)
+    x, theta = sigma_p * L, L * p0 + 2.0 * settings.rho
+    return sigma_p * (x * _xp(x).exp(0.5 * _neg_square(x))) * _xp(theta).sin(theta) / (2.0 * prob)
 
 
 def pointer_shift_p_approx(sigma_p: float, settings: MwiSettings) -> float:
@@ -337,14 +353,60 @@ def _oracle_amplitude(points: np.ndarray, settings: MwiSettings, sequential: boo
     return np.exp(0.5j * settings.phase_length * points)
 
 
-def _oracle_project(amp_h: np.ndarray, root_density: np.ndarray, rho: float) -> np.ndarray:
-    """The oracle's collapsed density from the |H> amplitude phase and the
-    square root of the initial density: projection of the joint state onto
-    the postselection state at angle ``rho``, with coefficients
-    <post|H><H|pre> and <post|V><V|pre>, and square."""
+def _oracle_factor(amp_h: np.ndarray, rho: float) -> np.ndarray:
+    """The oracle's projection before the meter amplitude: the |H> amplitude
+    phase and its |V> conjugate weighted by <post|H><H|pre> and <post|V><V|pre>,
+    for the postselection state at angle ``rho``.  The one place that forms
+    it: numpy rounds a complex scalar x array and array x scalar differently,
+    and swaps the operands of a large temporary, so a restatement can move
+    the oracle's bits."""
     (pre_h, pre_v), (post_h, post_v) = preselection_state(), postselection_state(rho)
-    proj = (post_h.conjugate() * pre_h * amp_h + post_v.conjugate() * pre_v * np.conj(amp_h)) * root_density
-    return (proj * np.conj(proj)).real
+    return post_h.conjugate() * pre_h * amp_h + post_v.conjugate() * pre_v * np.conj(amp_h)
+
+
+def _oracle_project(factor: np.ndarray, root_density: np.ndarray) -> np.ndarray:
+    """The oracle's collapsed density: the projection ``_oracle_factor`` times
+    the square root of the initial density, squared (in place: the real part
+    of z * conj(z) does not depend on the operand order)."""
+    proj = factor * root_density
+    proj *= np.conj(proj)
+    return proj.real
+
+
+def _oracle_deviations(points: np.ndarray, by_length: dict, densities: dict):
+    """Yield (tag, deviation) for every case of one set of grid points: the
+    max relative difference of the oracle's collapsed density from the direct
+    path's, over points above 1e-15 of the direct peak.
+
+    ``by_length`` maps each phase length L to (settings with that L,
+    rho -> profile key -> tag), and ``densities`` each profile key to
+    (Omega, sqrt Omega) on ``points``.  The oracle's phase is taken once per
+    L, the half-phase sine and the oracle's factor once per (L, rho), and
+    both densities and their deviation once per profile.
+    """
+    for settings, by_rho in by_length.values():
+        amp_h = _oracle_amplitude(points, settings)
+        for rho, by_profile in by_rho.items():
+            s = _half_phase_sine(points, settings.phase_length, 2.0 * rho)
+            factor = _oracle_factor(amp_h, rho)
+            for key, tag in by_profile.items():
+                yield tag, _oracle_deviation(s, factor, *densities[key])
+            del s, factor  # before the next rho's are formed
+
+
+def _oracle_deviation(s: np.ndarray, factor: np.ndarray, density: np.ndarray, root_density: np.ndarray) -> float:
+    """Max relative difference of the oracle's collapsed density from the
+    direct path's, Omega*s*s, over points above 1e-15 of the latter's peak.
+    The difference is formed once, contiguous, and worked in place; every
+    array is released on return."""
+    o = _oracle_project(factor, root_density)
+    d = density * s * s
+    mask = d > 1e-15 * float(d.max())
+    o = o - d
+    np.abs(o, out=o)
+    np.divide(o, d, out=o, where=mask)
+    o[~mask] = 0.0
+    return float(o.max())
 
 
 def oracle_joint_state(
@@ -365,7 +427,7 @@ def oracle_joint_state(
     if profile.is_monochromatic:
         raise ValueError("monochromatic profile: oracle needs a momentum grid")
     amp_h = _oracle_amplitude(grid.points, settings, sequential)
-    collapsed = _oracle_project(amp_h, np.sqrt(grid.density), settings.rho)
+    collapsed = _oracle_project(_oracle_factor(amp_h, settings.rho), np.sqrt(grid.density))
     prob, mom1 = _moments(grid, collapsed)
     delta_p = mom1 / prob
     return CollapseResult(

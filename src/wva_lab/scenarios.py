@@ -27,8 +27,7 @@ from .lgi import k31, negativity_boundary_scan, quantum_region_boundary, weak_va
 from .meter import (
     _collapse,
     _level_moments,
-    _oracle_amplitude,
-    _oracle_project,
+    _oracle_deviations,
     _pointer_readout,
     collapsed_density,
     intensity_after_postselection,
@@ -42,7 +41,6 @@ from .polarization import MwiSettings, im_weak_value
 from .spectra import (
     _WIDTH_CONVENTIONS,
     MAX_GRID_POINTS,
-    MomentumGrid,
     Shape,
     SpectralProfile,
     _grid_half_span,
@@ -781,55 +779,37 @@ def oracle_deviation_rows(values: Values) -> list:
     the case's ``build_grid`` grid, over points above 1e-15 of the peak.
 
     Both densities depend on a case only through its grid (profile and point
-    count), its phase length L = N*k + gamma and rho, and the oracle's
-    complex phase only through the grid's points (center, half span, point
-    count) and L.  The cases are grouped by points, then by L, then by
-    profile, then by rho: the grids that share their points are built once
-    and held together, one such set at a time; the phase is taken once per
-    (points, L); the two densities and their deviation once per (grid, L,
-    rho), and shared by every case with those values.
+    count), its phase length L = N*k + gamma and rho; the oracle's complex
+    phase, the half-phase sine and the oracle's factor only through the
+    grid's points (center, half span, point count), L and rho.  The cases are
+    grouped by points, then by L, then by rho, then by profile: the grids
+    that share their points are built once and held together, one such set
+    at a time, and ``meter._oracle_deviations`` takes the phase once per
+    (points, L), the sine and the factor once per (points, L, rho), and the
+    two densities and their deviation once per profile, shared by every case
+    with those values.
     """
     cases = list(oracle_case_matrix(values))
-    # (center, half span, point count) -> L -> (settings of its first case, profile -> rho -> case indices)
+    profiles = {shape: _profile(values, values["sigma_lambda_nm"], shape) for shape in values["shapes"]}
+    # rho enters neither the grid nor the oracle's phase
+    settings_of = {(n, k, gamma_pi): MwiSettings(n, k, _gamma_length(gamma_pi))
+                   for n, k, gamma_pi in product(values["n_list"], values["k_list_m"], values["gamma_pi_list"])}
+    # (center, half span, point count) -> L -> (settings, rho -> profile -> case indices)
     groups: dict = {}
-    for index, (shape, width_nm, n, k, rho, gamma_pi) in enumerate(cases):
-        profile = _profile(values, width_nm, shape)
-        settings = MwiSettings(n, k, _gamma_length(gamma_pi), rho)
+    for index, (shape, _, n, k, rho, gamma_pi) in enumerate(cases):
+        profile, settings = profiles[shape], settings_of[n, k, gamma_pi]
         key = (profile.center_wavelength, _grid_half_span(profile), grid_point_count(profile, settings))
-        _, by_profile = groups.setdefault(key, {}).setdefault(settings.phase_length, (settings, {}))
-        by_profile.setdefault(profile, {}).setdefault(rho, []).append(index)
+        _, by_rho = groups.setdefault(key, {}).setdefault(settings.phase_length, (settings, {}))
+        by_rho.setdefault(rho, {}).setdefault(profile, []).append(index)
     deviations = [0.0] * len(cases)
     for (_, _, n_points), by_length in groups.items():
-        profiles = dict.fromkeys(profile for _, by_profile in by_length.values() for profile in by_profile)
-        _fill_grid_deviations({p: build_grid(p, min_points=n_points) for p in profiles}, by_length, deviations)
+        grids = {p: build_grid(p, min_points=n_points)
+                 for p in dict.fromkeys(p for _, by_rho in by_length.values() for by_p in by_rho.values() for p in by_p)}
+        densities = {profile: (grid.density, np.sqrt(grid.density)) for profile, grid in grids.items()}
+        for indices, dev in _oracle_deviations(next(iter(grids.values())).points, by_length, densities):
+            for index in indices:
+                deviations[index] = dev
     return [(*case, dev) for case, dev in zip(cases, deviations)]
-
-
-def _fill_grid_deviations(grids: dict, by_length: dict, deviations: list) -> None:
-    """Write the oracle deviation of every case on ``grids`` (profile ->
-    grid, all on the same points) into ``deviations``; the grids and their
-    arrays are released on return."""
-    root_densities = {profile: np.sqrt(grid.density) for profile, grid in grids.items()}
-    points = next(iter(grids.values())).points
-    for phase_length, (settings, by_profile) in by_length.items():
-        amp_h = _oracle_amplitude(points, settings)
-        for profile, by_rho in by_profile.items():
-            for rho, indices in by_rho.items():
-                dev = _oracle_deviation(grids[profile], amp_h, root_densities[profile], phase_length, rho)
-                for index in indices:
-                    deviations[index] = dev
-
-
-def _oracle_deviation(
-    grid: MomentumGrid, amp_h: np.ndarray, root_density: np.ndarray, phase_length: float, rho: float
-) -> float:
-    """Max relative difference of the oracle's collapsed density from the
-    direct path's on ``grid``, over points above 1e-15 of the peak; both
-    densities are released on return."""
-    d = _collapse(grid, phase_length, 2.0 * rho)
-    o = _oracle_project(amp_h, root_density, rho)
-    mask = d > 1e-15 * float(d.max())
-    return float(np.max(np.abs(d[mask] - o[mask]) / d[mask]))
 
 
 def _check_denominator(name: str, value: float, case: str) -> None:
@@ -907,15 +887,18 @@ def _run_oracle_suite(v: Values) -> ScenarioResult:
 
 def execute_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Run the scenario of a config from ``make_config`` on its checked values.
-    Raises NumericalError for a table with a non-finite value.  The runner's
-    numpy arithmetic raises no floating-point warning: an overflow or an
-    invalid operation gives inf or NaN, as float arithmetic does, and the
-    check rejects it."""
+    Raises NumericalError for a table or a float summary value that is not
+    finite.  The runner's numpy arithmetic raises no floating-point warning:
+    an overflow or an invalid operation gives inf or NaN, as float arithmetic
+    does, and the check rejects it."""
     with np.errstate(all="ignore"):
         result = SCENARIOS[config.scenario_id].runner(config.values)
     for column in map(np.asarray, result.columns.values()):
         if column.dtype.kind != "U" and not np.isfinite(column).all():
             raise NumericalError(f"scenario {config.scenario_id} produced a non-finite value")
+    for key, value in result.summary.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NumericalError(f"scenario {config.scenario_id} produced a non-finite summary value {key}={value!r}")
     return result
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from wva_lab.errors import NumericalError
 from wva_lab.lgi import k31
-from wva_lab.meter import intensity_after_postselection, postselection_probability_gaussian
+from wva_lab.meter import intensity_after_postselection, pointer_shift_p_gaussian, postselection_probability_gaussian
 from wva_lab.metrology import snr_db
 from wva_lab.polarization import MwiSettings
 from wva_lab.scenarios import P0_RAD_PER_M as P0, _profile, make_config
@@ -86,6 +86,33 @@ def test_probability_and_k31_over_rho(n, k, sigma_p, rhos):
     _assert_bitwise(k31(n, rhos), _per_entry(lambda rho: k31(n, rho), rhos))
     k31_exact_floats = np.array([k31(n, rho, p) for rho, p in zip(rhos.tolist(), exact_floats.tolist())])
     _assert_bitwise(k31(n, rhos, exact), k31_exact_floats)
+
+
+@pytest.mark.parametrize(("sigma_p", "n", "rho", "ks"), [trace for trace in K_TRACES if trace[0] > 0.0])
+def test_shift_over_k(sigma_p, n, rho, ks):
+    shift = pointer_shift_p_gaussian(sigma_p, P0, MwiSettings(n, ks, 0.0, rho))
+    floats = _per_entry(lambda k: pointer_shift_p_gaussian(sigma_p, P0, MwiSettings(n, k, 0.0, rho)), ks)
+    # the damping (np.exp against math.exp) and the probability differ by at
+    # most an ulp each, 2**-52 relative, and each side rounds its four
+    # operations after them: at most 6 * 2**-52 relative in all
+    assert np.all(np.abs(shift - floats) <= 6 * 2.0**-52 * np.abs(floats))
+
+
+@pytest.mark.parametrize("sigma_p", [1307.6348193922136, 7845.808916353282, 1.5e4])
+def test_shift_over_rho(sigma_p):
+    # a float L: the damping goes through math.exp on both sides, np.sin matches math.sin
+    rhos = make_config("fig6").values["rhos_rad"]
+    shift = pointer_shift_p_gaussian(sigma_p, P0, MwiSettings(3, 1e-10, 0.0, rhos))
+    _assert_bitwise(shift, _per_entry(lambda rho: pointer_shift_p_gaussian(sigma_p, P0, MwiSettings(3, 1e-10, 0.0, rho)),
+                                      rhos))
+
+
+@pytest.mark.parametrize("sigma_p", [1e154, 1e160])
+def test_shift_damped_to_zero_where_its_square_overflows(sigma_p):
+    # sigma_p L = sigma_p at L = 1 m: (sigma_p L)^2 and sigma_p^2 overflow, the damping is 0
+    assert pointer_shift_p_gaussian(sigma_p, P0, MwiSettings(1, 1.0)) == 0.0
+    shift = pointer_shift_p_gaussian(sigma_p, P0, MwiSettings(1, np.array([1.0, 2.0]), 0.0, 0.002))
+    assert np.array_equal(shift, [0.0, 0.0])
 
 
 @pytest.mark.parametrize(("sigma_p", "n", "rho", "ks"), K_TRACES)

@@ -11,6 +11,7 @@ from wva_lab.meter import (
     _collapse,
     _moments,
     _oracle_amplitude,
+    _oracle_factor,
     _oracle_project,
     collapse_moments_on_grid,
     collapsed_density,
@@ -334,7 +335,7 @@ class TestOracle:
         settings = MwiSettings(3, 1e-10, 1.9 * math.pi / P0, 0.01)
         grid = build_grid(gaussian(), settings)
         amp_h = _oracle_amplitude(grid.points, settings, sequential)
-        core = _oracle_project(amp_h, np.sqrt(grid.density), settings.rho)
+        core = _oracle_project(_oracle_factor(amp_h, settings.rho), np.sqrt(grid.density))
         oracle = oracle_joint_state(gaussian(), settings, grid, sequential=sequential)
         assert np.array_equal(core, oracle.density.density)
 

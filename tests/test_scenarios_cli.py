@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wva_lab import scenarios
+from wva_lab import meter, scenarios
 from wva_lab.cli import main
 from wva_lab.errors import ConfigError, NumericalError
 from wva_lab.meter import collapsed_density, oracle_joint_state
@@ -419,6 +419,25 @@ class TestCli:
         assert capsys.readouterr().err == f"numerical failure: {message}\n"
         assert not out_file.exists()
 
+    @pytest.mark.parametrize(
+        ("scenario_id", "setting", "key"),
+        [
+            ("fig5", "delta_i_05_V=1e308", "w0.5nm.delta_k_fm"),
+            ("s3_intensity", "delta_i_coherent_V=1e-320", "w0.5nm.delta_k_fm"),
+            ("fig3a", "spectrometer_resolution_m=1e300", "preset.spectrometer_resolution_pm"),
+            ("fig4", "spectrometer_resolution_m=1e300", "n1.delta_tau_as"),
+        ],
+    )
+    def test_non_finite_summary_exits_3_without_csv(self, scenario_id, setting, key, tmp_path, capsys):
+        # a finite table whose summary overflows (a precision from a huge noise
+        # or a tiny rate) must not print inf with exit 0
+        out_file = tmp_path / "out.csv"
+        assert main(["run", scenario_id, "--set", setting, "--out", str(out_file)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"numerical failure: scenario {scenario_id} produced a non-finite summary value {key}=inf\n"
+        assert not out_file.exists()
+
     def test_missing_config_file_exits_2(self, capsys):
         assert main(["run", "fig6", "--config", "/nonexistent/cfg.txt"]) == 2
 
@@ -448,6 +467,12 @@ class TestCli:
         assert code == 3
         assert out_file.exists()
         assert "pass=false" in capsys.readouterr().out
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the collapsed density is not exact near its zeros "
+                       "(deviation 9.4e-9 at gamma = 2 pi against the 1e-10 gate)")
+    def test_suite_passes_at_every_gamma(self, tmp_path):
+        argv = ["run", "oracle_suite", "--set", "gamma_pi_list=0,2.0", "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 0
 
     def test_run_scenario_prints_summary(self, tmp_path, capsys):
         config = make_config(
@@ -546,21 +571,33 @@ class TestOracleRows:
 
     @staticmethod
     def _spy_evaluations(monkeypatch):
-        """Record each oracle phase as its phase length and each direct-path
-        collapse as (grid density bytes, L, 2 rho)."""
-        calls = {"amplitude": [], "collapse": []}
-        amplitude, collapse = scenarios._oracle_amplitude, scenarios._collapse
+        """Record each oracle phase as (points, L), each half-phase sine as
+        (points, L, 2 rho), each oracle factor as (phase, rho) and each
+        deviation as (sine, factor, density), arrays by the hash of their bytes."""
+        calls = {"phase": [], "sine": [], "factor": [], "deviation": []}
+        amplitude, sine, factor, deviation = (
+            meter._oracle_amplitude, meter._half_phase_sine, meter._oracle_factor, meter._oracle_deviation)
 
         def spy_amplitude(points, settings, *args):
-            calls["amplitude"].append(settings.phase_length)
+            calls["phase"].append((hash(points.tobytes()), settings.phase_length))
             return amplitude(points, settings, *args)
 
-        def spy_collapse(grid, phase_length, two_rho):
-            calls["collapse"].append((grid.density.tobytes(), phase_length, two_rho))
-            return collapse(grid, phase_length, two_rho)
+        def spy_sine(points, phase_length, two_rho):
+            calls["sine"].append((hash(points.tobytes()), phase_length, two_rho))
+            return sine(points, phase_length, two_rho)
 
-        monkeypatch.setattr(scenarios, "_oracle_amplitude", spy_amplitude)
-        monkeypatch.setattr(scenarios, "_collapse", spy_collapse)
+        def spy_factor(amp_h, rho):
+            calls["factor"].append((hash(amp_h.tobytes()), rho))
+            return factor(amp_h, rho)
+
+        def spy_deviation(s, f, density, root_density):
+            calls["deviation"].append((hash(s.tobytes()), hash(f.tobytes()), hash(density.tobytes())))
+            return deviation(s, f, density, root_density)
+
+        monkeypatch.setattr(meter, "_oracle_amplitude", spy_amplitude)
+        monkeypatch.setattr(meter, "_half_phase_sine", spy_sine)
+        monkeypatch.setattr(meter, "_oracle_factor", spy_factor)
+        monkeypatch.setattr(meter, "_oracle_deviation", spy_deviation)
         return calls
 
     def test_default_matrix_one_grid_per_shape(self, monkeypatch):
@@ -572,10 +609,14 @@ class TestOracleRows:
         assert len(rows) == 162
         assert rows == expected
         assert sizes == [8193, 8193, 8193]
-        # 14 phase lengths (k = 0 repeats across N) per grid of points (gaussian
-        # and supergaussian share theirs, rectangular has its own), x 3 rho per shape
-        assert len(calls["amplitude"]) == 28
-        assert len(calls["collapse"]) == 126
+        # 14 phase lengths (k = 0 repeats across N) per set of grid points
+        # (gaussian and supergaussian share theirs, rectangular has its own);
+        # x 3 rho for the sines and factors, which the two shapes on one set
+        # share; x the shapes on the set for the deviations
+        assert len(calls["phase"]) == len(set(calls["phase"])) == 28
+        assert len(calls["sine"]) == len(set(calls["sine"])) == 84
+        assert len(calls["factor"]) == 84  # at L = 0 both sets of points give the same phase
+        assert len(calls["deviation"]) == len(set(calls["deviation"])) == 126
 
     def test_one_grid_per_point_count(self, monkeypatch):
         # N k = 7.5e-3 m needs twice the 8,193-point floor on the 8-sigma span
@@ -588,10 +629,33 @@ class TestOracleRows:
         assert oracle_deviation_rows(values) == expected
         assert sorted(sizes) == [8193, 16385]
 
+    def test_two_shapes_share_a_large_grid_of_points(self, monkeypatch):
+        # 16,385-point grids: numpy elides a temporary this large into an
+        # in-place op, which moves the oracle's bits unless the matrix forms
+        # the oracle factor as the reference does
+        values = make_config(
+            "oracle_suite",
+            {"shapes": "gaussian,supergaussian", "n_list": "1,3", "k_list_m": "1e-12,2.5e-3",
+             "gamma_pi_list": "0"},
+        ).values
+        expected = self._reference_rows(values)
+        sizes = self._spy_build_grid(monkeypatch)
+        calls = self._spy_evaluations(monkeypatch)
+        assert oracle_deviation_rows(values) == expected
+        assert sorted(sizes) == [8193, 8193, 16385, 16385]
+        assert (len(calls["factor"]), len(calls["deviation"])) == (12, 24)
+
     def test_repeated_phase_lengths_evaluated_once(self, monkeypatch):
         # distinct entries, repeated N*k: 1 x 2e-12 is bitwise 2 x 1e-12
         values = make_config("oracle_suite", {"n_list": "1,2", "k_list_m": "0,1e-12,2e-12"}).values
         expected = self._reference_rows(values)
+        # gaussian and supergaussian grids share their points, so one phase,
+        # sine and factor serve both
+        points = {
+            shape: scenarios.build_grid(scenarios._profile(values, 6.0, shape)).points.tobytes()
+            for shape in ("gaussian", "supergaussian", "rectangular")
+        }
+        assert len({points["gaussian"], points["supergaussian"], points["rectangular"]}) == 2
         distinct = set()
         for shape, width_nm, n, k, rho, gamma_pi in scenarios.oracle_case_matrix(values):
             settings = MwiSettings(n, k, scenarios._gamma_length(gamma_pi), rho)
@@ -601,18 +665,14 @@ class TestOracleRows:
         assert len(rows) == 108
         assert rows == expected
         assert len(distinct) == 72
-        assert len(calls["collapse"]) == len(set(calls["collapse"])) == len(distinct)
-        # gaussian and supergaussian grids share their points, so one phase serves both
-        points = {
-            shape: scenarios.build_grid(scenarios._profile(values, 6.0, shape)).points.tobytes()
-            for shape in ("gaussian", "supergaussian", "rectangular")
-        }
-        assert len({points["gaussian"], points["supergaussian"], points["rectangular"]}) == 2
-        assert len(calls["amplitude"]) == len({(points[s], length) for s, length, _ in distinct}) == 16
+        assert len(calls["deviation"]) == len(set(calls["deviation"])) == len(distinct)
+        by_points = {(points[s], length, rho) for s, length, rho in distinct}
+        assert len(calls["sine"]) == len(calls["factor"]) == len(by_points) == 48
+        assert len(calls["phase"]) == len({(p, length) for p, length, _ in by_points}) == 16
 
     def test_one_grid_alive_at_a_time(self):
-        # measured on the default matrix: about 1.15 MB for the call, against
-        # 1.18 MB for three grids held with one case evaluated on top
+        # measured on the default matrix: about 0.96 MB for the call, against
+        # 1.05 MB for three grids held with one case evaluated on top
         values = make_config("oracle_suite").values
         oracle_deviation_rows(values)  # first-call allocations out of the way
         settings = MwiSettings(3, 1e-10, scenarios._gamma_length(1.9), 0.002)
@@ -623,9 +683,9 @@ class TestOracleRows:
                 grid = scenarios.build_grid(scenarios._profile(values, 6.0, shape), settings)
                 held.append((grid, np.sqrt(grid.density)))
             grid, root_density = held[-1]
-            d = scenarios._collapse(grid, settings.phase_length, 2.0 * settings.rho)
-            amp_h = scenarios._oracle_amplitude(grid.points, settings)
-            o = scenarios._oracle_project(amp_h, root_density, settings.rho)
+            d = meter._collapse(grid, settings.phase_length, 2.0 * settings.rho)
+            amp_h = meter._oracle_amplitude(grid.points, settings)
+            o = meter._oracle_project(meter._oracle_factor(amp_h, settings.rho), root_density)
             mask = d > 1e-15 * float(d.max())
             float(np.max(np.abs(d[mask] - o[mask]) / d[mask]))
             three_grids_peak = tracemalloc.get_traced_memory()[1]
