@@ -8,17 +8,16 @@ path-imbalance phase is
 
 The momentum (P) pointer is the density-weighted mean shift of D, reported
 also as a wavelength shift; the intensity (I) pointer is the postselected
-total signal.  Two grid paths compute them.  ``collapsed_density(profile,
-settings)`` is the direct reference: it builds its own grid, collapses it
-for one setting and doubles the grid until a stride-2 guard agrees; it
-takes no other argument, so there is one way to call it.  The sweep path
-evaluates a whole sweep of phase lengths at once from the symmetric-density
-identity in the docstring of ``collapse_moments_on_grid``.  It has two
-steps: the kernel ``_level_moments`` sums C/I and T/I on a grid and its
-strided coarser levels, and ``_pointer_readout`` turns (C/I, T/I, A) into
-(P, delta_p).  ``collapse_moments_on_grid`` composes the two at level 0;
-the sweeps of ``wva_lab.scenarios`` call them apart, to read a kernel call
-made at scaled phase lengths out at each source's own.
+total signal.  One grid path computes them, from the symmetric-density
+identity in the docstring of ``collapse_moments_on_grid``, in two steps:
+the kernel ``_level_moments`` sums C/I and T/I on a grid and its strided
+coarser levels, and ``_pointer_readout`` turns (C/I, T/I, A) into
+(P, delta_p).  ``collapse_moments_on_grid`` composes the two at level 0.
+``collapsed_density(profile, settings)`` builds its own grid for one
+setting, reads levels 0 and 1 and doubles the grid until they agree; it
+takes no other argument, so there is one way to call it.  The sweeps of
+``wva_lab.scenarios`` call the two steps apart, to read a kernel call made
+at scaled phase lengths out at each source's own.
 Alongside them this module provides exact closed forms for Gaussian
 densities, the linear-regime approximations (through the weak value
 ``polarization.im_weak_value``), and a brute-force joint-state oracle for
@@ -43,8 +42,8 @@ from .errors import NumericalError, require
 from .polarization import MwiSettings, _xp, im_weak_value, postselection_state, preselection_state
 from .spectra import MomentumGrid, SpectralProfile, _simpson_weights, build_grid, effective_sigma_p
 
-# collapsed_density's stride-2 guard: the agreement it asks of the full and
-# half-resolution moments, and the grid doublings it makes before giving up
+# collapsed_density's stride-2 guard: the agreement it asks of the kernel's
+# levels 0 and 1, and the grid doublings it makes before giving up
 _GUARD_TOLERANCE = 1e-9
 _GUARD_REBUILDS = 3
 # values the a-factor products of one sweep-kernel block hold (bounds its memory)
@@ -53,8 +52,10 @@ _BLOCK_ELEMENTS = 2**16
 
 @dataclass(frozen=True)
 class CollapseResult:
-    """Collapsed density D(p) on its grid, with the derived pointer readouts."""
+    """The pointer readouts of one collapse, with the grid they were integrated on."""
 
+    # the grid, carrying the initial density Omega (not D); the name stays
+    # because the benchmark tracer counts the points of ``result.density``
     density: MomentumGrid
     postselection_probability: float
     delta_p: float       # rad/m
@@ -77,14 +78,6 @@ def _collapse(grid: MomentumGrid, phase_length: float, two_rho: float) -> np.nda
     the exact rewrite of (1 - cos)/2 and avoids cancellation at small arguments."""
     s = _half_phase_sine(grid.points, phase_length, two_rho)
     return grid.density * s * s
-
-
-def _moments(grid: MomentumGrid, collapsed) -> tuple[float, float]:
-    """Simpson moments of a collapsed density: (integral D, integral (p - p0) D)."""
-    wd = grid.weights * collapsed
-    prob = float(wd.sum())
-    mom1 = float((wd * grid.offsets).sum())
-    return prob, mom1
 
 
 def _factor_base(half_points: int) -> int:
@@ -130,19 +123,18 @@ def _level_moments(
     h = grid.step
     base = _factor_base(m)
     n_coarse = m // base + 1
-    # slot i = a*K + b of the half grid; slot 0 (x = 0) and slots past m weigh 0
-    w_omega = np.zeros((n_coarse * base, n_levels))
+    # (C or T, level, slot i = a*K + b of the half grid); slot 0 (x = 0) and slots past m weigh 0
+    weights = np.zeros((2, n_levels, n_coarse * base))
     totals = np.empty(n_levels)
     for j in range(n_levels):
         stride = 2**j
         density = grid.density[::stride]
-        weights = _simpson_weights(density.size, stride * h)
+        simpson = _simpson_weights(density.size, stride * h)
         level_mid = density.size // 2
-        w_omega[stride : m + 1 : stride, j] = weights[level_mid + 1 :] * density[level_mid + 1 :]
-        totals[j] = float(np.dot(weights, density))
-    x = h * np.arange(n_coarse * base)
-    weights = np.concatenate([w_omega, w_omega * x[:, np.newaxis]], axis=1)
-    weights = weights.reshape(n_coarse, base, 2 * n_levels).transpose(2, 1, 0).reshape(-1, n_coarse)
+        weights[0, j, stride : m + 1 : stride] = simpson[level_mid + 1 :] * density[level_mid + 1 :]
+        totals[j] = float(np.dot(simpson, density))
+    weights[1] = weights[0] * (h * np.arange(n_coarse * base))
+    weights = weights.reshape(2 * n_levels, n_coarse, base).transpose(0, 2, 1).reshape(-1, n_coarse)
     coarse_angles = (0.5 * h * base) * np.arange(n_coarse)
     fine_angles = (0.5 * h) * np.arange(base)
     c = np.empty((n_levels, phase_lengths.size))
@@ -197,8 +189,8 @@ def collapse_moments_on_grid(
     avoid cancellation at small arguments.
     The L axis runs in blocks whose products hold at most ``_BLOCK_ELEMENTS``
     values.
-    Skips the refinement guard of ``collapsed_density``; the sweep caller
-    guards convergence by comparing grid levels.  This is level 0 of
+    Skips any refinement guard; ``collapsed_density`` and the sweeps guard
+    convergence by comparing grid levels.  This is level 0 of
     ``_level_moments``, read out by ``_pointer_readout``.
     """
     c, t = _level_moments(grid, phase_lengths, 1)
@@ -209,25 +201,26 @@ def collapsed_density(profile: SpectralProfile, settings: MwiSettings) -> Collap
     """Collapse the meter density under postselection and integrate its moments.
 
     The grid is ``build_grid(profile, settings)``.  A stride-2 Simpson
-    comparison guards the quadrature: the moments on the full grid and on
-    its stride-2 subgrid (the same collapsed values read at every other
-    point) must agree to ``_GUARD_TOLERANCE`` (relative for the
-    probability, relative to sigma_p for the mean shift), or the grid is
+    comparison guards the quadrature: levels 0 and 1 of ``_level_moments``
+    (the grid and its stride-2 subgrid), each read out by
+    ``_pointer_readout``, must agree to ``_GUARD_TOLERANCE`` (relative for
+    the probability, relative to sigma_p for the mean shift), or the grid is
     rebuilt at double resolution, at most ``_GUARD_REBUILDS`` times.
 
     Returns
     -------
     CollapseResult
-        D(p) on the grid the guard accepted, postselection probability
-        (integral ratio against the initial density), the mean momentum
-        shift delta_p, and delta_lambda = -(lambda0^2/2pi) * delta_p.
+        The grid the guard accepted (carrying Omega), the postselection
+        probability, the mean momentum shift delta_p, and
+        delta_lambda = -(lambda0^2/2pi) * delta_p, all read at level 0.
 
     Raises
     ------
     ValueError
         For a monochromatic profile (no momentum pointer).
     NumericalError
-        If the guard still disagrees after the last rebuild.
+        If the guard still disagrees after the last rebuild, or a level's
+        probability is not positive and finite.
     """
     if profile.is_monochromatic:
         raise ValueError(
@@ -235,24 +228,24 @@ def collapsed_density(profile: SpectralProfile, settings: MwiSettings) -> Collap
             "use intensity_after_postselection"
         )
     sigma_p = effective_sigma_p(profile)
+    length = settings.phase_length
     grid = build_grid(profile, settings)
     for rebuilds in range(_GUARD_REBUILDS + 1):
         if rebuilds:
-            grid = build_grid(profile, settings, min_points=2 * (grid.points.size - 1) + 1)
-        collapsed = _collapse(grid, settings.phase_length, 2.0 * settings.rho)
-        prob_full, mom_full = _moments(grid, collapsed)
-        prob_half, mom_half = _moments(grid.half_resolution(), collapsed[::2])
-        prob_ok = abs(prob_full - prob_half) <= _GUARD_TOLERANCE * abs(prob_full)
-        shift_ok = abs(mom_full / prob_full - mom_half / prob_half) <= _GUARD_TOLERANCE * sigma_p
+            grid = build_grid(profile, settings, min_points=2 * (grid.density.size - 1) + 1)
+        c, t = _level_moments(grid, [length], 2)
+        (prob, prob_half), (delta_p, shift_half) = _pointer_readout(grid.center, length, settings.rho, c[:, 0], t[:, 0])
+        prob_ok = abs(prob - prob_half) <= _GUARD_TOLERANCE * abs(prob)
+        shift_ok = abs(delta_p - shift_half) <= _GUARD_TOLERANCE * sigma_p
         if prob_ok and shift_ok:
             break
     else:
         raise NumericalError("collapse quadrature did not converge under grid refinement")
 
-    delta_p = mom_full / prob_full
+    delta_p = float(delta_p)
     return CollapseResult(
-        density=grid.with_density(collapsed),
-        postselection_probability=prob_full / grid.integral(),
+        density=grid,
+        postselection_probability=float(prob),
         delta_p=delta_p,
         delta_lambda=-(profile.center_wavelength**2 / (2.0 * math.pi)) * delta_p,
     )
@@ -422,16 +415,18 @@ def oracle_joint_state(
     phases on |H> and |V> against sqrt of the density), projects onto the
     postselection state, and squares -- no trigonometric shortcut.  With
     ``sequential=True`` the N passes are applied one at a time instead of as
-    a single N-fold phase.  Used to validate ``collapsed_density``.
+    a single N-fold phase.  Its moments are Simpson sums of the collapsed
+    density on ``grid``, kept apart from the sweep kernel.  Used to validate
+    ``collapsed_density``.
     """
     if profile.is_monochromatic:
         raise ValueError("monochromatic profile: oracle needs a momentum grid")
     amp_h = _oracle_amplitude(grid.points, settings, sequential)
-    collapsed = _oracle_project(_oracle_factor(amp_h, settings.rho), np.sqrt(grid.density))
-    prob, mom1 = _moments(grid, collapsed)
-    delta_p = mom1 / prob
+    wd = grid.weights * _oracle_project(_oracle_factor(amp_h, settings.rho), np.sqrt(grid.density))
+    prob = float(wd.sum())
+    delta_p = float((wd * grid.offsets).sum()) / prob
     return CollapseResult(
-        density=grid.with_density(collapsed),
+        density=grid,
         postselection_probability=prob / grid.integral(),
         delta_p=delta_p,
         delta_lambda=-(profile.center_wavelength**2 / (2.0 * math.pi)) * delta_p,

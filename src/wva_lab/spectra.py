@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -178,31 +178,9 @@ class MomentumGrid:
         """Composite-Simpson weights, including h/3 (read-only)."""
         return _simpson_weights(self.density.size, self.step)
 
-    def integral(self, values: Optional[np.ndarray] = None) -> float:
-        """Simpson integral of ``values`` (the stored density by default)."""
-        v = self.density if values is None else values
-        return float(np.dot(self.weights, v))
-
-    def mean(self, values: Optional[np.ndarray] = None) -> float:
-        """Density-weighted mean momentum, computed on the offsets."""
-        v = self.density if values is None else values
-        wv = self.weights * v
-        return self.center + float(np.dot(wv, self.offsets) / np.sum(wv))
-
-    def variance(self, values: Optional[np.ndarray] = None) -> float:
-        v = self.density if values is None else values
-        wv = self.weights * v
-        total = np.sum(wv)
-        x = self.offsets
-        m1 = float(np.dot(wv, x) / total)
-        return float(np.dot(wv, (x - m1) ** 2) / total)
-
-    def with_density(self, density: np.ndarray) -> "MomentumGrid":
-        return replace(self, density=density)
-
-    def half_resolution(self) -> "MomentumGrid":
-        """Stride-2 subgrid (valid Simpson grid when the point count is 2^m + 1)."""
-        return MomentumGrid(center=self.center, step=2.0 * self.step, density=self.density[::2])
+    def integral(self) -> float:
+        """Simpson integral of the stored density."""
+        return float(np.dot(self.weights, self.density))
 
 
 def _grid_half_span(profile: SpectralProfile) -> float:

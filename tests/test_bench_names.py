@@ -14,7 +14,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import wva_lab
+from wva_lab import meter
+from wva_lab.polarization import MwiSettings
+from wva_lab.spectra import SpectralProfile, build_grid
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -58,3 +63,21 @@ def test_imported_names_resolve():
     assert not missing
     assert wva_lab.kernel_backend == "numpy"
 
+
+def test_traced_counters_read_the_results():
+    # The tracer's points counters read each result: collapsed_density's and
+    # oracle_joint_state's ``density`` grid, and the grid passed to
+    # collapse_moments_on_grid.  The calls go through the ``meter`` module,
+    # where the tracer installs its wrappers.
+    profile = SpectralProfile("gaussian", 1550e-9, 6e-9)
+    settings = MwiSettings(3, 2.5e-3, 0.0, 0.002)  # needs twice the 8,193-point floor
+    grid = build_grid(profile, min_points=129)
+    tracer = _spans_module().Tracer(keep_passes=0)
+    with tracer.installed(0):
+        accepted = meter.collapsed_density(profile, settings).density
+        meter.oracle_joint_state(profile, settings, grid)
+        meter.collapse_moments_on_grid(grid, np.array([settings.phase_length]), settings.rho)
+    metrics = tracer.metrics[0]
+    assert accepted.points.size == 16385
+    for layer, points in (("collapsed_density", 16385), ("oracle_joint_state", 129), ("collapse_moments_on_grid", 129)):
+        assert (metrics[f"meter.{layer}.calls"], metrics[f"meter.{layer}.points"]) == (1, points)

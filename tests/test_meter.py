@@ -9,11 +9,9 @@ from wva_lab.constants import SPEED_OF_LIGHT
 from wva_lab.errors import NumericalError
 from wva_lab.meter import (
     _collapse,
-    _moments,
     _oracle_amplitude,
     _oracle_factor,
     _oracle_project,
-    collapse_moments_on_grid,
     collapsed_density,
     intensity_after_postselection,
     intensity_shift_approx,
@@ -45,16 +43,32 @@ def gaussian(width=6e-9):
     return SpectralProfile("gaussian", LAMBDA0, width)
 
 
+def oracle_collapse(grid, settings, sequential=False):
+    """The oracle's collapsed density on ``grid``, composed from its steps."""
+    amp_h = _oracle_amplitude(grid.points, settings, sequential)
+    return _oracle_project(_oracle_factor(amp_h, settings.rho), np.sqrt(grid.density))
+
+
 class TestCollapsedDensity:
     def test_zero_coupling_scales_initial_density(self):
         settings = MwiSettings(1, 0.0, 0.0, 0.002)
         res = collapsed_density(gaussian(), settings)
-        grid = res.density
         initial = build_grid(gaussian(), settings)
+        assert np.array_equal(res.density.density, initial.density)  # the result's grid carries Omega
+        collapsed = _collapse(res.density, settings.phase_length, 2.0 * settings.rho)
         expected = initial.density * math.sin(0.002) ** 2
-        assert np.max(np.abs(grid.density - expected)) <= 1e-12 * expected.max()
+        assert np.max(np.abs(collapsed - expected)) <= 1e-12 * expected.max()
         assert res.delta_p == pytest.approx(0.0, abs=1e-6)
         assert res.postselection_probability == pytest.approx(SIN2_0002, rel=1e-9)
+
+    @pytest.mark.parametrize("shape", ["gaussian", "supergaussian", "rectangular"])
+    def test_zero_phase_length_gives_exactly_zero_shift(self, shape):
+        # at L = 0 every sin(x L) of the kernel is 0; a Simpson sum of
+        # (p - p0) D on absolute momenta left about -1.1e-12 rad/m here
+        for n, rho in ((1, 0.002), (2, 0.01), (3, 0.1)):
+            res = collapsed_density(SpectralProfile(shape, LAMBDA0, 6e-9), MwiSettings(n, 0.0, 0.0, rho))
+            assert res.delta_p == 0.0
+            assert res.postselection_probability == pytest.approx(math.sin(rho) ** 2, rel=1e-12)
 
     def test_shift_matches_frozen_value(self):
         res = collapsed_density(gaussian(), MwiSettings(1, 3e-12, 0.0, 0.002))
@@ -82,7 +96,8 @@ class TestCollapsedDensity:
                 settings = MwiSettings(2, k, 1.9 * math.pi / P0, rho)
                 res = collapsed_density(gaussian(), settings)
                 initial = build_grid(gaussian(), settings)
-                assert np.all(res.density.density <= initial.density + 1e-15)
+                collapsed = _collapse(res.density, settings.phase_length, 2.0 * rho)
+                assert np.all(collapsed <= initial.density + 1e-15)
                 assert 0.0 <= res.postselection_probability <= 1.0
 
     def test_probability_is_integral_ratio(self):
@@ -90,18 +105,9 @@ class TestCollapsedDensity:
         grid = build_grid(gaussian(), settings)
         res = collapsed_density(gaussian(), settings)
         assert np.array_equal(res.density.points, grid.points)  # the guard kept the grid built here
-        ratio = res.density.integral() / grid.integral()
+        collapsed = _collapse(grid, settings.phase_length, 2.0 * settings.rho)
+        ratio = float(np.dot(grid.weights, collapsed)) / grid.integral()
         assert res.postselection_probability == pytest.approx(ratio, rel=1e-9)
-
-    def test_fused_moments_match(self):
-        settings = MwiSettings(3, 2e-11, 1.9 * math.pi / P0, 0.002)
-        grid = build_grid(gaussian(), settings)
-        res = collapsed_density(gaussian(), settings)
-        assert np.array_equal(res.density.points, grid.points)  # the guard kept the grid built here
-        lengths = np.array([settings.phase_length])
-        prob, delta_p = collapse_moments_on_grid(grid, lengths, settings.rho)
-        assert prob[0] == pytest.approx(res.postselection_probability, rel=1e-12)
-        assert delta_p[0] == pytest.approx(res.delta_p, rel=1e-12)
 
     @pytest.mark.parametrize("shape", ["gaussian", "supergaussian"])
     def test_narrow_sources_converge(self, shape):
@@ -115,24 +121,30 @@ class TestCollapsedDensity:
     @pytest.mark.parametrize("width_nm", [0.05, 0.5])
     @pytest.mark.parametrize("shape", ["gaussian", "supergaussian", "rectangular"])
     def test_moments_on_exact_lattice(self, shape, width_nm):
-        # the Simpson sums of delta_p over one collapsed density, against the
-        # same sums in long double on the lattice x_i = i*h; offsets taken as
-        # absolute momenta minus p0 carry up to ulp(p0)/2 each, which moved
+        # the kernel's C/I and T/I, read out, against the same Simpson sums and
+        # readout in long double on the half lattice x_i = i*h; offsets taken
+        # as absolute momenta minus p0 carry up to ulp(p0)/2 each, which moved
         # delta_p by 9.5e-13 relative on these grids
         grid = build_grid(SpectralProfile(shape, LAMBDA0, width_nm * 1e-9), min_points=129)
         assert grid.density.size == 129
         step = np.longdouble(grid.step)
-        x = step * np.arange(-64, 65)  # i*h is exact in long double
+        x = step * np.arange(1, 65)  # i*h is exact in long double
         weights = np.ones(129, dtype=np.longdouble)
         weights[1:-1:2], weights[2:-1:2] = 4, 2
         weights *= step / 3
+        omega = grid.density.astype(np.longdouble)
+        w_omega = 2 * weights[65:] * omega[65:] / np.dot(weights, omega)  # the doubled half sum over I
         gamma, rho = 1.9 * math.pi / P0, 0.002
         for tau_as in (40.0, 170.0, 330.0):
-            collapsed = _collapse(grid, SPEED_OF_LIGHT * tau_as * 1e-18 + gamma, 2.0 * rho)
-            prob, mom1 = _moments(grid, collapsed)
-            wd = weights * collapsed
-            want = np.sum(wd * x) / np.sum(wd)
-            assert abs(mom1 / prob - want) <= 2e-13 * abs(want)
+            length = SPEED_OF_LIGHT * tau_as * 1e-18 + gamma
+            c, t = meter._level_moments(grid, [length], 1)
+            prob, delta_p = meter._pointer_readout(grid.center, length, rho, c[0, 0], t[0, 0])
+            long_length = np.longdouble(length)
+            angle = (np.longdouble(grid.center) * long_length + 2 * np.longdouble(rho)) / 2
+            prob_want = np.sin(angle) ** 2 + np.cos(2 * angle) * np.sum(w_omega * np.sin(x * long_length / 2) ** 2)
+            shift_want = np.sin(2 * angle) * np.sum(w_omega * x * np.sin(x * long_length)) / (2 * prob_want)
+            assert abs(prob - prob_want) <= 2e-13 * prob_want
+            assert abs(delta_p - shift_want) <= 2e-13 * abs(shift_want)
 
     def test_quadrature_against_independent_simpson(self):
         # third route: scipy Simpson on an independently constructed grid
@@ -175,26 +187,28 @@ class TestRefinementGuard:
         monkeypatch.setattr(meter, "_GUARD_TOLERANCE", -1.0)  # no difference is within a negative bound
 
     def test_one_disagreement_rebuilds_at_double_resolution(self, monkeypatch):
-        moments = meter._moments
+        kernel = meter._level_moments
         evaluated = []
 
-        def disagree_once(grid, collapsed):
-            prob, mom1 = moments(grid, collapsed)
-            evaluated.append(grid.density.size)
-            if len(evaluated) == 2:  # the first half-resolution estimate
-                prob *= 1.0 + 1e-6
-            return prob, mom1
+        def disagree_once(grid, lengths, n_levels):
+            c, t = kernel(grid, lengths, n_levels)
+            evaluated.append((grid.density.size, n_levels))
+            if len(evaluated) == 1:
+                c[1] += 1e-6  # the first half-resolution estimate
+            return c, t
 
-        monkeypatch.setattr(meter, "_moments", disagree_once)
+        monkeypatch.setattr(meter, "_level_moments", disagree_once)
         sizes = self._spy_build_grid(monkeypatch)
         res = collapsed_density(gaussian(), self.SETTINGS)
         assert sizes == [8193, 16385]
-        assert evaluated == [8193, 4097, 16385, 8193]
+        assert evaluated == [(8193, 2), (16385, 2)]
         fine = build_grid(gaussian(), self.SETTINGS, min_points=16385)
         assert np.array_equal(res.density.points, fine.points)
-        prob, mom1 = moments(fine, _collapse(fine, self.SETTINGS.phase_length, 2.0 * self.SETTINGS.rho))
-        assert res.postselection_probability == prob / fine.integral()
-        assert res.delta_p == mom1 / prob
+        length, rho = self.SETTINGS.phase_length, self.SETTINGS.rho
+        c, t = kernel(fine, [length], 2)
+        prob, delta_p = meter._pointer_readout(fine.center, length, rho, c[0, 0], t[0, 0])
+        assert res.postselection_probability == prob
+        assert res.delta_p == delta_p
 
     def test_never_agreeing_guard_raises(self, never_agrees, monkeypatch):
         sizes = self._spy_build_grid(monkeypatch)
@@ -308,7 +322,9 @@ class TestOracle:
         direct = collapsed_density(gaussian(), settings)
         assert np.array_equal(direct.density.points, grid.points)  # the guard kept the grid built here
         oracle = oracle_joint_state(gaussian(), settings, grid)
-        d, o = direct.density.density, oracle.density.density
+        assert oracle.density is grid
+        d = _collapse(direct.density, settings.phase_length, 2.0 * settings.rho)
+        o = oracle_collapse(grid, settings)
         mask = d > 1e-15 * d.max()
         assert np.max(np.abs(d[mask] - o[mask]) / d[mask]) <= 1e-10
         assert oracle.postselection_probability == pytest.approx(
@@ -320,15 +336,19 @@ class TestOracle:
         grid = build_grid(gaussian(), settings)
         oracle = oracle_joint_state(gaussian(), settings, grid)
         expected = grid.density * math.sin(0.002) ** 2
-        assert np.max(np.abs(oracle.density.density - expected)) <= 1e-12 * expected.max()
+        assert np.max(np.abs(oracle_collapse(grid, settings) - expected)) <= 1e-12 * expected.max()
+        assert oracle.postselection_probability == pytest.approx(SIN2_0002, rel=1e-12)
 
     def test_sequential_passes_match_single_application(self):
         settings = MwiSettings(2, 1e-11, 0.0, 0.005)
         grid = build_grid(gaussian(), settings)
-        one_shot = oracle_joint_state(gaussian(), settings, grid).density.density
-        stepwise = oracle_joint_state(gaussian(), settings, grid, sequential=True).density.density
+        one_shot = oracle_collapse(grid, settings)
+        stepwise = oracle_collapse(grid, settings, sequential=True)
         mask = one_shot > 1e-15 * one_shot.max()
         assert np.max(np.abs(one_shot[mask] - stepwise[mask]) / one_shot[mask]) <= 1e-14
+        one_shot, stepwise = (oracle_joint_state(gaussian(), settings, grid, sequential=s) for s in (False, True))
+        assert stepwise.postselection_probability == pytest.approx(one_shot.postselection_probability, rel=1e-14)
+        assert stepwise.delta_p == pytest.approx(one_shot.delta_p, rel=1e-14)
 
     @pytest.mark.parametrize("sequential", [False, True])
     def test_array_core_is_the_oracle(self, sequential):
@@ -337,7 +357,10 @@ class TestOracle:
         amp_h = _oracle_amplitude(grid.points, settings, sequential)
         core = _oracle_project(_oracle_factor(amp_h, settings.rho), np.sqrt(grid.density))
         oracle = oracle_joint_state(gaussian(), settings, grid, sequential=sequential)
-        assert np.array_equal(core, oracle.density.density)
+        assert oracle.density is grid
+        wd = grid.weights * core
+        assert oracle.postselection_probability == float(wd.sum()) / grid.integral()
+        assert oracle.delta_p == float((wd * grid.offsets).sum()) / float(wd.sum())
 
 
 class TestAmplificationDeepLinearRegime:

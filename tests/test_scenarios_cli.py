@@ -7,7 +7,7 @@ import pytest
 from wva_lab import meter, scenarios
 from wva_lab.cli import main
 from wva_lab.errors import ConfigError, NumericalError
-from wva_lab.meter import collapsed_density, oracle_joint_state
+from wva_lab.meter import collapsed_density
 from wva_lab.polarization import MwiSettings
 from wva_lab.scenarios import (
     SCENARIOS,
@@ -550,8 +550,9 @@ class TestOracleRows:
             grid = scenarios.build_grid(profile, settings)
             direct = collapsed_density(profile, settings)
             assert np.array_equal(direct.density.points, grid.points)  # the guard kept the grid built here
-            d = direct.density.density
-            o = oracle_joint_state(profile, settings, grid).density.density
+            d = meter._collapse(direct.density, settings.phase_length, 2.0 * settings.rho)
+            amp_h = meter._oracle_amplitude(direct.density.points, settings)
+            o = meter._oracle_project(meter._oracle_factor(amp_h, settings.rho), np.sqrt(direct.density.density))
             mask = d > 1e-15 * float(d.max())
             rows.append((*case, float(np.max(np.abs(d[mask] - o[mask]) / d[mask]))))
         return rows
@@ -699,6 +700,14 @@ class TestOracleRows:
 
 
 class TestScenarioPhysicsSpots:
+    def test_closed_form_deviations_at_rounding_level(self):
+        # collapsed_density reads the sweep kernel, whose C and T are sums on
+        # the exact lattice x = i*h; Simpson sums of (p - p0) D on absolute
+        # momenta left a shift deviation of 1.1e-10 on this matrix
+        worst_prob, worst_shift = scenarios.closed_form_deviations(make_config("oracle_suite").values)
+        assert worst_prob <= 1e-12
+        assert worst_shift <= 1e-12
+
     def test_fig6_rows_match_library(self):
         from wva_lab.lgi import k31
         from wva_lab.polarization import im_weak_value

@@ -26,6 +26,19 @@ def gaussian(width=6e-9, convention="sigma"):
     return SpectralProfile("gaussian", LAMBDA0, width, width_convention=convention)
 
 
+def mean_and_variance(grid):
+    """Density-weighted mean momentum and variance, Simpson sums on the offsets."""
+    wv = grid.weights * grid.density
+    total = np.sum(wv)
+    m1 = float(np.dot(wv, grid.offsets) / total)
+    return grid.center + m1, float(np.dot(wv, (grid.offsets - m1) ** 2) / total)
+
+
+def half_resolution(grid):
+    """The stride-2 subgrid (a Simpson grid while the interval count is even)."""
+    return MomentumGrid(center=grid.center, step=2.0 * grid.step, density=grid.density[::2])
+
+
 class TestConversion:
     def test_center_wavelength(self):
         assert lambda_p_convert(LAMBDA0) == pytest.approx(P0, rel=1e-12)
@@ -88,23 +101,23 @@ class TestBuildGrid:
         grid = build_grid(gaussian())
         assert grid.points.size >= 2**12
         assert grid.integral() == pytest.approx(1.0, abs=1e-12)
-        assert grid.mean() == pytest.approx(P0, rel=1e-9)
+        assert mean_and_variance(grid)[0] == pytest.approx(P0, rel=1e-9)
 
     def test_gaussian_moments(self):
-        grid = build_grid(gaussian())
-        assert grid.mean() == pytest.approx(P0, rel=1e-3 * SIGMA_P_6NM / P0)
-        assert grid.variance() == pytest.approx(SIGMA_P_6NM**2, rel=1e-3)
+        mean, variance = mean_and_variance(build_grid(gaussian()))
+        assert mean == pytest.approx(P0, rel=1e-3 * SIGMA_P_6NM / P0)
+        assert variance == pytest.approx(SIGMA_P_6NM**2, rel=1e-3)
 
     def test_supergaussian_equal_variance(self):
         profile = SpectralProfile("supergaussian", LAMBDA0, 6e-9, order=6)
         grid = build_grid(profile)
-        assert grid.variance() == pytest.approx(SIGMA_P_6NM**2, rel=1e-3)
+        assert mean_and_variance(grid)[1] == pytest.approx(SIGMA_P_6NM**2, rel=1e-3)
 
     def test_doubling_resolution_converged(self):
         base = build_grid(gaussian())
         fine = build_grid(gaussian(), min_points=2 * (base.points.size - 1) + 1)
         assert fine.integral() == pytest.approx(base.integral(), rel=1e-9)
-        assert fine.mean() == pytest.approx(base.mean(), rel=1e-9)
+        assert mean_and_variance(fine)[0] == pytest.approx(mean_and_variance(base)[0], rel=1e-9)
 
     def test_supergaussian_order_two_matches_gaussian(self):
         sg = build_grid(SpectralProfile("supergaussian", LAMBDA0, 6e-9, order=2))
@@ -156,7 +169,7 @@ class TestBuildGrid:
 
     def test_half_resolution_consistent(self):
         grid = build_grid(gaussian())
-        half = grid.half_resolution()
+        half = half_resolution(grid)
         assert half.points.size == (grid.points.size + 1) // 2
         assert half.integral() == pytest.approx(grid.integral(), rel=1e-9)
 
@@ -195,10 +208,12 @@ class TestLattice:
         m = grid.density.size // 2
         assert np.array_equal(grid.offsets, grid.step * np.arange(-m, m + 1))
         assert np.array_equal(grid.offsets, -grid.offsets[::-1])
-        assert np.array_equal(grid.half_resolution().offsets, grid.offsets[::2])
-        # so the stride-2 guard of collapsed_density reads its half level off the full collapse
+        assert np.array_equal(half_resolution(grid).offsets, grid.offsets[::2])
+        # so the kernel's stride-2 level is the lattice of step 2h, and a
+        # strided read of a collapse (as s2's table takes it) is the collapse
+        # of the strided lattice
         for phase_length, rho in ((SPEED_OF_LIGHT * 330e-18 + 1.9 * math.pi / P0, 0.002), (3e-10, 0.1)):
-            half = _collapse(grid.half_resolution(), phase_length, 2.0 * rho)
+            half = _collapse(half_resolution(grid), phase_length, 2.0 * rho)
             assert np.array_equal(half, _collapse(grid, phase_length, 2.0 * rho)[::2])
         assert np.array_equal(grid.points, grid.center + grid.offsets)
         assert grid.points.size == grid.weights.size == grid.density.size == 2 * m + 1

@@ -16,7 +16,7 @@ from wva_lab.meter import (
 )
 from wva_lab.polarization import MwiSettings
 from wva_lab.scenarios import LAMBDA0_M as LAMBDA0, P0_RAD_PER_M as P0, execute_scenario, make_config
-from wva_lab.spectra import SpectralProfile, build_grid, effective_sigma_p, grid_point_count
+from wva_lab.spectra import MomentumGrid, SpectralProfile, build_grid, effective_sigma_p, grid_point_count
 GAMMA = 1.9 * math.pi / P0
 RHO = 0.002
 TAUS_AS = np.arange(0.0, 331.0)  # the default 331-point sweep
@@ -46,10 +46,8 @@ def direct_levels(grid, lengths, rho, n_levels):
     step = grid.step
     angle = 0.5 * (grid.center * lengths + 2.0 * rho)
     probs, shifts = [], []
-    level = grid
     for j in range(n_levels):
-        if j:
-            level = level.half_resolution()
+        level = MomentumGrid(grid.center, 2**j * step, grid.density[:: 2**j])  # the stride-2^j subgrid
         half = level.points.size // 2
         x = 2**j * step * np.arange(1, half + 1)
         w_omega = level.weights[half + 1 :] * level.density[half + 1 :]
@@ -62,14 +60,35 @@ def direct_levels(grid, lengths, rho, n_levels):
     return np.array(probs), np.array(shifts)
 
 
+def readout(c, t, length, rho):
+    """(P, delta_p) from C/I and T/I at phase length ``length``."""
+    angle = 0.5 * (P0 * length + 2.0 * rho)
+    prob = np.sin(angle) ** 2 + np.cos(2.0 * angle) * c
+    return prob, 0.5 * np.sin(2.0 * angle) * t / prob
+
+
 def rectangular_exact(sigma_p, length, rho):
     """(P, delta_p) from the exact C and T of a rectangle of half width sqrt(3)*sigma_p."""
     a = math.sqrt(3.0) * sigma_p
     c = 0.5 * (1.0 - np.sin(a * length) / (a * length))
     t = (np.sin(a * length) / length**2 - a * np.cos(a * length) / length) / a
-    angle = 0.5 * (P0 * length + 2.0 * rho)
-    prob = np.sin(angle) ** 2 + np.cos(2.0 * angle) * c
-    return prob, 0.5 * np.sin(2.0 * angle) * t / prob
+    return readout(c, t, length, rho)
+
+
+def supergaussian_reference(profile, length, rho):
+    """(P, delta_p) from C and T of the supergaussian by composite
+    Gauss-Legendre, 32 panels of 64 nodes on [0, 8 sigma_p]: no grid of the
+    program's enters."""
+    sigma_p = effective_sigma_p(profile)
+    w = sigma_p / math.sqrt(math.gamma(3.0 / profile.order) / math.gamma(1.0 / profile.order))
+    u, u_weights = np.polynomial.legendre.leggauss(64)
+    half = 4.0 * sigma_p / 32  # half a panel
+    x = (half * (2.0 * np.arange(32)[:, np.newaxis] + 1.0 + u)).ravel()
+    omega = np.tile(half * u_weights, 32) * np.exp(-np.abs(x / w) ** profile.order)
+    total = omega.sum()
+    c = omega @ np.sin(0.5 * x * length) ** 2 / total
+    t = omega @ (x * np.sin(x * length)) / total
+    return readout(c, t, length, rho)
 
 
 class TestKernel:
@@ -131,6 +150,18 @@ class TestKernel:
             prob, delta_p = rectangular_exact(sigma_p, settings.phase_length, rho)
             assert res.postselection_probability == pytest.approx(prob, rel=1e-9)
             assert res.delta_p == pytest.approx(delta_p, rel=1e-9)
+
+    @pytest.mark.parametrize("width_nm", [0.5, 6.0, 50.0])
+    def test_supergaussian_against_gauss_legendre(self, width_nm):
+        profile = SpectralProfile("supergaussian", LAMBDA0, width_nm * 1e-9)
+        cases = ((1, 3e-12, 0.0, 0.002), (3, 1e-10, GAMMA, 0.01), (2, 2e-11, GAMMA, 0.1),
+                 (3, SPEED_OF_LIGHT * 330e-18, GAMMA, 0.002), (1, 0.0, GAMMA, 0.05))
+        for n, k, gamma, rho in cases:
+            settings = MwiSettings(n, k, gamma, rho)
+            res = collapsed_density(profile, settings)
+            prob, delta_p = supergaussian_reference(profile, settings.phase_length, rho)
+            assert abs(res.postselection_probability - prob) <= 1e-12 * prob
+            assert abs(res.delta_p - delta_p) <= 1e-12 * abs(delta_p)
 
 
 class TestAdaptiveSweep:
