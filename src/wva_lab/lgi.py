@@ -74,9 +74,10 @@ def weak_value_from_shift(
 ) -> float:
     """Invert the linear-regime intensity shift to the Im weak value.
 
-    Returns delta_ell / (exp(-(sigma_p N k)^2) p0 k); on shifts produced by
-    the forward linear model this recovers N cot(rho) exactly.  Raises
-    NumericalError where the damping underflows to 0.
+    Returns delta_ell / (exp(-(sigma_p N k)^2) p0 k), of a float or an array
+    delta_ell; on shifts produced by the forward linear model this recovers
+    N cot(rho) exactly.  Raises NumericalError where the damping underflows
+    to 0.
     """
     if k == 0.0:
         raise ValueError("k = 0: weak value from an intensity shift is undefined")

@@ -14,7 +14,8 @@ the kernel ``_level_moments`` sums C/I and T/I on a grid and its strided
 coarser levels, and ``_pointer_readout`` turns (C/I, T/I, A) into
 (P, delta_p).  ``collapse_moments_on_grid`` composes the two at level 0.
 ``collapsed_density(profile, settings)`` builds its own grid for one
-setting, reads levels 0 and 1 and doubles the grid until they agree; it
+setting or a family (k or rho an array), reads levels 0 and 1 for every
+member with one kernel call and doubles the grid until they agree; it
 takes no other argument, so there is one way to call it.  The sweeps of
 ``wva_lab.scenarios`` call the two steps apart, to read a kernel call made
 at scaled phase lengths out at each source's own.
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, require
+from .errors import NumericalError, holds, require
 from .polarization import MwiSettings, _xp, im_weak_value, postselection_state, preselection_state
 from .spectra import MomentumGrid, SpectralProfile, _simpson_weights, build_grid, effective_sigma_p
 
@@ -52,7 +53,10 @@ _BLOCK_ELEMENTS = 2**16
 
 @dataclass(frozen=True)
 class CollapseResult:
-    """The pointer readouts of one collapse, with the grid they were integrated on."""
+    """The pointer readouts of one collapse, with the grid they were integrated on.
+
+    The readouts are floats for scalar settings, and arrays of the settings'
+    broadcast shape for a family (settings whose k or rho is an array)."""
 
     # the grid, carrying the initial density Omega (not D); the name stays
     # because the benchmark tracer counts the points of ``result.density``
@@ -62,7 +66,8 @@ class CollapseResult:
     delta_lambda: float  # meters; sign convention delta_lambda = -(lambda0^2/2pi) delta_p
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.postselection_probability <= 1.0):
+        prob = self.postselection_probability
+        if not holds((0.0 <= prob) & (prob <= 1.0)):
             raise ValueError(
                 f"postselection probability outside [0, 1]: {self.postselection_probability!r}"
             )
@@ -200,11 +205,13 @@ def collapse_moments_on_grid(
 def collapsed_density(profile: SpectralProfile, settings: MwiSettings) -> CollapseResult:
     """Collapse the meter density under postselection and integrate its moments.
 
-    The grid is ``build_grid(profile, settings)``.  A stride-2 Simpson
-    comparison guards the quadrature: levels 0 and 1 of ``_level_moments``
-    (the grid and its stride-2 subgrid), each read out by
-    ``_pointer_readout``, must agree to ``_GUARD_TOLERANCE`` (relative for
-    the probability, relative to sigma_p for the mean shift), or the grid is
+    ``settings`` may be a family (k or rho an array), read out on one grid
+    with one kernel call.  The grid is ``build_grid(profile, settings)``,
+    sized for the family's largest |L|.  A stride-2 Simpson comparison guards
+    the quadrature: levels 0 and 1 of ``_level_moments`` (the grid and its
+    stride-2 subgrid), each read out by ``_pointer_readout``, must agree to
+    ``_GUARD_TOLERANCE`` (relative for the probability, relative to sigma_p
+    for the mean shift) for every member, or the whole family's grid is
     rebuilt at double resolution, at most ``_GUARD_REBUILDS`` times.
 
     Returns
@@ -212,7 +219,9 @@ def collapsed_density(profile: SpectralProfile, settings: MwiSettings) -> Collap
     CollapseResult
         The grid the guard accepted (carrying Omega), the postselection
         probability, the mean momentum shift delta_p, and
-        delta_lambda = -(lambda0^2/2pi) * delta_p, all read at level 0.
+        delta_lambda = -(lambda0^2/2pi) * delta_p, all read at level 0:
+        floats for scalar settings, arrays of the broadcast shape of k and
+        rho for a family.
 
     Raises
     ------
@@ -228,24 +237,28 @@ def collapsed_density(profile: SpectralProfile, settings: MwiSettings) -> Collap
             "use intensity_after_postselection"
         )
     sigma_p = effective_sigma_p(profile)
-    length = settings.phase_length
+    lengths = np.asarray(settings.phase_length, dtype=float)
+    # the kernel's (level, L) sums, with L's axes aligned with rho's on the right
+    shape = (2,) + (1,) * max(np.ndim(settings.rho) - lengths.ndim, 0) + lengths.shape
     grid = build_grid(profile, settings)
     for rebuilds in range(_GUARD_REBUILDS + 1):
         if rebuilds:
             grid = build_grid(profile, settings, min_points=2 * (grid.density.size - 1) + 1)
-        c, t = _level_moments(grid, [length], 2)
-        (prob, prob_half), (delta_p, shift_half) = _pointer_readout(grid.center, length, settings.rho, c[:, 0], t[:, 0])
-        prob_ok = abs(prob - prob_half) <= _GUARD_TOLERANCE * abs(prob)
-        shift_ok = abs(delta_p - shift_half) <= _GUARD_TOLERANCE * sigma_p
-        if prob_ok and shift_ok:
+        c, t = _level_moments(grid, lengths.ravel(), 2)
+        (prob, prob_half), (delta_p, shift_half) = _pointer_readout(
+            grid.center, lengths, settings.rho, c.reshape(shape), t.reshape(shape))
+        prob_ok = np.abs(prob - prob_half) <= _GUARD_TOLERANCE * np.abs(prob)
+        shift_ok = np.abs(delta_p - shift_half) <= _GUARD_TOLERANCE * sigma_p
+        if holds(prob_ok & shift_ok):
             break
     else:
         raise NumericalError("collapse quadrature did not converge under grid refinement")
 
-    delta_p = float(delta_p)
+    if prob.ndim == 0:
+        prob, delta_p = float(prob), float(delta_p)
     return CollapseResult(
         density=grid,
-        postselection_probability=float(prob),
+        postselection_probability=prob,
         delta_p=delta_p,
         delta_lambda=-(profile.center_wavelength**2 / (2.0 * math.pi)) * delta_p,
     )

@@ -18,14 +18,14 @@ from .polarization import _xp
 
 @dataclass(frozen=True)
 class TiltGeometry:
-    """Tilted wave plate: tilt angle, refractive index, working wavelength."""
+    """Tilted wave plate: tilt angle (a float or an array of them), refractive index, working wavelength."""
 
     theta: float                    # rad
     refractive_index: float = 1.54
     wavelength: float = PAPER["lambda0_m"].value
 
     def __post_init__(self) -> None:
-        if not abs(self.theta) < math.pi / 2:
+        if not holds(abs(self.theta) < math.pi / 2):
             raise ValueError(f"|theta| must be < pi/2, got {self.theta!r}")
         if self.refractive_index <= 1.0:
             raise ValueError(f"refractive index must be > 1, got {self.refractive_index!r}")
@@ -37,10 +37,11 @@ def tau_from_tilt(geom: TiltGeometry) -> float:
     """Time difference from a wave-plate tilt, seconds.
 
     tau = (lambda / 2c) * (1/sqrt(1 - sin^2(theta)/n^2) - 1); even in theta,
-    zero at zero tilt, strictly increasing on (0, pi/2).
+    zero at zero tilt, strictly increasing on (0, pi/2).  An array tilt gives an array.
     """
-    s2 = math.sin(geom.theta) ** 2 / geom.refractive_index**2
-    return geom.wavelength / (2.0 * SPEED_OF_LIGHT) * (1.0 / math.sqrt(1.0 - s2) - 1.0)
+    xp = _xp(geom.theta)
+    s2 = xp.sin(geom.theta) ** 2 / geom.refractive_index**2
+    return geom.wavelength / (2.0 * SPEED_OF_LIGHT) * (1.0 / xp.sqrt(1.0 - s2) - 1.0)
 
 
 def k_from_tau(tau: float) -> float:

@@ -812,33 +812,37 @@ def oracle_deviation_rows(values: Values) -> list:
     return [(*case, dev) for case, dev in zip(cases, deviations)]
 
 
-def _check_denominator(name: str, value: float, case: str) -> None:
-    """A closed form that a relative deviation divides by must be finite and
-    nonzero (the Gaussian shift underflows to 0 once sigma_p * L passes ~38)."""
-    require(value != 0.0 and math.isfinite(value),
-            f"closed-form {name} is {value!r} for case {case}: no relative deviation")
-
-
 def closed_form_deviations(values: Values) -> tuple:
     """Worst relative deviations (probability, delta_p) of the refinement-guarded
     quadrature from the Gaussian closed forms, over the matrix's Gaussian cases
-    with gamma = 0 and k != 0."""
-    worst_prob = 0.0
-    worst_shift = 0.0
-    for shape, width_nm, n, k, rho, gamma_pi in oracle_case_matrix(values):
-        if shape != "gaussian" or gamma_pi != 0.0 or k == 0.0:
-            continue
-        profile = _profile(values, width_nm, shape)
+    with gamma = 0 and k != 0: for each N, one ``collapsed_density`` call and one
+    closed-form evaluation over the (k, rho) matrix of those cases.
+
+    Raises ConfigError where the matrix has no such case (the check would
+    compare nothing), and NumericalError where a closed form that a deviation
+    divides by is 0 or not finite (the Gaussian shift underflows to 0 once
+    sigma_p * L passes ~38), naming the first such case.
+    """
+    ks = [k for k in values["k_list_m"] if k != 0.0]
+    gamma_pi = next((g for g in values["gamma_pi_list"] if g == 0.0), None)
+    if "gaussian" not in values["shapes"] or not ks or gamma_pi is None:
+        raise ConfigError("config keys shapes, k_list_m and gamma_pi_list give no Gaussian case with "
+                          "gamma_pi = 0 and k != 0: the closed-form check would compare nothing")
+    profile = _profile(values, values["sigma_lambda_nm"], "gaussian")
+    sigma_p = effective_sigma_p(profile)
+    k, rho = np.array(ks)[:, np.newaxis], np.array(values["rho_list_rad"])
+    worst_prob = worst_shift = 0.0
+    for n in values["n_list"]:
         settings = MwiSettings(n, k, _gamma_length(gamma_pi), rho)
-        sigma_p = effective_sigma_p(profile)
-        quad = collapsed_density(profile, settings)
-        case = f"shape={shape} n={n} k={k!r} rho={rho!r} gamma_pi={gamma_pi!r}"
+        case = f"shape=gaussian n={n} k={{!r}} rho={{!r}} gamma_pi={gamma_pi!r}"
         prob_closed = postselection_probability_gaussian(sigma_p, P0_RAD_PER_M, settings)
-        _check_denominator("probability", prob_closed, case)
         shift_closed = pointer_shift_p_gaussian(sigma_p, P0_RAD_PER_M, settings)
-        _check_denominator("shift", shift_closed, case)
-        worst_prob = max(worst_prob, abs(quad.postselection_probability - prob_closed) / prob_closed)
-        worst_shift = max(worst_shift, abs(quad.delta_p - shift_closed) / abs(shift_closed))
+        for name, closed in (("probability", prob_closed), ("shift", shift_closed)):
+            require((closed != 0.0) & np.isfinite(closed),
+                    f"closed-form {name} is {{!r}} for case {case}: no relative deviation", closed, k, rho)
+        quad = collapsed_density(profile, settings)
+        worst_prob = max(worst_prob, float(np.max(np.abs(quad.postselection_probability - prob_closed) / prob_closed)))
+        worst_shift = max(worst_shift, float(np.max(np.abs(quad.delta_p - shift_closed) / np.abs(shift_closed))))
     return worst_prob, worst_shift
 
 
@@ -861,9 +865,9 @@ def closed_form_deviations(values: Values) -> tuple:
     rows=lambda v: math.prod(len(v[key]) for key in _ORACLE_LISTS),
 )
 def _run_oracle_suite(v: Values) -> ScenarioResult:
+    worst_prob, worst_shift = closed_form_deviations(v)  # first: it rejects a matrix it cannot check
     rows = oracle_deviation_rows(v)
     worst_oracle = max((row[-1] for row in rows), default=0.0)
-    worst_prob, worst_shift = closed_form_deviations(v)
     tolerances = {key: v[key] for key in ("oracle_tolerance", "prob_tolerance", "shift_tolerance")}
     passed = (
         worst_oracle <= tolerances["oracle_tolerance"]

@@ -198,7 +198,8 @@ def grid_point_count(
     """Point count of ``build_grid`` for these arguments: the smallest 2^m + 1
     that samples the postselection modulation (momentum period
     2*pi/(N*k + gamma)) at least ``_PERIOD_SAMPLES`` times over the grid's
-    span, with a floor of ``min_points``.
+    span, with a floor of ``min_points``.  For settings whose k is an array
+    (a family) the largest |N*k + gamma| sets the count.
 
     Raises
     ------
@@ -211,8 +212,11 @@ def grid_point_count(
     if profile.is_monochromatic:
         raise ValueError("monochromatic profile has no momentum grid; use the intensity path")
     n_intervals = max(min_points - 1, 4)
-    if settings is not None and settings.phase_length != 0.0:
-        max_step = 2.0 * math.pi / (_PERIOD_SAMPLES * abs(settings.phase_length))
+    length = 0.0 if settings is None else abs(settings.phase_length)
+    if isinstance(length, np.ndarray):  # a family: its largest |L| sets the count
+        length = float(length.max())
+    if length != 0.0:
+        max_step = 2.0 * math.pi / (_PERIOD_SAMPLES * length)
         needed = 2.0 * _grid_half_span(profile) / max_step if max_step > 0.0 else math.inf  # L overflows to inf
         if needed > MAX_GRID_POINTS - 1:
             raise NumericalError(

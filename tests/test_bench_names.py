@@ -69,15 +69,19 @@ def test_traced_counters_read_the_results():
     # oracle_joint_state's ``density`` grid, and the grid passed to
     # collapse_moments_on_grid.  The calls go through the ``meter`` module,
     # where the tracer installs its wrappers.
+    # A family's one call counts the one grid of its largest |L|.
     profile = SpectralProfile("gaussian", 1550e-9, 6e-9)
     settings = MwiSettings(3, 2.5e-3, 0.0, 0.002)  # needs twice the 8,193-point floor
+    family = MwiSettings(3, np.array([1e-12, 2.5e-3, 5e-3]), 0.0, 0.002)  # the largest needs four times
     grid = build_grid(profile, min_points=129)
     tracer = _spans_module().Tracer(keep_passes=0)
     with tracer.installed(0):
         accepted = meter.collapsed_density(profile, settings).density
+        accepted_family = meter.collapsed_density(profile, family).density
         meter.oracle_joint_state(profile, settings, grid)
         meter.collapse_moments_on_grid(grid, np.array([settings.phase_length]), settings.rho)
     metrics = tracer.metrics[0]
-    assert accepted.points.size == 16385
-    for layer, points in (("collapsed_density", 16385), ("oracle_joint_state", 129), ("collapse_moments_on_grid", 129)):
-        assert (metrics[f"meter.{layer}.calls"], metrics[f"meter.{layer}.points"]) == (1, points)
+    assert (accepted.points.size, accepted_family.points.size) == (16385, 32769)
+    for layer, calls, points in (("collapsed_density", 2, 16385 + 32769), ("oracle_joint_state", 1, 129),
+                                 ("collapse_moments_on_grid", 1, 129)):
+        assert (metrics[f"meter.{layer}.calls"], metrics[f"meter.{layer}.points"]) == (calls, points)

@@ -8,6 +8,7 @@ from wva_lab.cli import main
 from wva_lab.constants import SPEED_OF_LIGHT
 from wva_lab.errors import NumericalError
 from wva_lab.meter import (
+    CollapseResult,
     _collapse,
     _oracle_amplitude,
     _oracle_factor,
@@ -21,8 +22,8 @@ from wva_lab.meter import (
     postselection_probability_gaussian,
 )
 from wva_lab.polarization import MwiSettings
-from wva_lab.scenarios import LAMBDA0_M as LAMBDA0, P0_RAD_PER_M as P0
-from wva_lab.spectra import SpectralProfile, build_grid
+from wva_lab.scenarios import LAMBDA0_M as LAMBDA0, P0_RAD_PER_M as P0, make_config
+from wva_lab.spectra import SpectralProfile, build_grid, grid_point_count
 
 SIGMA_P_6NM = 15691.617832706564
 SIN2_0002 = 3.9999946666695111e-6
@@ -163,12 +164,47 @@ class TestCollapsedDensity:
         assert res.delta_p == pytest.approx(dp_ref, rel=1e-6)
 
 
+class TestSettingsFamily:
+    """``collapsed_density`` on settings whose k or rho is an array: one grid
+    for the family's largest |L|, one kernel call, arrays of the broadcast shape."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_family_matches_scalar_calls_on_default_matrix(self, n):
+        values = make_config("oracle_suite").values
+        ks = [k for k in values["k_list_m"] if k != 0.0]
+        rhos = values["rho_list_rad"]
+        family = collapsed_density(gaussian(), MwiSettings(n, np.array(ks)[:, np.newaxis], 0.0, np.array(rhos)))
+        assert family.postselection_probability.shape == family.delta_p.shape == (len(ks), len(rhos))
+        for i, k in enumerate(ks):
+            for j, rho in enumerate(rhos):
+                case = collapsed_density(gaussian(), MwiSettings(n, k, 0.0, rho))
+                assert family.postselection_probability[i, j] == pytest.approx(case.postselection_probability, rel=1e-14)
+                assert family.delta_p[i, j] == pytest.approx(case.delta_p, rel=1e-14)
+                assert family.delta_lambda[i, j] == pytest.approx(case.delta_lambda, rel=1e-14)
+
+    def test_family_grid_is_that_of_its_largest_length(self):
+        ks = np.array([1e-12, -2.5e-3])  # per-case grids of 8,193 and 16,385 points
+        assert [grid_point_count(gaussian(), MwiSettings(3, float(k))) for k in ks] == [8193, 16385]
+        res = collapsed_density(gaussian(), MwiSettings(3, ks, 0.0, 0.002))
+        widest = build_grid(gaussian(), MwiSettings(3, float(ks[1])))
+        assert np.array_equal(res.density.points, widest.points)
+        assert res.delta_p.shape == (2,)
+
+    def test_scalar_settings_give_float_fields(self):
+        res = collapsed_density(gaussian(), MwiSettings(1, 3e-12, 0.0, 0.002))
+        assert all(type(v) is float for v in (res.postselection_probability, res.delta_p, res.delta_lambda))
+        with pytest.raises(ValueError, match="outside"):
+            CollapseResult(res.density, np.array([0.5, 1.5]), np.zeros(2), np.zeros(2))
+
+
 class TestRefinementGuard:
     """The stride-2 guard of ``collapsed_density``: a grid whose full- and
-    half-resolution moments disagree is rebuilt at twice the intervals, up
-    to ``_GUARD_REBUILDS`` times, and then the call raises."""
+    half-resolution moments disagree for any member of a family is rebuilt,
+    for the whole family, at twice the intervals, up to ``_GUARD_REBUILDS``
+    times, and then the call raises."""
 
     SETTINGS = MwiSettings(1, 3e-12, 0.0, 0.002)
+    FAMILY = MwiSettings(1, np.array([3e-12, 1e-10])[:, np.newaxis], 0.0, np.array([0.002, 0.01]))
 
     @staticmethod
     def _spy_build_grid(monkeypatch):
@@ -186,7 +222,7 @@ class TestRefinementGuard:
     def never_agrees(self, monkeypatch):
         monkeypatch.setattr(meter, "_GUARD_TOLERANCE", -1.0)  # no difference is within a negative bound
 
-    def test_one_disagreement_rebuilds_at_double_resolution(self, monkeypatch):
+    def _check_one_disagreement(self, settings, monkeypatch):
         kernel = meter._level_moments
         evaluated = []
 
@@ -194,28 +230,41 @@ class TestRefinementGuard:
             c, t = kernel(grid, lengths, n_levels)
             evaluated.append((grid.density.size, n_levels))
             if len(evaluated) == 1:
-                c[1] += 1e-6  # the first half-resolution estimate
+                c[1, -1] += 1e-6  # the first half-resolution estimate of one member
             return c, t
 
         monkeypatch.setattr(meter, "_level_moments", disagree_once)
         sizes = self._spy_build_grid(monkeypatch)
-        res = collapsed_density(gaussian(), self.SETTINGS)
+        res = collapsed_density(gaussian(), settings)
         assert sizes == [8193, 16385]
         assert evaluated == [(8193, 2), (16385, 2)]
-        fine = build_grid(gaussian(), self.SETTINGS, min_points=16385)
+        fine = build_grid(gaussian(), settings, min_points=16385)
         assert np.array_equal(res.density.points, fine.points)
-        length, rho = self.SETTINGS.phase_length, self.SETTINGS.rho
-        c, t = kernel(fine, [length], 2)
-        prob, delta_p = meter._pointer_readout(fine.center, length, rho, c[0, 0], t[0, 0])
-        assert res.postselection_probability == prob
-        assert res.delta_p == delta_p
+        lengths = np.asarray(settings.phase_length)
+        c, t = kernel(fine, lengths.ravel(), 2)
+        prob, delta_p = meter._pointer_readout(
+            fine.center, lengths, settings.rho, c[0].reshape(lengths.shape), t[0].reshape(lengths.shape))
+        assert np.array_equal(res.postselection_probability, prob)
+        assert np.array_equal(res.delta_p, delta_p)
 
-    def test_never_agreeing_guard_raises(self, never_agrees, monkeypatch):
+    def _check_never_agreeing_raises(self, settings, monkeypatch):
         sizes = self._spy_build_grid(monkeypatch)
         with pytest.raises(NumericalError, match="did not converge under grid refinement"):
-            collapsed_density(gaussian(), self.SETTINGS)
+            collapsed_density(gaussian(), settings)
         assert len(sizes) == meter._GUARD_REBUILDS + 1
         assert sizes == [8193 * 2**j - 2**j + 1 for j in range(len(sizes))]
+
+    def test_one_disagreement_rebuilds_at_double_resolution(self, monkeypatch):
+        self._check_one_disagreement(self.SETTINGS, monkeypatch)
+
+    def test_one_disagreeing_member_rebuilds_the_family(self, monkeypatch):
+        self._check_one_disagreement(self.FAMILY, monkeypatch)
+
+    def test_never_agreeing_guard_raises(self, never_agrees, monkeypatch):
+        self._check_never_agreeing_raises(self.SETTINGS, monkeypatch)
+
+    def test_never_agreeing_family_raises(self, never_agrees, monkeypatch):
+        self._check_never_agreeing_raises(self.FAMILY, monkeypatch)
 
     def test_oracle_suite_exits_3_without_csv(self, never_agrees, tmp_path, capsys):
         out = tmp_path / "oracle_suite.csv"

@@ -45,6 +45,14 @@ class TestTiltMap:
         taus = [tau_from_tilt(TiltGeometry(t)) for t in thetas]
         assert all(b > a for a, b in zip(taus, taus[1:]))
 
+    def test_array_tilt_is_the_scalar_map(self):
+        thetas = np.linspace(-math.pi / 2 + 1e-4, math.pi / 2 - 1e-4, 1023)
+        taus = tau_from_tilt(TiltGeometry(thetas))
+        expected = [tau_from_tilt(TiltGeometry(float(t))) for t in thetas]
+        np.testing.assert_allclose(taus, expected, rtol=4 * np.finfo(float).eps, atol=0.0)
+        with pytest.raises(ValueError):
+            TiltGeometry(np.array([0.1, math.pi / 2]))
+
     def test_small_tilt_quadratic(self):
         for theta in (1e-5, 1e-4, 1e-3):
             geom = TiltGeometry(theta)

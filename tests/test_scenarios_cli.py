@@ -340,6 +340,10 @@ class TestCli:
             ("oracle_suite", "oracle_tolerance=-1"),
             ("oracle_suite", "prob_tolerance=-1"),
             ("oracle_suite", "shift_tolerance=-1"),
+            # no Gaussian case with gamma = 0 and k != 0: the closed-form check would compare nothing
+            ("oracle_suite", "shapes=supergaussian"),
+            ("oracle_suite", "k_list_m=0"),
+            ("oracle_suite", "gamma_pi_list=1.9"),
         ],
     )
     def test_bad_value_exits_2_without_csv(self, scenario_id, setting, tmp_path, capsys):
@@ -707,6 +711,27 @@ class TestScenarioPhysicsSpots:
         worst_prob, worst_shift = scenarios.closed_form_deviations(make_config("oracle_suite").values)
         assert worst_prob <= 1e-12
         assert worst_shift <= 1e-12
+
+    def test_closed_form_deviations_one_collapse_per_n(self, monkeypatch):
+        # the 18 Gaussian, gamma = 0, k != 0 cases of the default matrix are
+        # read out as one (k, rho) family per N, on one guarded grid each
+        calls, grids = [], []
+        collapse, build = scenarios.collapsed_density, meter.build_grid
+
+        def spy_collapse(profile, settings):
+            calls.append(np.shape(settings.phase_length * settings.rho))
+            return collapse(profile, settings)
+
+        def spy_build(*args, **kwargs):
+            grids.append(build(*args, **kwargs))
+            return grids[-1]
+
+        monkeypatch.setattr(scenarios, "collapsed_density", spy_collapse)
+        monkeypatch.setattr(scenarios, "build_grid", spy_build)
+        monkeypatch.setattr(meter, "build_grid", spy_build)
+        scenarios.closed_form_deviations(make_config("oracle_suite").values)
+        assert calls == [(2, 3)] * 3
+        assert [grid.points.size for grid in grids] == [8193] * 3
 
     def test_fig6_rows_match_library(self):
         from wva_lab.lgi import k31
