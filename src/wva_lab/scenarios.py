@@ -25,7 +25,7 @@ from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError, NumericalError, require
 from .lgi import k31, negativity_boundary_scan, quantum_region_boundary, weak_value_from_shift
 from .meter import (
-    _collapse,
+    _half_phase_sine,
     _level_moments,
     _oracle_deviations,
     _pointer_readout,
@@ -653,13 +653,15 @@ def _run_fig6(v: Values) -> ScenarioResult:
 
 
 def _s2_grid_args(v: Values) -> tuple:
-    """(profile, settings) of s2's grid: built for its largest time
-    difference.  Raises NumericalError where k = c tau overflows."""
+    """(profile, settings) of s2's grid.  The settings are the family of its
+    time differences, k = c tau for each, so the largest |N k + gamma| sets
+    the grid, whatever the sign of tau.  Raises NumericalError where k = c tau
+    overflows."""
     taus = v["tau_list_as"]
     if not math.isfinite(SPEED_OF_LIGHT * max(map(abs, taus)) * 1e-18):
         raise NumericalError(f"tau_list_as {taus!r} holds a time difference whose k = c tau overflows")
-    k_max = SPEED_OF_LIGHT * max(taus) * 1e-18
-    settings = MwiSettings(v["n_interactions"], k_max, _gamma_length(v["gamma_pi_units"]), v["rho_rad"])
+    ks = SPEED_OF_LIGHT * np.array(taus) * 1e-18
+    settings = MwiSettings(v["n_interactions"], ks, _gamma_length(v["gamma_pi_units"]), v["rho_rad"])
     return _profile(v, v["width_nm"]), settings
 
 
@@ -677,18 +679,23 @@ def _s2_grid_args(v: Values) -> tuple:
     rows=lambda v: len(v["tau_list_as"]) * -(-grid_point_count(*_s2_grid_args(v)) // v["subsample_stride"]),
 )
 def _run_s2(v: Values) -> ScenarioResult:
-    profile, widest = _s2_grid_args(v)
-    grid = build_grid(profile, widest)
-    stride, taus = v["subsample_stride"], v["tau_list_as"]
+    """The densities at every ``subsample_stride``-th point of one grid, the
+    collapse D = Omega sin^2((p L + 2 rho)/2) evaluated at those points only.
+    The whole grid is still built: it normalizes Omega.  Each tau's rows come
+    in rising wavelength, the order ``render_csv`` writes."""
+    profile, family = _s2_grid_args(v)
+    grid = build_grid(profile, family)
+    stride = v["subsample_stride"]
     points = grid.points[::stride]
     require(points[0] > 0.0, "the grid reaches momentum {!r} rad/m: no wavelength", points[0])
+    points, density = points[::-1], grid.density[::stride][::-1]
     lam = 2.0 * math.pi / points
     to_per_nm = (2.0 * math.pi / lam**2) * 1e-9  # |dp/dlambda| in rad/m per nm
-    n, gamma, two_rho = widest.n_interactions, widest.gamma, 2.0 * widest.rho
-    blocks = [(tau, lam * 1e9, grid.density[::stride] * to_per_nm,
-               _collapse(grid, n * (SPEED_OF_LIGHT * tau * 1e-18) + gamma, two_rho)[::stride] * to_per_nm)
-              for tau in taus]
-    summary = {"grid_points": int(grid.points.size), "emitted_rows": len(taus) * points.size,
+    blocks = []
+    for tau, length in zip(v["tau_list_as"], family.phase_length):
+        s = _half_phase_sine(points, length, 2.0 * family.rho)
+        blocks.append((tau, lam * 1e9, density * to_per_nm, density * s * s * to_per_nm))
+    summary = {"grid_points": int(grid.points.size), "emitted_rows": len(blocks) * points.size,
                "densities_normalized": True}
     names = ("tau_as", "lambda_nm", "initial_density_per_nm", "collapsed_density_per_nm")
     return ScenarioResult(_stacked(names, blocks), summary)
@@ -917,18 +924,26 @@ def _format_cell(value) -> str:
 
 
 def _format_column(column: np.ndarray) -> list:
-    """``_format_cell`` of every value; a float column is formatted in one
-    ``repr`` of its list of Python floats, which gives the same shortest
-    round-trip text per value, and each distinct float once when values
-    repeat (not with a zero: 0.0 and -0.0 are one key but two texts)."""
-    values = column.tolist()
-    if column.dtype.kind != "f":
-        return list(map(_format_cell, values))
+    """``_format_cell`` of every value, formatted once per distinct value.
+    Float texts come from one ``repr`` of a list of Python floats, which gives
+    the same shortest round-trip text per value; an all-distinct float column
+    is formatted as it stands.  A float column holding a zero is keyed by its
+    bits, since 0.0 and -0.0 are one key but two texts."""
+    keys = values = column.tolist()
     distinct = set(values)
-    if len(distinct) == len(values) or 0.0 in distinct:
+    if column.dtype.kind != "f":
+        text = {value: _format_cell(value) for value in distinct}
+        return list(map(text.__getitem__, values))
+    if len(distinct) == len(values):
         return repr(values)[1:-1].split(", ")
-    text = dict(zip(distinct, repr(list(distinct))[1:-1].split(", ")))
-    return list(map(text.__getitem__, values))
+    if 0.0 in distinct:
+        keys = column.view(f"i{column.itemsize}").tolist()
+        distinct = dict(zip(keys, values))  # bits -> value
+        texts = repr(list(distinct.values()))
+    else:
+        texts = repr(list(distinct))
+    text = dict(zip(distinct, texts[1:-1].split(", ")))
+    return list(map(text.__getitem__, keys))
 
 
 def render_csv(result: ScenarioResult, config: ScenarioConfig) -> str:

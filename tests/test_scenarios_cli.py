@@ -212,6 +212,35 @@ class TestCsvOutput:
         reference += [",".join(_format_cell(v) for v in row) for row in sorted(rows)]
         assert render_csv(result, config) == "\n".join(reference) + "\n"
 
+    def test_format_cell_once_per_distinct_value_per_chunk(self, monkeypatch):
+        # int, bool and str columns are formatted once per distinct value of
+        # each chunk, not once per cell
+        chunk = scenarios._RENDER_CHUNK_ROWS
+        i = np.arange(2 * chunk + 37)
+        columns = {
+            "index_1": i,
+            "shape": np.array(["gaussian", "rectangular", "supergaussian"])[i % 3],
+            "flag_1": i % 2 == 0,
+            "count_1": i % 5 - 2,
+        }
+        config = make_config("fig6", FAST_OVERRIDES["fig6"])
+        calls = []
+
+        def spy(value):
+            calls.append(value)
+            return _format_cell(value)
+
+        monkeypatch.setattr(scenarios, "_format_cell", spy)
+        text = render_csv(ScenarioResult(columns, {}), config)
+        expected = [
+            value for lo in range(0, i.size, chunk) for column in columns.values()
+            for value in set(column[lo : lo + chunk].tolist())
+        ]
+        assert len(expected) == i.size + 3 * (3 + 2 + 5)
+        cells = calls[len(config.params):]
+        assert sorted(map(repr, cells)) == sorted(map(repr, expected))
+        assert text.splitlines()[-1] == ",".join(_format_cell(column[-1].item()) for column in columns.values())
+
     def test_byte_determinism(self, tmp_path):
         for scenario_id in ("fig6", "s4_weak_values", "fig3a"):
             config = make_config(scenario_id, FAST_OVERRIDES[scenario_id])
@@ -675,6 +704,22 @@ class TestOracleRows:
         assert len(calls["sine"]) == len(calls["factor"]) == len(by_points) == 48
         assert len(calls["phase"]) == len({(p, length) for p, length, _ in by_points}) == 16
 
+    def test_oracle_phase_is_the_complex_exponential(self, monkeypatch):
+        # the phase filled from cos and sin of (0.5 L) p equals exp(0.5j L p)
+        # bit for bit on every (points, L) pair of the default matrix
+        pairs, amplitude = {}, meter._oracle_amplitude
+
+        def spy(points, settings, *args):
+            amp_h = amplitude(points, settings, *args)
+            pairs[(points.tobytes(), settings.phase_length)] = (points, settings.phase_length, amp_h)
+            return amp_h
+
+        monkeypatch.setattr(meter, "_oracle_amplitude", spy)
+        oracle_deviation_rows(make_config("oracle_suite").values)
+        assert len(pairs) == 28
+        for points, length, amp_h in pairs.values():
+            assert amp_h.tobytes() == np.exp(0.5j * length * points).tobytes()
+
     def test_one_grid_alive_at_a_time(self):
         # measured on the default matrix: about 0.96 MB for the call, against
         # 1.05 MB for three grids held with one case evaluated on top
@@ -762,6 +807,60 @@ class TestScenarioPhysicsSpots:
         collapsed = result.columns["collapsed_density_per_nm"]
         assert np.all(initial >= 0.0) and np.all(collapsed >= 0.0)
         assert np.all(collapsed <= initial * (1 + 1e-12))
+
+    def test_s2_sines_only_at_emitted_points(self, monkeypatch):
+        calls, sine = [], scenarios._half_phase_sine
+
+        def spy(points, phase_length, two_rho):
+            calls.append(points.size)
+            return sine(points, phase_length, two_rho)
+
+        monkeypatch.setattr(scenarios, "_half_phase_sine", spy)
+        summary = execute_scenario(make_config("s2_spectrum_evolution")).summary
+        assert summary["grid_points"] == 8193
+        assert calls == [257] * 7
+
+    @pytest.mark.parametrize("stride", [32, 7])
+    def test_s2_columns_are_the_strided_collapse(self, stride):
+        # 7 does not divide the 8,192 intervals: the last emitted point is not the grid's last
+        config = make_config("s2_spectrum_evolution", {"subsample_stride": stride})
+        v = config.values
+        profile, family = scenarios._s2_grid_args(v)
+        grid = scenarios.build_grid(profile, family)
+        points = grid.points[::stride]
+        to_per_nm = (2.0 * np.pi / (2.0 * np.pi / points) ** 2) * 1e-9
+        initial, collapsed = [], []
+        for tau in v["tau_list_as"]:
+            length = v["n_interactions"] * (scenarios.SPEED_OF_LIGHT * tau * 1e-18) + family.gamma
+            initial.append((grid.density[::stride] * to_per_nm)[::-1])  # rows in rising wavelength
+            collapsed.append((meter._collapse(grid, length, 2.0 * family.rho)[::stride] * to_per_nm)[::-1])
+        columns = execute_scenario(config).columns
+        assert columns["initial_density_per_nm"].tobytes() == np.concatenate(initial).tobytes()
+        assert columns["collapsed_density_per_nm"].tobytes() == np.concatenate(collapsed).tobytes()
+        lam_nm = np.tile((2.0 * np.pi / points * 1e9)[::-1], len(v["tau_list_as"]))
+        assert columns["lambda_nm"].tobytes() == lam_nm.tobytes()
+
+    def test_s2_rows_arrive_in_render_order(self, monkeypatch):
+        config = make_config("s2_spectrum_evolution", {"subsample_stride": 7})
+        result = execute_scenario(config)
+        expected = render_csv(result, config)
+        monkeypatch.setattr(np, "lexsort", None)  # a table already in order is not sorted
+        assert render_csv(result, config) == expected
+
+    def test_s2_grid_sized_by_largest_magnitude_of_tau(self):
+        common = {"gamma_pi_units": 0.0, "width_nm": 30.0}
+        negative = make_config("s2_spectrum_evolution", {**common, "tau_list_as": "-20000000,0"})
+        positive = make_config("s2_spectrum_evolution", {**common, "tau_list_as": "0,20000000"})
+        points = [execute_scenario(config).summary["grid_points"] for config in (negative, positive)]
+        assert points == [65537, 65537]
+
+    def test_s2_rejects_a_grid_reaching_negative_momentum(self):
+        config = make_config("s2_spectrum_evolution", {"width_nm": 1500.0, "width_convention": "fwhm"})
+        profile, family = scenarios._s2_grid_args(config.values)
+        smallest = scenarios.build_grid(profile, family).points[0]
+        with pytest.raises(NumericalError) as excinfo:
+            execute_scenario(config)
+        assert f"reaches momentum {float(smallest)!r} rad/m" in str(excinfo.value)
 
     def test_fig4_amplification_ratios(self):
         # full-resolution sweep so the peak rates resolve the narrowed
