@@ -4,11 +4,15 @@
     wva-lab list
     wva-lab verify
 
-Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
+Exit codes: 0 success, 2 usage/config error (including an unreadable
+--config file and an --out path that cannot be written), 3 numerical failure.
+``main`` may be called repeatedly in one process; the parser is built on the
+first call and reused.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -18,7 +22,10 @@ from .scenarios import list_scenarios, make_config, parse_config_text, run_scena
 from .verify import verify_all
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first main() call, not at import, and reused: parsing
+    # leaves the parser unchanged (the append action copies its default).
     parser = argparse.ArgumentParser(
         prog="wva-lab",
         description="Dual-pointer weak-value-amplification lab: scenario sweeps and verification suites.",
@@ -48,9 +55,9 @@ def _overrides_from_args(config_path: Optional[str], sets: Sequence[str]) -> dic
     overrides: dict = {}
     if config_path:
         try:
-            with open(config_path) as fh:
+            with open(config_path, encoding="utf-8") as fh:
                 overrides.update(parse_config_text(fh.read()))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {config_path!r}: {exc}") from exc
     for item in sets:
         if "=" not in item:
@@ -72,7 +79,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = make_config(
             args.scenario, _overrides_from_args(args.config, args.sets), out_path=args.out
         )
-        result = run_scenario(config)
+        try:
+            result = run_scenario(config)
+        except OSError as exc:
+            # run_scenario opens the file only after the table is rendered and
+            # prints the summary only after it is written, so none was printed
+            out_path = config.out_path or f"{config.scenario_id}.csv"
+            raise ConfigError(f"cannot write output file {out_path!r}: {exc.strerror or exc}") from exc
         if result.summary.get("pass") is False:
             return 3
         return 0

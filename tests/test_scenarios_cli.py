@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wva_lab import meter, scenarios
+from wva_lab import cli, meter, scenarios
 from wva_lab.cli import main
 from wva_lab.errors import ConfigError, NumericalError
 from wva_lab.meter import collapsed_density
@@ -473,6 +477,76 @@ class TestCli:
 
     def test_missing_config_file_exits_2(self, capsys):
         assert main(["run", "fig6", "--config", "/nonexistent/cfg.txt"]) == 2
+
+    def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"rho_min_rad=0.002\n\xff\xfe\n")
+        out_file = tmp_path / "s4.csv"
+        assert main(["run", "s4_weak_values", "--config", str(cfg), "--out", str(out_file)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: cannot read config file {str(cfg)!r}: ")
+        assert err.count("\n") == 1
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("target", ["missing_dir/s4.csv", "."])
+    def test_unwritable_out_exits_2_without_summary(self, target, tmp_path, capsys):
+        out_path = str(tmp_path / target)
+        assert main(["run", "s4_weak_values", "--set", "n_rhos=6", "--out", out_path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: cannot write output file {out_path!r}: ")
+        assert err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == []
+
+    def test_parser_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_import_builds_no_parser(self):
+        # A fresh interpreter: importing the CLI builds no parser (set-up time
+        # stays import only), the first main() call builds it, and later calls
+        # reuse it.
+        code = (
+            "import argparse, contextlib, io\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *args, **kwargs):\n"
+            "    built.append(self)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import wva_lab.cli\n"
+            "counts = [len(built)]\n"
+            "for _ in range(2):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        wva_lab.cli.main(['list'])\n"
+            "    counts.append(len(built))\n"
+            "print(counts)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        counts = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert counts.stdout == "[0, 4, 4]\n"  # the main parser and its three subcommands
+
+    def test_overrides_do_not_leak_between_calls(self, tmp_path, capsys):
+        paths = [tmp_path / name for name in ("set.csv", "plain.csv", "default.csv")]
+        assert main(["run", "s4_weak_values", "--set", "rho_min_rad=0.003", "--out", str(paths[0])]) == 0
+        assert main(["run", "s4_weak_values", "--out", str(paths[1])]) == 0
+        run_scenario(make_config("s4_weak_values", out_path=str(paths[2])))
+        overridden, plain, default = (path.read_bytes() for path in paths)
+        assert b"# config.rho_min_rad=0.003\n" in overridden
+        assert plain == default != overridden
+
+    def test_usage_error_between_runs(self, tmp_path, capsys):
+        paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
+        assert main(["run", "s4_weak_values", "--set", "n_rhos=6", "--out", str(paths[0])]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run"])
+        assert exc_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: wva-lab run ")
+        assert main(["run", "s4_weak_values", "--set", "n_rhos=6", "--out", str(paths[1])]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_failed_suite_exits_3(self, tmp_path, capsys):
         # the one non-zero exit that writes its CSV: the deviation table is the diagnostic
