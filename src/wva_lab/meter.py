@@ -30,7 +30,9 @@ and L), the profile-free projection ``_oracle_factor`` (and rho), and
 density is ``_half_phase_sine`` (points, L and rho) squared times Omega.
 ``oracle_joint_state`` composes the oracle's steps for one case, and
 ``_oracle_deviations`` evaluates a verification matrix on one set of grid
-points, each step once for every profile that shares it.
+points, each step once for every profile that shares it.  The oracle takes
+the N passes as one N-fold phase; the tests hold it to passes applied one at
+a time, and keep their own D(p) on a whole grid as the direct reference.
 """
 from __future__ import annotations
 
@@ -76,13 +78,6 @@ class CollapseResult:
 def _half_phase_sine(points: np.ndarray, phase_length: float, two_rho: float) -> np.ndarray:
     """sin((p*L + 2 rho)/2) at momenta ``points``: the collapse's half phase."""
     return np.sin(0.5 * (points * phase_length + two_rho))
-
-
-def _collapse(grid: MomentumGrid, phase_length: float, two_rho: float) -> np.ndarray:
-    """D(p) = Omega(p) * sin^2((p*L + 2 rho)/2) on the grid; the sin^2 form is
-    the exact rewrite of (1 - cos)/2 and avoids cancellation at small arguments."""
-    s = _half_phase_sine(grid.points, phase_length, two_rho)
-    return grid.density * s * s
 
 
 def _factor_base(half_points: int) -> int:
@@ -344,20 +339,14 @@ def intensity_shift_approx(sigma_p: float, p0: float, settings: MwiSettings):
     return damp * p0 * settings.k * im_weak_value(settings.n_interactions, settings.rho)
 
 
-def _oracle_amplitude(points: np.ndarray, settings: MwiSettings, sequential: bool = False) -> np.ndarray:
+def _oracle_amplitude(points: np.ndarray, settings: MwiSettings) -> np.ndarray:
     """The oracle's |H> amplitude phase at momenta ``points``: the complex
-    per-pass phases of ``oracle_joint_state``.  |V>, the -1 eigenvector of
-    the coupling diag(+1, -1), carries the conjugate.
-    Without ``sequential`` it depends on ``settings`` only through the
-    phase length: exp(0.5j * L * points), filled from the cosine and sine of
-    theta = (0.5 * L) * points, which skips the complex exp's work and gives
-    the same bits (a test holds it to them)."""
-    if sequential:
-        amp_h = np.exp(0.5j * settings.gamma * points)
-        step = np.exp(0.5j * settings.k * points)
-        for _ in range(settings.n_interactions):
-            amp_h = amp_h * step
-        return amp_h
+    per-pass phases of ``oracle_joint_state``, N passes of k and the path
+    imbalance gamma as one phase.  |V>, the -1 eigenvector of the coupling
+    diag(+1, -1), carries the conjugate.  It depends on ``settings`` only
+    through the phase length: exp(0.5j * L * points), filled from the cosine
+    and sine of theta = (0.5 * L) * points, which skips the complex exp's work
+    and gives the same bits (a test holds it to them)."""
     theta = (0.5 * settings.phase_length) * points
     amp_h = np.empty(theta.shape, complex)
     np.cos(theta, out=amp_h.real)
@@ -421,26 +410,18 @@ def _oracle_deviation(s: np.ndarray, factor: np.ndarray, density: np.ndarray, ro
     return float(o.max())
 
 
-def oracle_joint_state(
-    profile: SpectralProfile,
-    settings: MwiSettings,
-    grid: MomentumGrid,
-    *,
-    sequential: bool = False,
-) -> CollapseResult:
+def oracle_joint_state(profile: SpectralProfile, settings: MwiSettings, grid: MomentumGrid) -> CollapseResult:
     """Brute-force oracle: literal joint-state evolution and projection.
 
     Builds the system-meter state amplitude by amplitude (complex per-pass
     phases on |H> and |V> against sqrt of the density), projects onto the
-    postselection state, and squares -- no trigonometric shortcut.  With
-    ``sequential=True`` the N passes are applied one at a time instead of as
-    a single N-fold phase.  Its moments are Simpson sums of the collapsed
-    density on ``grid``, kept apart from the sweep kernel.  Used to validate
-    ``collapsed_density``.
+    postselection state, and squares -- no trigonometric shortcut.  Its
+    moments are Simpson sums of the collapsed density on ``grid``, kept apart
+    from the sweep kernel.  Used to validate ``collapsed_density``.
     """
     if profile.is_monochromatic:
         raise ValueError("monochromatic profile: oracle needs a momentum grid")
-    amp_h = _oracle_amplitude(grid.points, settings, sequential)
+    amp_h = _oracle_amplitude(grid.points, settings)
     wd = grid.weights * _oracle_project(_oracle_factor(amp_h, settings.rho), np.sqrt(grid.density))
     prob = float(wd.sum())
     delta_p = float((wd * grid.offsets).sum()) / prob

@@ -1,23 +1,26 @@
 """Self-contained verification suite behind ``wva-lab verify``.
 
-The single statement of acceptance criteria 1-3 and 5-9: the oracle
-equivalence matrix, the Gaussian closed-form consistency checks, the
-N-amplification ratios, both pointers' precisions, the Leggett-Garg spot
-values and region scan, the weak-value round trip, and the monotonicity
-properties, with the paper's numbers read from ``wva_lab.paper``.
-``CRITERIA`` maps each criterion number to its check function; the
-acceptance tests run the same functions.  ``verify_all`` prints one
+The single statement of acceptance criteria 1-3 and 5-9, with the paper's
+numbers read from ``wva_lab.paper``.  A check compares results and computes
+nothing that a scenario computes: criteria 1 and 2 read ``oracle_suite``'s
+oracle and closed-form deviations and tolerances, 5 and 6 the precisions of
+fig3a, fig4 and fig5, and 7 fig6's K31 and weak-value spots and region scan.
+Criteria 3, 8 and 9 (the N-amplification ratios, the weak-value round trip
+and the monotonicity properties) compute their values, as no scenario does.
+Each check takes the ``ScenarioRuns`` of one run, which runs each scenario
+it is asked for once.  ``CRITERIA`` maps each criterion number to its check;
+the acceptance tests run the same functions.  ``verify_all`` prints one
 PASS/FAIL line per check and returns False if anything fails.
 """
 from __future__ import annotations
 
 import math
 import sys
-from typing import TextIO
+from typing import Mapping, NamedTuple, TextIO
 
 import numpy as np
 
-from .lgi import k31, negativity_boundary_scan, quantum_region_boundary, weak_value_from_shift
+from .lgi import weak_value_from_shift
 from .meter import (
     collapsed_density,
     intensity_after_postselection,
@@ -27,61 +30,67 @@ from .meter import (
 from .metrology import TiltGeometry, tau_from_tilt
 from .paper import PAPER
 from .polarization import MwiSettings, im_weak_value
-from .scenarios import (
-    LAMBDA0_M,
-    P0_RAD_PER_M,
-    closed_form_deviations,
-    execute_scenario,
-    make_config,
-    oracle_deviation_rows,
-)
+from .scenarios import LAMBDA0_M, P0_RAD_PER_M, execute_scenario, make_config
 from .spectra import SpectralProfile, effective_sigma_p
 
-# Each check returns (name, ok, detail) tuples, one per printed line.
+
+class ScenarioRun(NamedTuple):
+    """One scenario's default run: its config's checked values and its result."""
+    values: Mapping
+    columns: dict
+    summary: dict
 
 
-def compare_quoted(summaries: dict, names) -> tuple:
+class ScenarioRuns(dict):
+    """Scenario id -> ``ScenarioRun`` of its default config, run the first
+    time the id is read and kept for the life of the mapping: one verify
+    run's results."""
+
+    def __missing__(self, scenario_id: str) -> ScenarioRun:
+        config = make_config(scenario_id)
+        result = execute_scenario(config)
+        self[scenario_id] = run = ScenarioRun(config.values, result.columns, result.summary)
+        return run
+
+
+# Each check takes a ScenarioRuns and returns (name, ok, detail) tuples, one per printed line.
+
+
+def _model_value(runs: ScenarioRuns, name: str):
+    """The summary value ``name``, named ``<scenario>.<summary key>``."""
+    scenario, key = name.split(".", 1)
+    return runs[scenario].summary[key]
+
+
+def compare_quoted(runs: ScenarioRuns, names) -> tuple:
     """(whether every value is within its tolerance, a detail text) of the
     model's values against the paper's numbers ``names``, each named
-    ``<scenario>.<summary key>`` and read from ``summaries[scenario]``."""
+    ``<scenario>.<summary key>``."""
     ok, parts = True, []
     for name in names:
-        scenario, key = name.split(".", 1)
-        value, quoted = summaries[scenario][key], PAPER[name]
+        value, quoted = _model_value(runs, name), PAPER[name]
         ok &= quoted.holds(value)
         parts.append(f"{name} {value:.4g} vs {quoted.value:g} ({quoted.deviation(value):+.1%}, tol {quoted.tol:.0%})")
     return ok, ", ".join(parts)
 
 
-def check_oracle_equivalence() -> list:
-    values = make_config("oracle_suite").values
-    rows = oracle_deviation_rows(values)
-    worst = max(row[-1] for row in rows)
-    tol = values["oracle_tolerance"]
-    return [
-        (
-            "oracle_equivalence",
-            worst <= tol,
-            f"{len(rows)} cases, worst rel dev {worst:.3e} (tol {tol:.0e})",
-        )
-    ]
+def check_oracle_equivalence(runs: ScenarioRuns) -> list:
+    suite = runs["oracle_suite"]
+    worst, tol = suite.summary["oracle_worst_rel_dev"], suite.summary["oracle_tolerance"]
+    cases = len(suite.columns["oracle_max_rel_dev_1"])
+    return [("oracle_equivalence", worst <= tol, f"{cases} cases, worst rel dev {worst:.3e} (tol {tol:.0e})")]
 
 
-def check_closed_form_consistency() -> list:
-    values = make_config("oracle_suite").values
-    worst_prob, worst_shift = closed_form_deviations(values)
-    prob_tol = values["prob_tolerance"]
-    shift_tol = values["shift_tolerance"]
-    return [
-        (
-            "closed_form_consistency",
-            worst_prob <= prob_tol and worst_shift <= shift_tol,
-            f"prob {worst_prob:.3e} (tol {prob_tol:.0e}), shift {worst_shift:.3e} (tol {shift_tol:.0e})",
-        )
-    ]
+def check_closed_form_consistency(runs: ScenarioRuns) -> list:
+    summary = runs["oracle_suite"].summary
+    worst_prob, worst_shift = (summary[f"closed_form_{q}_worst_rel_dev"] for q in ("prob", "shift"))
+    prob_tol, shift_tol = summary["prob_tolerance"], summary["shift_tolerance"]
+    ok = worst_prob <= prob_tol and worst_shift <= shift_tol
+    detail = f"prob {worst_prob:.3e} (tol {prob_tol:.0e}), shift {worst_shift:.3e} (tol {shift_tol:.0e})"
+    return [("closed_form_consistency", ok, detail)]
 
 
-def check_mwi_amplification() -> list:
+def check_mwi_amplification(runs: ScenarioRuns) -> list:
     # linear regime: N*k*p0 well inside rho/50 at rho = 0.002
     k = 1e-12
     rho = 0.002
@@ -105,24 +114,22 @@ def check_mwi_amplification() -> list:
     ]
 
 
-def check_momentum_pointer_precisions() -> list:
-    summaries = {scenario: execute_scenario(make_config(scenario)).summary for scenario in ("fig3a", "fig4")}
+def check_momentum_pointer_precisions(runs: ScenarioRuns) -> list:
     fig3a = [name for name in PAPER if name.startswith("fig3a.") and name.endswith(".delta_tau_as")]
     return [
-        ("momentum_pointer_precisions", *compare_quoted(summaries, fig3a)),
-        ("momentum_pointer_headline", *compare_quoted(summaries, ["fig4.n3.delta_tau_as"])),
+        ("momentum_pointer_precisions", *compare_quoted(runs, fig3a)),
+        ("momentum_pointer_headline", *compare_quoted(runs, ["fig4.n3.delta_tau_as"])),
     ]
 
 
-def check_intensity_pointer_calibration() -> list:
+def check_intensity_pointer_calibration(runs: ScenarioRuns) -> list:
     """Both lines hold by construction: the intensity scale is fixed so that
     delta_k(3) is the anchor, and delta_k(N) = 3 delta_k(3) / N."""
-    summary = execute_scenario(make_config("fig5")).summary
-    d = {n: summary[f"coherent.n{n}.delta_k_fm"] for n in (1, 2, 3)}
+    d = {n: _model_value(runs, f"fig5.coherent.n{n}.delta_k_fm") for n in (1, 2, 3)}
     anchor = PAPER["target_delta_k_n3_fm"]
     exact = anchor.holds(d[3]) and all(abs(d[n] * n / 3.0 - d[3]) <= 1e-9 for n in (1, 2, 3))
     anchor_detail = f"delta_k(3) = {d[3]:.4f} fm vs anchor {anchor.value:g} +- {anchor.tol:g} fm, delta_k ~ 1/N exact"
-    ok, detail = compare_quoted({"fig5": summary}, ["fig5.coherent.n1.delta_k_fm"])
+    ok, detail = compare_quoted(runs, ["fig5.coherent.n1.delta_k_fm"])
     by_construction = f"[holds by construction: delta_k(N) = 3 x {anchor.value:g} fm / N]"
     return [
         ("intensity_pointer_anchor", exact, f"{anchor_detail} {by_construction}"),
@@ -130,35 +137,26 @@ def check_intensity_pointer_calibration() -> list:
     ]
 
 
-def check_lgi() -> list:
+def check_lgi(runs: ScenarioRuns) -> list:
     rho = PAPER["lgi_rho_rad"].value
-    q_k31, q_im = PAPER[f"fig6.k31_n3_rho{rho:g}"], PAPER[f"fig6.im_weak_value_n3_rho{rho:g}"]
-    spot, im = k31(3, rho), im_weak_value(3, rho)
+    k31_name, im_name = f"fig6.k31_n3_rho{rho:g}", f"fig6.im_weak_value_n3_rho{rho:g}"
+    q_k31, q_im = PAPER[k31_name], PAPER[im_name]
+    spot, im = _model_value(runs, k31_name), _model_value(runs, im_name)
     k31_tol = np.format_float_scientific(q_k31.tol, trim="-", exp_digits=1)
     im_detail = f"Im weak value {im:.2f} vs quoted {q_im.value:g} (tol {q_im.tol:.0%})"
-    checks = [
+    fig6 = runs["fig6"]
+    scan, arctan = ({n: fig6.summary[f"n{n}.boundary_{q}_rad"] for n in (1, 2, 3)} for q in ("scan", "arctan"))
+    step = fig6.values["boundary_scan_step_rad"]
+    ok_region = all(abs(scan[n] - arctan[n]) <= step for n in (1, 2, 3)) and scan[3] > scan[2] > scan[1]
+    return [
         ("lgi_k31_spot", q_k31.holds(spot), f"k31(3, {rho:g}) = {spot:.6f} (expect {q_k31.value:g} +- {k31_tol})"),
         (f"lgi_weak_value_{q_im.value:g}", q_im.holds(im), im_detail),
+        ("lgi_negativity_region", ok_region,
+         ", ".join(f"N={n}: scan {scan[n]:.3f} vs arctan {arctan[n]:.3f}" for n in (1, 2, 3))),
     ]
-    step = 1e-3
-    boundaries = {n: negativity_boundary_scan(n, 1.5, step) for n in (1, 2, 3)}
-    ok_region = all(
-        abs(boundaries[n] - quantum_region_boundary(n)) <= step for n in (1, 2, 3)
-    ) and boundaries[3] > boundaries[2] > boundaries[1]
-    checks.append(
-        (
-            "lgi_negativity_region",
-            ok_region,
-            ", ".join(
-                f"N={n}: scan {boundaries[n]:.3f} vs arctan {quantum_region_boundary(n):.3f}"
-                for n in (1, 2, 3)
-            ),
-        )
-    )
-    return checks
 
 
-def check_weak_value_round_trip() -> list:
+def check_weak_value_round_trip(runs: ScenarioRuns) -> list:
     worst = 0.0
     rhos = np.append(np.linspace(0.002, 0.0124, 7), 0.005)
     for n in (1, 2, 3):
@@ -185,7 +183,7 @@ def check_weak_value_round_trip() -> list:
     ]
 
 
-def check_monotonicity() -> list:
+def check_monotonicity(runs: ScenarioRuns) -> list:
     sigma = effective_sigma_p(SpectralProfile("gaussian", LAMBDA0_M, 6e-9))
     settings = MwiSettings(2, 3e-12, 0.0, 0.002)
     prop = pointer_shift_p_approx(2.0 * sigma, settings) == 4.0 * pointer_shift_p_approx(sigma, settings)
@@ -220,7 +218,8 @@ CRITERIA = {
 
 def verify_all(stream: TextIO = None) -> bool:
     stream = stream if stream is not None else sys.stdout
-    checks = [line for check in CRITERIA.values() for line in check()]
+    runs = ScenarioRuns()
+    checks = [line for check in CRITERIA.values() for line in check(runs)]
     all_ok = True
     for name, ok, detail in checks:
         all_ok &= ok

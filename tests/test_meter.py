@@ -9,7 +9,6 @@ from wva_lab.constants import SPEED_OF_LIGHT
 from wva_lab.errors import NumericalError
 from wva_lab.meter import (
     CollapseResult,
-    _collapse,
     _oracle_amplitude,
     _oracle_factor,
     _oracle_project,
@@ -24,6 +23,8 @@ from wva_lab.meter import (
 from wva_lab.polarization import MwiSettings
 from wva_lab.scenarios import LAMBDA0_M as LAMBDA0, P0_RAD_PER_M as P0, make_config
 from wva_lab.spectra import SpectralProfile, build_grid, grid_point_count
+
+from direct_path import direct_collapse
 
 SIGMA_P_6NM = 15691.617832706564
 SIN2_0002 = 3.9999946666695111e-6
@@ -44,10 +45,28 @@ def gaussian(width=6e-9):
     return SpectralProfile("gaussian", LAMBDA0, width)
 
 
+def sequential_amplitude(points, settings):
+    """The oracle's |H> amplitude phase with the N passes applied one at a
+    time: exp(0.5j gamma p), then N factors exp(0.5j k p)."""
+    amp_h = np.exp(0.5j * settings.gamma * points)
+    step = np.exp(0.5j * settings.k * points)
+    for _ in range(settings.n_interactions):
+        amp_h = amp_h * step
+    return amp_h
+
+
 def oracle_collapse(grid, settings, sequential=False):
-    """The oracle's collapsed density on ``grid``, composed from its steps."""
-    amp_h = _oracle_amplitude(grid.points, settings, sequential)
+    """The oracle's collapsed density on ``grid``, composed from its steps,
+    with the passes as one phase or, with ``sequential``, one at a time."""
+    amp_h = (sequential_amplitude if sequential else _oracle_amplitude)(grid.points, settings)
     return _oracle_project(_oracle_factor(amp_h, settings.rho), np.sqrt(grid.density))
+
+
+def oracle_moments(grid, collapsed):
+    """(postselection probability, delta_p): the Simpson sums of a collapsed
+    density on ``grid``, as ``oracle_joint_state`` takes them."""
+    wd = grid.weights * collapsed
+    return float(wd.sum()) / grid.integral(), float((wd * grid.offsets).sum()) / float(wd.sum())
 
 
 class TestCollapsedDensity:
@@ -56,7 +75,7 @@ class TestCollapsedDensity:
         res = collapsed_density(gaussian(), settings)
         initial = build_grid(gaussian(), settings)
         assert np.array_equal(res.density.density, initial.density)  # the result's grid carries Omega
-        collapsed = _collapse(res.density, settings.phase_length, 2.0 * settings.rho)
+        collapsed = direct_collapse(res.density, settings.phase_length, 2.0 * settings.rho)
         expected = initial.density * math.sin(0.002) ** 2
         assert np.max(np.abs(collapsed - expected)) <= 1e-12 * expected.max()
         assert res.delta_p == pytest.approx(0.0, abs=1e-6)
@@ -97,7 +116,7 @@ class TestCollapsedDensity:
                 settings = MwiSettings(2, k, 1.9 * math.pi / P0, rho)
                 res = collapsed_density(gaussian(), settings)
                 initial = build_grid(gaussian(), settings)
-                collapsed = _collapse(res.density, settings.phase_length, 2.0 * rho)
+                collapsed = direct_collapse(res.density, settings.phase_length, 2.0 * rho)
                 assert np.all(collapsed <= initial.density + 1e-15)
                 assert 0.0 <= res.postselection_probability <= 1.0
 
@@ -106,7 +125,7 @@ class TestCollapsedDensity:
         grid = build_grid(gaussian(), settings)
         res = collapsed_density(gaussian(), settings)
         assert np.array_equal(res.density.points, grid.points)  # the guard kept the grid built here
-        collapsed = _collapse(grid, settings.phase_length, 2.0 * settings.rho)
+        collapsed = direct_collapse(grid, settings.phase_length, 2.0 * settings.rho)
         ratio = float(np.dot(grid.weights, collapsed)) / grid.integral()
         assert res.postselection_probability == pytest.approx(ratio, rel=1e-9)
 
@@ -372,7 +391,7 @@ class TestOracle:
         assert np.array_equal(direct.density.points, grid.points)  # the guard kept the grid built here
         oracle = oracle_joint_state(gaussian(), settings, grid)
         assert oracle.density is grid
-        d = _collapse(direct.density, settings.phase_length, 2.0 * settings.rho)
+        d = direct_collapse(direct.density, settings.phase_length, 2.0 * settings.rho)
         o = oracle_collapse(grid, settings)
         mask = d > 1e-15 * d.max()
         assert np.max(np.abs(d[mask] - o[mask]) / d[mask]) <= 1e-10
@@ -395,21 +414,23 @@ class TestOracle:
         stepwise = oracle_collapse(grid, settings, sequential=True)
         mask = one_shot > 1e-15 * one_shot.max()
         assert np.max(np.abs(one_shot[mask] - stepwise[mask]) / one_shot[mask]) <= 1e-14
-        one_shot, stepwise = (oracle_joint_state(gaussian(), settings, grid, sequential=s) for s in (False, True))
-        assert stepwise.postselection_probability == pytest.approx(one_shot.postselection_probability, rel=1e-14)
-        assert stepwise.delta_p == pytest.approx(one_shot.delta_p, rel=1e-14)
+        oracle = oracle_joint_state(gaussian(), settings, grid)
+        prob, delta_p = oracle_moments(grid, stepwise)
+        assert prob == pytest.approx(oracle.postselection_probability, rel=1e-14)
+        assert delta_p == pytest.approx(oracle.delta_p, rel=1e-14)
 
     @pytest.mark.parametrize("sequential", [False, True])
     def test_array_core_is_the_oracle(self, sequential):
+        # the oracle is its composed steps' Simpson sums, bit for bit; with the
+        # passes (and gamma) applied one at a time, to rounding
         settings = MwiSettings(3, 1e-10, 1.9 * math.pi / P0, 0.01)
         grid = build_grid(gaussian(), settings)
-        amp_h = _oracle_amplitude(grid.points, settings, sequential)
-        core = _oracle_project(_oracle_factor(amp_h, settings.rho), np.sqrt(grid.density))
-        oracle = oracle_joint_state(gaussian(), settings, grid, sequential=sequential)
+        prob, delta_p = oracle_moments(grid, oracle_collapse(grid, settings, sequential))
+        oracle = oracle_joint_state(gaussian(), settings, grid)
         assert oracle.density is grid
-        wd = grid.weights * core
-        assert oracle.postselection_probability == float(wd.sum()) / grid.integral()
-        assert oracle.delta_p == float((wd * grid.offsets).sum()) / float(wd.sum())
+        tol = 1e-14 if sequential else 0.0
+        assert prob == pytest.approx(oracle.postselection_probability, rel=tol, abs=0.0)
+        assert delta_p == pytest.approx(oracle.delta_p, rel=tol, abs=0.0)
 
 
 class TestAmplificationDeepLinearRegime:

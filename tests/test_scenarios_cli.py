@@ -28,6 +28,8 @@ from wva_lab.scenarios import (
     run_scenario,
 )
 
+from direct_path import direct_collapse
+
 EXPECTED_IDS = {
     "fig3a",
     "fig3b",
@@ -657,7 +659,7 @@ class TestOracleRows:
             grid = scenarios.build_grid(profile, settings)
             direct = collapsed_density(profile, settings)
             assert np.array_equal(direct.density.points, grid.points)  # the guard kept the grid built here
-            d = meter._collapse(direct.density, settings.phase_length, 2.0 * settings.rho)
+            d = direct_collapse(direct.density, settings.phase_length, 2.0 * settings.rho)
             amp_h = meter._oracle_amplitude(direct.density.points, settings)
             o = meter._oracle_project(meter._oracle_factor(amp_h, settings.rho), np.sqrt(direct.density.density))
             mask = d > 1e-15 * float(d.max())
@@ -686,9 +688,9 @@ class TestOracleRows:
         amplitude, sine, factor, deviation = (
             meter._oracle_amplitude, meter._half_phase_sine, meter._oracle_factor, meter._oracle_deviation)
 
-        def spy_amplitude(points, settings, *args):
+        def spy_amplitude(points, settings):
             calls["phase"].append((hash(points.tobytes()), settings.phase_length))
-            return amplitude(points, settings, *args)
+            return amplitude(points, settings)
 
         def spy_sine(points, phase_length, two_rho):
             calls["sine"].append((hash(points.tobytes()), phase_length, two_rho))
@@ -783,8 +785,8 @@ class TestOracleRows:
         # bit for bit on every (points, L) pair of the default matrix
         pairs, amplitude = {}, meter._oracle_amplitude
 
-        def spy(points, settings, *args):
-            amp_h = amplitude(points, settings, *args)
+        def spy(points, settings):
+            amp_h = amplitude(points, settings)
             pairs[(points.tobytes(), settings.phase_length)] = (points, settings.phase_length, amp_h)
             return amp_h
 
@@ -807,7 +809,7 @@ class TestOracleRows:
                 grid = scenarios.build_grid(scenarios._profile(values, 6.0, shape), settings)
                 held.append((grid, np.sqrt(grid.density)))
             grid, root_density = held[-1]
-            d = meter._collapse(grid, settings.phase_length, 2.0 * settings.rho)
+            d = direct_collapse(grid, settings.phase_length, 2.0 * settings.rho)
             amp_h = meter._oracle_amplitude(grid.points, settings)
             o = meter._oracle_project(meter._oracle_factor(amp_h, settings.rho), root_density)
             mask = d > 1e-15 * float(d.max())
@@ -907,7 +909,7 @@ class TestScenarioPhysicsSpots:
         for tau in v["tau_list_as"]:
             length = v["n_interactions"] * (scenarios.SPEED_OF_LIGHT * tau * 1e-18) + family.gamma
             initial.append((grid.density[::stride] * to_per_nm)[::-1])  # rows in rising wavelength
-            collapsed.append((meter._collapse(grid, length, 2.0 * family.rho)[::stride] * to_per_nm)[::-1])
+            collapsed.append((direct_collapse(grid, length, 2.0 * family.rho)[::stride] * to_per_nm)[::-1])
         columns = execute_scenario(config).columns
         assert columns["initial_density_per_nm"].tobytes() == np.concatenate(initial).tobytes()
         assert columns["collapsed_density_per_nm"].tobytes() == np.concatenate(collapsed).tobytes()

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wva_lab.constants import SPEED_OF_LIGHT
-from wva_lab.meter import _collapse
 from wva_lab.polarization import MwiSettings
 from wva_lab.spectra import (
     MomentumGrid,
@@ -15,6 +14,8 @@ from wva_lab.spectra import (
     grid_point_count,
     lambda_p_convert,
 )
+
+from direct_path import direct_collapse
 
 LAMBDA0 = 1550e-9
 P0 = 4053667.9401158622            # 2*pi / 1550 nm, frozen
@@ -213,7 +214,7 @@ class TestLattice:
         # strided read of a collapse (as s2's table takes it) is the collapse
         # of the strided lattice
         for phase_length, rho in ((SPEED_OF_LIGHT * 330e-18 + 1.9 * math.pi / P0, 0.002), (3e-10, 0.1)):
-            half = _collapse(half_resolution(grid), phase_length, 2.0 * rho)
-            assert np.array_equal(half, _collapse(grid, phase_length, 2.0 * rho)[::2])
+            half = direct_collapse(half_resolution(grid), phase_length, 2.0 * rho)
+            assert np.array_equal(half, direct_collapse(grid, phase_length, 2.0 * rho)[::2])
         assert np.array_equal(grid.points, grid.center + grid.offsets)
         assert grid.points.size == grid.weights.size == grid.density.size == 2 * m + 1
