@@ -49,8 +49,8 @@ from .spectra import MomentumGrid, SpectralProfile, _simpson_weights, build_grid
 # levels 0 and 1, and the grid doublings it makes before giving up
 _GUARD_TOLERANCE = 1e-9
 _GUARD_REBUILDS = 3
-# values the a-factor products of one sweep-kernel block hold (bounds its memory)
-_BLOCK_ELEMENTS = 2**16
+# values the two a-factor products of one sweep-kernel block hold (bounds its memory; README)
+_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,10 @@ def _factor_base(half_points: int) -> int:
 
 
 def _elements_per_phase_length(half_points: int, n_levels: int) -> int:
-    """Values the sweep kernel holds per phase length: three a-factor
-    products, each against the C and T weights of every level and b."""
-    return 3 * 2 * n_levels * _factor_base(half_points)
+    """Values the sweep kernel holds per phase length: two a-factor products,
+    each against the C and T weights of the K/min(2^j, K) b rows of each level j."""
+    base = _factor_base(half_points)
+    return 2 * 2 * sum(base // min(2**j, base) for j in range(n_levels))
 
 
 def _level_moments(
@@ -99,46 +100,44 @@ def _level_moments(
 
     Level j is the stride-2^j subgrid of ``grid``, the lattice of step 2^j*h
     (a Simpson grid while the interval count stays even).  Returns (C/I, T/I),
-    each of shape (n_levels, len(phase_lengths)).  C and T are sums over the
-    x > 0 half grid, x_i = i*h for i = 1..m, of weights (each level's Simpson
-    weights of step 2^j*h x Omega on its own points, zero elsewhere) times
-    sin^2(x_i L/2) and x_i sin(x_i L); each level is normalized by its own I.
+    each of shape (n_levels, len(phase_lengths)): sums over the x > 0 half
+    grid, x_i = i*h for i = 1..m, of each level's Simpson weights x Omega on
+    its own points times sin^2(x_i L/2) and x_i sin(x_i L), over its own I.
 
-    With i = a*K + b (``_factor_base``) the half phase x_i L/2 is
-    alpha + beta, alpha = a*K*h*L/2 and beta = b*h*L/2, so
-
-        sin^2(alpha + beta)  = sA^2 cB^2 + 2 sA cA sB cB + cA^2 sB^2
-        sin(2(alpha + beta)) = 2 sA cA (cB^2 - sB^2) + (cA^2 - sA^2) 2 sB cB
-
-    and sin and cos are taken on m//K + 1 angles alpha and K angles beta
-    per phase length instead of on m points.  Each a-factor (sA^2, sA cA,
-    cA^2) meets the weights, arranged as (C or T, level, b) x a, in one
-    matmul, and the b-factors finish the sums over b.  Phase lengths run
-    along the last axis, so every elementwise step runs over them.  Where C
-    is small (narrow sources) every angle is small and every term is
-    nonnegative, so the expansion does not cancel.
+    With i = a*K + b (``_factor_base``), x_i L/2 = alpha + beta with alpha =
+    a*K*h*L/2 and beta = b*h*L/2, so sin and cos are taken on m//K + 1 angles
+    alpha and K angles beta per phase length, not on m points.  Level j weighs
+    only slots i = 0 mod 2^j: its weight rows are b = 0, s, 2s, ... with
+    s = min(2^j, K).  The a-factors sA^2 and sA cA each meet the rows in one
+    matmul (ss, sc), cA^2 = 1 - sA^2 enters through each row's weight sum S,
+    and a level sums its rows of C_b = ss (cB^2 - sB^2) + 2 sc sB cB + S sB^2
+    and T_b = sc (cB^2 - sB^2) + (S - 2 ss) sB cB over b, phase lengths along
+    the last axis.  Where C is small (narrow sources) every angle is small:
+    ss << S, so S - 2 ss does not cancel, and every term is nonnegative.
     """
     phase_lengths = np.asarray(phase_lengths, dtype=float)
-    m = grid.density.size // 2
-    h = grid.step
+    m, h = grid.density.size // 2, grid.step
     base = _factor_base(m)
     n_coarse = m // base + 1
-    # (C or T, level, slot i = a*K + b of the half grid); slot 0 (x = 0) and slots past m weigh 0
-    weights = np.zeros((2, n_levels, n_coarse * base))
+    strides = [min(2**j, base) for j in range(n_levels)]  # level j's weight rows are b = 0, s, 2s, ...
+    rows_b = np.concatenate([np.arange(0, base, s) for s in strides])
+    edges = [sum(base // s for s in strides[:j]) for j in range(n_levels + 1)]  # level j: edges[j]:edges[j + 1]
+    weights = np.empty((n_coarse, 2, rows_b.size))  # a x (C or T, row (level, b)), slot i = a*K + b
     totals = np.empty(n_levels)
-    for j in range(n_levels):
+    x = h * np.arange(n_coarse * base)  # x_i = h*i; x[::s] holds slots 0, s, 2s, ...
+    for j, s in enumerate(strides):
         stride = 2**j
         density = grid.density[::stride]
         simpson = _simpson_weights(density.size, stride * h)
-        level_mid = density.size // 2
-        weights[0, j, stride : m + 1 : stride] = simpson[level_mid + 1 :] * density[level_mid + 1 :]
+        level = np.zeros((2, n_coarse * (base // s)))  # (C or T, slot i = 0, s, 2s, ...), 0 off the level
+        level[0, stride // s : m // s + 1 : stride // s] = (simpson * density)[density.size // 2 + 1 :]
+        level[1] = level[0] * x[::s]
+        weights[:, :, edges[j] : edges[j + 1]] = level.reshape(2, n_coarse, -1).transpose(1, 0, 2)
         totals[j] = float(np.dot(simpson, density))
-    weights[1] = weights[0] * (h * np.arange(n_coarse * base))
-    weights = weights.reshape(2 * n_levels, n_coarse, base).transpose(0, 2, 1).reshape(-1, n_coarse)
-    coarse_angles = (0.5 * h * base) * np.arange(n_coarse)
-    fine_angles = (0.5 * h) * np.arange(base)
-    c = np.empty((n_levels, phase_lengths.size))
-    t = np.empty((n_levels, phase_lengths.size))
+    sums = weights.sum(axis=0)[..., np.newaxis]  # S of each row
+    weights = weights.reshape(n_coarse, -1).T
+    coarse_angles, fine_angles = (0.5 * h * base) * np.arange(n_coarse), (0.5 * h) * np.arange(base)
+    c, t = np.empty((2, n_levels, phase_lengths.size))
     block = max(1, _BLOCK_ELEMENTS // _elements_per_phase_length(m, n_levels))
     for lo in range(0, phase_lengths.size, block):
         lengths = phase_lengths[lo : lo + block]
@@ -146,13 +145,15 @@ def _level_moments(
         s_a, c_a = np.sin(alpha), np.cos(alpha)
         beta = np.multiply.outer(fine_angles, lengths)
         s_b, c_b = np.sin(beta), np.cos(beta)
-        shape = (2, n_levels, base, lengths.size)
-        ss = (weights @ (s_a * s_a)).reshape(shape)
-        sc = (weights @ (s_a * c_a)).reshape(shape)
-        cc = (weights @ (c_a * c_a)).reshape(shape)
-        ss_b, sc_b, cc_b = s_b * s_b, s_b * c_b, c_b * c_b
-        c[:, lo : lo + block] = (ss[0] * cc_b + 2.0 * sc[0] * sc_b + cc[0] * ss_b).sum(axis=1)
-        t[:, lo : lo + block] = (sc[1] * (cc_b - ss_b) + (cc[1] - ss[1]) * sc_b).sum(axis=1)
+        ss = (weights @ (s_a * s_a)).reshape(2, -1, lengths.size)
+        sc = (weights @ (s_a * c_a)).reshape(2, -1, lengths.size)
+        ss_b = s_b * s_b
+        cos2_b, sin2_b, ss_b = (c_b * c_b - ss_b)[rows_b], (2.0 * (s_b * c_b))[rows_b], ss_b[rows_b]
+        c_rows = ss[0] * cos2_b + sc[0] * sin2_b + sums[0] * ss_b
+        t_rows = sc[1] * cos2_b + (0.5 * sums[1] - ss[1]) * sin2_b  # T_b bit for bit: a factor 2 is exact
+        for j in range(n_levels):
+            c[j, lo : lo + block] = c_rows[edges[j] : edges[j + 1]].sum(axis=0)
+            t[j, lo : lo + block] = t_rows[edges[j] : edges[j + 1]].sum(axis=0)
     c *= 2.0 / totals[:, np.newaxis]
     t *= 4.0 / totals[:, np.newaxis]  # doubled half sum, and sin(xL) = 2 sin(xL/2) cos(xL/2)
     return c, t
@@ -186,12 +187,11 @@ def collapse_moments_on_grid(
 
     where C(L) = integral Omega sin^2(x L/2) and T(L) = integral Omega x sin(x L)
     are Simpson sums over the x > 0 half of the grid, doubled; the sin^2 forms
-    avoid cancellation at small arguments.
-    The L axis runs in blocks whose products hold at most ``_BLOCK_ELEMENTS``
-    values.
-    Skips any refinement guard; ``collapsed_density`` and the sweeps guard
-    convergence by comparing grid levels.  This is level 0 of
-    ``_level_moments``, read out by ``_pointer_readout``.
+    avoid cancellation at small arguments.  This is level 0 of
+    ``_level_moments`` (all K weight rows per C or T, and two a-factor
+    products of at most ``_BLOCK_ELEMENTS`` values per block of L), read out
+    by ``_pointer_readout``.  Skips any refinement guard; ``collapsed_density``
+    and the sweeps guard convergence by comparing grid levels.
     """
     c, t = _level_moments(grid, phase_lengths, 1)
     return _pointer_readout(grid.center, phase_lengths, rho, c[0], t[0])

@@ -972,7 +972,7 @@ def render_csv(result: ScenarioResult, config: ScenarioConfig) -> str:
             break
         tied &= column[1:] == column[:-1]
     for lo in range(0, columns[0].size, _RENDER_CHUNK_ROWS):
-        lines.extend(map(",".join, zip(*(_format_column(column[lo : lo + _RENDER_CHUNK_ROWS]) for column in columns))))
+        lines.append("\n".join(map(",".join, zip(*(_format_column(column[lo : lo + _RENDER_CHUNK_ROWS]) for column in columns)))))
     return "\n".join(lines) + "\n"
 
 

@@ -247,6 +247,21 @@ class TestCsvOutput:
         assert sorted(map(repr, cells)) == sorted(map(repr, expected))
         assert text.splitlines()[-1] == ",".join(_format_cell(column[-1].item()) for column in columns.values())
 
+    def test_fig3b_render_peak_memory(self):
+        config = make_config("fig3b")
+        result = execute_scenario(config)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            text = render_csv(result, config)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # at the end about three copies of the text are alive: the chunk strings,
+        # their join and the text with its last newline; a list of one string per
+        # row (15,792 rows) peaked at 3.9 times the text
+        assert peak < 3.5 * len(text)
+
     def test_byte_determinism(self, tmp_path):
         for scenario_id in ("fig6", "s4_weak_values", "fig3a"):
             config = make_config(scenario_id, FAST_OVERRIDES[scenario_id])

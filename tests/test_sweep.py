@@ -1,5 +1,6 @@
 """The batched sweep engine: the C/T kernel and the grid-level guard of the sweeps."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,14 +109,55 @@ class TestKernel:
         profile = SpectralProfile("supergaussian", LAMBDA0, 6e-9)
         grid = sweep_grid(profile, 1)
         lengths = phase_lengths(1)
-        block = meter._BLOCK_ELEMENTS // meter._elements_per_phase_length(grid.points.size // 2, 1)
-        assert 1 < block < lengths.size and lengths.size % block != 0
-        blocked = collapse_moments_on_grid(grid, lengths, RHO)
+        blocked = {}
+        for n_levels in (1, 3):
+            block = meter._BLOCK_ELEMENTS // meter._elements_per_phase_length(grid.points.size // 2, n_levels)
+            assert 1 < block < lengths.size and lengths.size % block != 0
+            blocked[n_levels] = kernel_levels(grid, lengths, RHO, n_levels)
         monkeypatch.setattr(meter, "_BLOCK_ELEMENTS", grid.points.size * lengths.size)
-        single = collapse_moments_on_grid(grid, lengths, RHO)
-        # equal up to the summation order BLAS picks for each block's shape
-        for got, want in zip(blocked, single):
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        for n_levels, blocked_values in blocked.items():
+            single = kernel_levels(grid, lengths, RHO, n_levels)
+            # equal up to the summation order BLAS picks for each block's shape
+            for got, want in zip(blocked_values, single):
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_elements_count_only_the_rows_each_level_reads(self):
+        # m = 256, K = 16: levels 0, 1 and 2 read 16 + 8 + 4 b rows, each for C
+        # and T against two a-factor products
+        assert meter._elements_per_phase_length(256, 3) == 2 * 2 * 28
+
+    def test_levels_coarser_than_the_factor_base_match_direct_reference(self):
+        # a 17-point grid: m = 8 and K = 4, so level 3 (stride 8 > K) reads its b = 0 row only;
+        # the flat density weighs the band edge, the one point of level 3
+        fine = sweep_grid(SpectralProfile("rectangular", LAMBDA0, 6e-9), 1, min_points=129)
+        grid = MomentumGrid(fine.center, 8 * fine.step, fine.density[::8])
+        assert grid.points.size == 17 and meter._factor_base(8) == 4
+        lengths = phase_lengths(1, UNEVEN_TAUS_AS)
+        got = kernel_levels(grid, lengths, RHO, 4)
+        for got_values, want_values in zip(got, direct_levels(grid, lengths, RHO, 4)):
+            np.testing.assert_allclose(got_values, want_values, rtol=1e-12, atol=0.0)
+
+    def test_fig3b_kernel_transient_memory(self, monkeypatch):
+        calls = []
+
+        def spy_kernel(grid, lengths, n_levels):
+            calls.append((grid, lengths, n_levels))
+            return meter._level_moments(grid, lengths, n_levels)
+
+        monkeypatch.setattr(scenarios, "_level_moments", spy_kernel)
+        execute_scenario(make_config("fig3b"))
+        ((grid, lengths, n_levels),) = calls
+        assert (grid.points.size, lengths.size, n_levels) == (513, 15888, 3)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            meter._level_moments(grid, lengths, n_levels)
+            transient = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # three a-factor products over every level's 16 b rows, at 2**16 values
+        # per block, took 1.80 MiB on this call (1.89e6 bytes)
+        assert transient <= 1.80 * 2**20
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("width_nm", [0.05, 0.5, 6.0, 300.0])
