@@ -16,9 +16,12 @@ coarser levels, and ``_pointer_readout`` turns (C/I, T/I, A) into
 ``collapsed_density(profile, settings)`` builds its own grid for one
 setting or a family (k or rho an array), reads levels 0 and 1 for every
 member with one kernel call and doubles the grid until they agree; it
-takes no other argument, so there is one way to call it.  The sweeps of
-``wva_lab.scenarios`` call the two steps apart, to read a kernel call made
-at scaled phase lengths out at each source's own.
+takes no other argument, so there is one way to call it.
+``collapsed_sweep(jobs, ks, gamma, rho)`` gives the sweeps' traces: it calls
+the two steps apart, to read a kernel call made at scaled phase lengths out
+at each source's own, and picks each job's grid by comparing levels.  The
+grid levels, and which pair of them a result is accepted at, stay inside
+this module.
 Alongside them this module provides exact closed forms for Gaussian
 densities, the linear-regime approximations (through the weak value
 ``polarization.im_weak_value``), and a brute-force joint-state oracle for
@@ -29,26 +32,34 @@ and L), the profile-free projection ``_oracle_factor`` (and rho), and
 ``_oracle_project``, which multiplies by sqrt Omega and squares; the direct
 density is ``_half_phase_sine`` (points, L and rho) squared times Omega.
 ``oracle_joint_state`` composes the oracle's steps for one case, and
-``_oracle_deviations`` evaluates a verification matrix on one set of grid
-points, each step once for every profile that shares it.  The oracle takes
-the N passes as one N-fold phase; the tests hold it to passes applied one at
-a time, and keep their own D(p) on a whole grid as the direct reference.
+``oracle_deviations`` evaluates a verification matrix of (profile, settings)
+cases, grouping them so that each step runs once for every case that shares
+its inputs.  The oracle takes the N passes as one N-fold phase; the tests
+hold it to passes applied one at a time, and keep their own D(p) on a whole
+grid as the direct reference.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NumericalError, holds, require
 from .polarization import MwiSettings, _xp, im_weak_value, postselection_state, preselection_state
-from .spectra import MomentumGrid, SpectralProfile, _simpson_weights, build_grid, effective_sigma_p
+from .spectra import (MAX_GRID_POINTS, MomentumGrid, SpectralProfile, _grid_half_span, _simpson_weights, build_grid,
+                      effective_sigma_p, grid_point_count)
 
-# collapsed_density's stride-2 guard: the agreement it asks of the kernel's
-# levels 0 and 1, and the grid doublings it makes before giving up
+# The kernel's two convergence rules (README, "Sweep engine").  collapsed_density
+# starts at build_grid's 8,193 points, which already resolve the collapse; its
+# guard asks levels 0 and 1 to agree to 1e-9, at most 3 rebuilds.  It is the
+# reference the tests and the benchmark hold sweep rows to, so it does not share
+# the sweeps' grids.  collapsed_sweep starts at 129 points and doubles until two
+# levels agree to 1e-10: ten times tighter, as that agreement alone picks its grid.
 _GUARD_TOLERANCE = 1e-9
 _GUARD_REBUILDS = 3
+_SWEEP_MIN_GRID_POINTS = 2**7 + 1
+_SWEEP_TOLERANCE = 1e-10
 # values the two a-factor products of one sweep-kernel block hold (bounds its memory; README)
 _BLOCK_ELEMENTS = 2**15
 
@@ -191,7 +202,7 @@ def collapse_moments_on_grid(
     ``_level_moments`` (all K weight rows per C or T, and two a-factor
     products of at most ``_BLOCK_ELEMENTS`` values per block of L), read out
     by ``_pointer_readout``.  Skips any refinement guard; ``collapsed_density``
-    and the sweeps guard convergence by comparing grid levels.
+    and ``collapsed_sweep`` guard convergence by comparing grid levels.
     """
     c, t = _level_moments(grid, phase_lengths, 1)
     return _pointer_readout(grid.center, phase_lengths, rho, c[0], t[0])
@@ -257,6 +268,64 @@ def collapsed_density(profile: SpectralProfile, settings: MwiSettings) -> Collap
         delta_p=delta_p,
         delta_lambda=-(profile.center_wavelength**2 / (2.0 * math.pi)) * delta_p,
     )
+
+
+def collapsed_sweep(jobs, ks: np.ndarray, gamma: float, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Probability and mean-shift traces over interaction strengths ``ks``:
+    arrays (P, delta_p), one row per job (profile, N) of ``jobs``.
+
+    A job's grid levels are built for its largest phase length (the last k)
+    from a floor of ``_SWEEP_MIN_GRID_POINTS`` points, each doubling the
+    last, until two consecutive levels agree to ``_SWEEP_TOLERANCE`` (P
+    relative to itself, delta_p relative to sigma_p); the finer one is
+    returned.  Coarser levels are strided subgrids of ``_level_moments``, so
+    the first kernel call reads three levels and each later call adds one.
+
+    Jobs whose profiles differ only in width share one lattice in units of
+    sigma_p: with r = sigma_p(job)/sigma_p(ref), a job's C/I at L is the
+    reference's at r*L and its T/I is r times the reference's.  So jobs are
+    grouped by profile without width and by first-level point count; a group
+    calls the kernel on the grid of its first job at every job's lengths
+    times its r, and its jobs not yet converged go on doubling as a smaller
+    group.
+    Raises NumericalError, naming the job, past MAX_GRID_POINTS points.
+    """
+    prob, delta_p = np.empty((2, len(jobs), ks.size))
+    groups: dict = {}
+    for index, (profile, n) in enumerate(jobs):
+        count = grid_point_count(profile, MwiSettings(n, float(ks[-1]), gamma, rho), min_points=_SWEEP_MIN_GRID_POINTS)
+        groups.setdefault((replace(profile, width=1.0), count), []).append(index)
+    for (_, count), members in groups.items():
+        n_intervals, n_levels = count - 1, 3  # the first call reads the grid and its stride-2 and stride-4 subgrids
+        while members:
+            while n_levels > 1 and n_intervals * 2 ** (n_levels - 1) + 1 > MAX_GRID_POINTS:
+                n_levels -= 1
+            sigma_p = np.array([effective_sigma_p(jobs[i][0]) for i in members])
+            profile, n = jobs[members[0]]
+            if n_levels == 1:
+                raise NumericalError(
+                    f"sweep quadrature for a {profile.shape.value} source of width {profile.width * 1e9:g} nm "
+                    f"at N = {n} did not converge to {_SWEEP_TOLERANCE:g} within {MAX_GRID_POINTS} grid points"
+                )
+            n_intervals *= 2 ** (n_levels - 1)
+            grid = build_grid(profile, min_points=n_intervals + 1)
+            ratio = np.repeat(sigma_p / sigma_p[0], ks.size)  # r at each phase length
+            lengths = (np.array([jobs[i][1] for i in members])[:, np.newaxis] * ks + gamma).ravel()
+            c, t = _level_moments(grid, ratio * lengths, n_levels)
+            readout = _pointer_readout(grid.center, lengths, rho, c, ratio * t)
+            p, dp = (values.reshape(n_levels, len(members), ks.size) for values in readout)
+            # agree[j, job]: levels j and j + 1 (the stride-2^j and 2^(j+1) subgrids) agree
+            agree = (np.abs(p[1:] - p[:-1]) <= _SWEEP_TOLERANCE * p[:-1]).all(axis=2) & (
+                np.abs(dp[1:] - dp[:-1]) <= _SWEEP_TOLERANCE * sigma_p[:, np.newaxis]
+            ).all(axis=2)
+            done = np.flatnonzero(agree.any(axis=0))
+            level = (n_levels - 2 - np.argmax(agree[::-1], axis=0))[done]  # finer level of the coarsest pair
+            rows = np.array(members)[done]
+            prob[rows] = p[level, done]
+            delta_p[rows] = dp[level, done]
+            members = [i for i, ok in zip(members, agree.any(axis=0)) if not ok]
+            n_levels = 2
+    return prob, delta_p
 
 
 def _neg_square(x):
@@ -374,25 +443,46 @@ def _oracle_project(factor: np.ndarray, root_density: np.ndarray) -> np.ndarray:
     return proj.real
 
 
-def _oracle_deviations(points: np.ndarray, by_length: dict, densities: dict):
-    """Yield (tag, deviation) for every case of one set of grid points: the
-    max relative difference of the oracle's collapsed density from the direct
-    path's, over points above 1e-15 of the direct peak.
+def oracle_deviations(cases) -> list:
+    """The oracle's deviation for every (profile, settings) case of ``cases``,
+    in order: the max relative difference of the oracle's collapsed density
+    from the direct path's on the case's ``build_grid(profile, settings)``
+    grid, over points above 1e-15 of the direct peak.
 
-    ``by_length`` maps each phase length L to (settings with that L,
-    rho -> profile key -> tag), and ``densities`` each profile key to
-    (Omega, sqrt Omega) on ``points``.  The oracle's phase is taken once per
-    L, the half-phase sine and the oracle's factor once per (L, rho), and
-    both densities and their deviation once per profile.
+    Both densities depend on a case only through its grid (profile and point
+    count), its phase length L and rho; the oracle's complex phase, the
+    half-phase sine and the oracle's factor only through the grid's points
+    (center, half span, point count), L and rho.  The cases are grouped by
+    points, then by L, then by rho, then by profile: the grids that share
+    their points are built once and held together, one such set at a time;
+    the phase is taken once per (points, L), the sine and the factor once per
+    (points, L, rho), and the two densities and their deviation once per
+    profile, shared by every case with those values.
     """
-    for settings, by_rho in by_length.values():
-        amp_h = _oracle_amplitude(points, settings)
-        for rho, by_profile in by_rho.items():
-            s = _half_phase_sine(points, settings.phase_length, 2.0 * rho)
-            factor = _oracle_factor(amp_h, rho)
-            for key, tag in by_profile.items():
-                yield tag, _oracle_deviation(s, factor, *densities[key])
-            del s, factor  # before the next rho's are formed
+    # (center, half span, point count) -> L -> (settings, rho -> profile -> case indices)
+    groups: dict = {}
+    for index, (profile, settings) in enumerate(cases):
+        key = (profile.center_wavelength, _grid_half_span(profile), grid_point_count(profile, settings))
+        _, by_rho = groups.setdefault(key, {}).setdefault(settings.phase_length, (settings, {}))
+        by_rho.setdefault(settings.rho, {}).setdefault(profile, []).append(index)
+    deviations = [0.0] * len(cases)
+    for (_, _, n_points), by_length in groups.items():
+        grids = {p: build_grid(p, min_points=n_points)
+                 for p in dict.fromkeys(p for _, by_rho in by_length.values() for by_p in by_rho.values() for p in by_p)}
+        densities = {profile: (grid.density, np.sqrt(grid.density)) for profile, grid in grids.items()}
+        points = next(iter(grids.values())).points
+        for settings, by_rho in by_length.values():
+            amp_h = _oracle_amplitude(points, settings)
+            for rho, by_profile in by_rho.items():
+                s = _half_phase_sine(points, settings.phase_length, 2.0 * rho)
+                factor = _oracle_factor(amp_h, rho)
+                for profile, indices in by_profile.items():
+                    dev = _oracle_deviation(s, factor, *densities[profile])
+                    for index in indices:
+                        deviations[index] = dev
+                del s, factor  # before the next rho's are formed
+            del amp_h  # before the next L's is formed
+    return deviations
 
 
 def _oracle_deviation(s: np.ndarray, factor: np.ndarray, density: np.ndarray, root_density: np.ndarray) -> float:

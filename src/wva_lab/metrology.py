@@ -44,11 +44,6 @@ def tau_from_tilt(geom: TiltGeometry) -> float:
     return geom.wavelength / (2.0 * SPEED_OF_LIGHT) * (1.0 / xp.sqrt(1.0 - s2) - 1.0)
 
 
-def k_from_tau(tau: float) -> float:
-    """Interaction strength k = c * tau, meters."""
-    return SPEED_OF_LIGHT * tau
-
-
 def precision(instrument_resolution: float, rate: float) -> tuple[float, float]:
     """(delta_k, delta_tau): delta_k = resolution / |rate| in meters and
     delta_tau = delta_k / c in seconds.  Raises NumericalError where

@@ -8,15 +8,17 @@ provenance lines (version and config echo), unit-suffixed column headers,
 and rows sorted by their input coordinates; numbers are written in shortest
 round-trip form so repeated runs are byte-identical.  A table is a set of
 named columns from the runner to the CSV; the sort runs only on a table
-whose rows are out of order.
+whose rows are out of order.  Runners hand ``wva_lab.meter`` its inputs,
+sweep jobs (profile, N) over k and oracle cases (profile, settings); grids,
+grid levels and convergence stay there.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Mapping, Optional, Sequence, TextIO
+from typing import Callable, Mapping, Optional, TextIO
 
 import numpy as np
 
@@ -26,12 +28,11 @@ from .errors import ConfigError, NumericalError, require
 from .lgi import k31, negativity_boundary_scan, quantum_region_boundary, weak_value_from_shift
 from .meter import (
     _half_phase_sine,
-    _level_moments,
-    _oracle_deviations,
-    _pointer_readout,
     collapsed_density,
+    collapsed_sweep,
     intensity_after_postselection,
     intensity_shift_approx,
+    oracle_deviations,
     pointer_shift_p_gaussian,
     postselection_probability_gaussian,
 )
@@ -40,10 +41,8 @@ from .paper import PAPER
 from .polarization import MwiSettings, im_weak_value
 from .spectra import (
     _WIDTH_CONVENTIONS,
-    MAX_GRID_POINTS,
     Shape,
     SpectralProfile,
-    _grid_half_span,
     build_grid,
     effective_sigma_p,
     grid_point_count,
@@ -53,11 +52,6 @@ from .spectra import (
 LAMBDA0_M = PAPER["lambda0_m"].value
 P0_RAD_PER_M = lambda_p_convert(LAMBDA0_M)
 _DELTA_I_KEYS = {"0.5": "delta_i_05_V", "1": "delta_i_1_V", "3": "delta_i_3_V"}  # width -> config key
-
-# Sweep grids start at this floor, well below MIN_GRID_POINTS, and double
-# until consecutive levels agree to the tolerance.
-_SWEEP_MIN_GRID_POINTS = 2**7 + 1
-_SWEEP_TOLERANCE = 1e-10
 
 # CSV rows formatted per batch: bounds the memory held by the formatted columns
 _RENDER_CHUNK_ROWS = 1024
@@ -305,63 +299,13 @@ def _gamma_length(gamma_pi_units: float) -> float:
     return gamma_pi_units * math.pi / P0_RAD_PER_M
 
 
-def _sweep_delta_lambda(jobs: Sequence, taus_as: np.ndarray, gamma: float, rho: float):
-    """Wavelength-shift and probability traces over a time-difference sweep:
-    arrays (delta_lambda_nm, P), one row per job (profile, N) of ``jobs``.
-
-    A job's grid levels are built for its largest phase length (the last
-    tau) from a floor of ``_SWEEP_MIN_GRID_POINTS`` points, each doubling
-    the last, until two consecutive levels agree to ``_SWEEP_TOLERANCE``
-    (P relative to itself, delta_p relative to sigma_p); the finer one is
-    returned.  Coarser levels are strided subgrids, so the first kernel call
-    reads three levels and each later call adds one.
-
-    Jobs whose profiles differ only in width share one lattice in units of
-    sigma_p: with r = sigma_p(job)/sigma_p(ref), a job's C/I at L is the
-    reference's at r*L and its T/I is r times the reference's.  So jobs are
-    grouped by profile without width and by first-level point count; a group
-    calls the kernel on the grid of its first job at every job's lengths
-    times its r, and its jobs not yet converged go on doubling as a smaller
-    group.
-    Raises NumericalError, naming the job, past MAX_GRID_POINTS points.
-    """
-    k = SPEED_OF_LIGHT * taus_as * 1e-18
-    delta_lambda, prob = np.empty((2, len(jobs), taus_as.size))
-    groups: dict = {}
-    for index, (profile, n) in enumerate(jobs):
-        count = grid_point_count(profile, MwiSettings(n, float(k[-1]), gamma, rho), min_points=_SWEEP_MIN_GRID_POINTS)
-        groups.setdefault((replace(profile, width=1.0), count), []).append(index)
-    for (_, count), members in groups.items():
-        n_intervals, n_levels = count - 1, 3  # the first call reads the grid and its stride-2 and stride-4 subgrids
-        while members:
-            while n_levels > 1 and n_intervals * 2 ** (n_levels - 1) + 1 > MAX_GRID_POINTS:
-                n_levels -= 1
-            sigma_p = np.array([effective_sigma_p(jobs[i][0]) for i in members])
-            profile, n = jobs[members[0]]
-            if n_levels == 1:
-                raise NumericalError(
-                    f"sweep quadrature for a {profile.shape.value} source of width {profile.width * 1e9:g} nm "
-                    f"at N = {n} did not converge to {_SWEEP_TOLERANCE:g} within {MAX_GRID_POINTS} grid points"
-                )
-            n_intervals *= 2 ** (n_levels - 1)
-            grid = build_grid(profile, min_points=n_intervals + 1)
-            ratio = np.repeat(sigma_p / sigma_p[0], k.size)  # r at each phase length
-            lengths = (np.array([jobs[i][1] for i in members])[:, np.newaxis] * k + gamma).ravel()
-            c, t = _level_moments(grid, ratio * lengths, n_levels)
-            readout = _pointer_readout(grid.center, lengths, rho, c, ratio * t)
-            p, dp = (values.reshape(n_levels, len(members), k.size) for values in readout)
-            # agree[j, job]: levels j and j + 1 (the stride-2^j and 2^(j+1) subgrids) agree
-            agree = (np.abs(p[1:] - p[:-1]) <= _SWEEP_TOLERANCE * p[:-1]).all(axis=2) & (
-                np.abs(dp[1:] - dp[:-1]) <= _SWEEP_TOLERANCE * sigma_p[:, np.newaxis]
-            ).all(axis=2)
-            done = np.flatnonzero(agree.any(axis=0))
-            level = (n_levels - 2 - np.argmax(agree[::-1], axis=0))[done]  # finer level of the coarsest pair
-            rows = np.array(members)[done]
-            delta_lambda[rows] = -(profile.center_wavelength**2 / (2.0 * math.pi)) * 1e9 * dp[level, done]
-            prob[rows] = p[level, done]
-            members = [i for i, ok in zip(members, agree.any(axis=0)) if not ok]
-            n_levels = 2
-    return delta_lambda, prob
+def _sweep(v: Values, jobs: list) -> tuple:
+    """Traces (delta_lambda_nm, P) of ``collapsed_sweep`` over the config's
+    time differences, k = c tau, one row per job (profile, N); every job's
+    profile is centred at LAMBDA0_M, as ``_profile`` makes it."""
+    prob, delta_p = collapsed_sweep(jobs, SPEED_OF_LIGHT * v["taus_as"] * 1e-18, _gamma_length(v["gamma_pi_units"]),
+                                    v["rho_rad"])
+    return -(LAMBDA0_M**2 / (2.0 * math.pi)) * 1e9 * delta_p, prob
 
 
 def linear_region_rate(taus_as: np.ndarray, values: np.ndarray) -> float:
@@ -445,7 +389,7 @@ def _run_fig3a(v: Values) -> ScenarioResult:
         "preset.spectrometer_resolution_pm": res_m * 1e12,
     }
     jobs = [(_profile(v, width), v["n_interactions"]) for width in widths]
-    dlam, prob = _sweep_delta_lambda(jobs, taus, _gamma_length(v["gamma_pi_units"]), rho)
+    dlam, prob = _sweep(v, jobs)
     for width, trace in zip(widths, dlam):
         _rate_summary(summary, _wlabel(width), taus, trace, res_m)
     # a row per (width, tau), width-major
@@ -472,7 +416,7 @@ def _run_fig3a(v: Values) -> ScenarioResult:
 def _run_fig3b(v: Values) -> ScenarioResult:
     widths, taus, threshold = v["widths_nm"], v["taus_as"], v["band_threshold"]
     jobs = [(_profile(v, float(w)), v["n_interactions"]) for w in widths]
-    dlam, _ = _sweep_delta_lambda(jobs, taus, _gamma_length(v["gamma_pi_units"]), v["rho_rad"])
+    dlam, _ = _sweep(v, jobs)
     rates = np.abs((dlam[:, 2:] - dlam[:, :-2]) / (taus[2:] - taus[:-2]))
     peaks = rates.max(axis=1)
     best = int(np.argmax(peaks))  # the first width at the largest peak rate
@@ -509,9 +453,7 @@ def _run_fig4(v: Values) -> ScenarioResult:
     profile = _profile(v, v["width_nm"])
     summary = {}
     peak_rates = {}
-    dlam, prob = _sweep_delta_lambda(
-        [(profile, n) for n in n_list], taus, _gamma_length(v["gamma_pi_units"]), v["rho_rad"]
-    )
+    dlam, prob = _sweep(v, [(profile, n) for n in n_list])
     for n, trace in zip(n_list, dlam):
         peak_rates[n] = _rate_summary(summary, f"n{n}", taus, trace, res_m)
     base = n_list[0]
@@ -781,41 +723,14 @@ def oracle_case_matrix(values: Values):
 
 def oracle_deviation_rows(values: Values) -> list:
     """(shape, width_nm, n, k, rho, gamma_pi, deviation) for every case of the
-    verification matrix.  The deviation is the max relative pointwise
-    difference between the collapsed density and the joint-state oracle on
-    the case's ``build_grid`` grid, over points above 1e-15 of the peak.
-
-    Both densities depend on a case only through its grid (profile and point
-    count), its phase length L = N*k + gamma and rho; the oracle's complex
-    phase, the half-phase sine and the oracle's factor only through the
-    grid's points (center, half span, point count), L and rho.  The cases are
-    grouped by points, then by L, then by rho, then by profile: the grids
-    that share their points are built once and held together, one such set
-    at a time, and ``meter._oracle_deviations`` takes the phase once per
-    (points, L), the sine and the factor once per (points, L, rho), and the
-    two densities and their deviation once per profile, shared by every case
-    with those values.
-    """
+    verification matrix, the deviation from ``meter.oracle_deviations``: the
+    max relative pointwise difference between the collapsed density and the
+    joint-state oracle on the case's ``build_grid`` grid, over points above
+    1e-15 of the peak."""
     cases = list(oracle_case_matrix(values))
     profiles = {shape: _profile(values, values["sigma_lambda_nm"], shape) for shape in values["shapes"]}
-    # rho enters neither the grid nor the oracle's phase
-    settings_of = {(n, k, gamma_pi): MwiSettings(n, k, _gamma_length(gamma_pi))
-                   for n, k, gamma_pi in product(values["n_list"], values["k_list_m"], values["gamma_pi_list"])}
-    # (center, half span, point count) -> L -> (settings, rho -> profile -> case indices)
-    groups: dict = {}
-    for index, (shape, _, n, k, rho, gamma_pi) in enumerate(cases):
-        profile, settings = profiles[shape], settings_of[n, k, gamma_pi]
-        key = (profile.center_wavelength, _grid_half_span(profile), grid_point_count(profile, settings))
-        _, by_rho = groups.setdefault(key, {}).setdefault(settings.phase_length, (settings, {}))
-        by_rho.setdefault(rho, {}).setdefault(profile, []).append(index)
-    deviations = [0.0] * len(cases)
-    for (_, _, n_points), by_length in groups.items():
-        grids = {p: build_grid(p, min_points=n_points)
-                 for p in dict.fromkeys(p for _, by_rho in by_length.values() for by_p in by_rho.values() for p in by_p)}
-        densities = {profile: (grid.density, np.sqrt(grid.density)) for profile, grid in grids.items()}
-        for indices, dev in _oracle_deviations(next(iter(grids.values())).points, by_length, densities):
-            for index in indices:
-                deviations[index] = dev
+    deviations = oracle_deviations([(profiles[shape], MwiSettings(n, k, _gamma_length(gamma_pi), rho))
+                                    for shape, _, n, k, rho, gamma_pi in cases])
     return [(*case, dev) for case, dev in zip(cases, deviations)]
 
 
@@ -853,6 +768,10 @@ def closed_form_deviations(values: Values) -> tuple:
     return worst_prob, worst_shift
 
 
+# the suite's gates: the oracle pointwise, the closed-form probability and shift relative
+_ORACLE_TOLERANCE, _PROB_TOLERANCE, _SHIFT_TOLERANCE = 1e-10, 1e-9, 1e-6
+
+
 @_register(
     "oracle_suite",
     "Joint-state oracle vs collapsed-density comparison over the shape x N x k x rho "
@@ -865,9 +784,6 @@ def closed_form_deviations(values: Values) -> tuple:
         "rho_list_rad": ("0.002,0.01,0.1", _FLOATS, "in (0, pi/2)"),
         "gamma_pi_list": ("0,1.9", _FLOATS, ">= 0"),
         **{key: entry for key, entry in _PROFILE_KEYS.items() if key != "shape"},
-        "oracle_tolerance": (1e-10, _number, "> 0"),
-        "prob_tolerance": (1e-9, _number, "> 0"),
-        "shift_tolerance": (1e-6, _number, "> 0"),
     },
     rows=lambda v: math.prod(len(v[key]) for key in _ORACLE_LISTS),
 )
@@ -875,18 +791,14 @@ def _run_oracle_suite(v: Values) -> ScenarioResult:
     worst_prob, worst_shift = closed_form_deviations(v)  # first: it rejects a matrix it cannot check
     rows = oracle_deviation_rows(v)
     worst_oracle = max((row[-1] for row in rows), default=0.0)
-    tolerances = {key: v[key] for key in ("oracle_tolerance", "prob_tolerance", "shift_tolerance")}
-    passed = (
-        worst_oracle <= tolerances["oracle_tolerance"]
-        and worst_prob <= tolerances["prob_tolerance"]
-        and worst_shift <= tolerances["shift_tolerance"]
-    )
     summary = {
         "oracle_worst_rel_dev": worst_oracle,
         "closed_form_prob_worst_rel_dev": worst_prob,
         "closed_form_shift_worst_rel_dev": worst_shift,
-        **tolerances,
-        "pass": passed,
+        "oracle_tolerance": _ORACLE_TOLERANCE,
+        "prob_tolerance": _PROB_TOLERANCE,
+        "shift_tolerance": _SHIFT_TOLERANCE,
+        "pass": worst_oracle <= _ORACLE_TOLERANCE and worst_prob <= _PROB_TOLERANCE and worst_shift <= _SHIFT_TOLERANCE,
     }
     names = ("shape", "sigma_lambda_nm", "n_1", "k_m", "rho_rad", "gamma_pi_1", "oracle_max_rel_dev_1")
     return ScenarioResult(_stacked(names, rows), summary)

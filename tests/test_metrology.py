@@ -7,14 +7,13 @@ from hypothesis import given, strategies as st
 from wva_lab.constants import SPEED_OF_LIGHT
 from wva_lab.metrology import (
     TiltGeometry,
-    k_from_tau,
     precision,
     snr_db,
     tau_from_tilt,
 )
 
 
-def central_slope(signal, k0=k_from_tau(0.05e-18), h=k_from_tau(0.02e-18)):
+def central_slope(signal, k0=SPEED_OF_LIGHT * 0.05e-18, h=SPEED_OF_LIGHT * 0.02e-18):
     """Central-difference slope of ``signal`` at ``k0``."""
     return (signal(k0 + h) - signal(k0 - h)) / (2.0 * h)
 
@@ -64,13 +63,6 @@ class TestTiltMap:
             TiltGeometry(math.pi / 2)
         with pytest.raises(ValueError):
             TiltGeometry(0.1, refractive_index=1.0)
-
-
-class TestKFromTau:
-    def test_values(self):
-        assert k_from_tau(0.0) == 0.0
-        assert k_from_tau(1e-18) == pytest.approx(2.99792458e-10, rel=1e-15)
-        assert k_from_tau(1e-17) == pytest.approx(2.99792458e-9, rel=1e-15)
 
 
 class TestPrecision:
@@ -127,7 +119,7 @@ class TestRateOnPointerSignals:
         def delta_p(k):
             return pointer_shift_p_gaussian(sigma_p, p0, MwiSettings(1, k, 0.0, 0.002))
 
-        k0, h = k_from_tau(0.05e-18), k_from_tau(0.02e-18)
+        k0, h = SPEED_OF_LIGHT * 0.05e-18, SPEED_OF_LIGHT * 0.02e-18
         rate_lambda = central_slope(lambda k: -factor * delta_p(k), k0, h)
         rate_p = central_slope(delta_p, k0, h)
         delta_m = 0.04e-12
@@ -145,7 +137,7 @@ class TestRateOnPointerSignals:
 
         gamma = 1.9 * math.pi / p0
         profile = SpectralProfile("supergaussian", lambda0, 6e-9, order=6)
-        grid = build_grid(profile, MwiSettings(3, k_from_tau(0.1e-18), gamma, 0.002))
+        grid = build_grid(profile, MwiSettings(3, SPEED_OF_LIGHT * 0.1e-18, gamma, 0.002))
 
         def delta_lambda_fn(n):
             def signal(k):

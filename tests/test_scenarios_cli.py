@@ -27,6 +27,7 @@ from wva_lab.scenarios import (
     render_csv,
     run_scenario,
 )
+from wva_lab.spectra import build_grid
 
 from direct_path import direct_collapse
 
@@ -387,6 +388,7 @@ class TestCli:
             ("oracle_suite", "shapes=gaussian,gaussian"),
             ("fig3b", "width_max_nm=0.5"),
             ("s4_weak_values", "rho_max_rad=0.002"),
+            # the suite's gates are constants, not config keys: setting one names an unknown key
             ("oracle_suite", "oracle_tolerance=-1"),
             ("oracle_suite", "prob_tolerance=-1"),
             ("oracle_suite", "shift_tolerance=-1"),
@@ -565,15 +567,14 @@ class TestCli:
         assert main(["run", "s4_weak_values", "--set", "n_rhos=6", "--out", str(paths[1])]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_failed_suite_exits_3(self, tmp_path, capsys):
+    def test_failed_suite_exits_3(self, tmp_path, monkeypatch, capsys):
         # the one non-zero exit that writes its CSV: the deviation table is the diagnostic
+        monkeypatch.setattr(scenarios, "_ORACLE_TOLERANCE", 1e-30)
         out_file = tmp_path / "o.csv"
         code = main(
             [
                 "run",
                 "oracle_suite",
-                "--set",
-                "oracle_tolerance=1e-30",
                 "--set",
                 "shapes=gaussian",
                 "--set",
@@ -660,9 +661,9 @@ class TestSchema:
 
 
 class TestOracleRows:
-    """``oracle_deviation_rows`` shares grids, phases and densities between
-    cases; each row must equal the deviation computed the long way, one grid
-    per case."""
+    """``oracle_deviation_rows``, through ``meter.oracle_deviations``, shares
+    grids, phases and densities between cases; each row must equal the
+    deviation computed the long way, one grid per case."""
 
     @staticmethod
     def _reference_rows(values):
@@ -671,7 +672,7 @@ class TestOracleRows:
             shape, width_nm, n, k, rho, gamma_pi = case
             profile = scenarios._profile(values, width_nm, shape)
             settings = MwiSettings(n, k, scenarios._gamma_length(gamma_pi), rho)
-            grid = scenarios.build_grid(profile, settings)
+            grid = build_grid(profile, settings)
             direct = collapsed_density(profile, settings)
             assert np.array_equal(direct.density.points, grid.points)  # the guard kept the grid built here
             d = direct_collapse(direct.density, settings.phase_length, 2.0 * settings.rho)
@@ -684,14 +685,13 @@ class TestOracleRows:
     @staticmethod
     def _spy_build_grid(monkeypatch):
         sizes = []
-        build_grid = scenarios.build_grid
 
         def spy(*args, **kwargs):
             grid = build_grid(*args, **kwargs)
             sizes.append(grid.points.size)
             return grid
 
-        monkeypatch.setattr(scenarios, "build_grid", spy)
+        monkeypatch.setattr(meter, "build_grid", spy)
         return sizes
 
     @staticmethod
@@ -777,7 +777,7 @@ class TestOracleRows:
         # gaussian and supergaussian grids share their points, so one phase,
         # sine and factor serve both
         points = {
-            shape: scenarios.build_grid(scenarios._profile(values, 6.0, shape)).points.tobytes()
+            shape: build_grid(scenarios._profile(values, 6.0, shape)).points.tobytes()
             for shape in ("gaussian", "supergaussian", "rectangular")
         }
         assert len({points["gaussian"], points["supergaussian"], points["rectangular"]}) == 2
@@ -794,6 +794,19 @@ class TestOracleRows:
         by_points = {(points[s], length, rho) for s, length, rho in distinct}
         assert len(calls["sine"]) == len(calls["factor"]) == len(by_points) == 48
         assert len(calls["phase"]) == len({(p, length) for p, length, _ in by_points}) == 16
+
+    def test_shuffled_cases_give_the_same_deviations(self):
+        # repeated N*k (1 x 2e-12 is bitwise 2 x 1e-12, k = 0 at every N) and two
+        # shapes on one set of points put several cases in each (points, L, rho)
+        # group; the grouping must not depend on the order the cases come in
+        values = make_config("oracle_suite", {"n_list": "1,2", "k_list_m": "0,1e-12,2e-12"}).values
+        cases = [(scenarios._profile(values, width_nm, shape), MwiSettings(n, k, scenarios._gamma_length(gamma_pi), rho))
+                 for shape, width_nm, n, k, rho, gamma_pi in scenarios.oracle_case_matrix(values)]
+        cases += cases[::7]  # some cases twice: a repeat joins its original's group
+        order = np.random.default_rng(0).permutation(len(cases))
+        in_order = np.array(meter.oracle_deviations(cases))
+        shuffled = np.array(meter.oracle_deviations([cases[i] for i in order]))
+        assert shuffled.tobytes() == in_order[order].tobytes()
 
     def test_oracle_phase_is_the_complex_exponential(self, monkeypatch):
         # the phase filled from cos and sin of (0.5 L) p equals exp(0.5j L p)
@@ -821,7 +834,7 @@ class TestOracleRows:
         try:
             held = []
             for shape in ("gaussian", "supergaussian", "rectangular"):
-                grid = scenarios.build_grid(scenarios._profile(values, 6.0, shape), settings)
+                grid = build_grid(scenarios._profile(values, 6.0, shape), settings)
                 held.append((grid, np.sqrt(grid.density)))
             grid, root_density = held[-1]
             d = direct_collapse(grid, settings.phase_length, 2.0 * settings.rho)
@@ -917,7 +930,7 @@ class TestScenarioPhysicsSpots:
         config = make_config("s2_spectrum_evolution", {"subsample_stride": stride})
         v = config.values
         profile, family = scenarios._s2_grid_args(v)
-        grid = scenarios.build_grid(profile, family)
+        grid = build_grid(profile, family)
         points = grid.points[::stride]
         to_per_nm = (2.0 * np.pi / (2.0 * np.pi / points) ** 2) * 1e-9
         initial, collapsed = [], []
@@ -948,7 +961,7 @@ class TestScenarioPhysicsSpots:
     def test_s2_rejects_a_grid_reaching_negative_momentum(self):
         config = make_config("s2_spectrum_evolution", {"width_nm": 1500.0, "width_convention": "fwhm"})
         profile, family = scenarios._s2_grid_args(config.values)
-        smallest = scenarios.build_grid(profile, family).points[0]
+        smallest = build_grid(profile, family).points[0]
         with pytest.raises(NumericalError) as excinfo:
             execute_scenario(config)
         assert f"reaches momentum {float(smallest)!r} rad/m" in str(excinfo.value)

@@ -21,6 +21,8 @@ from wva_lab.spectra import MomentumGrid, SpectralProfile, build_grid, effective
 GAMMA = 1.9 * math.pi / P0
 RHO = 0.002
 TAUS_AS = np.arange(0.0, 331.0)  # the default 331-point sweep
+KS = SPEED_OF_LIGHT * TAUS_AS * 1e-18
+KERNEL = meter._level_moments  # the spies below replace meter's name; they and the references call this
 UNEVEN_TAUS_AS = 330.0 * np.linspace(0.0, 1.0, 53) ** 2
 SHAPES = ["gaussian", "supergaussian", "rectangular"]
 TO_NM = -(LAMBDA0**2 / (2.0 * math.pi)) * 1e9
@@ -37,7 +39,7 @@ def sweep_grid(profile, n, **kwargs):
 def kernel_levels(grid, lengths, rho, n_levels):
     """(P, delta_p) on ``grid`` and its coarser levels, each of shape
     (n_levels, len(lengths)): the sweep kernel read out as the sweeps do."""
-    c, t = meter._level_moments(grid, lengths, n_levels)
+    c, t = KERNEL(grid, lengths, n_levels)
     return meter._pointer_readout(grid.center, lengths, rho, c, t)
 
 
@@ -142,16 +144,16 @@ class TestKernel:
 
         def spy_kernel(grid, lengths, n_levels):
             calls.append((grid, lengths, n_levels))
-            return meter._level_moments(grid, lengths, n_levels)
+            return KERNEL(grid, lengths, n_levels)
 
-        monkeypatch.setattr(scenarios, "_level_moments", spy_kernel)
+        monkeypatch.setattr(meter, "_level_moments", spy_kernel)
         execute_scenario(make_config("fig3b"))
         ((grid, lengths, n_levels),) = calls
         assert (grid.points.size, lengths.size, n_levels) == (513, 15888, 3)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            meter._level_moments(grid, lengths, n_levels)
+            KERNEL(grid, lengths, n_levels)
             transient = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -211,10 +213,10 @@ class TestAdaptiveSweep:
     @pytest.mark.parametrize("width_nm", [0.5, 6.0, 300.0])
     def test_matches_fixed_fine_grid(self, shape, width_nm):
         profile = SpectralProfile(shape, LAMBDA0, width_nm * 1e-9)
-        (dlam,), (prob,) = scenarios._sweep_delta_lambda([(profile, 1)], TAUS_AS, GAMMA, RHO)
+        (prob,), (delta_p,) = meter.collapsed_sweep([(profile, 1)], KS, GAMMA, RHO)
         fine = sweep_grid(profile, 1, min_points=2**15 + 1)
         prob_fine, delta_p_fine = collapse_moments_on_grid(fine, phase_lengths(1), RHO)
-        dlam_fine = TO_NM * delta_p_fine
+        dlam, dlam_fine = TO_NM * delta_p, TO_NM * delta_p_fine
         assert np.max(np.abs(dlam - dlam_fine)) <= 1e-12 * np.max(np.abs(dlam_fine))
         assert np.max(np.abs(prob - prob_fine)) <= 1e-12 * np.max(prob_fine)
 
@@ -254,10 +256,10 @@ class TestAdaptiveSweep:
 
         def spy_kernel(grid, lengths, n_levels):
             calls.append(grid.points.size)
-            return meter._level_moments(grid, lengths, n_levels)
+            return KERNEL(grid, lengths, n_levels)
 
-        monkeypatch.setattr(scenarios, "build_grid", spy_build_grid)
-        monkeypatch.setattr(scenarios, "_level_moments", spy_kernel)
+        monkeypatch.setattr(meter, "build_grid", spy_build_grid)
+        monkeypatch.setattr(meter, "_level_moments", spy_kernel)
         config = make_config("fig3b")
         execute_scenario(config)
         assert max(sizes) <= 1025
@@ -270,14 +272,14 @@ class TestAdaptiveSweep:
 
         def spy_kernel(grid, lengths, n_levels):
             grid_points.append((grid.points.size, lengths.size))
-            return meter._level_moments(grid, lengths, n_levels)
+            return KERNEL(grid, lengths, n_levels)
 
         def spy_sin(values, *args, **kwargs):
             if np.ndim(values) == 2:
                 angle_values.append(np.size(values))
             return sin(values, *args, **kwargs)
 
-        monkeypatch.setattr(scenarios, "_level_moments", spy_kernel)
+        monkeypatch.setattr(meter, "_level_moments", spy_kernel)
         monkeypatch.setattr(np, "sin", spy_sin)
         config = make_config("fig3b")
         execute_scenario(config)
@@ -319,12 +321,12 @@ class TestBatchedSweep:
 
         def spy_kernel(grid, lengths, n_levels):
             calls.append((grid.points.size, n_levels))
-            return meter._level_moments(grid, lengths, n_levels)
+            return KERNEL(grid, lengths, n_levels)
 
-        monkeypatch.setattr(scenarios, "_level_moments", spy_kernel)
-        dlam, prob = scenarios._sweep_delta_lambda(jobs, TAUS_AS, GAMMA, RHO)
+        monkeypatch.setattr(meter, "_level_moments", spy_kernel)
+        prob, delta_p = meter.collapsed_sweep(jobs, KS, GAMMA, RHO)
         want_calls = set()
-        for job, dlam_job, prob_job in zip(jobs, dlam, prob):
+        for job, dlam_job, prob_job in zip(jobs, TO_NM * delta_p, prob):
             want_dlam, want_prob, job_calls = per_job_sweep(*job)
             want_calls.update(job_calls)
             # past about 1,500 nm delta_lambda is a small remainder of sums of
@@ -393,14 +395,14 @@ class TestSweepGuard:
             values = np.repeat((0.5 + 1e-3 / level_points)[:, np.newaxis], lengths.size, axis=1)
             return values, values
 
-        monkeypatch.setattr(scenarios, "_level_moments", drifting_kernel)
+        monkeypatch.setattr(meter, "_level_moments", drifting_kernel)
         # a lower ceiling keeps the doubling (and the memory it takes) small
-        monkeypatch.setattr(scenarios, "MAX_GRID_POINTS", 2**12 + 1)
+        monkeypatch.setattr(meter, "MAX_GRID_POINTS", 2**12 + 1)
 
     def test_raises_numerical_error(self, never_converges):
         profile = SpectralProfile("supergaussian", LAMBDA0, 6e-9)
         with pytest.raises(NumericalError, match="supergaussian source of width 6 nm at N = 1 did not converge"):
-            scenarios._sweep_delta_lambda([(profile, 1)], TAUS_AS, GAMMA, RHO)
+            meter.collapsed_sweep([(profile, 1)], KS, GAMMA, RHO)
 
     def test_run_exits_3_without_csv(self, never_converges, tmp_path, capsys):
         out = tmp_path / "fig3a.csv"
