@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import require
 from .meter import _neg_square
-from .polarization import _xp, im_weak_value
+from .polarization import im_weak_value
 
 # angles per block of ``negativity_boundary_scan``
 _SCAN_BLOCK = 2**16
@@ -30,10 +30,10 @@ def k31(n_interactions: int, rho, probability=None):
     Raises
     ------
     ValueError
-        N < 1, or a float rho outside (0, pi/2), where the weak value is singular.
+        N < 1, or rho (or any entry of it) outside (0, pi/2): the weak value is singular.
     """
     im = im_weak_value(n_interactions, rho)
-    prob = _xp(rho).sin(rho) ** 2 if probability is None else probability
+    prob = np.sin(rho) ** 2 if probability is None else probability
     return 2.0 * prob * (1.0 - im)
 
 

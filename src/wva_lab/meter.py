@@ -8,11 +8,12 @@ path-imbalance phase is
 
 The momentum (P) pointer is the density-weighted mean shift of D, reported
 also as a wavelength shift; the intensity (I) pointer is the postselected
-total signal.  One grid path computes them, from the symmetric-density
-identity in the docstring of ``collapse_moments_on_grid``, in two steps:
-the kernel ``_level_moments`` sums C/I and T/I on a grid and its strided
-coarser levels, and ``_pointer_readout`` turns (C/I, T/I, A) into
-(P, delta_p).  ``collapse_moments_on_grid`` composes the two at level 0.
+total signal.  Both come from the symmetric-density identity in the
+docstring of ``collapse_moments_on_grid``, in two steps: C/I and T/I, and
+``_pointer_readout``, which turns them into (P, delta_p) at the half phase A
+of ``_half_phase``.  On a grid the kernel ``_level_moments`` sums C/I and T/I
+on the grid and its strided coarser levels; ``collapse_moments_on_grid``
+composes the two steps at level 0.
 ``collapsed_density(profile, settings)`` builds its own grid for one
 setting or a family (k or rho an array), reads levels 0 and 1 for every
 member with one kernel call and doubles the grid until they agree; it
@@ -21,12 +22,12 @@ takes no other argument, so there is one way to call it.
 the two steps apart, to read a kernel call made at scaled phase lengths out
 at each source's own, and picks each job's grid by comparing levels.  The
 grid levels, and which pair of them a result is accepted at, stay inside
-this module.
-Alongside them this module provides exact closed forms for Gaussian
-densities, the linear-regime approximations (through the weak value
-``polarization.im_weak_value``), and a brute-force joint-state oracle for
+this module.  The exact Gaussian forms are the Gaussian row of the readout:
+``_gaussian_moments`` gives C/I and T/I from the characteristic function.
+Alongside them are the linear-regime approximations (through the weak value
+``polarization.im_weak_value``) and a brute-force joint-state oracle for
 verification, which projects onto the states of ``wva_lab.polarization``.
-The closed forms take a float or an array, as settings whose k or rho is an array (a trace) do.
+Each closed form is one numpy expression for a float or an array (a trace).
 The oracle is three steps: the complex phase ``_oracle_amplitude`` (points
 and L), the profile-free projection ``_oracle_factor`` (and rho), and
 ``_oracle_project``, which multiplies by sqrt Omega and squares; the direct
@@ -46,7 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalError, holds, require
-from .polarization import MwiSettings, _xp, im_weak_value, postselection_state, preselection_state
+from .polarization import MwiSettings, im_weak_value, postselection_state, preselection_state
 from .spectra import (MAX_GRID_POINTS, MomentumGrid, SpectralProfile, _grid_half_span, _simpson_weights, build_grid,
                       effective_sigma_p, grid_point_count)
 
@@ -81,14 +82,17 @@ class CollapseResult:
     def __post_init__(self) -> None:
         prob = self.postselection_probability
         if not holds((0.0 <= prob) & (prob <= 1.0)):
-            raise ValueError(
-                f"postselection probability outside [0, 1]: {self.postselection_probability!r}"
-            )
+            raise ValueError(f"postselection probability outside [0, 1]: {prob!r}")
 
 
-def _half_phase_sine(points: np.ndarray, phase_length: float, two_rho: float) -> np.ndarray:
-    """sin((p*L + 2 rho)/2) at momenta ``points``: the collapse's half phase."""
-    return np.sin(0.5 * (points * phase_length + two_rho))
+def _half_phase(p, phase_length, rho):
+    """A = (p*L + 2 rho)/2 at momentum p: the one place outside the oracle that forms p*L + 2 rho."""
+    return 0.5 * (p * phase_length + 2.0 * rho)
+
+
+def _half_phase_sine(points: np.ndarray, phase_length: float, rho: float) -> np.ndarray:
+    """sin A at momenta ``points``: the direct collapse is Omega sin^2 A."""
+    return np.sin(_half_phase(points, phase_length, rho))
 
 
 def _factor_base(half_points: int) -> int:
@@ -170,23 +174,24 @@ def _level_moments(
     return c, t
 
 
-def _pointer_readout(
-    p0: float, phase_lengths: np.ndarray, rho: float, c: np.ndarray, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(P, delta_p) from C/I and T/I at each phase length (the identity in
-    ``collapse_moments_on_grid``); ``c`` and ``t`` may carry a leading level
-    axis.  Raises NumericalError where P is not positive and finite."""
-    a = 0.5 * (p0 * np.asarray(phase_lengths, dtype=float) + 2.0 * rho)
+def _readout_probability(a, c):
+    """P = sin^2 A + cos 2A * C/I at half phase ``a`` (``collapse_moments_on_grid``); P = 0 is a value."""
     sin_a = np.sin(a)
-    prob = sin_a * sin_a + np.cos(2.0 * a) * c
-    require(np.isfinite(prob) & (prob > 0.0), "collapsed density integrated to a non-positive value")
+    return sin_a * sin_a + np.cos(2.0 * a) * c
+
+
+def _pointer_readout(p0: float, phase_lengths, rho, c, t) -> tuple:
+    """(P, delta_p) from C/I and T/I at each phase length (the identity in
+    ``collapse_moments_on_grid``), of the kernel or a closed form; ``c`` and ``t``
+    may carry a leading level axis.  Raises NumericalError where P is not positive and finite."""
+    a = _half_phase(p0, np.asarray(phase_lengths, dtype=float), rho)
+    prob = _readout_probability(a, c)
+    require(np.isfinite(prob) & (prob > 0.0), "postselection probability {!r} is not positive and finite", prob)
     delta_p = 0.5 * np.sin(2.0 * a) * t / prob
     return prob, delta_p
 
 
-def collapse_moments_on_grid(
-    grid: MomentumGrid, phase_lengths: np.ndarray, rho: float
-) -> tuple[np.ndarray, np.ndarray]:
+def collapse_moments_on_grid(grid: MomentumGrid, phase_lengths: np.ndarray, rho: float) -> tuple:
     """Sweep kernel: (postselection probabilities, delta_p) for every phase length.
 
     For a density symmetric about p0 on a grid centered on p0 (as
@@ -238,10 +243,7 @@ def collapsed_density(profile: SpectralProfile, settings: MwiSettings) -> Collap
         probability is not positive and finite.
     """
     if profile.is_monochromatic:
-        raise ValueError(
-            "monochromatic profile: the momentum pointer is undefined; "
-            "use intensity_after_postselection"
-        )
+        raise ValueError("monochromatic profile: the momentum pointer is undefined; use intensity_after_postselection")
     sigma_p = effective_sigma_p(profile)
     lengths = np.asarray(settings.phase_length, dtype=float)
     # the kernel's (level, L) sums, with L's axes aligned with rho's on the right
@@ -335,40 +337,47 @@ def _neg_square(x):
     return np.where(small, -np.square(np.where(small, x, 0.0)), -np.inf)[()]
 
 
+def _gaussian_moments(sigma_p: float, phase_length):
+    """(C/I, T/I) of a Gaussian density from phi(L) = exp(-x^2/2), x = sigma_p L: C/I = (1 - phi)/2 =
+    -expm1(-x^2/2)/2 and T/I = -phi'(L) = sigma_p x phi, damped before the second sigma_p (0, not
+    NaN, where sigma_p^2 L overflows)."""
+    x = sigma_p * phase_length
+    exponent = 0.5 * _neg_square(x)
+    return -0.5 * np.expm1(exponent), sigma_p * (x * np.exp(exponent))
+
+
 def postselection_probability_gaussian(sigma_p: float, p0: float, settings: MwiSettings):
     """Postselection probability for a Gaussian momentum density, exact.
 
     P = 1/2 [1 - exp(-(sigma_p L)^2 / 2) cos(L p0 + 2 rho)] with
     L = N*k + gamma (the path imbalance enters by the substitution
-    N*k -> N*k + gamma).  sigma_p refers to the standard deviation of the
-    momentum density; sigma_p = 0 gives the monochromatic limit.  An array
-    k or rho gives an array; a phase that is not finite raises NumericalError.
+    N*k -> N*k + gamma), the readout of ``_gaussian_moments``.  sigma_p is the
+    standard deviation of the momentum density; 0 gives the monochromatic
+    limit.  A float k and rho give a numpy float, an array k or rho an array;
+    P = 0 is a value.  Raises ValueError if sigma_p < 0, and NumericalError
+    where the phase L*p0 + 2 rho is not finite.
     """
     if sigma_p < 0.0:
         raise ValueError(f"sigma_p must be >= 0, got {sigma_p!r}")
     L = settings.phase_length
-    theta = L * p0 + 2.0 * settings.rho
-    require(np.isfinite(theta), "postselection phase L*p0 + 2 rho = {!r} for L = {!r} m: no probability", theta, L)
-    x, xp = sigma_p * L, _xp(theta)
-    # 1/2(1 - d cos) = sin^2(theta/2) + (1 - d)/2 cos(theta), both terms stable
-    half_one_minus_damp = -0.5 * _xp(x).expm1(0.5 * _neg_square(x))
-    return xp.sin(0.5 * theta) ** 2 + half_one_minus_damp * xp.cos(theta)
+    a = _half_phase(p0, L, settings.rho)
+    require(np.isfinite(a), "postselection phase L*p0 + 2 rho = {!r} for L = {!r} m: no probability", 2.0 * a, L)
+    return _readout_probability(a, _gaussian_moments(sigma_p, L)[0])
 
 
 def pointer_shift_p_gaussian(sigma_p: float, p0: float, settings: MwiSettings):
     """Mean momentum shift for a Gaussian density (exact closed form), rad/m.
 
     delta_p = sigma_p^2 L exp(-(sigma_p L)^2/2) sin(L p0 + 2 rho) / (2 P),
-    with the damping applied to sigma_p L before the second sigma_p, so a
-    damping of 0 gives 0 where sigma_p^2 L overflows.  An array k or rho
-    gives an array.
+    ``_pointer_readout`` of ``_gaussian_moments``; floats or arrays as for P.
+    Raises ValueError if sigma_p <= 0 (no momentum pointer), and
+    NumericalError where P is not positive and finite (0, or a phase that is
+    not finite).
     """
     if sigma_p <= 0.0:
         raise ValueError("no momentum pointer for a monochromatic source (sigma_p = 0)")
     L = settings.phase_length
-    prob = postselection_probability_gaussian(sigma_p, p0, settings)
-    x, theta = sigma_p * L, L * p0 + 2.0 * settings.rho
-    return sigma_p * (x * _xp(x).exp(0.5 * _neg_square(x))) * _xp(theta).sin(theta) / (2.0 * prob)
+    return _pointer_readout(p0, L, settings.rho, *_gaussian_moments(sigma_p, L))[1]
 
 
 def pointer_shift_p_approx(sigma_p: float, settings: MwiSettings) -> float:
@@ -404,7 +413,7 @@ def intensity_shift_approx(sigma_p: float, p0: float, settings: MwiSettings):
     strictly with sigma_p for N*k != 0.  An array sigma_p, k or rho gives an array.
     """
     x = sigma_p * (settings.n_interactions * settings.k)
-    damp = _xp(x).exp(_neg_square(x))
+    damp = np.exp(_neg_square(x))
     return damp * p0 * settings.k * im_weak_value(settings.n_interactions, settings.rho)
 
 
@@ -474,7 +483,7 @@ def oracle_deviations(cases) -> list:
         for settings, by_rho in by_length.values():
             amp_h = _oracle_amplitude(points, settings)
             for rho, by_profile in by_rho.items():
-                s = _half_phase_sine(points, settings.phase_length, 2.0 * rho)
+                s = _half_phase_sine(points, settings.phase_length, rho)
                 factor = _oracle_factor(amp_h, rho)
                 for profile, indices in by_profile.items():
                     dev = _oracle_deviation(s, factor, *densities[profile])

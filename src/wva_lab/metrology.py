@@ -10,10 +10,11 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import SPEED_OF_LIGHT
 from .errors import holds, require
 from .paper import PAPER
-from .polarization import _xp
 
 
 @dataclass(frozen=True)
@@ -39,9 +40,8 @@ def tau_from_tilt(geom: TiltGeometry) -> float:
     tau = (lambda / 2c) * (1/sqrt(1 - sin^2(theta)/n^2) - 1); even in theta,
     zero at zero tilt, strictly increasing on (0, pi/2).  An array tilt gives an array.
     """
-    xp = _xp(geom.theta)
-    s2 = xp.sin(geom.theta) ** 2 / geom.refractive_index**2
-    return geom.wavelength / (2.0 * SPEED_OF_LIGHT) * (1.0 / xp.sqrt(1.0 - s2) - 1.0)
+    s2 = np.sin(geom.theta) ** 2 / geom.refractive_index**2
+    return geom.wavelength / (2.0 * SPEED_OF_LIGHT) * (1.0 / np.sqrt(1.0 - s2) - 1.0)
 
 
 def precision(instrument_resolution: float, rate: float) -> tuple[float, float]:
@@ -63,4 +63,4 @@ def snr_db(signal, noise: float):
     """Signal-to-noise ratio 10 log10(signal/noise), decibels, of a float or an array signal."""
     if not holds(signal > 0.0) or noise <= 0.0:
         raise ValueError(f"signal and noise must be > 0, got {signal!r}, {noise!r}")
-    return 10.0 * _xp(signal).log10(signal / noise)
+    return 10.0 * np.log10(signal / noise)

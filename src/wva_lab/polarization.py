@@ -8,7 +8,8 @@ controls how close to orthogonal the projection is (squared overlap with
 the preselection equals sin^2(rho)).  The weak value of the N-pass
 coupling observable diag(+1, -1) is purely imaginary, i*N*cot(rho), and
 grows linearly with the number of interactions; ``im_weak_value`` is the
-one statement of N*cot(rho) in the package.
+one statement of N*cot(rho) in the package, one numpy expression for a float
+or an array angle, so a float and the same value in an array give the same bits.
 """
 from __future__ import annotations
 
@@ -19,11 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import holds
-
-
-def _xp(x):
-    """numpy for an array, ``math`` for a float: a closed form written once against it takes either."""
-    return np if isinstance(x, np.ndarray) else math
 
 
 @dataclass(frozen=True)
@@ -55,7 +51,7 @@ class MwiSettings:
             raise ValueError(f"rho must lie in (0, pi/2), got {self.rho!r}")
         if self.gamma < 0.0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma!r}")
-        if not holds(_xp(self.k).isfinite(self.k)):
+        if not holds(np.isfinite(self.k)):
             raise ValueError(f"k must be finite, got {self.k!r}")
 
     @property
@@ -87,18 +83,14 @@ def im_weak_value(n_interactions: int, rho):
     """Im of the weak value i*N*cot(rho) of the N-pass coupling observable,
     N / tan(rho), of a float or an array angle.
 
-    A float angle is checked; the caller of the array form keeps its angles
-    in (0, pi/2).
-
     Raises
     ------
     ValueError
-        If N < 1, or a float rho is outside (0, pi/2): the postselection is
-        singular at rho = 0.
+        If N < 1, or rho (a float, or any entry of an array) is outside
+        (0, pi/2): the postselection is singular at rho = 0.
     """
-    if not isinstance(rho, np.ndarray):
-        if n_interactions < 1:
-            raise ValueError(f"n_interactions must be >= 1, got {n_interactions!r}")
-        if not (0.0 < rho < math.pi / 2):
-            raise ValueError(f"singular postselection: rho must lie in (0, pi/2), got {rho!r}")
-    return n_interactions / _xp(rho).tan(rho)
+    if n_interactions < 1:
+        raise ValueError(f"n_interactions must be >= 1, got {n_interactions!r}")
+    if not holds((0.0 < rho) & (rho < math.pi / 2)):
+        raise ValueError(f"singular postselection: rho must lie in (0, pi/2), got {rho!r}")
+    return n_interactions / np.tan(rho)

@@ -635,7 +635,7 @@ def _run_s2(v: Values) -> ScenarioResult:
     to_per_nm = (2.0 * math.pi / lam**2) * 1e-9  # |dp/dlambda| in rad/m per nm
     blocks = []
     for tau, length in zip(v["tau_list_as"], family.phase_length):
-        s = _half_phase_sine(points, length, 2.0 * family.rho)
+        s = _half_phase_sine(points, length, family.rho)
         blocks.append((tau, lam * 1e9, density * to_per_nm, density * s * s * to_per_nm))
     summary = {"grid_points": int(grid.points.size), "emitted_rows": len(blocks) * points.size,
                "densities_normalized": True}
@@ -740,10 +740,12 @@ def closed_form_deviations(values: Values) -> tuple:
     with gamma = 0 and k != 0: for each N, one ``collapsed_density`` call and one
     closed-form evaluation over the (k, rho) matrix of those cases.
 
-    Raises ConfigError where the matrix has no such case (the check would
-    compare nothing), and NumericalError where a closed form that a deviation
-    divides by is 0 or not finite (the Gaussian shift underflows to 0 once
-    sigma_p * L passes ~38), naming the first such case.
+    Where the closed-form shift is exactly 0 (its damping underflows once
+    sigma_p * L passes ~38), the quadrature's shift is measured against
+    sigma_p, as ``collapsed_density``'s guard does.  Raises ConfigError where
+    the matrix has no such case (the check would compare nothing), and
+    NumericalError, naming the first such case, where a closed form is not
+    finite or the probability is not positive.
     """
     ks = [k for k in values["k_list_m"] if k != 0.0]
     gamma_pi = next((g for g in values["gamma_pi_list"] if g == 0.0), None)
@@ -758,13 +760,14 @@ def closed_form_deviations(values: Values) -> tuple:
         settings = MwiSettings(n, k, _gamma_length(gamma_pi), rho)
         case = f"shape=gaussian n={n} k={{!r}} rho={{!r}} gamma_pi={gamma_pi!r}"
         prob_closed = postselection_probability_gaussian(sigma_p, P0_RAD_PER_M, settings)
+        require((prob_closed > 0.0) & np.isfinite(prob_closed),
+                f"closed-form probability is {{!r}} for case {case}: no relative deviation", prob_closed, k, rho)
         shift_closed = pointer_shift_p_gaussian(sigma_p, P0_RAD_PER_M, settings)
-        for name, closed in (("probability", prob_closed), ("shift", shift_closed)):
-            require((closed != 0.0) & np.isfinite(closed),
-                    f"closed-form {name} is {{!r}} for case {case}: no relative deviation", closed, k, rho)
+        require(np.isfinite(shift_closed), f"closed-form shift is {{!r}} for case {case}", shift_closed, k, rho)
         quad = collapsed_density(profile, settings)
         worst_prob = max(worst_prob, float(np.max(np.abs(quad.postselection_probability - prob_closed) / prob_closed)))
-        worst_shift = max(worst_shift, float(np.max(np.abs(quad.delta_p - shift_closed) / np.abs(shift_closed))))
+        scale = np.where(shift_closed == 0.0, sigma_p, np.abs(shift_closed))
+        worst_shift = max(worst_shift, float(np.max(np.abs(quad.delta_p - shift_closed) / scale)))
     return worst_prob, worst_shift
 
 

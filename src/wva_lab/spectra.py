@@ -212,26 +212,20 @@ def grid_point_count(
     if profile.is_monochromatic:
         raise ValueError("monochromatic profile has no momentum grid; use the intensity path")
     n_intervals = max(min_points - 1, 4)
-    length = 0.0 if settings is None else abs(settings.phase_length)
-    if isinstance(length, np.ndarray):  # a family: its largest |L| sets the count
-        length = float(length.max())
+    length = 0.0 if settings is None else float(np.abs(settings.phase_length).max())  # a family's largest |L|
     if length != 0.0:
         max_step = 2.0 * math.pi / (_PERIOD_SAMPLES * length)
         needed = 2.0 * _grid_half_span(profile) / max_step if max_step > 0.0 else math.inf  # L overflows to inf
         if needed > MAX_GRID_POINTS - 1:
-            raise NumericalError(
-                f"grid would need {needed:.4g} intervals (> {MAX_GRID_POINTS - 1}); "
-                "modulation period too short for this span"
-            )
+            raise NumericalError(f"grid would need {needed:.4g} intervals (> {MAX_GRID_POINTS - 1}); "
+                                 "modulation period too short for this span")
         while n_intervals < needed:
             n_intervals *= 2
     # power-of-two interval count so stride-2 subsampling stays a Simpson grid
     n_intervals = 2 ** math.ceil(math.log2(n_intervals))
     if n_intervals + 1 > MAX_GRID_POINTS:
-        raise NumericalError(
-            f"grid would need {n_intervals + 1} points (> {MAX_GRID_POINTS}); "
-            "modulation period too short for this span"
-        )
+        raise NumericalError(f"grid would need {n_intervals + 1} points (> {MAX_GRID_POINTS}); "
+                             "modulation period too short for this span")
     return n_intervals + 1
 
 

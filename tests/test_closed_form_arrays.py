@@ -1,9 +1,7 @@
-"""The closed forms take a float or an array.  An array call must give, entry
-by entry, what the float call gives: bitwise where both go through the same
-libm function, and within one ulp where numpy's expm1 or log10 stands in for
-math's.  The SNR 10 log10(s) may differ by two ulps: one ulp of log10 is
-at most 1.25 ulps after the factor 10, and each side rounds the product.  The inputs are the axes of the default fig5, s3, fig6 and s4
-tables, with sigma_p = 0, k = 0 and a |sigma_p L| past the 1e154 guard.
+"""The closed forms take a float or an array through one numpy expression.
+An array call must give, entry by entry, what the float call gives, bit for
+bit.  The inputs are the axes of the default fig5, s3, fig6 and s4 tables,
+with sigma_p = 0, k = 0 and a |sigma_p L| past the 1e154 guard.
 """
 import numpy as np
 import pytest
@@ -52,10 +50,6 @@ def _assert_bitwise(array, floats):
     assert array.dtype == floats.dtype and array.tobytes() == floats.tobytes()
 
 
-def _assert_within_ulp(array, floats, ulps=1):
-    assert np.all(np.abs(array - floats) <= ulps * np.spacing(np.abs(floats)))
-
-
 @pytest.mark.parametrize(("sigma_p", "n", "rho", "ks"), K_TRACES)
 def test_probability_and_intensity_over_k(sigma_p, n, rho, ks):
     probability = postselection_probability_gaussian(sigma_p, P0, MwiSettings(n, ks, 0.0, rho))
@@ -65,20 +59,12 @@ def test_probability_and_intensity_over_k(sigma_p, n, rho, ks):
         *(_per_entry(lambda k: intensity_after_postselection(2.5, sigma_p, P0, MwiSettings(n, k, 0.0, rho))[i], ks)
           for i in (0, 1)),
     ]
-    if sigma_p == 0.0:  # expm1(0) = 0 on both sides: the same libm path throughout
-        for array, expected in zip((probability, intensity, shift), floats):
-            _assert_bitwise(array, expected)
-    else:  # np.expm1 of the damping exponent against math.expm1
-        _assert_within_ulp(probability, floats[0])
-        _assert_within_ulp(intensity, floats[1])
-        # (I - I0)/I0: an ulp of I moves the shift by at most 2 ulp(I)/I0
-        baseline, _ = intensity_after_postselection(2.5, sigma_p, P0, MwiSettings(n, 0.0, 0.0, rho))
-        assert np.all(np.abs(shift - floats[2]) <= 2.0 * np.spacing(intensity) / baseline)
+    for array, expected in zip((probability, intensity, shift), floats):
+        _assert_bitwise(array, expected)
 
 
 @pytest.mark.parametrize(("n", "k", "sigma_p", "rhos"), RHO_AXES)
 def test_probability_and_k31_over_rho(n, k, sigma_p, rhos):
-    # a float L: the damping goes through math.expm1 on both sides
     exact = postselection_probability_gaussian(sigma_p, P0, MwiSettings(n, k, 0.0, rhos))
     exact_floats = _per_entry(lambda rho: postselection_probability_gaussian(sigma_p, P0, MwiSettings(n, k, 0.0, rho)),
                               rhos)
@@ -91,16 +77,11 @@ def test_probability_and_k31_over_rho(n, k, sigma_p, rhos):
 @pytest.mark.parametrize(("sigma_p", "n", "rho", "ks"), [trace for trace in K_TRACES if trace[0] > 0.0])
 def test_shift_over_k(sigma_p, n, rho, ks):
     shift = pointer_shift_p_gaussian(sigma_p, P0, MwiSettings(n, ks, 0.0, rho))
-    floats = _per_entry(lambda k: pointer_shift_p_gaussian(sigma_p, P0, MwiSettings(n, k, 0.0, rho)), ks)
-    # the damping (np.exp against math.exp) and the probability differ by at
-    # most an ulp each, 2**-52 relative, and each side rounds its four
-    # operations after them: at most 6 * 2**-52 relative in all
-    assert np.all(np.abs(shift - floats) <= 6 * 2.0**-52 * np.abs(floats))
+    _assert_bitwise(shift, _per_entry(lambda k: pointer_shift_p_gaussian(sigma_p, P0, MwiSettings(n, k, 0.0, rho)), ks))
 
 
 @pytest.mark.parametrize("sigma_p", [1307.6348193922136, 7845.808916353282, 1.5e4])
 def test_shift_over_rho(sigma_p):
-    # a float L: the damping goes through math.exp on both sides, np.sin matches math.sin
     rhos = make_config("fig6").values["rhos_rad"]
     shift = pointer_shift_p_gaussian(sigma_p, P0, MwiSettings(3, 1e-10, 0.0, rhos))
     _assert_bitwise(shift, _per_entry(lambda rho: pointer_shift_p_gaussian(sigma_p, P0, MwiSettings(3, 1e-10, 0.0, rho)),
@@ -118,12 +99,12 @@ def test_shift_damped_to_zero_where_its_square_overflows(sigma_p):
 @pytest.mark.parametrize(("sigma_p", "n", "rho", "ks"), K_TRACES)
 def test_snr_over_k(sigma_p, n, rho, ks):
     intensity, _ = intensity_after_postselection(2.5, sigma_p, P0, MwiSettings(n, ks, 0.0, rho))
-    _assert_within_ulp(snr_db(intensity, 5e-4), _per_entry(lambda signal: snr_db(signal, 5e-4), intensity), 2)
+    _assert_bitwise(snr_db(intensity, 5e-4), _per_entry(lambda signal: snr_db(signal, 5e-4), intensity))
 
 
 def test_snr_over_rho():
     signal = 3e4 * np.sin(make_config("s4_weak_values").values["rhos_rad"]) ** 2
-    _assert_within_ulp(snr_db(signal, 5e-4), _per_entry(lambda s: snr_db(s, 5e-4), signal), 2)
+    _assert_bitwise(snr_db(signal, 5e-4), _per_entry(lambda s: snr_db(s, 5e-4), signal))
 
 
 def test_array_checks_raise_at_first_failure():

@@ -75,7 +75,7 @@ class TestCollapsedDensity:
         res = collapsed_density(gaussian(), settings)
         initial = build_grid(gaussian(), settings)
         assert np.array_equal(res.density.density, initial.density)  # the result's grid carries Omega
-        collapsed = direct_collapse(res.density, settings.phase_length, 2.0 * settings.rho)
+        collapsed = direct_collapse(res.density, settings.phase_length, settings.rho)
         expected = initial.density * math.sin(0.002) ** 2
         assert np.max(np.abs(collapsed - expected)) <= 1e-12 * expected.max()
         assert res.delta_p == pytest.approx(0.0, abs=1e-6)
@@ -116,7 +116,7 @@ class TestCollapsedDensity:
                 settings = MwiSettings(2, k, 1.9 * math.pi / P0, rho)
                 res = collapsed_density(gaussian(), settings)
                 initial = build_grid(gaussian(), settings)
-                collapsed = direct_collapse(res.density, settings.phase_length, 2.0 * rho)
+                collapsed = direct_collapse(res.density, settings.phase_length, rho)
                 assert np.all(collapsed <= initial.density + 1e-15)
                 assert 0.0 <= res.postselection_probability <= 1.0
 
@@ -125,7 +125,7 @@ class TestCollapsedDensity:
         grid = build_grid(gaussian(), settings)
         res = collapsed_density(gaussian(), settings)
         assert np.array_equal(res.density.points, grid.points)  # the guard kept the grid built here
-        collapsed = direct_collapse(grid, settings.phase_length, 2.0 * settings.rho)
+        collapsed = direct_collapse(grid, settings.phase_length, settings.rho)
         ratio = float(np.dot(grid.weights, collapsed)) / grid.integral()
         assert res.postselection_probability == pytest.approx(ratio, rel=1e-9)
 
@@ -391,7 +391,7 @@ class TestOracle:
         assert np.array_equal(direct.density.points, grid.points)  # the guard kept the grid built here
         oracle = oracle_joint_state(gaussian(), settings, grid)
         assert oracle.density is grid
-        d = direct_collapse(direct.density, settings.phase_length, 2.0 * settings.rho)
+        d = direct_collapse(direct.density, settings.phase_length, settings.rho)
         o = oracle_collapse(grid, settings)
         mask = d > 1e-15 * d.max()
         assert np.max(np.abs(d[mask] - o[mask]) / d[mask]) <= 1e-10

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from wva_lab.lgi import k31
 from wva_lab.polarization import (
     MwiSettings,
     im_weak_value,
@@ -85,13 +86,20 @@ class TestWeakValue:
         with pytest.raises(ValueError):
             im_weak_value(0, 0.01)
 
-    def test_each_form_keeps_its_tan(self):
-        # np.tan and math.tan differ in the last bit at some angles: the array
-        # form (the boundary scan) and the float form (every other caller)
-        # each keep the bits of the tangent they used before
+    def test_float_and_array_forms_give_the_same_bits(self):
+        # one numpy tangent serves both forms: math.tan differs from np.tan in
+        # the last bit at some of these angles, and neither form may use it
         rho = np.linspace(1e-3, 1.5, 1001)
-        assert np.array_equal(im_weak_value(3, rho), 3 / np.tan(rho))
-        assert [im_weak_value(3, r) for r in rho.tolist()] == [3 / math.tan(r) for r in rho.tolist()]
+        floats = np.array([im_weak_value(3, r) for r in rho.tolist()])
+        assert im_weak_value(3, rho).tobytes() == floats.tobytes() == (3 / np.tan(rho)).tobytes()
+
+    def test_singular_entry_of_an_array_rejected(self):
+        # an array angle is checked as a float one is, not returned as inf or nan
+        rho = np.array([0.0, 0.5])
+        with pytest.raises(ValueError, match="singular"):
+            im_weak_value(3, rho)
+        with pytest.raises(ValueError, match="singular"):
+            k31(3, rho)
 
     @given(
         st.integers(min_value=1, max_value=5),

@@ -214,7 +214,7 @@ class TestLattice:
         # strided read of a collapse (as s2's table takes it) is the collapse
         # of the strided lattice
         for phase_length, rho in ((SPEED_OF_LIGHT * 330e-18 + 1.9 * math.pi / P0, 0.002), (3e-10, 0.1)):
-            half = direct_collapse(half_resolution(grid), phase_length, 2.0 * rho)
-            assert np.array_equal(half, direct_collapse(grid, phase_length, 2.0 * rho)[::2])
+            half = direct_collapse(half_resolution(grid), phase_length, rho)
+            assert np.array_equal(half, direct_collapse(grid, phase_length, rho)[::2])
         assert np.array_equal(grid.points, grid.center + grid.offsets)
         assert grid.points.size == grid.weights.size == grid.density.size == 2 * m + 1
