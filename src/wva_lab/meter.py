@@ -470,8 +470,12 @@ def oracle_deviations(cases) -> list:
     """
     # (center, half span, point count) -> L -> (settings, rho -> profile -> case indices)
     groups: dict = {}
+    keys: dict = {}  # (profile, L) -> the key of its grid points, which depend on nothing else
     for index, (profile, settings) in enumerate(cases):
-        key = (profile.center_wavelength, _grid_half_span(profile), grid_point_count(profile, settings))
+        key = keys.get((profile, settings.phase_length))
+        if key is None:
+            key = keys[profile, settings.phase_length] = (
+                profile.center_wavelength, _grid_half_span(profile), grid_point_count(profile, settings))
         _, by_rho = groups.setdefault(key, {}).setdefault(settings.phase_length, (settings, {}))
         by_rho.setdefault(settings.rho, {}).setdefault(profile, []).append(index)
     deviations = [0.0] * len(cases)

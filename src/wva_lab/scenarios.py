@@ -5,12 +5,15 @@ is declared once, with its default, kind and rule, and is overridable from
 a key=value file or ``--set`` flags.  ``make_config`` checks every key and
 every cross-key rule before a runner starts.  Tables carry ``#``-prefixed
 provenance lines (version and config echo), unit-suffixed column headers,
-and rows sorted by their input coordinates; numbers are written in shortest
-round-trip form so repeated runs are byte-identical.  A table is a set of
-named columns from the runner to the CSV; the sort runs only on a table
-whose rows are out of order.  Runners hand ``wva_lab.meter`` its inputs,
-sweep jobs (profile, N) over k and oracle cases (profile, settings); grids,
-grid levels and convergence stay there.
+and rows sorted by their input coordinates.  Float cells have one declared
+precision, 12 significant digits, two beyond the sweeps' 1e-10 convergence;
+config echoes and printed summaries keep shortest round-trip ``repr``, so an
+echo reproduces its exact input and ``verify`` compares exact values.
+Repeated runs are byte-identical.  A table is a set of named columns from
+the runner to the CSV; the sort runs only on a table whose rows are out of
+order.  Runners hand ``wva_lab.meter`` its inputs, sweep jobs (profile, N)
+over k and oracle cases (profile, settings); grids, grid levels and
+convergence stay there.
 """
 from __future__ import annotations
 
@@ -53,7 +56,8 @@ LAMBDA0_M = PAPER["lambda0_m"].value
 P0_RAD_PER_M = lambda_p_convert(LAMBDA0_M)
 _DELTA_I_KEYS = {"0.5": "delta_i_05_V", "1": "delta_i_1_V", "3": "delta_i_3_V"}  # width -> config key
 
-# CSV rows formatted per batch: bounds the memory held by the formatted columns
+# CSV rows formatted per batch: bounds the memory held by the formatted columns.  Float cells are
+# written '%.12g' (the declared precision); config echoes and summaries keep repr, whose text is exact
 _RENDER_CHUNK_ROWS = 1024
 
 _ALLOWED_UNIT_SUFFIXES = {
@@ -321,12 +325,16 @@ def linear_region_rate(taus_as: np.ndarray, values: np.ndarray) -> float:
     return abs(float(np.dot(dt, v - v.mean()) / np.dot(dt, dt)))
 
 
+def _central_slopes(taus_as: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Central-difference slopes of ``values`` over ``taus_as`` along the last axis (interior points)."""
+    return (values[..., 2:] - values[..., :-2]) / (taus_as[2:] - taus_as[:-2])
+
+
 def peak_local_rate(taus_as: np.ndarray, values: np.ndarray) -> float:
     """Largest |central-difference slope| on the sampled trace."""
     if taus_as.size < 3:
         raise ValueError("need at least 3 sweep points")
-    slopes = (values[2:] - values[:-2]) / (taus_as[2:] - taus_as[:-2])
-    return float(np.max(np.abs(slopes)))
+    return float(np.max(np.abs(_central_slopes(taus_as, values))))
 
 
 def _rate_summary(summary: dict, label: str, taus_as: np.ndarray, dlam: np.ndarray, res_m: float) -> float:
@@ -417,7 +425,7 @@ def _run_fig3b(v: Values) -> ScenarioResult:
     widths, taus, threshold = v["widths_nm"], v["taus_as"], v["band_threshold"]
     jobs = [(_profile(v, float(w)), v["n_interactions"]) for w in widths]
     dlam, _ = _sweep(v, jobs)
-    rates = np.abs((dlam[:, 2:] - dlam[:, :-2]) / (taus[2:] - taus[:-2]))
+    rates = np.abs(_central_slopes(taus, dlam))
     peaks = rates.max(axis=1)
     best = int(np.argmax(peaks))  # the first width at the largest peak rate
     in_band = widths[peaks >= threshold * peaks[best]]
@@ -838,33 +846,17 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
-def _format_column(column: np.ndarray) -> list:
-    """``_format_cell`` of every value, formatted once per distinct value.
-    Float texts come from one ``repr`` of a list of Python floats, which gives
-    the same shortest round-trip text per value; an all-distinct float column
-    is formatted as it stands.  A float column holding a zero is keyed by its
-    bits, since 0.0 and -0.0 are one key but two texts."""
-    keys = values = column.tolist()
-    distinct = set(values)
-    if column.dtype.kind != "f":
-        text = {value: _format_cell(value) for value in distinct}
-        return list(map(text.__getitem__, values))
-    if len(distinct) == len(values):
-        return repr(values)[1:-1].split(", ")
-    if 0.0 in distinct:
-        keys = column.view(f"i{column.itemsize}").tolist()
-        distinct = dict(zip(keys, values))  # bits -> value
-        texts = repr(list(distinct.values()))
-    else:
-        texts = repr(list(distinct))
-    text = dict(zip(distinct, texts[1:-1].split(", ")))
-    return list(map(text.__getitem__, keys))
+def _cell_values(column: np.ndarray) -> list:
+    """What ``render_csv``'s row template takes of a column: a float column's
+    floats, any other column's texts by ``_format_cell``."""
+    values = column.tolist()
+    return values if column.dtype.kind == "f" else list(map(_format_cell, values))
 
 
 def render_csv(result: ScenarioResult, config: ScenarioConfig) -> str:
     """Deterministic CSV body: provenance comments, unit-suffixed header,
     rows sorted by their leading (input-coordinate) columns.  Rows are
-    formatted by column, ``_RENDER_CHUNK_ROWS`` rows at a time."""
+    formatted ``_RENDER_CHUNK_ROWS`` at a time."""
     columns = list(map(np.asarray, result.columns.values()))
     for name, column in zip(result.columns, columns):
         if column.dtype.kind != "U" and name.rsplit("_", 1)[-1] not in _ALLOWED_UNIT_SUFFIXES:
@@ -886,8 +878,11 @@ def render_csv(result: ScenarioResult, config: ScenarioConfig) -> str:
             columns = [column[order] for column in columns]
             break
         tied &= column[1:] == column[:-1]
+    # one template writes every row: a float cell at 12 significant digits, the declared precision
+    template = ",".join("%.12g" if column.dtype.kind == "f" else "%s" for column in columns)
     for lo in range(0, columns[0].size, _RENDER_CHUNK_ROWS):
-        lines.append("\n".join(map(",".join, zip(*(_format_column(column[lo : lo + _RENDER_CHUNK_ROWS]) for column in columns)))))
+        chunk = zip(*(_cell_values(column[lo : lo + _RENDER_CHUNK_ROWS]) for column in columns))
+        lines.append("\n".join([template % row for row in chunk]))
     return "\n".join(lines) + "\n"
 
 

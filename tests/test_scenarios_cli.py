@@ -124,11 +124,13 @@ class TestCsvOutput:
         assert lines[header_idx].split(",") == list(result.columns)
 
     def test_rows_sorted_and_round_trip(self):
+        # 12 significant digits: each cell is within half a unit in its 12th digit of its value
         result, config = self._result()
         lines = [ln for ln in render_csv(result, config).splitlines() if not ln.startswith("#")]
         body = [tuple(float(cell) for cell in ln.split(",")) for ln in lines[1:]]
         assert body == sorted(body)
-        assert sorted(body) == sorted(zip(*(map(float, column) for column in result.columns.values())))
+        values = sorted(zip(*(map(float, column) for column in result.columns.values())))
+        np.testing.assert_allclose(body, values, rtol=5e-12, atol=0.0)
 
     def test_unitless_numeric_column_rejected(self):
         bad = ScenarioResult({"rho": np.array([0.1]), "value_1": np.array([0.2])}, {})
@@ -213,40 +215,15 @@ class TestCsvOutput:
             monkeypatch.setattr(np, "lexsort", None)
         result = ScenarioResult(columns, {})
         config = make_config("fig6", FAST_OVERRIDES["fig6"])
+
+        def cell(value):  # a float at the declared 12 significant digits, with the sign of a zero
+            return "%.12g" % value if isinstance(value, float) else _format_cell(value)
+
         reference = [f"# wva-lab {scenarios._pkg_version}", "# scenario=fig6"]
         reference += [f"# config.{key}={_format_cell(config.params[key])}" for key in sorted(config.params)]
         reference.append(",".join(columns))
-        reference += [",".join(_format_cell(v) for v in row) for row in sorted(rows)]
+        reference += [",".join(map(cell, row)) for row in sorted(rows)]
         assert render_csv(result, config) == "\n".join(reference) + "\n"
-
-    def test_format_cell_once_per_distinct_value_per_chunk(self, monkeypatch):
-        # int, bool and str columns are formatted once per distinct value of
-        # each chunk, not once per cell
-        chunk = scenarios._RENDER_CHUNK_ROWS
-        i = np.arange(2 * chunk + 37)
-        columns = {
-            "index_1": i,
-            "shape": np.array(["gaussian", "rectangular", "supergaussian"])[i % 3],
-            "flag_1": i % 2 == 0,
-            "count_1": i % 5 - 2,
-        }
-        config = make_config("fig6", FAST_OVERRIDES["fig6"])
-        calls = []
-
-        def spy(value):
-            calls.append(value)
-            return _format_cell(value)
-
-        monkeypatch.setattr(scenarios, "_format_cell", spy)
-        text = render_csv(ScenarioResult(columns, {}), config)
-        expected = [
-            value for lo in range(0, i.size, chunk) for column in columns.values()
-            for value in set(column[lo : lo + chunk].tolist())
-        ]
-        assert len(expected) == i.size + 3 * (3 + 2 + 5)
-        cells = calls[len(config.params):]
-        assert sorted(map(repr, cells)) == sorted(map(repr, expected))
-        assert text.splitlines()[-1] == ",".join(_format_cell(column[-1].item()) for column in columns.values())
 
     def test_fig3b_render_peak_memory(self):
         config = make_config("fig3b")
@@ -269,6 +246,21 @@ class TestCsvOutput:
             first = render_csv(execute_scenario(config), config)
             second = render_csv(execute_scenario(config), config)
             assert first == second
+
+    @pytest.mark.parametrize("scenario_id", ["fig3a", "fig5", "oracle_suite"])
+    def test_rerun_columns_bit_identical(self, scenario_id):
+        # the CSV's 12 significant digits hide a 1-ulp move, so a rerun is
+        # compared on the arrays, floats by their bits, and the exact summaries
+        config = make_config(scenario_id, FAST_OVERRIDES[scenario_id])
+        first, second = execute_scenario(config), execute_scenario(config)
+        assert list(first.columns) == list(second.columns)
+        for name in first.columns:
+            a, b = np.asarray(first.columns[name]), np.asarray(second.columns[name])
+            assert a.dtype == b.dtype, name
+            if a.dtype.kind == "f":
+                a, b = a.view(np.int64), b.view(np.int64)
+            assert np.array_equal(a, b), name
+        assert {k: repr(v) for k, v in first.summary.items()} == {k: repr(v) for k, v in second.summary.items()}
 
 
 class TestRateExtraction:
@@ -477,7 +469,7 @@ class TestCli:
         assert capsys.readouterr().err == ""
         rows = [line.split(",") for line in out_file.read_text().splitlines() if not line.startswith("#")]
         column = rows[0].index("k31_exact_1")
-        assert [row[column] for row in rows[1:] if row[1] == "1e-170"] == ["-0.0"] * 3
+        assert [row[column] for row in rows[1:] if row[1] == "1e-170"] == ["-0"] * 3
 
     @pytest.mark.parametrize(
         ("scenario_id", "setting", "message"),
@@ -813,6 +805,21 @@ class TestOracleRows:
         by_points = {(points[s], length, rho) for s, length, rho in distinct}
         assert len(calls["sine"]) == len(calls["factor"]) == len(by_points) == 48
         assert len(calls["phase"]) == len({(p, length) for p, length, _ in by_points}) == 16
+
+    def test_point_count_once_per_profile_and_length(self, monkeypatch):
+        # the grouping looks up each case's grid point count once per distinct
+        # (profile, L): 3 shapes x 14 phase lengths for the 162 default cases
+        values = make_config("oracle_suite").values
+        expected = self._reference_rows(values)
+        calls, count = [], meter.grid_point_count
+
+        def spy(profile, settings):
+            calls.append((profile, settings.phase_length))
+            return count(profile, settings)
+
+        monkeypatch.setattr(meter, "grid_point_count", spy)
+        assert oracle_deviation_rows(values) == expected
+        assert len(calls) == len(set(calls)) == 42
 
     def test_shuffled_cases_give_the_same_deviations(self):
         # repeated N*k (1 x 2e-12 is bitwise 2 x 1e-12, k = 0 at every N) and two
