@@ -236,14 +236,10 @@ def collapsed_density(profile: SpectralProfile, settings: MwiSettings) -> Collap
 
     Raises
     ------
-    ValueError
-        For a monochromatic profile (no momentum pointer).
     NumericalError
         If the guard still disagrees after the last rebuild, or a level's
         probability is not positive and finite.
     """
-    if profile.is_monochromatic:
-        raise ValueError("monochromatic profile: the momentum pointer is undefined; use intensity_after_postselection")
     sigma_p = effective_sigma_p(profile)
     lengths = np.asarray(settings.phase_length, dtype=float)
     # the kernel's (level, L) sums, with L's axes aligned with rho's on the right
@@ -522,8 +518,6 @@ def oracle_joint_state(profile: SpectralProfile, settings: MwiSettings, grid: Mo
     moments are Simpson sums of the collapsed density on ``grid``, kept apart
     from the sweep kernel.  Used to validate ``collapsed_density``.
     """
-    if profile.is_monochromatic:
-        raise ValueError("monochromatic profile: oracle needs a momentum grid")
     amp_h = _oracle_amplitude(grid.points, settings)
     wd = grid.weights * _oracle_project(_oracle_factor(amp_h, settings.rho), np.sqrt(grid.density))
     prob = float(wd.sum())

@@ -173,7 +173,7 @@ def _list_of(parse):
     return parse_list
 
 
-_SHAPE = _choice(tuple(shape.value for shape in Shape if shape is not Shape.MONOCHROMATIC))  # shapes with a grid
+_SHAPE = _choice(tuple(shape.value for shape in Shape))
 _CONVENTION = _choice(_WIDTH_CONVENTIONS)
 _FLOATS, _COUNTS, _SHAPES = _list_of(_number), _list_of(_whole), _list_of(_SHAPE)
 

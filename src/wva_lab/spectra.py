@@ -36,7 +36,6 @@ class Shape(str, enum.Enum):
     GAUSSIAN = "gaussian"
     SUPERGAUSSIAN = "supergaussian"
     RECTANGULAR = "rectangular"
-    MONOCHROMATIC = "monochromatic"
 
 
 _WIDTH_CONVENTIONS = ("sigma", "fwhm")
@@ -63,10 +62,7 @@ class SpectralProfile:
         object.__setattr__(self, "shape", Shape(self.shape))
         if self.center_wavelength <= 0.0:
             raise ValueError(f"center wavelength must be > 0, got {self.center_wavelength!r}")
-        if self.shape is Shape.MONOCHROMATIC:
-            if self.width != 0.0:
-                raise ValueError("monochromatic profile must have width = 0")
-        elif self.width <= 0.0:
+        if self.width <= 0.0:
             raise ValueError(f"width must be > 0 for shape {self.shape.value}, got {self.width!r}")
         if self.shape is Shape.SUPERGAUSSIAN and (self.order < 2 or self.order % 2 != 0):
             raise ValueError(f"supergaussian order must be an even integer >= 2, got {self.order!r}")
@@ -74,14 +70,8 @@ class SpectralProfile:
             raise ValueError(f"width_convention must be one of {_WIDTH_CONVENTIONS}, got {self.width_convention!r}")
 
     @property
-    def is_monochromatic(self) -> bool:
-        return self.shape is Shape.MONOCHROMATIC
-
-    @property
     def sigma_lambda(self) -> float:
         """Equal-variance standard deviation in wavelength (meters)."""
-        if self.is_monochromatic:
-            return 0.0
         if self.width_convention == "sigma":
             return self.width
         # fwhm -> sigma, per shape
@@ -134,9 +124,7 @@ def _density_offsets(profile: SpectralProfile, x: np.ndarray) -> np.ndarray:
     if profile.shape is Shape.SUPERGAUSSIAN:
         w = sigma_p / _supergaussian_sigma_factor(profile.order)
         return np.exp(-np.abs(x / w) ** profile.order)
-    if profile.shape is Shape.RECTANGULAR:
-        return np.where(np.abs(x) <= _rectangular_half_width(sigma_p), 1.0, 0.0)
-    raise ValueError(f"no grid density for shape {profile.shape.value}")
+    return np.where(np.abs(x) <= _rectangular_half_width(sigma_p), 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -203,14 +191,9 @@ def grid_point_count(
 
     Raises
     ------
-    ValueError
-        For monochromatic profiles (no momentum grid; use the closed-form
-        intensity path instead).
     NumericalError
         If the count would exceed ``MAX_GRID_POINTS``.
     """
-    if profile.is_monochromatic:
-        raise ValueError("monochromatic profile has no momentum grid; use the intensity path")
     n_intervals = max(min_points - 1, 4)
     length = 0.0 if settings is None else float(np.abs(settings.phase_length).max())  # a family's largest |L|
     if length != 0.0:
@@ -243,9 +226,6 @@ def build_grid(
 
     Raises
     ------
-    ValueError
-        For monochromatic profiles (no momentum grid; use the closed-form
-        intensity path instead).
     NumericalError
         If the point count would exceed ``MAX_GRID_POINTS``.
     """

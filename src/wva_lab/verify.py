@@ -1,10 +1,13 @@
 """Self-contained verification suite behind ``wva-lab verify``.
 
-The single statement of acceptance criteria 1-3 and 5-9, with the paper's
-numbers read from ``wva_lab.paper``.  A check compares results and computes
-nothing that a scenario computes: criteria 1 and 2 read ``oracle_suite``'s
-oracle and closed-form deviations and tolerances, 5 and 6 the precisions of
+The single statement of acceptance criteria 1-3 and 5-9 and of criterion
+4's fig3a half, with the paper's numbers read from ``wva_lab.paper``.  A
+check compares results and computes nothing that a scenario computes:
+criteria 1 and 2 read ``oracle_suite``'s oracle and closed-form deviations
+and tolerances, 4 fig3a's fitted shift rates, 5 and 6 the precisions of
 fig3a, fig4 and fig5, and 7 fig6's K31 and weak-value spots and region scan.
+Criterion 4's fig3b half (the largest rate and its band) stays in the
+acceptance tests, as fig3b's 48-width map would add about a third to a run.
 Criteria 3, 8 and 9 (the N-amplification ratios, the weak-value round trip
 and the monotonicity properties) compute their values, as no scenario does.
 Each check takes the ``ScenarioRuns`` of one run, which runs each scenario
@@ -114,10 +117,18 @@ def check_mwi_amplification(runs: ScenarioRuns) -> list:
     ]
 
 
+def _fig3a_quoted(key: str) -> list:
+    """The names of the paper's fig3a numbers for summary key ``key``, one per source width."""
+    return [name for name in PAPER if name.startswith("fig3a.") and name.endswith(f".{key}")]
+
+
+def check_momentum_pointer_rates(runs: ScenarioRuns) -> list:
+    return [("momentum_pointer_rates", *compare_quoted(runs, _fig3a_quoted("fitted_rate_nm_per_as")))]
+
+
 def check_momentum_pointer_precisions(runs: ScenarioRuns) -> list:
-    fig3a = [name for name in PAPER if name.startswith("fig3a.") and name.endswith(".delta_tau_as")]
     return [
-        ("momentum_pointer_precisions", *compare_quoted(runs, fig3a)),
+        ("momentum_pointer_precisions", *compare_quoted(runs, _fig3a_quoted("delta_tau_as"))),
         ("momentum_pointer_headline", *compare_quoted(runs, ["fig4.n3.delta_tau_as"])),
     ]
 
@@ -208,6 +219,7 @@ CRITERIA = {
     1: check_oracle_equivalence,
     2: check_closed_form_consistency,
     3: check_mwi_amplification,
+    4: check_momentum_pointer_rates,
     5: check_momentum_pointer_precisions,
     6: check_intensity_pointer_calibration,
     7: check_lgi,

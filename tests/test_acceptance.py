@@ -1,14 +1,16 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  Criteria 1-3 and 5-9 are stated once, by the check functions in
+lines.  Criteria 1-9 are stated once, by the check functions in
 ``wva_lab.verify.CRITERIA`` (the checks behind ``wva-lab verify``); one test
 is generated per entry, so a criterion added there is tested here too, and
 each such test gives its check a fresh ``ScenarioRuns``, so it runs the
-scenarios it reads itself.  Criteria 4 and 10 read the paper's numbers from
-``wva_lab.paper``.  The remaining tests hold ``wva-lab verify`` to its line
-names, to the scenario results and paper numbers it reads, and to one run
-of each scenario it reads per call.
+scenarios it reads itself.  Criterion 4's verify check covers fig3a's
+rates; its fig3b half, the largest rate and the band, is tested here
+alone.  Criterion 10 runs every scenario and ``verify`` within a time bound
+and reruns each scenario for byte-identical CSVs.  The remaining tests hold
+``wva-lab verify`` to its line names, to the scenario results and paper
+numbers it reads, and to one run of each scenario it reads per call.
 """
 import io
 import math
@@ -57,10 +59,10 @@ for _num, _check in CRITERIA.items():
 
 
 def test_criterion_04_shift_rates():
-    # not a verify check: fig3b's 48-width map would add about a third to a verify run
+    # fig3b's half of criterion 4, not a verify check: its 48-width map
+    # would add about a third to a verify run
     runs = ScenarioRuns()
-    rates = [name for name in PAPER if name.endswith("rate_nm_per_as")]  # fig3a's per width, fig3b's largest
-    ok, detail = compare_quoted(runs, rates)
+    ok, detail = compare_quoted(runs, ["fig3b.max_rate_nm_per_as"])
     lo, hi = (runs["fig3b"].summary[f"band_{edge}_sigma_lambda_nm"] for edge in ("lo", "hi"))
     quoted_lo, quoted_hi = (PAPER[f"fig3b.band_{edge}_sigma_lambda_nm"].value for edge in ("lo", "hi"))
     overlap = lo <= quoted_hi and hi >= quoted_lo
@@ -72,6 +74,7 @@ VERIFY_LINES = [
     "oracle_equivalence",
     "closed_form_consistency",
     "mwi_amplification",
+    "momentum_pointer_rates",
     "momentum_pointer_precisions",
     "momentum_pointer_headline",
     "intensity_pointer_anchor",
@@ -100,7 +103,8 @@ def test_verify_line_names(capsys):
 
 @pytest.mark.parametrize(
     "name, value, line",
-    [("fig4.n3.delta_tau_as", 1e-5, "momentum_pointer_headline"),
+    [("fig3a.w6nm.fitted_rate_nm_per_as", 1.0, "momentum_pointer_rates"),
+     ("fig4.n3.delta_tau_as", 1e-5, "momentum_pointer_headline"),
      ("fig5.coherent.n1.delta_k_fm", 300.0, "intensity_pointer_delta_k_n1")],
 )
 def test_verify_reads_the_paper_table(monkeypatch, capsys, name, value, line):

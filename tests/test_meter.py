@@ -104,12 +104,6 @@ class TestCollapsedDensity:
             -(LAMBDA0**2 / (2.0 * math.pi)) * res.delta_p, rel=1e-12
         )
 
-    def test_monochromatic_rejected(self):
-        with pytest.raises(ValueError, match="monochromatic"):
-            collapsed_density(
-                SpectralProfile("monochromatic", LAMBDA0, 0.0), MwiSettings(1, 1e-12)
-            )
-
     def test_collapsed_bounded_by_initial(self):
         for k in (0.0, 1e-12, 1e-10):
             for rho in (0.002, 0.1):

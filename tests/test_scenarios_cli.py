@@ -604,8 +604,8 @@ class TestCli:
         assert out_file.exists()
         assert "pass=false" in capsys.readouterr().out
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the collapsed density is not exact near its zeros "
-                       "(deviation 9.4e-9 at gamma = 2 pi against the 1e-10 gate)")
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the collapsed density is not exact near its zeros "
+                       "(deviation 9.376e-9 at gamma = 2 pi against the 1e-10 gate)")
     def test_suite_passes_at_every_gamma(self, tmp_path):
         argv = ["run", "oracle_suite", "--set", "gamma_pi_list=0,2.0", "--out", str(tmp_path / "o.csv")]
         assert main(argv) == 0

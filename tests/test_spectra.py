@@ -6,8 +6,10 @@ from hypothesis import given, strategies as st
 
 from wva_lab.constants import SPEED_OF_LIGHT
 from wva_lab.polarization import MwiSettings
+from wva_lab.scenarios import make_config
 from wva_lab.spectra import (
     MomentumGrid,
+    Shape,
     SpectralProfile,
     build_grid,
     effective_sigma_p,
@@ -64,10 +66,6 @@ class TestEffectiveSigma:
     def test_half_nanometer(self):
         assert effective_sigma_p(gaussian(0.5e-9)) == pytest.approx(SIGMA_P_05NM, rel=1e-12)
 
-    def test_monochromatic_is_zero(self):
-        profile = SpectralProfile("monochromatic", LAMBDA0, 0.0)
-        assert effective_sigma_p(profile) == 0.0
-
     def test_fwhm_convention_gaussian(self):
         fwhm = 2.0 * math.sqrt(2.0 * math.log(2.0))  # sigma -> fwhm factor
         direct = effective_sigma_p(gaussian(6e-9))
@@ -81,10 +79,14 @@ class TestEffectiveSigma:
 
 class TestProfileValidation:
     def test_width_required(self):
-        with pytest.raises(ValueError):
-            SpectralProfile("gaussian", LAMBDA0, 0.0)
-        with pytest.raises(ValueError):
-            SpectralProfile("monochromatic", LAMBDA0, 1e-9)
+        for shape in Shape:
+            with pytest.raises(ValueError, match="width must be > 0"):
+                SpectralProfile(shape, LAMBDA0, 0.0)
+
+    def test_monochromatic_is_not_a_shape(self):
+        # a coherent source is sigma_p = 0 in the closed forms, not a profile
+        with pytest.raises(ValueError, match=r"\['gaussian', 'supergaussian', 'rectangular'\]"):
+            SpectralProfile("monochromatic", LAMBDA0, 0.0)
 
     def test_supergaussian_order_must_be_even(self):
         with pytest.raises(ValueError):
@@ -164,15 +166,19 @@ class TestBuildGrid:
         assert grid.points[0] <= P0 - 8.0 * SIGMA_P_6NM * (1 - 1e-12)
         assert grid.points[-1] >= P0 + 8.0 * SIGMA_P_6NM * (1 - 1e-12)
 
-    def test_monochromatic_rejected(self):
-        with pytest.raises(ValueError, match="monochromatic"):
-            build_grid(SpectralProfile("monochromatic", LAMBDA0, 0.0))
-
     def test_half_resolution_consistent(self):
         grid = build_grid(gaussian())
         half = half_resolution(grid)
         assert half.points.size == (grid.points.size + 1) // 2
         assert half.integral() == pytest.approx(grid.integral(), rel=1e-9)
+
+
+@pytest.mark.parametrize("shape", list(Shape), ids=[shape.value for shape in Shape])
+def test_every_shape_has_a_grid(shape):
+    profile = SpectralProfile(shape, LAMBDA0, 6e-9)
+    density = build_grid(profile).density
+    assert np.all(np.isfinite(density)) and density.max() > 0.0
+    assert make_config("fig3a", {"shape": shape.value}).values["shape"] == shape.value
 
 
 class TestMomentumGridValidation:
