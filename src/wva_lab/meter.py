@@ -20,10 +20,11 @@ member with one kernel call and doubles the grid until they agree; it
 takes no other argument, so there is one way to call it.
 ``collapsed_sweep(jobs, ks, gamma, rho)`` gives the sweeps' traces: it calls
 the two steps apart, to read a kernel call made at scaled phase lengths out
-at each source's own, and picks each job's grid by comparing levels.  The
-grid levels, and which pair of them a result is accepted at, stay inside
-this module.  The exact Gaussian forms are the Gaussian row of the readout:
-``_gaussian_moments`` gives C/I and T/I from the characteristic function.
+at each source's own, and doubles each job's grid until levels 0 and 1
+agree.  Both accept a grid by one test, ``_levels_agree``; the grid levels
+stay inside this module.  The exact Gaussian forms are the Gaussian row of
+the readout: ``_gaussian_moments`` gives C/I and T/I from the characteristic
+function.
 Alongside them are the linear-regime approximations (through the weak value
 ``polarization.im_weak_value``) and a brute-force joint-state oracle for
 verification, which projects onto the states of ``wva_lab.polarization``.
@@ -51,15 +52,15 @@ from .polarization import MwiSettings, im_weak_value, postselection_state, prese
 from .spectra import (MAX_GRID_POINTS, MomentumGrid, SpectralProfile, _grid_half_span, _simpson_weights, build_grid,
                       effective_sigma_p, grid_point_count)
 
-# The kernel's two convergence rules (README, "Sweep engine").  collapsed_density
-# starts at build_grid's 8,193 points, which already resolve the collapse; its
-# guard asks levels 0 and 1 to agree to 1e-9, at most 3 rebuilds.  It is the
-# reference the tests and the benchmark hold sweep rows to, so it does not share
-# the sweeps' grids.  collapsed_sweep starts at 129 points and doubles until two
-# levels agree to 1e-10: ten times tighter, as that agreement alone picks its grid.
+# The kernel's one convergence rule (README, "Sweep engine"): a grid is accepted where it
+# and its stride-2 subgrid agree (_levels_agree); the paths differ in start grid, tolerance
+# and cap.  collapsed_density starts at build_grid's 8,193 points, which already resolve the
+# collapse: 1e-9, at most 3 rebuilds.  It is the reference the tests and the benchmark hold
+# sweep rows to, so it does not share the sweeps' grids.  collapsed_sweep starts at twice a
+# 257-point floor's intervals: 1e-10, ten times tighter, as that agreement alone picks its grid.
 _GUARD_TOLERANCE = 1e-9
 _GUARD_REBUILDS = 3
-_SWEEP_MIN_GRID_POINTS = 2**7 + 1
+_SWEEP_MIN_GRID_POINTS = 2**8 + 1
 _SWEEP_TOLERANCE = 1e-10
 # values the two a-factor products of one sweep-kernel block hold (bounds its memory; README)
 _BLOCK_ELEMENTS = 2**15
@@ -191,6 +192,14 @@ def _pointer_readout(p0: float, phase_lengths, rho, c, t) -> tuple:
     return prob, delta_p
 
 
+def _levels_agree(prob, delta_p, sigma_p, tolerance):
+    """Where levels 0 and 1 of a readout (leading axis) agree to ``tolerance``:
+    P relative to itself, delta_p relative to sigma_p.  The one convergence
+    test of ``collapsed_density`` and ``collapsed_sweep``."""
+    return (np.abs(prob[0] - prob[1]) <= tolerance * np.abs(prob[0])) & (
+        np.abs(delta_p[0] - delta_p[1]) <= tolerance * sigma_p)
+
+
 def collapse_moments_on_grid(grid: MomentumGrid, phase_lengths: np.ndarray, rho: float) -> tuple:
     """Sweep kernel: (postselection probabilities, delta_p) for every phase length.
 
@@ -249,15 +258,13 @@ def collapsed_density(profile: SpectralProfile, settings: MwiSettings) -> Collap
         if rebuilds:
             grid = build_grid(profile, settings, min_points=2 * (grid.density.size - 1) + 1)
         c, t = _level_moments(grid, lengths.ravel(), 2)
-        (prob, prob_half), (delta_p, shift_half) = _pointer_readout(
-            grid.center, lengths, settings.rho, c.reshape(shape), t.reshape(shape))
-        prob_ok = np.abs(prob - prob_half) <= _GUARD_TOLERANCE * np.abs(prob)
-        shift_ok = np.abs(delta_p - shift_half) <= _GUARD_TOLERANCE * sigma_p
-        if holds(prob_ok & shift_ok):
+        prob, delta_p = _pointer_readout(grid.center, lengths, settings.rho, c.reshape(shape), t.reshape(shape))
+        if holds(_levels_agree(prob, delta_p, sigma_p, _GUARD_TOLERANCE)):
             break
     else:
         raise NumericalError("collapse quadrature did not converge under grid refinement")
 
+    prob, delta_p = prob[0], delta_p[0]
     if prob.ndim == 0:
         prob, delta_p = float(prob), float(delta_p)
     return CollapseResult(
@@ -272,17 +279,17 @@ def collapsed_sweep(jobs, ks: np.ndarray, gamma: float, rho: float) -> tuple[np.
     """Probability and mean-shift traces over interaction strengths ``ks``:
     arrays (P, delta_p), one row per job (profile, N) of ``jobs``.
 
-    A job's grid levels are built for its largest phase length (the last k)
-    from a floor of ``_SWEEP_MIN_GRID_POINTS`` points, each doubling the
-    last, until two consecutive levels agree to ``_SWEEP_TOLERANCE`` (P
-    relative to itself, delta_p relative to sigma_p); the finer one is
-    returned.  Coarser levels are strided subgrids of ``_level_moments``, so
-    the first kernel call reads three levels and each later call adds one.
+    A job's point count is sized for its largest phase length (the last k)
+    from a floor of ``_SWEEP_MIN_GRID_POINTS`` points.  Each kernel call
+    doubles the last interval count, starting from that count, and reads
+    the grid and its stride-2 subgrid; a job is accepted where the two
+    agree to ``_SWEEP_TOLERANCE`` (``_levels_agree``) and gets the grid's
+    level 0.
 
     Jobs whose profiles differ only in width share one lattice in units of
     sigma_p: with r = sigma_p(job)/sigma_p(ref), a job's C/I at L is the
     reference's at r*L and its T/I is r times the reference's.  So jobs are
-    grouped by profile without width and by first-level point count; a group
+    grouped by profile without width and by that point count; a group
     calls the kernel on the grid of its first job at every job's lengths
     times its r, and its jobs not yet converged go on doubling as a smaller
     group.
@@ -294,35 +301,26 @@ def collapsed_sweep(jobs, ks: np.ndarray, gamma: float, rho: float) -> tuple[np.
         count = grid_point_count(profile, MwiSettings(n, float(ks[-1]), gamma, rho), min_points=_SWEEP_MIN_GRID_POINTS)
         groups.setdefault((replace(profile, width=1.0), count), []).append(index)
     for (_, count), members in groups.items():
-        n_intervals, n_levels = count - 1, 3  # the first call reads the grid and its stride-2 and stride-4 subgrids
+        n_intervals = count - 1
         while members:
-            while n_levels > 1 and n_intervals * 2 ** (n_levels - 1) + 1 > MAX_GRID_POINTS:
-                n_levels -= 1
+            n_intervals *= 2
             sigma_p = np.array([effective_sigma_p(jobs[i][0]) for i in members])
             profile, n = jobs[members[0]]
-            if n_levels == 1:
+            if n_intervals + 1 > MAX_GRID_POINTS:
                 raise NumericalError(
                     f"sweep quadrature for a {profile.shape.value} source of width {profile.width * 1e9:g} nm "
                     f"at N = {n} did not converge to {_SWEEP_TOLERANCE:g} within {MAX_GRID_POINTS} grid points"
                 )
-            n_intervals *= 2 ** (n_levels - 1)
             grid = build_grid(profile, min_points=n_intervals + 1)
             ratio = np.repeat(sigma_p / sigma_p[0], ks.size)  # r at each phase length
             lengths = (np.array([jobs[i][1] for i in members])[:, np.newaxis] * ks + gamma).ravel()
-            c, t = _level_moments(grid, ratio * lengths, n_levels)
+            c, t = _level_moments(grid, ratio * lengths, 2)
             readout = _pointer_readout(grid.center, lengths, rho, c, ratio * t)
-            p, dp = (values.reshape(n_levels, len(members), ks.size) for values in readout)
-            # agree[j, job]: levels j and j + 1 (the stride-2^j and 2^(j+1) subgrids) agree
-            agree = (np.abs(p[1:] - p[:-1]) <= _SWEEP_TOLERANCE * p[:-1]).all(axis=2) & (
-                np.abs(dp[1:] - dp[:-1]) <= _SWEEP_TOLERANCE * sigma_p[:, np.newaxis]
-            ).all(axis=2)
-            done = np.flatnonzero(agree.any(axis=0))
-            level = (n_levels - 2 - np.argmax(agree[::-1], axis=0))[done]  # finer level of the coarsest pair
-            rows = np.array(members)[done]
-            prob[rows] = p[level, done]
-            delta_p[rows] = dp[level, done]
-            members = [i for i, ok in zip(members, agree.any(axis=0)) if not ok]
-            n_levels = 2
+            p, dp = (values.reshape(2, len(members), ks.size) for values in readout)
+            agree = _levels_agree(p, dp, sigma_p[:, np.newaxis], _SWEEP_TOLERANCE).all(axis=1)
+            rows = np.array(members)[agree]
+            prob[rows], delta_p[rows] = p[0, agree], dp[0, agree]
+            members = [i for i, ok in zip(members, agree) if not ok]
     return prob, delta_p
 
 

@@ -149,7 +149,7 @@ class TestKernel:
         monkeypatch.setattr(meter, "_level_moments", spy_kernel)
         execute_scenario(make_config("fig3b"))
         ((grid, lengths, n_levels),) = calls
-        assert (grid.points.size, lengths.size, n_levels) == (513, 15888, 3)
+        assert (grid.points.size, lengths.size, n_levels) == (513, 15888, 2)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -219,6 +219,14 @@ class TestAdaptiveSweep:
         dlam, dlam_fine = TO_NM * delta_p, TO_NM * delta_p_fine
         assert np.max(np.abs(dlam - dlam_fine)) <= 1e-12 * np.max(np.abs(dlam_fine))
         assert np.max(np.abs(prob - prob_fine)) <= 1e-12 * np.max(prob_fine)
+
+    def test_returns_the_grid_it_integrated(self):
+        # the 257- and 513-point levels of the first call agree here: the job gets the 513-point level
+        profile = SpectralProfile("gaussian", LAMBDA0, 6e-9)
+        (prob,), (delta_p,) = meter.collapsed_sweep([(profile, 1)], KS, GAMMA, RHO)
+        want_prob, want_delta_p = kernel_levels(build_grid(profile, min_points=513), phase_lengths(1), RHO, 2)
+        assert np.array_equal(prob, want_prob[0])
+        assert np.array_equal(delta_p, want_delta_p[0])
 
     def test_fig3a_rectangular_matches_exact_forms(self):
         columns = execute_scenario(make_config("fig3a", {"shape": "rectangular"})).columns
@@ -291,23 +299,23 @@ class TestAdaptiveSweep:
 
 
 def per_job_sweep(profile, n):
-    """(delta_lambda_nm, P, kernel calls) of one job on its own grids: the
-    level loop of the sweep with ``kernel_levels``."""
+    """(delta_lambda_nm, P, kernel calls) of one job on its own grids: from a
+    257-point floor, double the grid until it and its stride-2 subgrid agree
+    (``kernel_levels``), and keep level 0."""
     lengths = phase_lengths(n)
     sigma_p = effective_sigma_p(profile)
     widest = MwiSettings(n, SPEED_OF_LIGHT * TAUS_AS[-1] * 1e-18, GAMMA, RHO)
-    n_intervals = grid_point_count(profile, widest, min_points=129) - 1
+    n_intervals = grid_point_count(profile, widest, min_points=257) - 1
     calls = []
-    for n_levels in (3, 2, 2, 2):
-        n_intervals *= 2 ** (n_levels - 1)
+    for _ in range(4):
+        n_intervals *= 2
         grid = build_grid(profile, min_points=n_intervals + 1)
-        calls.append((grid.points.size, n_levels))
-        prob, delta_p = kernel_levels(grid, lengths, RHO, n_levels)
-        for fine in range(n_levels - 2, -1, -1):
-            if np.all(np.abs(prob[fine] - prob[fine + 1]) <= 1e-10 * prob[fine]) and np.all(
-                np.abs(delta_p[fine] - delta_p[fine + 1]) <= 1e-10 * sigma_p
-            ):
-                return TO_NM * delta_p[fine], prob[fine], calls
+        calls.append((grid.points.size, 2))
+        prob, delta_p = kernel_levels(grid, lengths, RHO, 2)
+        if np.all(np.abs(prob[0] - prob[1]) <= 1e-10 * prob[0]) and np.all(
+            np.abs(delta_p[0] - delta_p[1]) <= 1e-10 * sigma_p
+        ):
+            return TO_NM * delta_p[0], prob[0], calls
     raise AssertionError("reference sweep did not converge")
 
 
@@ -346,13 +354,13 @@ class TestBatchedSweep:
         self._check(jobs, monkeypatch)
 
     def test_fig3b_four_groups(self, monkeypatch):
-        values = make_config("fig3b", {"width_max_nm": "3000"}).values
+        values = make_config("fig3b", {"width_max_nm": "6000"}).values
         profiles = [scenarios._profile(values, float(width)) for width in values["widths_nm"]]
         widest = MwiSettings(1, SPEED_OF_LIGHT * TAUS_AS[-1] * 1e-18, GAMMA, RHO)
-        counts = {grid_point_count(profile, widest, min_points=129) for profile in profiles}
-        assert counts == {129, 257, 513, 1025}
+        counts = {grid_point_count(profile, widest, min_points=257) for profile in profiles}
+        assert counts == {257, 513, 1025, 2049}
         calls = self._check([(profile, 1) for profile in profiles], monkeypatch)
-        assert sorted(calls) == [(513, 3), (1025, 3), (2049, 3), (4097, 3)]
+        assert sorted(calls) == [(513, 2), (1025, 2), (2049, 2), (4097, 2)]
 
     def test_fig4_pass_counts(self, monkeypatch):
         profile = SpectralProfile("supergaussian", LAMBDA0, 6e-9)
@@ -384,6 +392,18 @@ class TestStridedLevels:
             )
             np.testing.assert_allclose(prob[level], want_prob, rtol=1e-13, atol=0.0)
             np.testing.assert_allclose(delta_p[level], want_delta_p, rtol=1e-13, atol=0.0)
+
+
+class TestLevelsAgree:
+    def test_agrees_up_to_the_tolerance(self):
+        # powers of two keep every bound exact: P within 0.25 of level 0's P, delta_p within 0.25 sigma_p = 0.5
+        past = np.nextafter
+        prob = np.array([[1.0, 1.0, 1.0, 1.0, 1.0, 1.0], [1.25, past(1.25, 2.0), 0.75, 1.0, 1.0, 1.0]])
+        delta_p = np.array([[8.0, 8.0, 8.0, 8.0, 8.0, 8.0], [8.0, 8.0, 8.0, 8.5, past(8.5, 9.0), 7.5]])
+        agree = meter._levels_agree(prob, delta_p, 2.0, 0.25)
+        assert agree.tolist() == [True, False, True, True, False, True]
+        # level 1 is not the scale: 0.25 is more than 0.25 of P = 0.75
+        assert not meter._levels_agree(prob[::-1, 2], delta_p[:, 2], 2.0, 0.25)
 
 
 class TestSweepGuard:
