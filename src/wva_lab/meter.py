@@ -12,8 +12,8 @@ total signal.  Both come from the symmetric-density identity in the
 docstring of ``collapse_moments_on_grid``, in two steps: C/I and T/I, and
 ``_pointer_readout``, which turns them into (P, delta_p) at the half phase A
 of ``_half_phase``.  On a grid the kernel ``_level_moments`` sums C/I and T/I
-on the grid and its strided coarser levels; ``collapse_moments_on_grid``
-composes the two steps at level 0.
+on the grid (level 0) and its stride-2 subgrid (level 1);
+``collapse_moments_on_grid`` composes the two steps at level 0.
 ``collapsed_density(profile, settings)`` builds its own grid for one
 setting or a family (k or rho an array), reads levels 0 and 1 for every
 member with one kernel call and doubles the grid until they agree; it
@@ -102,31 +102,23 @@ def _factor_base(half_points: int) -> int:
     return 1 << (half_points.bit_length() // 2)
 
 
-def _elements_per_phase_length(half_points: int, n_levels: int) -> int:
-    """Values the sweep kernel holds per phase length: two a-factor products,
-    each against the C and T weights of the K/min(2^j, K) b rows of each level j."""
-    base = _factor_base(half_points)
-    return 2 * 2 * sum(base // min(2**j, base) for j in range(n_levels))
+def _level_moments(grid: MomentumGrid, phase_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep kernel: C/I and T/I on a grid and its stride-2 subgrid at once.
 
-
-def _level_moments(
-    grid: MomentumGrid, phase_lengths: np.ndarray, n_levels: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sweep kernel: C/I and T/I on a grid and its coarser levels at once.
-
-    Level j is the stride-2^j subgrid of ``grid``, the lattice of step 2^j*h
-    (a Simpson grid while the interval count stays even).  Returns (C/I, T/I),
-    each of shape (n_levels, len(phase_lengths)): sums over the x > 0 half
-    grid, x_i = i*h for i = 1..m, of each level's Simpson weights x Omega on
-    its own points times sin^2(x_i L/2) and x_i sin(x_i L), over its own I.
+    Level 0 is ``grid``, of step h; level 1 is its stride-2 subgrid, of step
+    2h, a Simpson grid only when the half grid's point count m is even (so a
+    3-point grid raises ValueError).  Returns (C/I, T/I), each of shape
+    (2, len(phase_lengths)): sums over the x > 0 half grid, x_i = i*h for
+    i = 1..m, of each level's Simpson weights x Omega on its own points times
+    sin^2(x_i L/2) and x_i sin(x_i L), over its own I.
 
     With i = a*K + b (``_factor_base``), x_i L/2 = alpha + beta with alpha =
     a*K*h*L/2 and beta = b*h*L/2, so sin and cos are taken on m//K + 1 angles
-    alpha and K angles beta per phase length, not on m points.  Level j weighs
-    only slots i = 0 mod 2^j: its weight rows are b = 0, s, 2s, ... with
-    s = min(2^j, K).  The a-factors sA^2 and sA cA each meet the rows in one
-    matmul (ss, sc), cA^2 = 1 - sA^2 enters through each row's weight sum S,
-    and a level sums its rows of C_b = ss (cB^2 - sB^2) + 2 sc sB cB + S sB^2
+    alpha and K angles beta per phase length, not on m points.  Level 0's
+    weight rows are b = 0..K-1; level 1 weighs only the even slots i, so its
+    rows are the even b.  The a-factors sA^2 and sA cA each meet the rows in
+    one matmul (ss, sc), cA^2 = 1 - sA^2 enters through each row's weight sum
+    S, and a level sums its rows of C_b = ss (cB^2 - sB^2) + 2 sc sB cB + S sB^2
     and T_b = sc (cB^2 - sB^2) + (S - 2 ss) sB cB over b, phase lengths along
     the last axis.  Where C is small (narrow sources) every angle is small:
     ss << S, so S - 2 ss does not cancel, and every term is nonnegative.
@@ -135,26 +127,23 @@ def _level_moments(
     m, h = grid.density.size // 2, grid.step
     base = _factor_base(m)
     n_coarse = m // base + 1
-    strides = [min(2**j, base) for j in range(n_levels)]  # level j's weight rows are b = 0, s, 2s, ...
-    rows_b = np.concatenate([np.arange(0, base, s) for s in strides])
-    edges = [sum(base // s for s in strides[:j]) for j in range(n_levels + 1)]  # level j: edges[j]:edges[j + 1]
+    rows_b = np.concatenate([np.arange(base), np.arange(0, base, 2)])  # level 0's rows [:K], level 1's [K:]
     weights = np.empty((n_coarse, 2, rows_b.size))  # a x (C or T, row (level, b)), slot i = a*K + b
-    totals = np.empty(n_levels)
-    x = h * np.arange(n_coarse * base)  # x_i = h*i; x[::s] holds slots 0, s, 2s, ...
-    for j, s in enumerate(strides):
-        stride = 2**j
+    totals = np.empty(2)
+    x = h * np.arange(n_coarse * base)  # x_i = h*i; x[::2] holds the even slots
+    for stride, rows in ((1, slice(base)), (2, slice(base, None))):
         density = grid.density[::stride]
         simpson = _simpson_weights(density.size, stride * h)
-        level = np.zeros((2, n_coarse * (base // s)))  # (C or T, slot i = 0, s, 2s, ...), 0 off the level
-        level[0, stride // s : m // s + 1 : stride // s] = (simpson * density)[density.size // 2 + 1 :]
-        level[1] = level[0] * x[::s]
-        weights[:, :, edges[j] : edges[j + 1]] = level.reshape(2, n_coarse, -1).transpose(1, 0, 2)
-        totals[j] = float(np.dot(simpson, density))
+        level = np.zeros((2, n_coarse * base // stride))  # (C or T, slot i = 0, stride, 2*stride, ...)
+        level[0, 1 : m // stride + 1] = (simpson * density)[density.size // 2 + 1 :]
+        level[1] = level[0] * x[::stride]
+        weights[:, :, rows] = level.reshape(2, n_coarse, -1).transpose(1, 0, 2)
+        totals[stride - 1] = float(np.dot(simpson, density))
     sums = weights.sum(axis=0)[..., np.newaxis]  # S of each row
     weights = weights.reshape(n_coarse, -1).T
     coarse_angles, fine_angles = (0.5 * h * base) * np.arange(n_coarse), (0.5 * h) * np.arange(base)
-    c, t = np.empty((2, n_levels, phase_lengths.size))
-    block = max(1, _BLOCK_ELEMENTS // _elements_per_phase_length(m, n_levels))
+    c, t = np.empty((2, 2, phase_lengths.size))
+    block = _BLOCK_ELEMENTS // (4 * rows_b.size)
     for lo in range(0, phase_lengths.size, block):
         lengths = phase_lengths[lo : lo + block]
         alpha = np.multiply.outer(coarse_angles, lengths)
@@ -167,9 +156,8 @@ def _level_moments(
         cos2_b, sin2_b, ss_b = (c_b * c_b - ss_b)[rows_b], (2.0 * (s_b * c_b))[rows_b], ss_b[rows_b]
         c_rows = ss[0] * cos2_b + sc[0] * sin2_b + sums[0] * ss_b
         t_rows = sc[1] * cos2_b + (0.5 * sums[1] - ss[1]) * sin2_b  # T_b bit for bit: a factor 2 is exact
-        for j in range(n_levels):
-            c[j, lo : lo + block] = c_rows[edges[j] : edges[j + 1]].sum(axis=0)
-            t[j, lo : lo + block] = t_rows[edges[j] : edges[j + 1]].sum(axis=0)
+        c[:, lo : lo + block] = c_rows[:base].sum(axis=0), c_rows[base:].sum(axis=0)
+        t[:, lo : lo + block] = t_rows[:base].sum(axis=0), t_rows[base:].sum(axis=0)
     c *= 2.0 / totals[:, np.newaxis]
     t *= 4.0 / totals[:, np.newaxis]  # doubled half sum, and sin(xL) = 2 sin(xL/2) cos(xL/2)
     return c, t
@@ -212,13 +200,13 @@ def collapse_moments_on_grid(grid: MomentumGrid, phase_lengths: np.ndarray, rho:
 
     where C(L) = integral Omega sin^2(x L/2) and T(L) = integral Omega x sin(x L)
     are Simpson sums over the x > 0 half of the grid, doubled; the sin^2 forms
-    avoid cancellation at small arguments.  This is level 0 of
-    ``_level_moments`` (all K weight rows per C or T, and two a-factor
-    products of at most ``_BLOCK_ELEMENTS`` values per block of L), read out
-    by ``_pointer_readout``.  Skips any refinement guard; ``collapsed_density``
-    and ``collapsed_sweep`` guard convergence by comparing grid levels.
+    avoid cancellation at small arguments.  This is level 0 of one
+    ``_level_moments`` call (which also sums the stride-2 subgrid, so the
+    grid needs an even half-grid point count), read out by
+    ``_pointer_readout``.  Skips any refinement guard; ``collapsed_density``
+    and ``collapsed_sweep`` guard convergence by comparing the two levels.
     """
-    c, t = _level_moments(grid, phase_lengths, 1)
+    c, t = _level_moments(grid, phase_lengths)
     return _pointer_readout(grid.center, phase_lengths, rho, c[0], t[0])
 
 
@@ -257,7 +245,7 @@ def collapsed_density(profile: SpectralProfile, settings: MwiSettings) -> Collap
     for rebuilds in range(_GUARD_REBUILDS + 1):
         if rebuilds:
             grid = build_grid(profile, settings, min_points=2 * (grid.density.size - 1) + 1)
-        c, t = _level_moments(grid, lengths.ravel(), 2)
+        c, t = _level_moments(grid, lengths.ravel())
         prob, delta_p = _pointer_readout(grid.center, lengths, settings.rho, c.reshape(shape), t.reshape(shape))
         if holds(_levels_agree(prob, delta_p, sigma_p, _GUARD_TOLERANCE)):
             break
@@ -314,7 +302,7 @@ def collapsed_sweep(jobs, ks: np.ndarray, gamma: float, rho: float) -> tuple[np.
             grid = build_grid(profile, min_points=n_intervals + 1)
             ratio = np.repeat(sigma_p / sigma_p[0], ks.size)  # r at each phase length
             lengths = (np.array([jobs[i][1] for i in members])[:, np.newaxis] * ks + gamma).ravel()
-            c, t = _level_moments(grid, ratio * lengths, 2)
+            c, t = _level_moments(grid, ratio * lengths)
             readout = _pointer_readout(grid.center, lengths, rho, c, ratio * t)
             p, dp = (values.reshape(2, len(members), ks.size) for values in readout)
             agree = _levels_agree(p, dp, sigma_p[:, np.newaxis], _SWEEP_TOLERANCE).all(axis=1)

@@ -314,13 +314,14 @@ def _sweep(v: Values, jobs: list) -> tuple:
 
 def linear_region_rate(taus_as: np.ndarray, values: np.ndarray) -> float:
     """|slope| of a least-squares line over the monotone segment between the
-    trace extrema -- the measured 'linear region' of a shift-vs-tau curve."""
+    trace extrema -- the measured 'linear region' of a shift-vs-tau curve;
+    0 for a constant trace, whose extrema are one point."""
     i_min, i_max = int(np.argmin(values)), int(np.argmax(values))
     lo, hi = (i_min, i_max) if i_min < i_max else (i_max, i_min)
     t = taus_as[lo : hi + 1]
     v = values[lo : hi + 1]
     if t.size < 2:
-        return peak_local_rate(taus_as, values)
+        return 0.0
     dt = t - t.mean()
     return abs(float(np.dot(dt, v - v.mean()) / np.dot(dt, dt)))
 
@@ -883,7 +884,8 @@ def render_csv(result: ScenarioResult, config: ScenarioConfig) -> str:
     for lo in range(0, columns[0].size, _RENDER_CHUNK_ROWS):
         chunk = zip(*(_cell_values(column[lo : lo + _RENDER_CHUNK_ROWS]) for column in columns))
         lines.append("\n".join([template % row for row in chunk]))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the last newline, in the one join that makes the text
+    return "\n".join(lines)
 
 
 def run_scenario(config: ScenarioConfig, stream: Optional[TextIO] = None) -> ScenarioResult:

@@ -151,7 +151,7 @@ class TestCollapsedDensity:
         gamma, rho = 1.9 * math.pi / P0, 0.002
         for tau_as in (40.0, 170.0, 330.0):
             length = SPEED_OF_LIGHT * tau_as * 1e-18 + gamma
-            c, t = meter._level_moments(grid, [length], 1)
+            c, t = meter._level_moments(grid, [length])
             prob, delta_p = meter._pointer_readout(grid.center, length, rho, c[0, 0], t[0, 0])
             long_length = np.longdouble(length)
             angle = (np.longdouble(grid.center) * long_length + 2 * np.longdouble(rho)) / 2
@@ -239,9 +239,9 @@ class TestRefinementGuard:
         kernel = meter._level_moments
         evaluated = []
 
-        def disagree_once(grid, lengths, n_levels):
-            c, t = kernel(grid, lengths, n_levels)
-            evaluated.append((grid.density.size, n_levels))
+        def disagree_once(grid, lengths):
+            c, t = kernel(grid, lengths)
+            evaluated.append(grid.density.size)
             if len(evaluated) == 1:
                 c[1, -1] += 1e-6  # the first half-resolution estimate of one member
             return c, t
@@ -250,11 +250,11 @@ class TestRefinementGuard:
         sizes = self._spy_build_grid(monkeypatch)
         res = collapsed_density(gaussian(), settings)
         assert sizes == [8193, 16385]
-        assert evaluated == [(8193, 2), (16385, 2)]
+        assert evaluated == [8193, 16385]
         fine = build_grid(gaussian(), settings, min_points=16385)
         assert np.array_equal(res.density.points, fine.points)
         lengths = np.asarray(settings.phase_length)
-        c, t = kernel(fine, lengths.ravel(), 2)
+        c, t = kernel(fine, lengths.ravel())
         prob, delta_p = meter._pointer_readout(
             fine.center, lengths, settings.rho, c[0].reshape(lengths.shape), t[0].reshape(lengths.shape))
         assert np.array_equal(res.postselection_probability, prob)

@@ -36,23 +36,23 @@ def sweep_grid(profile, n, **kwargs):
     return build_grid(profile, MwiSettings(1, float(phase_lengths(n)[-1]), 0.0, RHO), **kwargs)
 
 
-def kernel_levels(grid, lengths, rho, n_levels):
-    """(P, delta_p) on ``grid`` and its coarser levels, each of shape
-    (n_levels, len(lengths)): the sweep kernel read out as the sweeps do."""
-    c, t = KERNEL(grid, lengths, n_levels)
-    return meter._pointer_readout(grid.center, lengths, rho, c, t)
+def kernel_levels(grid, lengths):
+    """(P, delta_p) at RHO on ``grid`` and its stride-2 subgrid, each of shape
+    (2, len(lengths)): the sweep kernel read out as the sweeps do."""
+    c, t = KERNEL(grid, lengths)
+    return meter._pointer_readout(grid.center, lengths, RHO, c, t)
 
 
-def direct_levels(grid, lengths, rho, n_levels):
-    """(P, delta_p) of every stride-2^j level with sin and cos taken at every
-    half-grid offset x = i*h."""
+def direct_levels(grid, lengths):
+    """(P, delta_p) at RHO of ``grid`` and its stride-2 subgrid with sin and
+    cos taken at every half-grid offset x = i*h."""
     step = grid.step
-    angle = 0.5 * (grid.center * lengths + 2.0 * rho)
+    angle = 0.5 * (grid.center * lengths + 2.0 * RHO)
     probs, shifts = [], []
-    for j in range(n_levels):
-        level = MomentumGrid(grid.center, 2**j * step, grid.density[:: 2**j])  # the stride-2^j subgrid
+    for stride in (1, 2):
+        level = MomentumGrid(grid.center, stride * step, grid.density[::stride])
         half = level.points.size // 2
-        x = 2**j * step * np.arange(1, half + 1)
+        x = stride * step * np.arange(1, half + 1)
         w_omega = level.weights[half + 1 :] * level.density[half + 1 :]
         half_phase = np.multiply.outer(0.5 * lengths, x)
         c = 2.0 * np.sin(half_phase) ** 2 @ w_omega / level.integral()
@@ -61,6 +61,21 @@ def direct_levels(grid, lengths, rho, n_levels):
         probs.append(prob)
         shifts.append(0.5 * np.sin(2.0 * angle) * t / prob)
     return np.array(probs), np.array(shifts)
+
+
+def sin_shapes(monkeypatch):
+    """The shape of every 2-D array np.sin takes from now on: the kernel's
+    (angle, L) arrays, coarse then fine angles for each block of L."""
+    shapes = []
+    sin = np.sin
+
+    def spy_sin(values, *args, **kwargs):
+        if np.ndim(values) == 2:
+            shapes.append(np.shape(values))
+        return sin(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sin", spy_sin)
+    return shapes
 
 
 def readout(c, t, length, rho):
@@ -111,55 +126,59 @@ class TestKernel:
         profile = SpectralProfile("supergaussian", LAMBDA0, 6e-9)
         grid = sweep_grid(profile, 1)
         lengths = phase_lengths(1)
-        blocked = {}
-        for n_levels in (1, 3):
-            block = meter._BLOCK_ELEMENTS // meter._elements_per_phase_length(grid.points.size // 2, n_levels)
-            assert 1 < block < lengths.size and lengths.size % block != 0
-            blocked[n_levels] = kernel_levels(grid, lengths, RHO, n_levels)
+        assert grid.points.size == 8193
+        # m = 4096 and K = 64: 65 coarse angles, and 64 + 32 weight rows take
+        # 2**15 // (4 * 96) = 85 lengths per block, so the 331 end in a block of 76
+        shapes = sin_shapes(monkeypatch)
+        blocked = kernel_levels(grid, lengths)
+        assert shapes == [shape for width in (85, 85, 85, 76) for shape in ((65, width), (64, width))]
         monkeypatch.setattr(meter, "_BLOCK_ELEMENTS", grid.points.size * lengths.size)
-        for n_levels, blocked_values in blocked.items():
-            single = kernel_levels(grid, lengths, RHO, n_levels)
-            # equal up to the summation order BLAS picks for each block's shape
-            for got, want in zip(blocked_values, single):
-                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        shapes.clear()
+        single = kernel_levels(grid, lengths)
+        assert shapes == [(65, 331), (64, 331)]
+        # equal up to the summation order BLAS picks for each block's shape
+        for got, want in zip(blocked, single):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
-    def test_elements_count_only_the_rows_each_level_reads(self):
-        # m = 256, K = 16: levels 0, 1 and 2 read 16 + 8 + 4 b rows, each for C
-        # and T against two a-factor products
-        assert meter._elements_per_phase_length(256, 3) == 2 * 2 * 28
-
-    def test_levels_coarser_than_the_factor_base_match_direct_reference(self):
-        # a 17-point grid: m = 8 and K = 4, so level 3 (stride 8 > K) reads its b = 0 row only;
-        # the flat density weighs the band edge, the one point of level 3
+    def test_smallest_grid_matches_direct_reference(self):
+        # a 5-point grid: m = 2 and K = 2, so level 1 (3 points) reads its b = 0 row only;
+        # the flat density weighs the band edge, the outer point of both levels
         fine = sweep_grid(SpectralProfile("rectangular", LAMBDA0, 6e-9), 1, min_points=129)
-        grid = MomentumGrid(fine.center, 8 * fine.step, fine.density[::8])
-        assert grid.points.size == 17 and meter._factor_base(8) == 4
+        grid = MomentumGrid(fine.center, 32 * fine.step, fine.density[::32])
+        assert grid.points.size == 5 and meter._factor_base(2) == 2 and grid.density[-1] > 0.0
         lengths = phase_lengths(1, UNEVEN_TAUS_AS)
-        got = kernel_levels(grid, lengths, RHO, 4)
-        for got_values, want_values in zip(got, direct_levels(grid, lengths, RHO, 4)):
+        for got_values, want_values in zip(kernel_levels(grid, lengths), direct_levels(grid, lengths)):
             np.testing.assert_allclose(got_values, want_values, rtol=1e-12, atol=0.0)
+
+    def test_three_point_grid_raises(self):
+        # its stride-2 subgrid has 2 points, no Simpson grid
+        fine = sweep_grid(SpectralProfile("rectangular", LAMBDA0, 6e-9), 1, min_points=129)
+        grid = MomentumGrid(fine.center, 64 * fine.step, fine.density[::64])
+        with pytest.raises(ValueError, match="odd point count >= 3, got 2"):
+            KERNEL(grid, phase_lengths(1))
 
     def test_fig3b_kernel_transient_memory(self, monkeypatch):
         calls = []
 
-        def spy_kernel(grid, lengths, n_levels):
-            calls.append((grid, lengths, n_levels))
-            return KERNEL(grid, lengths, n_levels)
+        def spy_kernel(grid, lengths):
+            calls.append((grid, lengths))
+            return KERNEL(grid, lengths)
 
         monkeypatch.setattr(meter, "_level_moments", spy_kernel)
         execute_scenario(make_config("fig3b"))
-        ((grid, lengths, n_levels),) = calls
-        assert (grid.points.size, lengths.size, n_levels) == (513, 15888, 2)
+        ((grid, lengths),) = calls
+        assert (grid.points.size, lengths.size) == (513, 15888)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            KERNEL(grid, lengths, n_levels)
+            KERNEL(grid, lengths)
             transient = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        # three a-factor products over every level's 16 b rows, at 2**16 values
-        # per block, took 1.80 MiB on this call (1.89e6 bytes)
-        assert transient <= 1.80 * 2**20
+        # the (level, L) results and one block's arrays: two a-factor products
+        # over 16 + 8 weight rows (2**15 values), the sines and cosines of 17
+        # coarse and 16 fine angles, and the rows' C and T; 1.51 MiB on this call
+        assert transient <= 1.60 * 2**20
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("width_nm", [0.05, 0.5, 6.0, 300.0])
@@ -168,8 +187,8 @@ class TestKernel:
         profile = SpectralProfile(shape, LAMBDA0, width_nm * 1e-9)
         grid = sweep_grid(profile, n, min_points=513)
         lengths = phase_lengths(n, UNEVEN_TAUS_AS)
-        got = kernel_levels(grid, lengths, RHO, 3)
-        for got_values, want_values in zip(got, direct_levels(grid, lengths, RHO, 3)):
+        got = kernel_levels(grid, lengths)
+        for got_values, want_values in zip(got, direct_levels(grid, lengths)):
             np.testing.assert_allclose(got_values, want_values, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -181,8 +200,8 @@ class TestKernel:
         m = grid.points.size // 2
         assert np.array_equal(grid.offsets[m + 1 :], grid.step * np.arange(1, m + 1))
         for lengths in (phase_lengths(3, UNEVEN_TAUS_AS), phase_lengths(3, np.array([170.0]))):
-            got = kernel_levels(grid, lengths, RHO, 2)
-            for got_values, want_values in zip(got, direct_levels(grid, lengths, RHO, 2)):
+            got = kernel_levels(grid, lengths)
+            for got_values, want_values in zip(got, direct_levels(grid, lengths)):
                 np.testing.assert_allclose(got_values, want_values, rtol=1e-12, atol=0.0)
 
     def test_rectangular_exact_forms(self):
@@ -224,7 +243,7 @@ class TestAdaptiveSweep:
         # the 257- and 513-point levels of the first call agree here: the job gets the 513-point level
         profile = SpectralProfile("gaussian", LAMBDA0, 6e-9)
         (prob,), (delta_p,) = meter.collapsed_sweep([(profile, 1)], KS, GAMMA, RHO)
-        want_prob, want_delta_p = kernel_levels(build_grid(profile, min_points=513), phase_lengths(1), RHO, 2)
+        want_prob, want_delta_p = kernel_levels(build_grid(profile, min_points=513), phase_lengths(1))
         assert np.array_equal(prob, want_prob[0])
         assert np.array_equal(delta_p, want_delta_p[0])
 
@@ -262,9 +281,9 @@ class TestAdaptiveSweep:
             sizes.append(grid.points.size)
             return grid
 
-        def spy_kernel(grid, lengths, n_levels):
+        def spy_kernel(grid, lengths):
             calls.append(grid.points.size)
-            return KERNEL(grid, lengths, n_levels)
+            return KERNEL(grid, lengths)
 
         monkeypatch.setattr(meter, "build_grid", spy_build_grid)
         monkeypatch.setattr(meter, "_level_moments", spy_kernel)
@@ -275,32 +294,27 @@ class TestAdaptiveSweep:
 
     def test_fig3b_one_trig_pass_per_width(self, monkeypatch):
         grid_points = []
-        angle_values = []  # sin of (factor angle, tau) arrays
-        sin = np.sin
 
-        def spy_kernel(grid, lengths, n_levels):
+        def spy_kernel(grid, lengths):
             grid_points.append((grid.points.size, lengths.size))
-            return KERNEL(grid, lengths, n_levels)
-
-        def spy_sin(values, *args, **kwargs):
-            if np.ndim(values) == 2:
-                angle_values.append(np.size(values))
-            return sin(values, *args, **kwargs)
+            return KERNEL(grid, lengths)
 
         monkeypatch.setattr(meter, "_level_moments", spy_kernel)
-        monkeypatch.setattr(np, "sin", spy_sin)
+        angle_shapes = sin_shapes(monkeypatch)
         config = make_config("fig3b")
         execute_scenario(config)
-        n_widths = int(config.params["n_widths"])
+        n_lengths = TAUS_AS.size * int(config.params["n_widths"])
         # one kernel call on the 513-point grid takes every width's taus, and
-        # its 256 half-grid points factor into 17 coarse and 16 fine angles per tau
-        assert grid_points == [(513, TAUS_AS.size * n_widths)]
-        assert sum(angle_values) == (17 + 16) * TAUS_AS.size * n_widths
+        # its 256 half-grid points factor into 17 coarse and 16 fine angles per
+        # tau; K = 16, so 16 + 8 weight rows take 2**15 // (4 * 24) = 341 taus per block
+        assert grid_points == [(513, n_lengths)]
+        widths = [min(341, n_lengths - lo) for lo in range(0, n_lengths, 341)]
+        assert angle_shapes == [shape for width in widths for shape in ((17, width), (16, width))]
 
 
 def per_job_sweep(profile, n):
-    """(delta_lambda_nm, P, kernel calls) of one job on its own grids: from a
-    257-point floor, double the grid until it and its stride-2 subgrid agree
+    """(delta_lambda_nm, P, kernel grid sizes) of one job on its own grids: from
+    a 257-point floor, double the grid until it and its stride-2 subgrid agree
     (``kernel_levels``), and keep level 0."""
     lengths = phase_lengths(n)
     sigma_p = effective_sigma_p(profile)
@@ -310,8 +324,8 @@ def per_job_sweep(profile, n):
     for _ in range(4):
         n_intervals *= 2
         grid = build_grid(profile, min_points=n_intervals + 1)
-        calls.append((grid.points.size, 2))
-        prob, delta_p = kernel_levels(grid, lengths, RHO, 2)
+        calls.append(grid.points.size)
+        prob, delta_p = kernel_levels(grid, lengths)
         if np.all(np.abs(prob[0] - prob[1]) <= 1e-10 * prob[0]) and np.all(
             np.abs(delta_p[0] - delta_p[1]) <= 1e-10 * sigma_p
         ):
@@ -327,9 +341,9 @@ class TestBatchedSweep:
     def _check(jobs, monkeypatch):
         calls = []
 
-        def spy_kernel(grid, lengths, n_levels):
-            calls.append((grid.points.size, n_levels))
-            return KERNEL(grid, lengths, n_levels)
+        def spy_kernel(grid, lengths):
+            calls.append(grid.points.size)
+            return KERNEL(grid, lengths)
 
         monkeypatch.setattr(meter, "_level_moments", spy_kernel)
         prob, delta_p = meter.collapsed_sweep(jobs, KS, GAMMA, RHO)
@@ -360,7 +374,7 @@ class TestBatchedSweep:
         counts = {grid_point_count(profile, widest, min_points=257) for profile in profiles}
         assert counts == {257, 513, 1025, 2049}
         calls = self._check([(profile, 1) for profile in profiles], monkeypatch)
-        assert sorted(calls) == [(513, 2), (1025, 2), (2049, 2), (4097, 2)]
+        assert sorted(calls) == [513, 1025, 2049, 4097]
 
     def test_fig4_pass_counts(self, monkeypatch):
         profile = SpectralProfile("supergaussian", LAMBDA0, 6e-9)
@@ -382,11 +396,9 @@ class TestStridedLevels:
     def test_levels_match_kernel_on_coarser_builds(self, shape):
         profile = SpectralProfile(shape, LAMBDA0, 6e-9)
         lengths = phase_lengths(1)
-        prob, delta_p = kernel_levels(
-            sweep_grid(profile, 1, min_points=513), lengths, RHO, 3
-        )
-        assert prob.shape == delta_p.shape == (3, lengths.size)
-        for level, n_points in enumerate((513, 257, 129)):
+        prob, delta_p = kernel_levels(sweep_grid(profile, 1, min_points=513), lengths)
+        assert prob.shape == delta_p.shape == (2, lengths.size)
+        for level, n_points in enumerate((513, 257)):
             want_prob, want_delta_p = collapse_moments_on_grid(
                 sweep_grid(profile, 1, min_points=n_points), lengths, RHO
             )
@@ -409,9 +421,9 @@ class TestLevelsAgree:
 class TestSweepGuard:
     @pytest.fixture
     def never_converges(self, monkeypatch):
-        def drifting_kernel(grid, lengths, n_levels):
-            # consecutive grid levels differ by far more than the tolerance
-            level_points = (grid.points.size - 1) / 2.0 ** np.arange(n_levels) + 1
+        def drifting_kernel(grid, lengths):
+            # the grid and its stride-2 subgrid differ by far more than the tolerance
+            level_points = (grid.points.size - 1) / np.array([1.0, 2.0]) + 1
             values = np.repeat((0.5 + 1e-3 / level_points)[:, np.newaxis], lengths.size, axis=1)
             return values, values
 
