@@ -12,7 +12,9 @@ total signal.  Both come from the symmetric-density identity in the
 docstring of ``collapse_moments_on_grid``, in two steps: C/I and T/I, and
 ``_pointer_readout``, which turns them into (P, delta_p) at the half phase A
 of ``_half_phase``.  On a grid the kernel ``_level_moments`` sums C/I and T/I
-on the grid (level 0) and its stride-2 subgrid (level 1);
+on the grid (level 0) and its stride-2 subgrid (level 1), with the sines and
+cosines of the half phase from two complex power tables (``_power_table``),
+one cos and one sin per table and phase length;
 ``collapse_moments_on_grid`` composes the two steps at level 0.
 ``collapsed_density(profile, settings)`` builds its own grid for one
 setting or a family (k or rho an array), reads levels 0 and 1 for every
@@ -102,6 +104,20 @@ def _factor_base(half_points: int) -> int:
     return 1 << (half_points.bit_length() // 2)
 
 
+def _power_table(angles: np.ndarray, n_rows: int) -> np.ndarray:
+    """exp(i j angle) in row j = 0..n_rows-1 (n_rows >= 2), one column per angle:
+    cos and sin are taken once, for row 1, and rows k+1..2k are rows 1..k times row k."""
+    table = np.empty((n_rows, angles.size), dtype=complex)
+    table[0] = 1.0
+    table[1].real, table[1].imag = np.cos(angles), np.sin(angles)
+    k = 1
+    while k < n_rows - 1:
+        top = min(2 * k, n_rows - 1)
+        np.multiply(table[1 : top - k + 1], table[k], out=table[k + 1 : top + 1])
+        k = top
+    return table
+
+
 def _level_moments(grid: MomentumGrid, phase_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sweep kernel: C/I and T/I on a grid and its stride-2 subgrid at once.
 
@@ -112,16 +128,22 @@ def _level_moments(grid: MomentumGrid, phase_lengths: np.ndarray) -> tuple[np.nd
     i = 1..m, of each level's Simpson weights x Omega on its own points times
     sin^2(x_i L/2) and x_i sin(x_i L), over its own I.
 
-    With i = a*K + b (``_factor_base``), x_i L/2 = alpha + beta with alpha =
-    a*K*h*L/2 and beta = b*h*L/2, so sin and cos are taken on m//K + 1 angles
-    alpha and K angles beta per phase length, not on m points.  Level 0's
+    With i = a*K + b (``_factor_base``) and theta = h*L/2, x_i L/2 = alpha + beta
+    with alpha = a*K*theta and beta = b*theta.  Their sines and cosines are the
+    parts of two power tables (``_power_table``), exp(i a K theta) for a = 0..m//K
+    and exp(i b theta) for b = 0..K-1, each from one cos and one sin per phase
+    length: 4 transcendental calls per phase length, not 2m.  Level 0's
     weight rows are b = 0..K-1; level 1 weighs only the even slots i, so its
     rows are the even b.  The a-factors sA^2 and sA cA each meet the rows in
     one matmul (ss, sc), cA^2 = 1 - sA^2 enters through each row's weight sum
     S, and a level sums its rows of C_b = ss (cB^2 - sB^2) + 2 sc sB cB + S sB^2
     and T_b = sc (cB^2 - sB^2) + (S - 2 ss) sB cB over b, phase lengths along
     the last axis.  Where C is small (narrow sources) every angle is small:
-    ss << S, so S - 2 ss does not cancel, and every term is nonnegative.
+    the tables' sines keep relative accuracy, as every term of the doubling's
+    sines is positive below pi/2; ss << S, so S - 2 ss does not cancel; and
+    every term is nonnegative.  A lone last phase length is padded to two, so
+    it takes the matrix product, not the matrix-vector one (whose summation
+    order differs), and gets the bits of its column in a longer call.
     """
     phase_lengths = np.asarray(phase_lengths, dtype=float)
     m, h = grid.density.size // 2, grid.step
@@ -141,15 +163,16 @@ def _level_moments(grid: MomentumGrid, phase_lengths: np.ndarray) -> tuple[np.nd
         totals[stride - 1] = float(np.dot(simpson, density))
     sums = weights.sum(axis=0)[..., np.newaxis]  # S of each row
     weights = weights.reshape(n_coarse, -1).T
-    coarse_angles, fine_angles = (0.5 * h * base) * np.arange(n_coarse), (0.5 * h) * np.arange(base)
-    c, t = np.empty((2, 2, phase_lengths.size))
+    n = phase_lengths.size
     block = _BLOCK_ELEMENTS // (4 * rows_b.size)
+    if n % block == 1:
+        phase_lengths = np.append(phase_lengths, phase_lengths[-1])
+    c, t = np.empty((2, 2, phase_lengths.size))
     for lo in range(0, phase_lengths.size, block):
         lengths = phase_lengths[lo : lo + block]
-        alpha = np.multiply.outer(coarse_angles, lengths)
-        s_a, c_a = np.sin(alpha), np.cos(alpha)
-        beta = np.multiply.outer(fine_angles, lengths)
-        s_b, c_b = np.sin(beta), np.cos(beta)
+        alpha = _power_table((0.5 * h * base) * lengths, n_coarse)
+        beta = _power_table((0.5 * h) * lengths, base)
+        s_a, c_a, s_b, c_b = alpha.imag, alpha.real, beta.imag, beta.real
         ss = (weights @ (s_a * s_a)).reshape(2, -1, lengths.size)
         sc = (weights @ (s_a * c_a)).reshape(2, -1, lengths.size)
         ss_b = s_b * s_b
@@ -160,7 +183,7 @@ def _level_moments(grid: MomentumGrid, phase_lengths: np.ndarray) -> tuple[np.nd
         t[:, lo : lo + block] = t_rows[:base].sum(axis=0), t_rows[base:].sum(axis=0)
     c *= 2.0 / totals[:, np.newaxis]
     t *= 4.0 / totals[:, np.newaxis]  # doubled half sum, and sin(xL) = 2 sin(xL/2) cos(xL/2)
-    return c, t
+    return c[:, :n], t[:, :n]
 
 
 def _readout_probability(a, c):

@@ -618,6 +618,12 @@ class TestCli:
         argv = ["run", "oracle_suite", "--set", "gamma_pi_list=0,2.0", "--out", str(tmp_path / "o.csv")]
         assert main(argv) == 0
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the collapsed density and the oracle part at large N*k "
+                       "(deviation 5.60e-7 at k = 2.5e-3 m against the 1e-10 gate)")
+    def test_suite_passes_at_large_nk(self, tmp_path):
+        argv = ["run", "oracle_suite", "--set", "k_list_m=0,1e-12,2.5e-3", "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 0
+
     def test_run_scenario_prints_summary(self, tmp_path, capsys):
         config = make_config(
             "s4_weak_values", FAST_OVERRIDES["s4_weak_values"], out_path=str(tmp_path / "s4.csv")

@@ -63,19 +63,35 @@ def direct_levels(grid, lengths):
     return np.array(probs), np.array(shifts)
 
 
-def sin_shapes(monkeypatch):
-    """The shape of every 2-D array np.sin takes from now on: the kernel's
-    (angle, L) arrays, coarse then fine angles for each block of L."""
+def table_shapes(monkeypatch):
+    """The shape of every power table the kernel builds from now on: the
+    (row, L) tables exp(i a K theta) then exp(i b theta) of each block of L."""
     shapes = []
-    sin = np.sin
+    power_table = meter._power_table
 
-    def spy_sin(values, *args, **kwargs):
-        if np.ndim(values) == 2:
-            shapes.append(np.shape(values))
-        return sin(values, *args, **kwargs)
+    def spy_power_table(angles, n_rows):
+        table = power_table(angles, n_rows)
+        shapes.append(table.shape)
+        return table
 
-    monkeypatch.setattr(np, "sin", spy_sin)
+    monkeypatch.setattr(meter, "_power_table", spy_power_table)
     return shapes
+
+
+def trig_elements(monkeypatch):
+    """The element count of every argument np.sin and np.cos take from now on."""
+    counts = []
+
+    def counting(trig):
+        def spy(values, *args, **kwargs):
+            counts.append(np.size(values))
+            return trig(values, *args, **kwargs)
+
+        return spy
+
+    monkeypatch.setattr(np, "sin", counting(np.sin))
+    monkeypatch.setattr(np, "cos", counting(np.cos))
+    return counts
 
 
 def readout(c, t, length, rho):
@@ -127,18 +143,34 @@ class TestKernel:
         grid = sweep_grid(profile, 1)
         lengths = phase_lengths(1)
         assert grid.points.size == 8193
-        # m = 4096 and K = 64: 65 coarse angles, and 64 + 32 weight rows take
-        # 2**15 // (4 * 96) = 85 lengths per block, so the 331 end in a block of 76
-        shapes = sin_shapes(monkeypatch)
+        # m = 4096 and K = 64: 65 coarse and 64 fine table rows, and 64 + 32 weight
+        # rows take 2**15 // (4 * 96) = 85 lengths per block, so the 331 end in a block of 76
+        shapes = table_shapes(monkeypatch)
         blocked = kernel_levels(grid, lengths)
         assert shapes == [shape for width in (85, 85, 85, 76) for shape in ((65, width), (64, width))]
         monkeypatch.setattr(meter, "_BLOCK_ELEMENTS", grid.points.size * lengths.size)
         shapes.clear()
         single = kernel_levels(grid, lengths)
         assert shapes == [(65, 331), (64, 331)]
-        # equal up to the summation order BLAS picks for each block's shape
+        # equal up to the summation order BLAS picks for each block's shape: the
+        # last columns of the 331-wide product are summed apart from the rest
         for got, want in zip(blocked, single):
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n_points", [513, 8193])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_each_length_alone_matches_its_column(self, shape, n_points):
+        # a lone length is padded to a two-column block, so it takes the matrix
+        # product, not the matrix-vector one, and gets its column's bits in the full call
+        grid = build_grid(SpectralProfile(shape, LAMBDA0, 6e-9), min_points=n_points)
+        assert grid.points.size == n_points
+        lengths = phase_lengths(1)
+        c, t = KERNEL(grid, lengths)
+        for j in range(0, lengths.size, 7):
+            c_alone, t_alone = KERNEL(grid, lengths[j : j + 1])
+            assert c_alone.shape == t_alone.shape == (2, 1)
+            np.testing.assert_array_equal(c_alone[:, 0], c[:, j])
+            np.testing.assert_array_equal(t_alone[:, 0], t[:, j])
 
     def test_smallest_grid_matches_direct_reference(self):
         # a 5-point grid: m = 2 and K = 2, so level 1 (3 points) reads its b = 0 row only;
@@ -176,8 +208,8 @@ class TestKernel:
         finally:
             tracemalloc.stop()
         # the (level, L) results and one block's arrays: two a-factor products
-        # over 16 + 8 weight rows (2**15 values), the sines and cosines of 17
-        # coarse and 16 fine angles, and the rows' C and T; 1.51 MiB on this call
+        # over 16 + 8 weight rows (2**15 values), the complex power tables of 17
+        # coarse and 16 fine rows, and the rows' C and T; 1.45 MiB on this call
         assert transient <= 1.60 * 2**20
 
     @pytest.mark.parametrize("n", [1, 3])
@@ -225,6 +257,31 @@ class TestKernel:
             prob, delta_p = supergaussian_reference(profile, settings.phase_length, rho)
             assert abs(res.postselection_probability - prob) <= 1e-12 * prob
             assert abs(res.delta_p - delta_p) <= 1e-12 * abs(delta_p)
+
+
+class TestPowerTable:
+    # (rows, sine's relative error where j*angle <= pi/2, absolute error anywhere), in
+    # units of eps = 2**-52: the measured worst on these angles, rounded up. Row j's
+    # error grows about linearly in j, as row 1's rounding enters it j times.
+    BOUNDS = [(2, 1, 1), (16, 6, 8), (17, 6, 9), (64, 24, 33), (65, 24, 33), (1025, 390, 530)]
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double here")
+    @pytest.mark.parametrize("rows, rel_eps, abs_eps", BOUNDS)
+    def test_rows_match_long_double(self, rows, rel_eps, abs_eps):
+        # row angles from 1e-12 rad (a narrow source's fine angle) to 100 rad (about
+        # the coarse angle K*h*L/2 at K = 1,024, with 32 grid points per period of x*L)
+        angles = np.geomspace(1e-12, 100.0, 601)
+        table = meter._power_table(angles, rows)
+        assert table.shape == (rows, angles.size)
+        exact = np.arange(rows, dtype=np.longdouble)[:, np.newaxis] * angles.astype(np.longdouble)
+        sin_error = np.abs(table.imag - np.sin(exact)).astype(float)
+        cos_error = np.abs(table.real - np.cos(exact)).astype(float)
+        eps = np.finfo(float).eps
+        # every term of the doubling is positive below pi/2, so the sine keeps
+        # relative accuracy at small angles; the cosine is near 1 there
+        acute = (exact > 0) & (exact <= np.pi / 2)
+        assert np.all(sin_error[acute] <= rel_eps * eps * np.sin(exact[acute]).astype(float))
+        assert max(sin_error.max(), cos_error.max()) <= abs_eps * eps
 
 
 class TestAdaptiveSweep:
@@ -293,23 +350,28 @@ class TestAdaptiveSweep:
         assert len(calls) <= 5 * int(config.params["n_widths"])
 
     def test_fig3b_one_trig_pass_per_width(self, monkeypatch):
-        grid_points = []
+        calls = []
+        trig = trig_elements(monkeypatch)
 
         def spy_kernel(grid, lengths):
-            grid_points.append((grid.points.size, lengths.size))
-            return KERNEL(grid, lengths)
+            before = sum(trig)
+            result = KERNEL(grid, lengths)
+            calls.append((grid.points.size, lengths.size, sum(trig) - before))
+            return result
 
         monkeypatch.setattr(meter, "_level_moments", spy_kernel)
-        angle_shapes = sin_shapes(monkeypatch)
+        shapes = table_shapes(monkeypatch)
         config = make_config("fig3b")
         execute_scenario(config)
         n_lengths = TAUS_AS.size * int(config.params["n_widths"])
         # one kernel call on the 513-point grid takes every width's taus, and
-        # its 256 half-grid points factor into 17 coarse and 16 fine angles per
-        # tau; K = 16, so 16 + 8 weight rows take 2**15 // (4 * 24) = 341 taus per block
-        assert grid_points == [(513, n_lengths)]
+        # its 256 half-grid points factor into 17 coarse and 16 fine table rows
+        # per tau, each table from one cos and one sin per tau: 4 elements per tau
+        # reach sin and cos, where the angles of every row took 66;
+        # K = 16, so 16 + 8 weight rows take 2**15 // (4 * 24) = 341 taus per block
+        assert calls == [(513, n_lengths, 4 * n_lengths)]
         widths = [min(341, n_lengths - lo) for lo in range(0, n_lengths, 341)]
-        assert angle_shapes == [shape for width in widths for shape in ((17, width), (16, width))]
+        assert shapes == [shape for width in widths for shape in ((17, width), (16, width))]
 
 
 def per_job_sweep(profile, n):
