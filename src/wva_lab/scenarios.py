@@ -10,10 +10,12 @@ precision, 12 significant digits, two beyond the sweeps' 1e-10 convergence;
 config echoes and printed summaries keep shortest round-trip ``repr``, so an
 echo reproduces its exact input and ``verify`` compares exact values.
 Repeated runs are byte-identical.  A table is a set of named columns from
-the runner to the CSV; the sort runs only on a table whose rows are out of
-order.  Runners hand ``wva_lab.meter`` its inputs, sweep jobs (profile, N)
-over k and oracle cases (profile, settings); grids, grid levels and
-convergence stay there.
+the runner to the CSV; an input coordinate that repeats over the rows is an
+``AxisColumn`` (each of its values ``inner`` times, all of that ``outer``
+times), whose values ``render_csv`` formats once.  The sort runs only on a
+table whose rows are out of order.  Runners hand ``wva_lab.meter`` its
+inputs, sweep jobs (profile, N) over k and oracle cases (profile, settings);
+grids, grid levels and convergence stay there.
 """
 from __future__ import annotations
 
@@ -85,10 +87,30 @@ class ScenarioConfig:
     out_path: Optional[str] = None
 
 
+class AxisColumn:
+    """An axis of a product table: each of ``values`` ``inner`` times, and that whole
+    sequence ``outer`` times.  As an array it is ``np.tile(np.repeat(values, inner), outer)``;
+    ``render_csv`` formats each of its values once."""
+
+    def __init__(self, values, inner: int = 1, outer: int = 1):
+        self.values, self.inner, self.outer = np.asarray(values), inner, outer
+
+    def __len__(self) -> int:
+        return self.values.size * self.inner * self.outer
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.values.dtype
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(np.tile(np.repeat(self.values, self.inner), self.outer), dtype)
+
+
 @dataclass(frozen=True)
 class ScenarioResult:
     """A scenario's table and summary: ``columns`` maps each CSV column name, in order, to its
-    values, a 1-D numpy array of floats, ints or bools, or a sequence of str (a text column)."""
+    values, a 1-D numpy array of floats, ints or bools, a sequence of str (a text column), or an
+    ``AxisColumn`` of any of these, which a runner gives for an input coordinate that repeats."""
 
     columns: dict
     summary: dict
@@ -354,9 +376,17 @@ def _rate_summary(summary: dict, label: str, taus_as: np.ndarray, dlam: np.ndarr
 
 def _stacked(names, blocks) -> dict:
     """The columns ``names`` of a table built block by block (a row is a block): each block holds, for as
-    many rows as the others, each column's values, an array or one number for all its rows."""
-    rows = max(map(np.size, blocks[0]))
-    return {name: np.concatenate(v) if np.ndim(v[0]) else np.repeat(v, rows) for name, v in zip(names, zip(*blocks))}
+    many rows as the others, each column's values, an array or one number for all its rows.  A number
+    per block, or an array that is the same object in every block, gives an ``AxisColumn``."""
+    rows, columns = max(map(np.size, blocks[0])), {}
+    for name, v in zip(names, zip(*blocks)):
+        if not np.ndim(v[0]):
+            columns[name] = AxisColumn(v, rows)
+        elif all(x is v[0] for x in v):
+            columns[name] = AxisColumn(v[0], 1, len(v))
+        else:
+            columns[name] = np.concatenate(v)
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +432,7 @@ def _run_fig3a(v: Values) -> ScenarioResult:
     for width, trace in zip(widths, dlam):
         _rate_summary(summary, _wlabel(width), taus, trace, res_m)
     # a row per (width, tau), width-major
-    return ScenarioResult(dict(sigma_lambda_nm=np.repeat(widths, taus.size), tau_as=np.tile(taus, len(widths)),
+    return ScenarioResult(dict(sigma_lambda_nm=AxisColumn(widths, taus.size), tau_as=AxisColumn(taus, 1, len(widths)),
                                delta_lambda_nm=dlam.ravel(), postselection_probability_1=prob.ravel()), summary)
 
 
@@ -438,8 +468,8 @@ def _run_fig3b(v: Values) -> ScenarioResult:
         "band_lo_sigma_lambda_nm": float(in_band.min()),
         "band_hi_sigma_lambda_nm": float(in_band.max()),
     }
-    return ScenarioResult(dict(sigma_lambda_nm=np.repeat(widths, taus.size - 2),
-                               tau_as=np.tile(taus[1:-1], widths.size), delta_lambda_nm=dlam[:, 1:-1].ravel(),
+    return ScenarioResult(dict(sigma_lambda_nm=AxisColumn(widths, taus.size - 2),
+                               tau_as=AxisColumn(taus[1:-1], 1, widths.size), delta_lambda_nm=dlam[:, 1:-1].ravel(),
                                rate_nm_per_as=rates.ravel()), summary)
 
 
@@ -468,7 +498,7 @@ def _run_fig4(v: Values) -> ScenarioResult:
     base = n_list[0]
     for n in n_list[1:]:
         summary[f"rate_ratio_n{n}_over_n{base}"] = peak_rates[n] / peak_rates[base]
-    return ScenarioResult(dict(n_1=np.repeat(n_list, taus.size), tau_as=np.tile(taus, len(n_list)),
+    return ScenarioResult(dict(n_1=AxisColumn(n_list, taus.size), tau_as=AxisColumn(taus, 1, len(n_list)),
                                delta_lambda_nm=dlam.ravel(), postselection_probability_1=prob.ravel()), summary)
 
 
@@ -642,10 +672,10 @@ def _run_s2(v: Values) -> ScenarioResult:
     points, density = points[::-1], grid.density[::stride][::-1]
     lam = 2.0 * math.pi / points
     to_per_nm = (2.0 * math.pi / lam**2) * 1e-9  # |dp/dlambda| in rad/m per nm
-    blocks = []
+    lam_nm, initial, blocks = lam * 1e9, density * to_per_nm, []  # shared by every block: axis columns
     for tau, length in zip(v["tau_list_as"], family.phase_length):
         s = _half_phase_sine(points, length, family.rho)
-        blocks.append((tau, lam * 1e9, density * to_per_nm, density * s * s * to_per_nm))
+        blocks.append((tau, lam_nm, initial, density * s * s * to_per_nm))
     summary = {"grid_points": int(grid.points.size), "emitted_rows": len(blocks) * points.size,
                "densities_normalized": True}
     names = ("tau_as", "lambda_nm", "initial_density_per_nm", "collapsed_density_per_nm")
@@ -847,42 +877,55 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
-def _cell_values(column: np.ndarray) -> list:
-    """What ``render_csv``'s row template takes of a column: a float column's
-    floats, any other column's texts by ``_format_cell``."""
-    values = column.tolist()
+def _axis_texts(values: np.ndarray) -> np.ndarray:
+    """The cell text of each of an axis column's values: a float at 12 significant digits, as the
+    row template writes a float cell, any other value by ``_format_cell``."""
+    cell = "%.12g".__mod__ if values.dtype.kind == "f" else _format_cell
+    return np.array(list(map(cell, values.tolist())), dtype=object)
+
+
+def _cell_values(column, rows: np.ndarray) -> list:
+    """What ``render_csv``'s row template takes of a column's ``rows``: an axis column's texts
+    (its values are texts by then), a float column's floats, any other column's texts by ``_format_cell``."""
+    if isinstance(column, AxisColumn):
+        return column.values[rows // column.inner % column.values.size].tolist()
+    values = column[rows].tolist()
     return values if column.dtype.kind == "f" else list(map(_format_cell, values))
 
 
 def render_csv(result: ScenarioResult, config: ScenarioConfig) -> str:
     """Deterministic CSV body: provenance comments, unit-suffixed header,
     rows sorted by their leading (input-coordinate) columns.  Rows are
-    formatted ``_RENDER_CHUNK_ROWS`` at a time."""
-    columns = list(map(np.asarray, result.columns.values()))
+    formatted ``_RENDER_CHUNK_ROWS`` at a time; an ``AxisColumn``'s values
+    are formatted once, and each chunk gathers their texts."""
+    columns = [c if isinstance(c, AxisColumn) else np.asarray(c) for c in result.columns.values()]
+    size = len(columns[0])
     for name, column in zip(result.columns, columns):
         if column.dtype.kind != "U" and name.rsplit("_", 1)[-1] not in _ALLOWED_UNIT_SUFFIXES:
             raise ValueError(
                 f"numeric column {name!r} lacks a unit suffix (allowed: {sorted(_ALLOWED_UNIT_SUFFIXES)})"
             )
-        if len(column) != len(columns[0]):
-            raise ValueError(f"columns differ in length: {name!r} has {len(column)} rows, the first {len(columns[0])}")
+        if len(column) != size:
+            raise ValueError(f"columns differ in length: {name!r} has {len(column)} rows, the first {size}")
     lines = [f"# wva-lab {_pkg_version}", f"# scenario={config.scenario_id}"]
     lines += (f"# config.{key}={_format_cell(config.params[key])}" for key in sorted(config.params))
     lines.append(",".join(result.columns))
     # Rows go in the order ``sorted`` gives on row tuples.  Adjacent rows are
     # compared column by column, left to right, while they tie; only a table
     # found out of order is sorted, by a stable lexsort.
-    tied = True  # per pair of adjacent rows: equal in every column so far
-    for column in columns:
+    order, tied = None, True  # tied, per pair of adjacent rows: equal in every column so far
+    for column in map(np.asarray, columns):
         if np.any(tied & (column[1:] < column[:-1])):
             order = np.lexsort(columns[::-1])
-            columns = [column[order] for column in columns]
             break
         tied &= column[1:] == column[:-1]
+    columns = [AxisColumn(_axis_texts(c.values), c.inner, c.outer) if isinstance(c, AxisColumn) else c for c in columns]
     # one template writes every row: a float cell at 12 significant digits, the declared precision
     template = ",".join("%.12g" if column.dtype.kind == "f" else "%s" for column in columns)
-    for lo in range(0, columns[0].size, _RENDER_CHUNK_ROWS):
-        chunk = zip(*(_cell_values(column[lo : lo + _RENDER_CHUNK_ROWS]) for column in columns))
+    for lo in range(0, size, _RENDER_CHUNK_ROWS):
+        hi = min(lo + _RENDER_CHUNK_ROWS, size)
+        rows = np.arange(lo, hi) if order is None else order[lo:hi]
+        chunk = zip(*(_cell_values(column, rows) for column in columns))
         lines.append("\n".join([template % row for row in chunk]))
     lines.append("")  # the last newline, in the one join that makes the text
     return "\n".join(lines)

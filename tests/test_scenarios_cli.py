@@ -15,6 +15,7 @@ from wva_lab.meter import collapsed_density
 from wva_lab.polarization import MwiSettings
 from wva_lab.scenarios import (
     SCENARIOS,
+    AxisColumn,
     ScenarioResult,
     _format_cell,
     execute_scenario,
@@ -129,7 +130,7 @@ class TestCsvOutput:
         lines = [ln for ln in render_csv(result, config).splitlines() if not ln.startswith("#")]
         body = [tuple(float(cell) for cell in ln.split(",")) for ln in lines[1:]]
         assert body == sorted(body)
-        values = sorted(zip(*(map(float, column) for column in result.columns.values())))
+        values = sorted(zip(*(map(float, np.asarray(column)) for column in result.columns.values())))
         np.testing.assert_allclose(body, values, rtol=5e-12, atol=0.0)
 
     def test_unitless_numeric_column_rejected(self):
@@ -141,6 +142,10 @@ class TestCsvOutput:
         # zip of the formatted columns would stop at the shortest and write a truncated table
         ragged = ScenarioResult({"x_1": np.arange(3.0), "y_1": np.arange(2.0)}, {})
         with pytest.raises(ValueError, match="columns differ in length"):
+            render_csv(ragged, make_config("fig6", FAST_OVERRIDES["fig6"]))
+        # an axis column of 2 values, each 2 times, over 6 rows
+        ragged = ScenarioResult({"x_1": np.arange(6.0), "y_1": AxisColumn(np.arange(2.0), 2)}, {})
+        with pytest.raises(ValueError, match="'y_1' has 4 rows, the first 6"):
             render_csv(ragged, make_config("fig6", FAST_OVERRIDES["fig6"]))
 
     def test_text_column_allowed(self):
@@ -199,19 +204,40 @@ class TestCsvOutput:
             rows += [(*rows[-1][:-1], 3.0), (*rows[-1][:-1], 2.0)]
         return rows
 
+    @staticmethod
+    def _axis_columns(case) -> dict:
+        """Columns of 2 * 1,024 + 37 = 3 * 5 * 139 rows, three of them AxisColumns (a float axis of
+        3 values, each 695 times; an int axis of 5 values, each 139 times, 3 times over; a str axis
+        of 139 values, 15 times over) and a float column of few distinct values.  "axes_in_order":
+        the product table is in order; "axes_lexsorted": the axes' values are out of order and the
+        float axis holds both 0.0 and -0.0, whose rows tie up to the last column."""
+        floats, ints, texts = [-1.5, -0.0, 1.0 / 3.0], [-2, 0, 3, 5, 9], [f"s{i:03d}" for i in range(139)]
+        if case == "axes_lexsorted":
+            floats, ints, texts = [1.0 / 3.0, 0.0, -0.0], [3, -2, 9, 0, 5], texts[::-1]
+        return {
+            "float_axis_1": AxisColumn(np.array(floats), 695),
+            "int_axis_1": AxisColumn(np.array(ints), 139, 3),
+            "text_axis": AxisColumn(np.array(texts), 1, 15),
+            "value_1": np.random.default_rng(11).choice([0.25, 0.1], 2 * scenarios._RENDER_CHUNK_ROWS + 37),
+        }
+
     @pytest.mark.parametrize(
         "case",
         [1, scenarios._RENDER_CHUNK_ROWS, 2 * scenarios._RENDER_CHUNK_ROWS + 37,
-         "tied_lead", "sorted", "last_pair_swapped"],
+         "tied_lead", "sorted", "last_pair_swapped", "axes_in_order", "axes_lexsorted"],
     )
     def test_column_render_matches_per_cell_reference(self, case, monkeypatch):
-        rows = self._render_rows(case)
-        names = ("index_1", "shape", "flag_1", "count_1", "numpy_1", "python_1", "repeated_1", "zeros_1")
-        columns = {
-            name: list(values) if isinstance(values[0], str) else np.array(values)
-            for name, values in zip(names[: len(rows[0])], zip(*rows))
-        }
-        if case == "sorted":  # a table already in order is not sorted again
+        if str(case).startswith("axes"):
+            columns = self._axis_columns(case)
+            rows = list(zip(*(np.asarray(column).tolist() for column in columns.values())))
+        else:
+            rows = self._render_rows(case)
+            names = ("index_1", "shape", "flag_1", "count_1", "numpy_1", "python_1", "repeated_1", "zeros_1")
+            columns = {
+                name: list(values) if isinstance(values[0], str) else np.array(values)
+                for name, values in zip(names[: len(rows[0])], zip(*rows))
+            }
+        if case in ("sorted", "axes_in_order"):  # a table already in order is not sorted again
             monkeypatch.setattr(np, "lexsort", None)
         result = ScenarioResult(columns, {})
         config = make_config("fig6", FAST_OVERRIDES["fig6"])
@@ -224,6 +250,36 @@ class TestCsvOutput:
         reference.append(",".join(columns))
         reference += [",".join(map(cell, row)) for row in sorted(rows)]
         assert render_csv(result, config) == "\n".join(reference) + "\n"
+
+    @pytest.mark.parametrize(
+        "scenario_id, overrides",
+        [pytest.param(scenario_id, overrides, id=scenario_id) for scenario_id, overrides in FAST_OVERRIDES.items()]
+        + [
+            pytest.param("fig4", {**FAST_OVERRIDES["fig4"], "n_list": "3,1,2"}, id="fig4-n_list=3,1,2"),
+            pytest.param("fig3a", {**FAST_OVERRIDES["fig3a"], "widths_nm": "6,0.5,3"}, id="fig3a-widths_nm=6,0.5,3"),
+            pytest.param("oracle_suite", {**FAST_OVERRIDES["oracle_suite"], "shapes": "supergaussian,gaussian"},
+                         id="oracle_suite-shapes=supergaussian,gaussian"),
+        ],
+    )
+    def test_axis_columns_render_as_their_arrays(self, scenario_id, overrides):
+        config = make_config(scenario_id, overrides)
+        result = execute_scenario(config)
+        assert any(isinstance(column, AxisColumn) for column in result.columns.values())
+        arrays = {name: np.asarray(column) for name, column in result.columns.items()}
+        assert render_csv(result, config) == render_csv(replace(result, columns=arrays), config)
+
+    def test_fig3b_formats_each_axis_value_once(self, monkeypatch):
+        config = make_config("fig3b")
+        result = execute_scenario(config)
+        counts, axis_texts = [], scenarios._axis_texts
+
+        def spy(values):
+            counts.append(values.size)
+            return axis_texts(values)
+
+        monkeypatch.setattr(scenarios, "_axis_texts", spy)
+        render_csv(result, config)
+        assert counts == [48, 329]  # 377 texts, where the two axis columns hold 2 * 15,792 cells
 
     def test_fig3b_render_peak_memory(self):
         config = make_config("fig3b")
@@ -416,16 +472,28 @@ class TestCli:
         assert capsys.readouterr().err.startswith("numerical failure: ")
         assert not out_file.exists()
 
-    @pytest.mark.parametrize("column, value", [("delta_lambda_nm", np.nan), ("sigma_lambda_nm", np.inf)])
-    def test_non_finite_value_exits_3_without_csv(self, column, value, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "column, value, in_axis",
+        [
+            pytest.param("delta_lambda_nm", np.nan, False, id="delta_lambda_nm-nan"),
+            pytest.param("sigma_lambda_nm", np.inf, False, id="sigma_lambda_nm-inf"),
+            pytest.param("sigma_lambda_nm", np.inf, True, id="sigma_lambda_nm-inf-in-axis-values"),
+        ],
+    )
+    def test_non_finite_value_exits_3_without_csv(self, column, value, in_axis, tmp_path, monkeypatch, capsys):
         # a NaN in a value column, or an inf in a repeated coordinate column:
-        # every row that holds the column's last value (for sigma_lambda_nm, a whole width)
+        # every row that holds the column's last value (for sigma_lambda_nm, a whole width),
+        # as an array or as the last of an AxisColumn's values
         run_fig3a = SCENARIOS["fig3a"].runner
 
         def runner(values):
             result = run_fig3a(values)
-            bad = result.columns[column].copy()
-            bad[bad == bad[-1]] = value
+            if in_axis:
+                axis = result.columns[column]
+                bad = AxisColumn(np.append(axis.values[:-1], value), axis.inner, axis.outer)
+            else:
+                bad = np.asarray(result.columns[column]).copy()
+                bad[bad == bad[-1]] = value
             return replace(result, columns={**result.columns, column: bad})
 
         monkeypatch.setitem(SCENARIOS, "fig3a", replace(SCENARIOS["fig3a"], runner=runner))
@@ -939,7 +1007,7 @@ class TestScenarioPhysicsSpots:
         config = make_config("fig6", FAST_OVERRIDES["fig6"])
         result = execute_scenario(config)
         names = ("n_1", "rho_rad", "im_weak_value_1", "k31_approx_1")
-        for n, rho, im, k31_approx in zip(*(result.columns[name] for name in names)):
+        for n, rho, im, k31_approx in zip(*(np.asarray(result.columns[name]) for name in names)):
             assert k31_approx == pytest.approx(k31(int(n), float(rho)), abs=1e-12)
             assert im == pytest.approx(im_weak_value(int(n), float(rho)), rel=1e-12)
 
@@ -957,8 +1025,8 @@ class TestScenarioPhysicsSpots:
     def test_s2_density_columns_positive_and_normalized_scale(self):
         config = make_config("s2_spectrum_evolution", FAST_OVERRIDES["s2_spectrum_evolution"])
         result = execute_scenario(config)
-        initial = result.columns["initial_density_per_nm"]
-        collapsed = result.columns["collapsed_density_per_nm"]
+        initial = np.asarray(result.columns["initial_density_per_nm"])
+        collapsed = np.asarray(result.columns["collapsed_density_per_nm"])
         assert np.all(initial >= 0.0) and np.all(collapsed >= 0.0)
         assert np.all(collapsed <= initial * (1 + 1e-12))
 
@@ -989,10 +1057,10 @@ class TestScenarioPhysicsSpots:
             initial.append((grid.density[::stride] * to_per_nm)[::-1])  # rows in rising wavelength
             collapsed.append((direct_collapse(grid, length, family.rho)[::stride] * to_per_nm)[::-1])
         columns = execute_scenario(config).columns
-        assert columns["initial_density_per_nm"].tobytes() == np.concatenate(initial).tobytes()
-        assert columns["collapsed_density_per_nm"].tobytes() == np.concatenate(collapsed).tobytes()
+        assert np.asarray(columns["initial_density_per_nm"]).tobytes() == np.concatenate(initial).tobytes()
+        assert np.asarray(columns["collapsed_density_per_nm"]).tobytes() == np.concatenate(collapsed).tobytes()
         lam_nm = np.tile((2.0 * np.pi / points * 1e9)[::-1], len(v["tau_list_as"]))
-        assert columns["lambda_nm"].tobytes() == lam_nm.tobytes()
+        assert np.asarray(columns["lambda_nm"]).tobytes() == lam_nm.tobytes()
 
     def test_s2_rows_arrive_in_render_order(self, monkeypatch):
         config = make_config("s2_spectrum_evolution", {"subsample_stride": 7})

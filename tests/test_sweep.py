@@ -305,7 +305,8 @@ class TestAdaptiveSweep:
         assert np.array_equal(delta_p, want_delta_p[0])
 
     def test_fig3a_rectangular_matches_exact_forms(self):
-        columns = execute_scenario(make_config("fig3a", {"shape": "rectangular"})).columns
+        result = execute_scenario(make_config("fig3a", {"shape": "rectangular"}))
+        columns = {name: np.asarray(column) for name, column in result.columns.items()}
         widths = columns["sigma_lambda_nm"]
         for width_nm in np.unique(widths):
             rows = widths == width_nm
