@@ -14,7 +14,8 @@ docstring of ``collapse_moments_on_grid``, in two steps: C/I and T/I, and
 of ``_half_phase``.  On a grid the kernel ``_level_moments`` sums C/I and T/I
 on the grid (level 0) and its stride-2 subgrid (level 1), with the sines and
 cosines of the half phase from two complex power tables (``_power_table``),
-one cos and one sin per table and phase length;
+one cos and one sin per table and phase length, a coarse and a fine one
+whose row counts ``_factor_base`` sets by what a row of each costs;
 ``collapse_moments_on_grid`` composes the two steps at level 0.
 ``collapsed_density(profile, settings)`` builds its own grid for one
 setting or a family (k or rho an array), reads levels 0 and 1 for every
@@ -64,8 +65,9 @@ _GUARD_TOLERANCE = 1e-9
 _GUARD_REBUILDS = 3
 _SWEEP_MIN_GRID_POINTS = 2**8 + 1
 _SWEEP_TOLERANCE = 1e-10
-# values the two a-factor products of one sweep-kernel block hold (bounds its memory; README)
-_BLOCK_ELEMENTS = 2**15
+# values the ss and sc matmul outputs of one sweep-kernel block hold, 4 per weight row and
+# phase length; the block forms its rows' C and T in place over them (bounds its memory; README)
+_BLOCK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -99,9 +101,11 @@ def _half_phase_sine(points: np.ndarray, phase_length: float, rho: float) -> np.
 
 
 def _factor_base(half_points: int) -> int:
-    """K, a power of two near sqrt(m), for the split i = a*K + b of the half
-    grid's point index i = 1..m (a = 0..m//K, b = 0..K-1)."""
-    return 1 << (half_points.bit_length() // 2)
+    """K, a power of two, sqrt(m/4) or sqrt(m/8) and at least 2, for the split
+    i = a*K + b of the half grid's point index i = 1..m (a = 0..m//K, b = 0..K-1).
+    A fine row b costs several times a coarse row a (README, "Sweep engine"), so
+    K sits below the sqrt(m) that would balance the two tables' row counts."""
+    return 1 << max((half_points.bit_length() - 3) // 2, 1)
 
 
 def _power_table(angles: np.ndarray, n_rows: int) -> np.ndarray:
@@ -135,15 +139,21 @@ def _level_moments(grid: MomentumGrid, phase_lengths: np.ndarray) -> tuple[np.nd
     length: 4 transcendental calls per phase length, not 2m.  Level 0's
     weight rows are b = 0..K-1; level 1 weighs only the even slots i, so its
     rows are the even b.  The a-factors sA^2 and sA cA each meet the rows in
-    one matmul (ss, sc), cA^2 = 1 - sA^2 enters through each row's weight sum
-    S, and a level sums its rows of C_b = ss (cB^2 - sB^2) + 2 sc sB cB + S sB^2
-    and T_b = sc (cB^2 - sB^2) + (S - 2 ss) sB cB over b, phase lengths along
+    one matmul (ss, sc), and cA^2 = 1 - sA^2 enters through each row's weight
+    sum S.  The fine table's rows are gathered once, as exp(i B) of every
+    weight row: its square gives cos 2B and sin 2B, its imaginary part sin B.
+    Over ss and sc, in place, a block forms
+    C_b = ss cos 2B + sc sin 2B + S sin^2 B and
+    T_b = sc cos 2B - ss sin 2B + (S/2) sin 2B, and each level sums its rows
+    over b (a numpy row reduction, which gives a lone phase length its
+    column's bits, where a selector matmul does not), phase lengths along
     the last axis.  Where C is small (narrow sources) every angle is small:
     the tables' sines keep relative accuracy, as every term of the doubling's
-    sines is positive below pi/2; ss << S, so S - 2 ss does not cancel; and
-    every term is nonnegative.  A lone last phase length is padded to two, so
-    it takes the matrix product, not the matrix-vector one (whose summation
-    order differs), and gets the bits of its column in a longer call.
+    sines is positive below pi/2; every term of C_b is nonnegative; and
+    ss << S, so ss sin 2B takes little off (S/2) sin 2B.  A lone last phase
+    length is padded to two, so it takes the matrix product, not the
+    matrix-vector one (whose summation order differs), and gets the bits of
+    its column in a longer call.
     """
     phase_lengths = np.asarray(phase_lengths, dtype=float)
     m, h = grid.density.size // 2, grid.step
@@ -171,14 +181,24 @@ def _level_moments(grid: MomentumGrid, phase_lengths: np.ndarray) -> tuple[np.nd
     for lo in range(0, phase_lengths.size, block):
         lengths = phase_lengths[lo : lo + block]
         alpha = _power_table((0.5 * h * base) * lengths, n_coarse)
-        beta = _power_table((0.5 * h) * lengths, base)
-        s_a, c_a, s_b, c_b = alpha.imag, alpha.real, beta.imag, beta.real
+        s_a = alpha.imag
         ss = (weights @ (s_a * s_a)).reshape(2, -1, lengths.size)
-        sc = (weights @ (s_a * c_a)).reshape(2, -1, lengths.size)
-        ss_b = s_b * s_b
-        cos2_b, sin2_b, ss_b = (c_b * c_b - ss_b)[rows_b], (2.0 * (s_b * c_b))[rows_b], ss_b[rows_b]
-        c_rows = ss[0] * cos2_b + sc[0] * sin2_b + sums[0] * ss_b
-        t_rows = sc[1] * cos2_b + (0.5 * sums[1] - ss[1]) * sin2_b  # T_b bit for bit: a factor 2 is exact
+        sc = (weights @ (s_a * alpha.real)).reshape(2, -1, lengths.size)
+        fine = _power_table((0.5 * h) * lengths, base)[rows_b]  # exp(i B) of each weight row
+        sin_sq = np.square(fine.imag)
+        double = np.square(fine)  # exp(2i B)
+        cos2, sin2 = double.real, double.imag
+        c_rows, c_sc, t_rows, t_ss = ss[0], sc[0], sc[1], ss[1]  # views: C_b and T_b form over ss, sc
+        c_sc *= sin2
+        t_ss *= sin2
+        c_rows *= cos2
+        c_rows += c_sc
+        sin_sq *= sums[0]
+        c_rows += sin_sq
+        t_rows *= cos2
+        t_rows -= t_ss
+        sin2 *= 0.5 * sums[1]
+        t_rows += sin2
         c[:, lo : lo + block] = c_rows[:base].sum(axis=0), c_rows[base:].sum(axis=0)
         t[:, lo : lo + block] = t_rows[:base].sum(axis=0), t_rows[base:].sum(axis=0)
     c *= 2.0 / totals[:, np.newaxis]

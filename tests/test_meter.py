@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wva_lab import meter
+from wva_lab import meter, scenarios
 from wva_lab.cli import main
 from wva_lab.constants import SPEED_OF_LIGHT
 from wva_lab.errors import NumericalError
@@ -22,7 +22,7 @@ from wva_lab.meter import (
 )
 from wva_lab.polarization import MwiSettings
 from wva_lab.scenarios import LAMBDA0_M as LAMBDA0, P0_RAD_PER_M as P0, make_config
-from wva_lab.spectra import SpectralProfile, build_grid, grid_point_count
+from wva_lab.spectra import SpectralProfile, build_grid, effective_sigma_p, grid_point_count
 
 from direct_path import direct_collapse
 
@@ -392,6 +392,26 @@ class TestOracle:
         assert oracle.postselection_probability == pytest.approx(
             direct.postselection_probability, rel=1e-12
         )
+
+    def test_kernel_moments_match_oracle_on_default_matrix(self):
+        # every shape, N, k, rho and gamma of oracle_suite's matrix: the sweep kernel's
+        # level 0 (read out as the sweeps read it) against the literal joint state's
+        # Simpson sums on the case's own grid. The worst measured is 8.3e-15 (P,
+        # relative) and 4.2e-15 (delta_p over sigma_p); the bound is ten times that,
+        # rounded up to a power of ten
+        values = make_config("oracle_suite").values
+        worst_prob = worst_shift = 0.0
+        for shape, width_nm, n, k, rho, gamma_pi in scenarios.oracle_case_matrix(values):
+            profile = scenarios._profile(values, width_nm, shape)
+            settings = MwiSettings(n, k, scenarios._gamma_length(gamma_pi), rho)
+            grid = build_grid(profile, settings)
+            lengths = np.array([settings.phase_length])
+            c, t = meter._level_moments(grid, lengths)
+            (prob,), (delta_p,) = meter._pointer_readout(grid.center, lengths, rho, c[0], t[0])
+            oracle_prob, oracle_shift = oracle_moments(grid, oracle_collapse(grid, settings))
+            worst_prob = max(worst_prob, abs(prob - oracle_prob) / oracle_prob)
+            worst_shift = max(worst_shift, abs(delta_p - oracle_shift) / effective_sigma_p(profile))
+        assert worst_prob <= 1e-13 and worst_shift <= 1e-13
 
     def test_zero_coupling_reduces_to_projection(self):
         settings = MwiSettings(1, 0.0, 0.0, 0.002)

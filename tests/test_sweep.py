@@ -17,7 +17,8 @@ from wva_lab.meter import (
 )
 from wva_lab.polarization import MwiSettings
 from wva_lab.scenarios import LAMBDA0_M as LAMBDA0, P0_RAD_PER_M as P0, execute_scenario, make_config
-from wva_lab.spectra import MomentumGrid, SpectralProfile, build_grid, effective_sigma_p, grid_point_count
+from wva_lab.spectra import (MAX_GRID_POINTS, MomentumGrid, SpectralProfile, build_grid, effective_sigma_p,
+                             grid_point_count)
 GAMMA = 1.9 * math.pi / P0
 RHO = 0.002
 TAUS_AS = np.arange(0.0, 331.0)  # the default 331-point sweep
@@ -143,15 +144,16 @@ class TestKernel:
         grid = sweep_grid(profile, 1)
         lengths = phase_lengths(1)
         assert grid.points.size == 8193
-        # m = 4096 and K = 64: 65 coarse and 64 fine table rows, and 64 + 32 weight
-        # rows take 2**15 // (4 * 96) = 85 lengths per block, so the 331 end in a block of 76
+        # m = 4096 (13 bits) and K = 2**((13 - 3) // 2) = 32: 4096 // 32 + 1 = 129 coarse
+        # and 32 fine table rows, and 32 + 16 weight rows take 2**14 // (4 * 48) = 85
+        # lengths per block, so the 331 end in a block of 76
         shapes = table_shapes(monkeypatch)
         blocked = kernel_levels(grid, lengths)
-        assert shapes == [shape for width in (85, 85, 85, 76) for shape in ((65, width), (64, width))]
+        assert shapes == [shape for width in (85, 85, 85, 76) for shape in ((129, width), (32, width))]
         monkeypatch.setattr(meter, "_BLOCK_ELEMENTS", grid.points.size * lengths.size)
         shapes.clear()
         single = kernel_levels(grid, lengths)
-        assert shapes == [(65, 331), (64, 331)]
+        assert shapes == [(129, 331), (32, 331)]
         # equal up to the summation order BLAS picks for each block's shape: the
         # last columns of the 331-wide product are summed apart from the rest
         for got, want in zip(blocked, single):
@@ -182,6 +184,16 @@ class TestKernel:
         for got_values, want_values in zip(kernel_levels(grid, lengths), direct_levels(grid, lengths)):
             np.testing.assert_allclose(got_values, want_values, rtol=1e-12, atol=0.0)
 
+    def test_factor_base_fits_every_half_grid(self):
+        # the half grid m of every grid build_grid makes, 2m + 1 = 5 to MAX_GRID_POINTS:
+        # K is a power of two and at least 2, so level 1 reads the even b rows,
+        # and it divides m, so the coarse rows a*K land on grid points
+        half_grids = [2**j for j in range(1, 21)]
+        assert 2 * half_grids[-1] + 1 == MAX_GRID_POINTS
+        for m in half_grids:
+            base = meter._factor_base(m)
+            assert base >= 2 and base & (base - 1) == 0 and m % base == 0, (m, base)
+
     def test_three_point_grid_raises(self):
         # its stride-2 subgrid has 2 points, no Simpson grid
         fine = sweep_grid(SpectralProfile("rectangular", LAMBDA0, 6e-9), 1, min_points=129)
@@ -207,9 +219,11 @@ class TestKernel:
             transient = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        # the (level, L) results and one block's arrays: two a-factor products
-        # over 16 + 8 weight rows (2**15 values), the complex power tables of 17
-        # coarse and 16 fine rows, and the rows' C and T; 1.45 MiB on this call
+        # the (level, L) results and one block's arrays: the ss and sc products
+        # over 8 + 4 weight rows (2**14 values), which the rows' C and T overwrite,
+        # the complex power tables of 33 coarse and 8 fine rows, the two a-factor
+        # products and the 12 gathered fine rows with their square; 1.21 MiB
+        # (1,271,024 B) on this call
         assert transient <= 1.60 * 2**20
 
     @pytest.mark.parametrize("n", [1, 3])
@@ -261,15 +275,19 @@ class TestKernel:
 
 class TestPowerTable:
     # (rows, sine's relative error where j*angle <= pi/2, absolute error anywhere), in
-    # units of eps = 2**-52: the measured worst on these angles, rounded up. Row j's
-    # error grows about linearly in j, as row 1's rounding enters it j times.
-    BOUNDS = [(2, 1, 1), (16, 6, 8), (17, 6, 9), (64, 24, 33), (65, 24, 33), (1025, 390, 530)]
+    # units of eps = 2**-52: the measured worst on these angles, rounded up (at 33, 129
+    # and 2,049 rows 11.2/15.8, 46.8/64.3 and 771.7/1,046.5, each rounded up to two
+    # significant digits). Row j's error grows about linearly in j, as row 1's
+    # rounding enters it j times.
+    BOUNDS = [(2, 1, 1), (16, 6, 8), (17, 6, 9), (33, 12, 16), (64, 24, 33), (65, 24, 33), (129, 47, 65),
+              (1025, 390, 530), (2049, 780, 1100)]
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double here")
     @pytest.mark.parametrize("rows, rel_eps, abs_eps", BOUNDS)
     def test_rows_match_long_double(self, rows, rel_eps, abs_eps):
         # row angles from 1e-12 rad (a narrow source's fine angle) to 100 rad (about
-        # the coarse angle K*h*L/2 at K = 1,024, with 32 grid points per period of x*L)
+        # twice the coarse angle K*h*L/2 at the largest K, 512, with 32 grid points
+        # per period of x*L)
         angles = np.geomspace(1e-12, 100.0, 601)
         table = meter._power_table(angles, rows)
         assert table.shape == (rows, angles.size)
@@ -365,14 +383,15 @@ class TestAdaptiveSweep:
         config = make_config("fig3b")
         execute_scenario(config)
         n_lengths = TAUS_AS.size * int(config.params["n_widths"])
-        # one kernel call on the 513-point grid takes every width's taus, and
-        # its 256 half-grid points factor into 17 coarse and 16 fine table rows
-        # per tau, each table from one cos and one sin per tau: 4 elements per tau
-        # reach sin and cos, where the angles of every row took 66;
-        # K = 16, so 16 + 8 weight rows take 2**15 // (4 * 24) = 341 taus per block
+        # one kernel call on the 513-point grid takes every width's taus, and its
+        # m = 256 half-grid points (9 bits) factor with K = 2**((9 - 3) // 2) = 8 into
+        # 256 // 8 + 1 = 33 coarse and 8 fine table rows per tau, each table from one
+        # cos and one sin per tau: 4 elements per tau reach sin and cos, where the
+        # angles of every row took 66; 8 + 4 weight rows take 2**14 // (4 * 12) = 341
+        # taus per block
         assert calls == [(513, n_lengths, 4 * n_lengths)]
         widths = [min(341, n_lengths - lo) for lo in range(0, n_lengths, 341)]
-        assert shapes == [shape for width in widths for shape in ((17, width), (16, width))]
+        assert shapes == [shape for width in widths for shape in ((33, width), (8, width))]
 
 
 def per_job_sweep(profile, n):
