@@ -79,6 +79,14 @@ def table_shapes(monkeypatch):
     return shapes
 
 
+def last_kept_slot(grid):
+    """The last half-grid slot i = 1..m whose density is at least the kernel's
+    negligible fraction of the grid's largest (0 if none is)."""
+    m = grid.points.size // 2
+    kept = np.flatnonzero(grid.density[m + 1 :] >= meter._NEGLIGIBLE_DENSITY * grid.density.max())
+    return int(kept[-1]) + 1 if kept.size else 0
+
+
 def trig_elements(monkeypatch):
     """The element count of every argument np.sin and np.cos take from now on."""
     counts = []
@@ -144,16 +152,19 @@ class TestKernel:
         grid = sweep_grid(profile, 1)
         lengths = phase_lengths(1)
         assert grid.points.size == 8193
-        # m = 4096 (13 bits) and K = 2**((13 - 3) // 2) = 32: 4096 // 32 + 1 = 129 coarse
-        # and 32 fine table rows, and 32 + 16 weight rows take 2**14 // (4 * 48) = 85
-        # lengths per block, so the 331 end in a block of 76
+        # m = 4096 (13 bits) and K = 2**((13 - 3) // 2) = 32; the density stays at or above
+        # 2**-64 of its peak up to slot 1,707 (3.33 of the 8 sigma_p of the half grid), so
+        # 1707 // 32 + 1 = 54 coarse rows (of 4096 // 32 + 1 = 129) and 32 fine table rows;
+        # 32 + 16 weight rows take 2**14 // (4 * 48) = 85 lengths per block, so the 331
+        # end in a block of 76
+        assert last_kept_slot(grid) == 1707
         shapes = table_shapes(monkeypatch)
         blocked = kernel_levels(grid, lengths)
-        assert shapes == [shape for width in (85, 85, 85, 76) for shape in ((129, width), (32, width))]
+        assert shapes == [shape for width in (85, 85, 85, 76) for shape in ((54, width), (32, width))]
         monkeypatch.setattr(meter, "_BLOCK_ELEMENTS", grid.points.size * lengths.size)
         shapes.clear()
         single = kernel_levels(grid, lengths)
-        assert shapes == [(129, 331), (32, 331)]
+        assert shapes == [(54, 331), (32, 331)]
         # equal up to the summation order BLAS picks for each block's shape: the
         # last columns of the 331-wide product are summed apart from the rest
         for got, want in zip(blocked, single):
@@ -194,6 +205,60 @@ class TestKernel:
             base = meter._factor_base(m)
             assert base >= 2 and base & (base - 1) == 0 and m % base == 0, (m, base)
 
+    @pytest.mark.parametrize("order", [2, 4, 6, 8, 12])
+    def test_negligible_slots_match_full_sum(self, order, monkeypatch):
+        # the slots past the last whose density is at least 2**-64 of the peak move
+        # C/I by nothing and T/I by at most 1.2e-19 sigma_p (measured) against every
+        # slot summed, as with the fraction at 0
+        for width_nm in (0.05, 0.5, 6.0, 300.0):
+            profile = SpectralProfile("supergaussian", LAMBDA0, width_nm * 1e-9, order=order)
+            sigma_p = effective_sigma_p(profile)
+            lengths = np.concatenate([[0.0], np.geomspace(1e-6, 40.0, 41) / sigma_p])
+            for n_points in (129, 513, 8193, 32769):
+                grid = build_grid(profile, min_points=n_points)
+                with monkeypatch.context() as patch:
+                    patch.setattr(meter, "_NEGLIGIBLE_DENSITY", 0.0)
+                    c_full, t_full = KERNEL(grid, lengths)
+                c, t = KERNEL(grid, lengths)
+                assert np.max(np.abs(c - c_full)) <= 1e-18
+                assert np.max(np.abs(t - t_full)) <= 1e-18 * sigma_p
+
+    def test_tail_cut_keeps_two_coarse_rows(self, monkeypatch):
+        # a 5-point supergaussian grid: its slots 1 and 2, at 4 and 8 sigma_p, are both
+        # below 2**-64 of the peak, and the coarse table keeps the 2 rows it needs
+        fine = sweep_grid(SpectralProfile("supergaussian", LAMBDA0, 6e-9), 1, min_points=129)
+        grid = MomentumGrid(fine.center, 32 * fine.step, fine.density[::32])
+        assert grid.points.size == 5 and last_kept_slot(grid) == 0
+        lengths = phase_lengths(1, UNEVEN_TAUS_AS)
+        shapes = table_shapes(monkeypatch)
+        c, t = KERNEL(grid, lengths)
+        assert shapes == [(2, lengths.size), (2, lengths.size)]
+        monkeypatch.setattr(meter, "_NEGLIGIBLE_DENSITY", 0.0)
+        c_full, t_full = KERNEL(grid, lengths)
+        np.testing.assert_array_equal(c, c_full)
+        np.testing.assert_array_equal(t, t_full)
+
+    @pytest.mark.parametrize("n_points", [513, 8193])
+    @pytest.mark.parametrize("shape", ["gaussian", "rectangular"])
+    def test_gaussian_and_rectangle_keep_every_row(self, shape, n_points, monkeypatch):
+        # the Gaussian is e**-32 of its peak at the 8 sigma_p edge, the rectangle flat
+        grid = build_grid(SpectralProfile(shape, LAMBDA0, 6e-9), min_points=n_points)
+        m = n_points // 2
+        assert last_kept_slot(grid) == m
+        shapes = table_shapes(monkeypatch)
+        KERNEL(grid, phase_lengths(1))
+        assert shapes[0][0] == m // meter._factor_base(m) + 1
+
+    @pytest.mark.parametrize("scenario_id", ["fig3a", "fig3b", "fig4"])
+    def test_sweep_csvs_match_full_sum(self, scenario_id, monkeypatch):
+        config = make_config(scenario_id)
+        result = execute_scenario(config)
+        with monkeypatch.context() as patch:
+            patch.setattr(meter, "_NEGLIGIBLE_DENSITY", 0.0)
+            full = execute_scenario(config)
+        assert scenarios.render_csv(result, config) == scenarios.render_csv(full, config)
+        assert {k: repr(v) for k, v in result.summary.items()} == {k: repr(v) for k, v in full.summary.items()}
+
     def test_three_point_grid_raises(self):
         # its stride-2 subgrid has 2 points, no Simpson grid
         fine = sweep_grid(SpectralProfile("rectangular", LAMBDA0, 6e-9), 1, min_points=129)
@@ -221,9 +286,9 @@ class TestKernel:
             tracemalloc.stop()
         # the (level, L) results and one block's arrays: the ss and sc products
         # over 8 + 4 weight rows (2**14 values), which the rows' C and T overwrite,
-        # the complex power tables of 33 coarse and 8 fine rows, the two a-factor
-        # products and the 12 gathered fine rows with their square; 1.21 MiB
-        # (1,271,024 B) on this call
+        # the complex power tables of 14 kept coarse and 8 fine rows, the two
+        # a-factor products and the 12 gathered fine rows with their square; 1.09 MiB
+        # (1,140,736 B) on this call, 1.21 MiB with every coarse row kept
         assert transient <= 1.60 * 2**20
 
     @pytest.mark.parametrize("n", [1, 3])
@@ -260,9 +325,12 @@ class TestKernel:
             assert res.postselection_probability == pytest.approx(prob, rel=1e-9)
             assert res.delta_p == pytest.approx(delta_p, rel=1e-9)
 
+    @pytest.mark.parametrize("order", [4, 6, 12])
     @pytest.mark.parametrize("width_nm", [0.5, 6.0, 50.0])
-    def test_supergaussian_against_gauss_legendre(self, width_nm):
-        profile = SpectralProfile("supergaussian", LAMBDA0, width_nm * 1e-9)
+    def test_supergaussian_against_gauss_legendre(self, width_nm, order):
+        # the reference sums [0, 8 sigma_p] on nodes of its own, so it also checks
+        # the slots the kernel drops as negligible
+        profile = SpectralProfile("supergaussian", LAMBDA0, width_nm * 1e-9, order=order)
         cases = ((1, 3e-12, 0.0, 0.002), (3, 1e-10, GAMMA, 0.01), (2, 2e-11, GAMMA, 0.1),
                  (3, SPEED_OF_LIGHT * 330e-18, GAMMA, 0.002), (1, 0.0, GAMMA, 0.05))
         for n, k, gamma, rho in cases:
@@ -384,14 +452,15 @@ class TestAdaptiveSweep:
         execute_scenario(config)
         n_lengths = TAUS_AS.size * int(config.params["n_widths"])
         # one kernel call on the 513-point grid takes every width's taus, and its
-        # m = 256 half-grid points (9 bits) factor with K = 2**((9 - 3) // 2) = 8 into
-        # 256 // 8 + 1 = 33 coarse and 8 fine table rows per tau, each table from one
-        # cos and one sin per tau: 4 elements per tau reach sin and cos, where the
-        # angles of every row took 66; 8 + 4 weight rows take 2**14 // (4 * 12) = 341
-        # taus per block
+        # m = 256 half-grid points (9 bits) factor with K = 2**((9 - 3) // 2) = 8; the
+        # density stays at or above 2**-64 of its peak up to slot 106, so the kernel
+        # builds 106 // 8 + 1 = 14 coarse (of 256 // 8 + 1 = 33) and 8 fine table rows
+        # per tau, each table from one cos and one sin per tau: 4 elements per tau reach
+        # sin and cos, where the angles of every row took 66; 8 + 4 weight rows take
+        # 2**14 // (4 * 12) = 341 taus per block
         assert calls == [(513, n_lengths, 4 * n_lengths)]
         widths = [min(341, n_lengths - lo) for lo in range(0, n_lengths, 341)]
-        assert shapes == [shape for width in widths for shape in ((33, width), (8, width))]
+        assert shapes == [shape for width in widths for shape in ((14, width), (8, width))]
 
 
 def per_job_sweep(profile, n):
