@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import holds
+from .paper import PAPER
 
 
 @dataclass(frozen=True)
@@ -36,13 +37,13 @@ class MwiSettings:
         Residual interferometric path imbalance in meters; contributes a
         phase gamma*p and biases the operating point.  Nonnegative.
     rho : float or array
-        Postselection angle in radians, inside (0, pi/2).
+        Postselection angle in radians, inside (0, pi/2); the paper's operating point by default.
     """
 
     n_interactions: int
     k: float
     gamma: float = 0.0
-    rho: float = 0.002
+    rho: float = PAPER["rho_rad"].value
 
     def __post_init__(self) -> None:
         if int(self.n_interactions) != self.n_interactions or self.n_interactions < 1:

@@ -56,7 +56,9 @@ from .spectra import (
 
 LAMBDA0_M = PAPER["lambda0_m"].value
 P0_RAD_PER_M = lambda_p_convert(LAMBDA0_M)
-_DELTA_I_KEYS = {"0.5": "delta_i_05_V", "1": "delta_i_1_V", "3": "delta_i_3_V"}  # width -> config key
+# source label -> config key of its intensity uncertainty delta_I
+_DELTA_I_KEYS = {"coherent": "delta_i_coherent_V", "w0.5nm": "delta_i_05_V", "w1nm": "delta_i_1_V",
+                 "w3nm": "delta_i_3_V"}
 
 # CSV rows formatted per batch: bounds the memory held by the formatted columns.  Float cells are
 # written '%.12g' (the declared precision); config echoes and summaries keep repr, whose text is exact
@@ -517,12 +519,18 @@ _K_AXIS = {"ks_m": ("stepped", None, "k_max_m", "k_step_m", 2, None)}
 _TRACE_NAMES = ("k_m", "intensity_V", "relative_shift_1", "snr_db")  # the columns of ``_intensity_trace``
 
 
-def _i_init_v(v: Values, rho: float = PAPER["rho_rad"].value) -> float:
-    """Intensity scale fixed once so the coherent three-pass case reaches the
-    config's target displacement precision: delta_k(N) = delta_i / (i_init N/2 p0 sin 2 rho)."""
+def _intensity_scale(v: Values, rho: float) -> tuple:
+    """(i_init, dI/dk): the intensity scale (V), fixed once so that the coherent three-pass case reaches the
+    config's target displacement precision, and the slope of one pass at k = 0, dI/dk = i_init p0/2 sin 2 rho
+    (V/m).  N passes have N times the slope, and a source's delta_k(N) = delta_I / (N dI/dk)."""
     target_m = v["target_delta_k_n3_fm"] * 1e-15
     require(target_m != 0.0, "target_delta_k_n3_fm rounds to 0 m")
-    return v["delta_i_coherent_V"] / target_m / (1.5 * P0_RAD_PER_M * math.sin(2.0 * rho))
+
+    def slope(i_init: float, n: int) -> float:  # dI/dk of n passes at the scale i_init, V/m
+        return i_init * (0.5 * n) * P0_RAD_PER_M * math.sin(2.0 * rho)
+
+    i_init = v["delta_i_coherent_V"] / target_m / slope(1.0, 3)
+    return i_init, slope(i_init, 1)
 
 
 def _snr_db(signal, noise: float):
@@ -538,16 +546,13 @@ def _intensity_trace(v, i_init, sigma_p, n):
     return settings.k, intensity, shift, _snr_db(intensity, v["noise_floor_V"])
 
 
-def _delta_k_summary(summary: dict, label: str, key: str, delta_i_by_key: dict, rate: float) -> None:
-    """The displacement precision delta_i / rate (fm) of source ``key`` into
-    ``summary`` under ``label``, with its quoted value and the deviation from
-    it; nothing for a source without a delta_i (trace rows only)."""
-    if key not in delta_i_by_key:
-        return
-    delta_k_fm = delta_i_by_key[key] / rate * 1e15
-    summary[f"{label}.delta_k_fm"] = delta_k_fm
-    quoted = PAPER.get("fig5.coherent.n1.delta_k_fm" if key == "coherent" else f"fig5.{label}.delta_k_fm")
-    if quoted is not None:
+def _delta_k_summary(summary: dict, label: str, delta_i: float, rate: float, source: Optional[str] = None) -> None:
+    """The displacement precision (fm) of an intensity uncertainty ``delta_i`` (V) at the shift rate ``rate``
+    (V/m), ``metrology.precision``'s delta_k as for the momentum pointer's delta_tau, into ``summary`` under
+    ``label``; with ``source``, the paper's value ``fig5.<source>.delta_k_fm`` and the deviation from it."""
+    summary[f"{label}.delta_k_fm"] = delta_k_fm = precision(delta_i, rate)[0] * 1e15
+    if source is not None:
+        quoted = PAPER[f"fig5.{source}.delta_k_fm"]
         summary[f"{label}.quoted_delta_k_fm"] = quoted.value
         summary[f"{label}.quoted_deviation_percent"] = quoted.deviation(delta_k_fm) * 100.0
 
@@ -565,9 +570,8 @@ def _delta_k_summary(summary: dict, label: str, key: str, delta_i_by_key: dict, 
     rows=lambda v: (len(v["coherent_n_list"]) + len(v["vsns_widths_nm"])) * v["ks_m"].size,
 )
 def _run_fig5(v: Values) -> ScenarioResult:
-    rho, k_ref = v["rho_rad"], v["reference_k_m"]
-    i_init = _i_init_v(v, rho)
-    rate_base = i_init * 0.5 * P0_RAD_PER_M * math.sin(2.0 * rho)  # dI/dk per pass, V/m
+    rho, k_ref, delta_i = v["rho_rad"], v["reference_k_m"], {label: v[key] for label, key in _DELTA_I_KEYS.items()}
+    i_init, rate = _intensity_scale(v, rho)
 
     traces, shifts_at_ref = [], {}
     summary = {"i_init_V": i_init}
@@ -575,22 +579,18 @@ def _run_fig5(v: Values) -> ScenarioResult:
     for n in coherent_n_list:
         traces.append((0.0, n, *_intensity_trace(v, i_init, 0.0, n)))
         _, shifts_at_ref[n] = intensity_after_postselection(i_init, 0.0, P0_RAD_PER_M, MwiSettings(n, k_ref, 0.0, rho))
-        delta_k = v["delta_i_coherent_V"] / (rate_base * n)
-        summary[f"coherent.n{n}.delta_k_fm"] = delta_k * 1e15
+        _delta_k_summary(summary, f"coherent.n{n}", delta_i["coherent"], n * rate)
     base_n = coherent_n_list[0]
     require(shifts_at_ref[base_n] != 0.0,
             f"the relative shift at reference_k_m = {k_ref!r} m is 0 at N = {base_n}: no ratios")
     for n in coherent_n_list[1:]:
         summary[f"delta_ell_ratio_n{n}_over_n{base_n}"] = shifts_at_ref[n] / shifts_at_ref[base_n]
-    quoted = PAPER["fig5.coherent.n1.delta_k_fm"]
-    summary["coherent.n1.quoted_delta_k_fm"] = quoted.value
-    delta_k_n1_fm = v["delta_i_coherent_V"] / rate_base * 1e15
-    summary["coherent.n1.quoted_deviation_percent"] = quoted.deviation(delta_k_n1_fm) * 100.0
+    _delta_k_summary(summary, "coherent.n1", delta_i["coherent"], rate, "coherent.n1")
 
-    delta_i_by_key = {key: v[name] for key, name in _DELTA_I_KEYS.items()}
     for width in v["vsns_widths_nm"]:
         traces.append((width, 1, *_intensity_trace(v, i_init, effective_sigma_p(_profile(v, width)), 1)))
-        _delta_k_summary(summary, _wlabel(width), f"{width:g}", delta_i_by_key, rate_base)
+        if (label := _wlabel(width)) in delta_i:
+            _delta_k_summary(summary, label, delta_i[label], rate, label)
     return ScenarioResult(_stacked(("sigma_lambda_nm", "n_1", *_TRACE_NAMES), traces), summary)
 
 
@@ -599,8 +599,8 @@ def _run_fig5(v: Values) -> ScenarioResult:
     "K31 values and weak values over the postselection angle at N = 1, 2, 3; "
     "maps the negativity (quantum-effect) region",
     {
-        "rho_min_rad": (0.002, _number, "in (0, pi/2)"),
-        "rho_max_rad": (0.0124, _number, "in (0, pi/2)"),
+        "rho_min_rad": (PAPER["rho_rad"].value, _number, "in (0, pi/2)"),
+        "rho_max_rad": (PAPER["lgi_rho_rad"].value, _number, "in (0, pi/2)"),
         "rho_step_rad": (2e-4, _number, "> 0"),
         "n_list": ("1,2,3", _COUNTS, None),
         "probe_k_m": (1e-13, _number, None),
@@ -691,21 +691,17 @@ def _run_s2(v: Values) -> ScenarioResult:
     rows=lambda v: (1 + len(v["vsns_widths_nm"])) * v["ks_m"].size,
 )
 def _run_s3(v: Values) -> ScenarioResult:
-    rho = v["rho_rad"]
-    i_init = _i_init_v(v, rho)
-    rate = i_init * 0.5 * P0_RAD_PER_M * math.sin(2.0 * rho)  # single pass, V/m
-
-    delta_i_by_key = {"coherent": v["delta_i_coherent_V"]}
-    delta_i_by_key.update((key, v[name]) for key, name in _DELTA_I_KEYS.items())
-    sources = [("coherent", 0.0)] + [(f"{w:g}", w) for w in v["vsns_widths_nm"]]
+    rho, delta_i = v["rho_rad"], {label: v[key] for label, key in _DELTA_I_KEYS.items()}
+    i_init, rate = _intensity_scale(v, rho)
     traces = []
     summary = {"i_init_V": i_init}
-    for key, width in sources:
+    for width in (0.0, *v["vsns_widths_nm"]):
         label = "coherent" if width == 0.0 else _wlabel(width)
         sigma_p = 0.0 if width == 0.0 else effective_sigma_p(_profile(v, width))
         traces.append((width, *_intensity_trace(v, i_init, sigma_p, 1)))
         summary[f"{label}.max_snr_db"] = float(traces[-1][-1].max())
-        _delta_k_summary(summary, label, key, delta_i_by_key, rate)
+        if label in delta_i:
+            _delta_k_summary(summary, label, delta_i[label], rate, "coherent.n1" if width == 0.0 else label)
     summary["coherent.quoted_op_snr_db"] = PAPER["s3_intensity.coherent.quoted_op_snr_db"].value
     return ScenarioResult(_stacked(("sigma_lambda_nm", *_TRACE_NAMES), traces), summary)
 
@@ -717,7 +713,7 @@ def _run_s3(v: Values) -> ScenarioResult:
     {
         **_CALIBRATION_KEYS,
         "n_list": ("1,3", _COUNTS, None),
-        "rho_min_rad": (0.002, _number, "in (0, pi/2)"),
+        "rho_min_rad": (PAPER["rho_rad"].value, _number, "in (0, pi/2)"),
         "rho_max_rad": (0.1, _number, "in (0, pi/2)"),
         "n_rhos": (40, _whole, None),
         "probe_k_m": (3e-12, _number, "!= 0"),
@@ -729,7 +725,7 @@ def _run_s3(v: Values) -> ScenarioResult:
 )
 def _run_s4(v: Values) -> ScenarioResult:
     k_probe, sigma_p, noise = v["probe_k_m"], v["probe_sigma_p_rad_per_m"], v["noise_floor_V"]
-    i_init, rhos, blocks = _i_init_v(v), v["rhos_rad"], []
+    i_init, rhos, blocks = _intensity_scale(v, PAPER["rho_rad"].value)[0], v["rhos_rad"], []
     snr = _snr_db(i_init * np.sin(rhos) ** 2, noise)
     for n in v["n_list"]:
         forward = intensity_shift_approx(sigma_p, P0_RAD_PER_M, MwiSettings(n, k_probe, 0.0, rhos))

@@ -94,9 +94,9 @@ def check_closed_form_consistency(runs: ScenarioRuns) -> list:
 
 
 def check_mwi_amplification(runs: ScenarioRuns) -> list:
-    # linear regime: N*k*p0 well inside rho/50 at rho = 0.002
+    # linear regime: N*k*p0 well inside rho/50 at the operating point's rho
     k = 1e-12
-    rho = 0.002
+    rho = PAPER["rho_rad"].value
     profile = SpectralProfile("gaussian", LAMBDA0_M, 6e-9)
     shifts = {}
     intens = {}
@@ -169,7 +169,7 @@ def check_lgi(runs: ScenarioRuns) -> list:
 
 def check_weak_value_round_trip(runs: ScenarioRuns) -> list:
     worst = 0.0
-    rhos = np.append(np.linspace(0.002, 0.0124, 7), 0.005)
+    rhos = np.append(np.linspace(PAPER["rho_rad"].value, PAPER["lgi_rho_rad"].value, 7), 0.005)
     for n in (1, 2, 3):
         theory = im_weak_value(n, rhos)
         for k in (1e-13, 1e-12, 1e-11):
@@ -196,11 +196,12 @@ def check_weak_value_round_trip(runs: ScenarioRuns) -> list:
 
 def check_monotonicity(runs: ScenarioRuns) -> list:
     sigma = effective_sigma_p(SpectralProfile("gaussian", LAMBDA0_M, 6e-9))
-    settings = MwiSettings(2, 3e-12, 0.0, 0.002)
+    rho = PAPER["rho_rad"].value
+    settings = MwiSettings(2, 3e-12, 0.0, rho)
     prop = pointer_shift_p_approx(2.0 * sigma, settings) == 4.0 * pointer_shift_p_approx(sigma, settings)
 
     sigmas = np.linspace(1e3, 1e6, 1024)
-    shifts = intensity_shift_approx(sigmas, P0_RAD_PER_M, MwiSettings(3, 3e-10, 0.0, 0.002))
+    shifts = intensity_shift_approx(sigmas, P0_RAD_PER_M, MwiSettings(3, 3e-10, 0.0, rho))
     decreasing = bool(np.all(shifts[1:] < shifts[:-1]))
 
     thetas = np.linspace(1e-4, math.pi / 2 - 1e-4, 1024)

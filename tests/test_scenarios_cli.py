@@ -12,6 +12,7 @@ from wva_lab import cli, meter, scenarios
 from wva_lab.cli import main
 from wva_lab.errors import ConfigError, NumericalError
 from wva_lab.meter import collapsed_density
+from wva_lab.paper import PAPER
 from wva_lab.polarization import MwiSettings
 from wva_lab.scenarios import (
     SCENARIOS,
@@ -581,6 +582,19 @@ class TestCli:
         assert err == f"numerical failure: scenario {scenario_id} produced a non-finite summary value {key}=inf\n"
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("scenario_id", ["fig5", "s3_intensity"])
+    @pytest.mark.parametrize("key", ["delta_i_05_V", "delta_i_1_V", "delta_i_3_V"])
+    def test_subnormal_intensity_precision_exits_3_without_csv(self, scenario_id, key, tmp_path, capsys):
+        # delta_k = 1e-300 V / dI/dk puts delta_tau = delta_k / c below the normal float range: the
+        # intensity pointer's precision follows the momentum pointer's rule (metrology.precision)
+        out_file = tmp_path / "out.csv"
+        assert main(["run", scenario_id, "--set", f"{key}=1e-300", "--out", str(out_file)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical failure: precision delta_tau = ") and err.count("\n") == 1
+        assert err.endswith(" s is below the normal float range\n")
+        assert not out_file.exists()
+
     def test_missing_config_file_exits_2(self, capsys):
         assert main(["run", "fig6", "--config", "/nonexistent/cfg.txt"]) == 2
 
@@ -1021,6 +1035,34 @@ class TestScenarioPhysicsSpots:
         assert d3 == pytest.approx(148.8, rel=1e-12)
         assert d1 == pytest.approx(3 * d3, rel=1e-12)
         assert d2 == pytest.approx(1.5 * d3, rel=1e-12)
+
+    @pytest.mark.parametrize("scenario_id", ["fig5", "s3_intensity"])
+    @pytest.mark.parametrize(("key", "label"), [("delta_i_05_V", "w0.5nm"), ("delta_i_1_V", "w1nm"),
+                                                ("delta_i_3_V", "w3nm")])
+    def test_delta_i_reaches_only_its_source(self, scenario_id, key, label):
+        # doubling one width's delta_I doubles that width's delta_k, moves its deviation from the
+        # paper's value, and leaves every other summary value bit-equal
+        base = execute_scenario(make_config(scenario_id)).summary
+        raised = execute_scenario(make_config(scenario_id, {key: 2.0 * PAPER[key].value})).summary
+        assert list(raised) == list(base)
+        moved = {name for name in base if repr(raised[name]) != repr(base[name])}
+        assert moved == {f"{label}.delta_k_fm", f"{label}.quoted_deviation_percent"}
+        assert raised[f"{label}.delta_k_fm"] == 2.0 * base[f"{label}.delta_k_fm"]
+
+    def test_fig5_quotes_n1_without_n1_in_the_list(self):
+        # the coherent single-pass precision is reported beside the deviation computed from it
+        summary = execute_scenario(make_config("fig5", {"coherent_n_list": "2,3"})).summary
+        widths = [f"{label}.{q}" for label in ("w0.5nm", "w1nm", "w3nm")
+                  for q in ("delta_k_fm", "quoted_delta_k_fm", "quoted_deviation_percent")]
+        assert list(summary) == [
+            "i_init_V", "coherent.n2.delta_k_fm", "coherent.n3.delta_k_fm", "delta_ell_ratio_n3_over_n2",
+            "coherent.n1.delta_k_fm", "coherent.n1.quoted_delta_k_fm", "coherent.n1.quoted_deviation_percent",
+            *widths,
+        ]
+        n1 = execute_scenario(make_config("fig5")).summary["coherent.n1.delta_k_fm"]
+        assert summary["coherent.n1.delta_k_fm"] == n1
+        quoted = PAPER["fig5.coherent.n1.delta_k_fm"]
+        assert summary["coherent.n1.quoted_deviation_percent"] == quoted.deviation(n1) * 100.0
 
     def test_s2_density_columns_positive_and_normalized_scale(self):
         config = make_config("s2_spectrum_evolution", FAST_OVERRIDES["s2_spectrum_evolution"])
