@@ -106,12 +106,15 @@ def _half_phase_sine(points: np.ndarray, phase_length: float, rho: float) -> np.
     return np.sin(_half_phase(points, phase_length, rho))
 
 
-def _factor_base(half_points: int) -> int:
-    """K, a power of two, sqrt(m/4) or sqrt(m/8) and at least 2, for the split
-    i = a*K + b of the half grid's point index i = 1..m (a = 0..m//K, b = 0..K-1).
-    A fine row b costs several times a coarse row a (README, "Sweep engine"), so
-    K sits below the sqrt(m) that would balance the two tables' row counts."""
-    return 1 << max((half_points.bit_length() - 3) // 2, 1)
+def _factor_base(last_slot: int) -> int:
+    """K, a power of two and at least 2, for the split i = a*K + b of the kept
+    slots i = 1..j (a = 0..j//K, b = 0..K-1), j the last slot the kernel keeps:
+    2^((n - 3)//2) for j of n bits, so from j = 16 on j/K^2 lies in [4, 16)
+    (4 or 8 where j is a power of two).  A fine row b costs several times a
+    coarse row a (README, "Sweep engine"), so K sits below the sqrt(j) that
+    would balance the two tables' row counts.  K grows with j, so on a half
+    grid of m = 2^n points it divides m for every j <= m."""
+    return 1 << max((last_slot.bit_length() - 3) // 2, 1)
 
 
 def _power_table(angles: np.ndarray, n_rows: int) -> np.ndarray:
@@ -140,8 +143,8 @@ def _level_moments(grid: MomentumGrid, phase_lengths: np.ndarray) -> tuple[np.nd
 
     With i = a*K + b (``_factor_base``) and theta = h*L/2, x_i L/2 = alpha + beta
     with alpha = a*K*theta and beta = b*theta.  Their sines and cosines are the
-    parts of two power tables (``_power_table``), exp(i a K theta) for a = 0..m//K
-    (or fewer: the tail cut below) and exp(i b theta) for b = 0..K-1, each
+    parts of two power tables (``_power_table``), exp(i a K theta) for a = 0..j//K
+    (j the last kept slot: the tail cut below) and exp(i b theta) for b = 0..K-1, each
     from one cos and one sin per phase length: 4 transcendental calls per
     phase length, not 2m.  Level 0's
     weight rows are b = 0..K-1; level 1 weighs only the even slots i, so its
@@ -162,48 +165,52 @@ def _level_moments(grid: MomentumGrid, phase_lengths: np.ndarray) -> tuple[np.nd
     matrix-vector one (whose summation order differs), and gets the bits of
     its column in a longer call.
 
-    The kernel drops the negligible tail.  It keeps the coarse rows
-    a = 0..j//K, with j the last slot whose density is at least
-    ``_NEGLIGIBLE_DENSITY`` = 2^-64 of the grid's largest (and at least 2
-    rows, as the power table needs).  The coarse table, the a-factors and
-    the matmuls' inner dimension take only those rows.  The kept rows'
-    weights, the fine rows and each level's I, summed over the whole grid,
-    are those of the full sum.  Every dropped slot weighs under 2^-64 of the
-    peak density times its Simpson weight.  With X the half span and D the
-    peak over I, the dropped part of C/I is under 2 X D 2^-64 and that of
-    T/I under X^2 D 2^-64.  On the order-6 supergaussian's +-8 sigma_p grid
+    The kernel drops the negligible tail.  With j the last slot whose density
+    is at least ``_NEGLIGIBLE_DENSITY`` = 2^-64 of the grid's largest, it
+    takes K from j (``_factor_base``), not from m, and keeps the coarse rows
+    a = 0..j//K (at least 2, as the power table needs).  The weight rows, the
+    coarse table, the a-factors and the matmuls' inner dimension take only
+    those rows; each level's I is summed over the whole grid.  At one K, the
+    kept rows' weights are those of the full sum.  Every dropped slot weighs
+    under 2^-64 of the peak density times its Simpson weight.  With X the
+    half span and D the peak over I, the dropped part of C/I is under
+    2 X D 2^-64 and that of T/I under X^2 D 2^-64.  On the order-6 supergaussian's +-8 sigma_p grid
     (D = 1/(3.29 sigma_p)) that is 4.9 * 2^-64 and 19.5 * 2^-64 sigma_p, far
     below the rounding of sums of order 1/2 and sigma_p (2^-53 of them).  At
     small L, where C and T scale as L^2 and L, it is under 2 X^3 D/(3
-    sigma_p^2) 2^-64 = 104 * 2^-64 of them.  On that grid the kernel keeps 14
-    of 33 coarse rows on 513 points (j = 106 of 256) and 54 of 129 on 8,193
-    (j = 1,707 of 4,096).
-    A Gaussian grid (e^-32 of its peak at 8 sigma_p) and a rectangular one
-    keep every row.  Measured against every slot summed (supergaussian
-    orders 2-12, 0.05-300 nm, 129-32,769 points, sigma_p L up to 40), C/I
-    keeps its bits and T/I moves by at most 1.2e-19 sigma_p.  That move is
-    the shorter matmul's summation order, not the dropped mass.
+    sigma_p^2) 2^-64 = 104 * 2^-64 of them.  On that grid j = 106 of m = 256
+    on 513 points, so K = 4 and the kernel builds 27 coarse and 4 fine table
+    rows (K = 8 would give 33 and 8 over the whole half grid), and j = 1,707
+    of 4,096 on 8,193 points: K = 16, 107 coarse and 16 fine rows (129 and 32
+    at K = 32).  A Gaussian grid (e^-32 of its peak at 8 sigma_p) and a
+    rectangular one keep every slot, so j = m.  Measured against every slot
+    summed at the whole half grid's K (supergaussian orders 2-12, 0.05-300
+    nm, 129-32,769 points, sigma_p L up to 40), C/I keeps its bits and T/I
+    moves by at most 1.2e-19 sigma_p.  That move is the shorter matmul's
+    summation order, not the dropped mass; so is the 1-2 ulp move at the
+    cut's own K on the order-4 grid of 32,769 points, whose full sum OpenBLAS
+    splits into blocks of 256 + 257 inner rows, where the cut's 285 rows go
+    in one.
     """
     phase_lengths = np.asarray(phase_lengths, dtype=float)
     m, h = grid.density.size // 2, grid.step
-    base = _factor_base(m)
-    n_coarse = m // base + 1
     kept = np.flatnonzero(grid.density[m + 1 :] >= _NEGLIGIBLE_DENSITY * grid.density.max())  # i - 1 of kept slots i
     last = int(kept[-1]) + 1 if kept.size else 0
+    base = _factor_base(last)
     n_kept = max(last // base, 1) + 1  # coarse rows a = 0..last // K, at least the power table's 2
     rows_b = np.concatenate([np.arange(base), np.arange(0, base, 2)])  # level 0's rows [:K], level 1's [K:]
-    weights = np.empty((n_coarse, 2, rows_b.size))  # a x (C or T, row (level, b)), slot i = a*K + b
+    weights = np.empty((n_kept, 2, rows_b.size))  # a x (C or T, row (level, b)), slot i = a*K + b
     totals = np.empty(2)
-    x = h * np.arange(n_coarse * base)  # x_i = h*i; x[::2] holds the even slots
+    x = h * np.arange(n_kept * base)  # x_i = h*i; x[::2] holds the even slots
     for stride, rows in ((1, slice(base)), (2, slice(base, None))):
         density = grid.density[::stride]
         simpson = _simpson_weights(density.size, stride * h)
-        level = np.zeros((2, n_coarse * base // stride))  # (C or T, slot i = 0, stride, 2*stride, ...)
-        level[0, 1 : m // stride + 1] = (simpson * density)[density.size // 2 + 1 :]
+        level = np.zeros((2, n_kept * base // stride))  # (C or T, slot i = 0, stride, 2*stride, ...)
+        filled = min(m // stride, level.shape[1] - 1)  # slots past m, or past the kept rows, stay out
+        level[0, 1 : filled + 1] = (simpson * density)[density.size // 2 + 1 :][:filled]
         level[1] = level[0] * x[::stride]
-        weights[:, :, rows] = level.reshape(2, n_coarse, -1).transpose(1, 0, 2)
+        weights[:, :, rows] = level.reshape(2, n_kept, -1).transpose(1, 0, 2)
         totals[stride - 1] = float(np.dot(simpson, density))
-    weights = weights[:n_kept]
     sums = weights.sum(axis=0)[..., np.newaxis]  # S of each row
     weights = weights.reshape(n_kept, -1).T
     n = phase_lengths.size

@@ -530,6 +530,8 @@ def _intensity_scale(v: Values, rho: float) -> tuple:
         return i_init * (0.5 * n) * P0_RAD_PER_M * math.sin(2.0 * rho)
 
     i_init = v["delta_i_coherent_V"] / target_m / slope(1.0, 3)
+    require(0.0 < i_init < math.inf, "target_delta_k_n3_fm = {!r} fm gives the intensity scale i_init = {!r} V, "
+            "not a finite positive value", v["target_delta_k_n3_fm"], i_init)
     return i_init, slope(i_init, 1)
 
 

@@ -595,6 +595,18 @@ class TestCli:
         assert err.endswith(" s is below the normal float range\n")
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("scenario_id", ["fig5", "s3_intensity", "s4_weak_values"])
+    def test_overflowing_intensity_scale_exits_3_without_csv(self, scenario_id, tmp_path, capsys):
+        # a 1e-315 m target puts i_init = delta_I / target / slope past the float range: the run
+        # names the key that set it, not a precision or a value derived from it
+        out_file = tmp_path / "out.csv"
+        assert main(["run", scenario_id, "--set", "target_delta_k_n3_fm=1e-300", "--out", str(out_file)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical failure: target_delta_k_n3_fm = 1e-300 fm gives the intensity scale ")
+        assert err.endswith(" V, not a finite positive value\n") and err.count("\n") == 1
+        assert not out_file.exists()
+
     def test_missing_config_file_exits_2(self, capsys):
         assert main(["run", "fig6", "--config", "/nonexistent/cfg.txt"]) == 2
 

@@ -152,19 +152,19 @@ class TestKernel:
         grid = sweep_grid(profile, 1)
         lengths = phase_lengths(1)
         assert grid.points.size == 8193
-        # m = 4096 (13 bits) and K = 2**((13 - 3) // 2) = 32; the density stays at or above
-        # 2**-64 of its peak up to slot 1,707 (3.33 of the 8 sigma_p of the half grid), so
-        # 1707 // 32 + 1 = 54 coarse rows (of 4096 // 32 + 1 = 129) and 32 fine table rows;
-        # 32 + 16 weight rows take 2**14 // (4 * 48) = 85 lengths per block, so the 331
-        # end in a block of 76
+        # the density stays at or above 2**-64 of its peak up to slot 1,707 of m = 4096
+        # (3.33 of the 8 sigma_p of the half grid); 1707 has 11 bits, so K = 2**((11 - 3) // 2)
+        # = 16, and the kernel builds 1707 // 16 + 1 = 107 coarse and 16 fine table rows;
+        # 16 + 8 weight rows take 2**14 // (4 * 24) = 170 lengths per block, so the 331
+        # end in a block of 161
         assert last_kept_slot(grid) == 1707
         shapes = table_shapes(monkeypatch)
         blocked = kernel_levels(grid, lengths)
-        assert shapes == [shape for width in (85, 85, 85, 76) for shape in ((54, width), (32, width))]
+        assert shapes == [shape for width in (170, 161) for shape in ((107, width), (16, width))]
         monkeypatch.setattr(meter, "_BLOCK_ELEMENTS", grid.points.size * lengths.size)
         shapes.clear()
         single = kernel_levels(grid, lengths)
-        assert shapes == [(54, 331), (32, 331)]
+        assert shapes == [(107, 331), (16, 331)]
         # equal up to the summation order BLAS picks for each block's shape: the
         # last columns of the 331-wide product are summed apart from the rest
         for got, want in zip(blocked, single):
@@ -205,21 +205,42 @@ class TestKernel:
             base = meter._factor_base(m)
             assert base >= 2 and base & (base - 1) == 0 and m % base == 0, (m, base)
 
+    def test_factor_base_fits_every_last_kept_slot(self):
+        # the kernel takes K from the last kept slot j = 0..m of every half grid m of
+        # test_factor_base_fits_every_half_grid: K is a power of two, at least 2, and divides
+        # m, and the coarse rows a = 0..max(j // K, 1) are at least the power table's 2 and
+        # reach slot j
+        last = np.arange(MAX_GRID_POINTS // 2 + 1)
+        base = np.fromiter(map(meter._factor_base, range(last.size)), int, last.size)
+        assert np.all(base >= 2) and np.all(base & (base - 1) == 0)
+        n_kept = np.maximum(last // base, 1) + 1
+        assert np.all(n_kept >= 2) and np.all(n_kept * base > last)
+        for m in (2**j for j in range(1, 21)):
+            assert np.all(m % base[: m + 1] == 0), m
+
     @pytest.mark.parametrize("order", [2, 4, 6, 8, 12])
     def test_negligible_slots_match_full_sum(self, order, monkeypatch):
         # the slots past the last whose density is at least 2**-64 of the peak move
         # C/I by nothing and T/I by at most 1.2e-19 sigma_p (measured) against every
-        # slot summed, as with the fraction at 0
+        # slot summed, as with the fraction at 0; K, which follows the cut, is pinned
+        # on both sides to the whole half grid's, so the two sides differ in the dropped
+        # coarse rows only. (At the cut's own K, 32, the order-4 grid of 32,769 points
+        # keeps 285 of 513 coarse rows; OpenBLAS sums the 513-row product as 256 + 257
+        # rows, so rows 256-284 enter the full sum as a partial of their own, and the two
+        # sides differ by 1 or 2 ulp from that regrouping alone: the full sum with the
+        # dropped slots zeroed keeps the full sum's C/I bits.)
         for width_nm in (0.05, 0.5, 6.0, 300.0):
             profile = SpectralProfile("supergaussian", LAMBDA0, width_nm * 1e-9, order=order)
             sigma_p = effective_sigma_p(profile)
             lengths = np.concatenate([[0.0], np.geomspace(1e-6, 40.0, 41) / sigma_p])
             for n_points in (129, 513, 8193, 32769):
                 grid = build_grid(profile, min_points=n_points)
+                base = meter._factor_base(n_points // 2)
                 with monkeypatch.context() as patch:
+                    patch.setattr(meter, "_factor_base", lambda last: base)
+                    c, t = KERNEL(grid, lengths)
                     patch.setattr(meter, "_NEGLIGIBLE_DENSITY", 0.0)
                     c_full, t_full = KERNEL(grid, lengths)
-                c, t = KERNEL(grid, lengths)
                 assert np.max(np.abs(c - c_full)) <= 1e-18
                 assert np.max(np.abs(t - t_full)) <= 1e-18 * sigma_p
 
@@ -238,24 +259,53 @@ class TestKernel:
         np.testing.assert_array_equal(c, c_full)
         np.testing.assert_array_equal(t, t_full)
 
-    @pytest.mark.parametrize("n_points", [513, 8193])
+    @pytest.mark.parametrize("n_points, n_coarse, base", [pytest.param(513, 33, 8, id="513"),
+                                                          pytest.param(8193, 129, 32, id="8193")])
     @pytest.mark.parametrize("shape", ["gaussian", "rectangular"])
-    def test_gaussian_and_rectangle_keep_every_row(self, shape, n_points, monkeypatch):
-        # the Gaussian is e**-32 of its peak at the 8 sigma_p edge, the rectangle flat
+    def test_gaussian_and_rectangle_keep_every_row(self, shape, n_points, n_coarse, base, monkeypatch):
+        # the Gaussian is e**-32 of its peak at the 8 sigma_p edge, the rectangle flat: the
+        # last kept slot is m, 256 (9 bits, K = 2**((9 - 3) // 2) = 8) or 4,096 (13 bits,
+        # K = 32), and the kernel builds m // K + 1 coarse rows, 33 or 129
         grid = build_grid(SpectralProfile(shape, LAMBDA0, 6e-9), min_points=n_points)
-        m = n_points // 2
-        assert last_kept_slot(grid) == m
+        assert last_kept_slot(grid) == n_points // 2
         shapes = table_shapes(monkeypatch)
         KERNEL(grid, phase_lengths(1))
-        assert shapes[0][0] == m // meter._factor_base(m) + 1
+        assert [rows for rows, _ in shapes[:2]] == [n_coarse, base]
+
+    @pytest.mark.parametrize("n_points, last, n_coarse, base", [pytest.param(513, 106, 27, 4, id="513"),
+                                                                pytest.param(8193, 1707, 107, 16, id="8193")])
+    def test_supergaussian_rows_follow_the_cut(self, n_points, last, n_coarse, base, monkeypatch):
+        # the order-6 supergaussian keeps the slots up to 3.33 sigma_p, 106 of 256 (7 bits,
+        # K = 2**((7 - 3) // 2) = 4) or 1,707 of 4,096 (11 bits, K = 16), and the kernel
+        # builds 106 // 4 + 1 = 27 or 1707 // 16 + 1 = 107 coarse rows, where K from m
+        # gave 33 and 129 coarse rows over the whole half grid (14 and 54 of them kept)
+        grid = build_grid(SpectralProfile("supergaussian", LAMBDA0, 6e-9), min_points=n_points)
+        assert grid.points.size == n_points and last_kept_slot(grid) == last
+        shapes = table_shapes(monkeypatch)
+        KERNEL(grid, phase_lengths(1))
+        assert [rows for rows, _ in shapes[:2]] == [n_coarse, base]
 
     @pytest.mark.parametrize("scenario_id", ["fig3a", "fig3b", "fig4"])
     def test_sweep_csvs_match_full_sum(self, scenario_id, monkeypatch):
+        # K follows the cut, so the full sum replays the K of each of the cut's kernel
+        # calls, in order, and only the dropped slots differ
         config = make_config(scenario_id)
-        result = execute_scenario(config)
+        bases = []
+        factor_base = meter._factor_base
+
+        def recording_factor_base(last):
+            bases.append(factor_base(last))
+            return bases[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(meter, "_factor_base", recording_factor_base)
+            result = execute_scenario(config)
+        replay = iter(bases)
         with monkeypatch.context() as patch:
             patch.setattr(meter, "_NEGLIGIBLE_DENSITY", 0.0)
+            patch.setattr(meter, "_factor_base", lambda last: next(replay))
             full = execute_scenario(config)
+        assert next(replay, None) is None
         assert scenarios.render_csv(result, config) == scenarios.render_csv(full, config)
         assert {k: repr(v) for k, v in result.summary.items()} == {k: repr(v) for k, v in full.summary.items()}
 
@@ -285,10 +335,11 @@ class TestKernel:
         finally:
             tracemalloc.stop()
         # the (level, L) results and one block's arrays: the ss and sc products
-        # over 8 + 4 weight rows (2**14 values), which the rows' C and T overwrite,
-        # the complex power tables of 14 kept coarse and 8 fine rows, the two
-        # a-factor products and the 12 gathered fine rows with their square; 1.09 MiB
-        # (1,140,736 B) on this call, 1.21 MiB with every coarse row kept
+        # over 4 + 2 weight rows (2**14 values), which the rows' C and T overwrite,
+        # the complex power tables of 27 kept coarse and 4 fine rows, the two
+        # a-factor products and the 6 gathered fine rows with their square; 1.45 MiB
+        # (1,519,720 B) on this call, 1.21 MiB with every slot kept (K = 8, 33 coarse
+        # rows, 341-wide blocks)
         assert transient <= 1.60 * 2**20
 
     @pytest.mark.parametrize("n", [1, 3])
@@ -451,16 +502,15 @@ class TestAdaptiveSweep:
         config = make_config("fig3b")
         execute_scenario(config)
         n_lengths = TAUS_AS.size * int(config.params["n_widths"])
-        # one kernel call on the 513-point grid takes every width's taus, and its
-        # m = 256 half-grid points (9 bits) factor with K = 2**((9 - 3) // 2) = 8; the
-        # density stays at or above 2**-64 of its peak up to slot 106, so the kernel
-        # builds 106 // 8 + 1 = 14 coarse (of 256 // 8 + 1 = 33) and 8 fine table rows
-        # per tau, each table from one cos and one sin per tau: 4 elements per tau reach
-        # sin and cos, where the angles of every row took 66; 8 + 4 weight rows take
-        # 2**14 // (4 * 12) = 341 taus per block
+        # one kernel call on the 513-point grid takes every width's taus; the density
+        # stays at or above 2**-64 of its peak up to slot 106 of m = 256, and 106 has
+        # 7 bits, so K = 2**((7 - 3) // 2) = 4 and the kernel builds 106 // 4 + 1 = 27
+        # coarse and 4 fine table rows per tau, each table from one cos and one sin per
+        # tau: 4 elements per tau reach sin and cos, where the angles of every row took
+        # 66; 4 + 2 weight rows take 2**14 // (4 * 6) = 682 taus per block
         assert calls == [(513, n_lengths, 4 * n_lengths)]
-        widths = [min(341, n_lengths - lo) for lo in range(0, n_lengths, 341)]
-        assert shapes == [shape for width in widths for shape in ((14, width), (8, width))]
+        widths = [min(682, n_lengths - lo) for lo in range(0, n_lengths, 682)]
+        assert shapes == [shape for width in widths for shape in ((27, width), (4, width))]
 
 
 def per_job_sweep(profile, n):
