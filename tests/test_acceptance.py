@@ -1,16 +1,14 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one test per check, each printing a PASS/FAIL line.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  Criteria 1-9 are stated once, by the check functions in
-``wva_lab.verify.CRITERIA`` (the checks behind ``wva-lab verify``); one test
-is generated per entry, so a criterion added there is tested here too, and
-each such test gives its check a fresh ``ScenarioRuns``, so it runs the
-scenarios it reads itself.  Criterion 4's verify check covers fig3a's
-rates; its fig3b half, the largest rate and the band, is tested here
+Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
+Criteria 1-9 are stated once, by the rows of ``wva_lab.verify.CHECKS``
+(the checks behind ``wva-lab verify``); ``test_criterion`` runs each row on
+a fresh ``ScenarioRuns``, so it runs the scenarios it reads itself.
+Criterion 4's fig3b half (the largest rate and the band) is tested here
 alone.  Criterion 10 runs every scenario and ``verify`` within a time bound
 and reruns each scenario for byte-identical CSVs.  The remaining tests hold
-``wva-lab verify`` to its line names, to the scenario results and paper
-numbers it reads, and to one run of each scenario it reads per call.
+``wva-lab verify`` to its rows, to the scenario results and paper numbers
+it reads, and to one run of each scenario it reads per call.
 """
 import io
 import math
@@ -22,10 +20,11 @@ import pytest
 from wva_lab.cli import main
 from wva_lab.paper import PAPER
 from wva_lab.scenarios import SCENARIOS, ScenarioResult, execute_scenario, make_config, render_csv
-from wva_lab.verify import CRITERIA, ScenarioRuns, compare_quoted, verify_all
+from wva_lab.verify import CHECKS, ScenarioRuns, compare_quoted, verify_all
 
 # wall-clock bounds (seconds) on the verify checks that sweep a case matrix
-RUNTIME_BOUNDS_S = {1: 30.0, 2: 10.0}
+RUNTIME_BOUNDS_S = {"oracle_equivalence": 30.0, "closed_form_consistency": 10.0}
+ROWS = pytest.mark.parametrize("check", CHECKS, ids=[check.name for check in CHECKS])
 
 
 def _criterion(num: int, name: str, ok: bool, detail: str) -> None:
@@ -33,34 +32,19 @@ def _criterion(num: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num:02d} {name}: {detail}"
 
 
-def _verify_criterion_test(num: int, check):
-    name = check.__name__.removeprefix("check_")
-
-    def test():
-        start = time.perf_counter()
-        lines = check(ScenarioRuns())
-        elapsed = time.perf_counter() - start
-        bound = RUNTIME_BOUNDS_S.get(num, math.inf)
-        detail = "; ".join(f"{n}: {'PASS' if ok else 'FAIL'} ({d})" for n, ok, d in lines)
-        _criterion(
-            num,
-            name,
-            all(ok for _, ok, _ in lines) and elapsed < bound,
-            f"{detail}; {elapsed:.1f} s" + (f" (< {bound:.0f} s)" if bound < math.inf else ""),
-        )
-
-    test.__name__ = f"test_criterion_{num:02d}_{name}"
-    return test
-
-
-for _num, _check in CRITERIA.items():
-    _test = _verify_criterion_test(_num, _check)
-    globals()[_test.__name__] = _test
+@ROWS
+def test_criterion(check):
+    start = time.perf_counter()
+    ok, detail = check.evaluate(ScenarioRuns())
+    elapsed = time.perf_counter() - start
+    bound = RUNTIME_BOUNDS_S.get(check.name, math.inf)
+    detail += f"; {elapsed:.1f} s" + (f" (< {bound:.0f} s)" if bound < math.inf else "")
+    _criterion(check.criterion, check.name, ok and elapsed < bound, detail)
 
 
 def test_criterion_04_shift_rates():
-    # fig3b's half of criterion 4, not a verify check: its 48-width map
-    # would add about a third to a verify run
+    # fig3b's half of criterion 4, not a row of verify's CHECKS: its
+    # 48-width map would add about a quarter to a verify run
     runs = ScenarioRuns()
     ok, detail = compare_quoted(runs, ["fig3b.max_rate_nm_per_as"])
     lo, hi = (runs["fig3b"].summary[f"band_{edge}_sigma_lambda_nm"] for edge in ("lo", "hi"))
@@ -94,11 +78,21 @@ def _failed_lines(capsys) -> list:
     return [text.split(":")[0] for text in capsys.readouterr().out.splitlines() if ": FAIL (" in text]
 
 
+@pytest.fixture(scope="module")
+def verify_lines() -> list:
+    stream = io.StringIO()
+    verify_all(stream)
+    return stream.getvalue().splitlines()
+
+
 def test_verify_line_names(capsys):
+    names, criteria = [check.name for check in CHECKS], [check.criterion for check in CHECKS]
+    assert names == VERIFY_LINES and len(set(names)) == len(names)
+    assert criteria == sorted(criteria) and set(criteria) == set(range(1, 10))
     assert main(["verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [text.split(":")[0] for text in lines] == [*VERIFY_LINES, "verify"]
-    assert lines[-1] == f"verify: PASS ({len(VERIFY_LINES)} checks)"
+    assert lines[-1] == f"verify: PASS ({len(VERIFY_LINES)} checks, 4 by construction)"
 
 
 @pytest.mark.parametrize(
@@ -144,10 +138,13 @@ def test_verify_runs_each_scenario_it_reads_once_per_call(monkeypatch):
     assert sorted(calls) == sorted(read * 2)
 
 
-def test_weak_value_roundtrip_labelled_by_construction(capsys):
-    verify_all()
-    line = next(text for text in capsys.readouterr().out.splitlines() if text.startswith("weak_value_roundtrip: "))
-    assert "[holds by construction: " in line
+@ROWS
+def test_verify_labels_by_construction(verify_lines, check):
+    line = next(text for text in verify_lines if text.startswith(f"{check.name}: "))
+    if check.by_construction:
+        assert line.endswith(f" [holds by construction: {check.by_construction}])")
+    else:
+        assert "[holds by construction" not in line
 
 
 def test_criterion_10_runtime_and_determinism(tmp_path):

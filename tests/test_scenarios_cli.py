@@ -522,7 +522,7 @@ class TestCli:
         # to 0, and the check measures the quadrature's shift against sigma_p.
         # The run reaches the oracle and writes its table; it exits 3 on
         # pass=false, as it does today (the oracle's 1e-10 gate fails at this
-        # N k, ROADMAP item 1).
+        # N k, ROADMAP item 8).
         out_file = tmp_path / "o.csv"
         code = main(
             ["run", "oracle_suite", "--set", "k_list_m=0,1e-12,1e-10,3e-3", "--out", str(out_file)]
@@ -706,13 +706,13 @@ class TestCli:
         assert out_file.exists()
         assert "pass=false" in capsys.readouterr().out
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the collapsed density is not exact near its zeros "
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 8: the collapsed density is not exact near its zeros "
                        "(deviation 9.376e-9 at gamma = 2 pi against the 1e-10 gate)")
     def test_suite_passes_at_every_gamma(self, tmp_path):
         argv = ["run", "oracle_suite", "--set", "gamma_pi_list=0,2.0", "--out", str(tmp_path / "o.csv")]
         assert main(argv) == 0
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the collapsed density and the oracle part at large N*k "
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 8: the collapsed density and the oracle part at large N*k "
                        "(deviation 5.60e-7 at k = 2.5e-3 m against the 1e-10 gate)")
     def test_suite_passes_at_large_nk(self, tmp_path):
         argv = ["run", "oracle_suite", "--set", "k_list_m=0,1e-12,2.5e-3", "--out", str(tmp_path / "o.csv")]
