@@ -32,6 +32,7 @@ from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError, NumericalError, require
 from .lgi import k31, negativity_boundary_scan, quantum_region_boundary, weak_value_from_shift
 from .meter import (
+    _finite_half_phase,
     _half_phase_sine,
     collapsed_density,
     collapsed_sweep,
@@ -774,15 +775,16 @@ def oracle_deviation_rows(values: Values) -> list:
 def closed_form_deviations(values: Values) -> tuple:
     """Worst relative deviations (probability, delta_p) of the refinement-guarded
     quadrature from the Gaussian closed forms, over the matrix's Gaussian cases
-    with gamma = 0 and k != 0: for each N, one ``collapsed_density`` call and one
-    closed-form evaluation over the (k, rho) matrix of those cases.
+    with gamma = 0 and k != 0: one ``collapsed_density`` family and one
+    closed-form evaluation over the (N, k, rho) matrix of those cases, as
+    settings of one pass of N*k, on one grid sized for the largest N*k.
 
     Where the closed-form shift is exactly 0 (its damping underflows once
     sigma_p * L passes ~38), the quadrature's shift is measured against
     sigma_p, as ``collapsed_density``'s guard does.  Raises ConfigError where
     the matrix has no such case (the check would compare nothing), and
-    NumericalError, naming the first such case, where a closed form is not
-    finite or the probability is not positive.
+    NumericalError, naming the first such case, where a phase (N*k included)
+    or a closed form is not finite or the probability is not positive.
     """
     ks = [k for k in values["k_list_m"] if k != 0.0]
     gamma_pi = next((g for g in values["gamma_pi_list"] if g == 0.0), None)
@@ -791,21 +793,20 @@ def closed_form_deviations(values: Values) -> tuple:
                           "gamma_pi = 0 and k != 0: the closed-form check would compare nothing")
     profile = _profile(values, values["sigma_lambda_nm"], "gaussian")
     sigma_p = effective_sigma_p(profile)
-    k, rho = np.array(ks)[:, np.newaxis], np.array(values["rho_list_rad"])
-    worst_prob = worst_shift = 0.0
-    for n in values["n_list"]:
-        settings = MwiSettings(n, k, _gamma_length(gamma_pi), rho)
-        case = f"shape=gaussian n={n} k={{!r}} rho={{!r}} gamma_pi={gamma_pi!r}"
-        prob_closed = postselection_probability_gaussian(sigma_p, P0_RAD_PER_M, settings)
-        require((prob_closed > 0.0) & np.isfinite(prob_closed),
-                f"closed-form probability is {{!r}} for case {case}: no relative deviation", prob_closed, k, rho)
-        shift_closed = pointer_shift_p_gaussian(sigma_p, P0_RAD_PER_M, settings)
-        require(np.isfinite(shift_closed), f"closed-form shift is {{!r}} for case {case}", shift_closed, k, rho)
-        quad = collapsed_density(profile, settings)
-        worst_prob = max(worst_prob, float(np.max(np.abs(quad.postselection_probability - prob_closed) / prob_closed)))
-        scale = np.where(shift_closed == 0.0, sigma_p, np.abs(shift_closed))
-        worst_shift = max(worst_shift, float(np.max(np.abs(quad.delta_p - shift_closed) / scale)))
-    return worst_prob, worst_shift
+    n, k = np.array(values["n_list"])[:, np.newaxis, np.newaxis], np.array(ks)[:, np.newaxis]
+    rho, gamma = np.array(values["rho_list_rad"]), _gamma_length(gamma_pi)
+    _finite_half_phase(P0_RAD_PER_M, n * k + gamma, rho)  # N*k may overflow where no k does
+    settings = MwiSettings(1, n * k, gamma, rho)
+    case = f"shape=gaussian n={{:.0f}} k={{!r}} rho={{!r}} gamma_pi={gamma_pi!r}"
+    prob_closed = postselection_probability_gaussian(sigma_p, P0_RAD_PER_M, settings)
+    require((prob_closed > 0.0) & np.isfinite(prob_closed),
+            f"closed-form probability is {{!r}} for case {case}: no relative deviation", prob_closed, n, k, rho)
+    shift_closed = pointer_shift_p_gaussian(sigma_p, P0_RAD_PER_M, settings)
+    require(np.isfinite(shift_closed), f"closed-form shift is {{!r}} for case {case}", shift_closed, n, k, rho)
+    quad = collapsed_density(profile, settings)
+    worst_prob = float(np.max(np.abs(quad.postselection_probability - prob_closed) / prob_closed))
+    scale = np.where(shift_closed == 0.0, sigma_p, np.abs(shift_closed))
+    return worst_prob, float(np.max(np.abs(quad.delta_p - shift_closed) / scale))
 
 
 # the suite's gates: the oracle pointwise, the closed-form probability and shift relative

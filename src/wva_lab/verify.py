@@ -109,16 +109,11 @@ def _mwi_amplification(runs: ScenarioRuns) -> tuple:
     k = 1e-12
     rho = PAPER["rho_rad"].value
     profile = SpectralProfile("gaussian", LAMBDA0_M, 6e-9)
-    shifts = {}
-    intens = {}
-    for n in (1, 2, 3):
-        settings = MwiSettings(n, k, 0.0, rho)
-        shifts[n] = collapsed_density(profile, settings).delta_lambda
-        _, intens[n] = intensity_after_postselection(1.0, 0.0, P0_RAD_PER_M, settings)
-    worst = 0.0
-    for n in (2, 3):
-        worst = max(worst, abs(shifts[n] / shifts[1] - n) / n)
-        worst = max(worst, abs(intens[n] / intens[1] - n) / n)
+    n = np.array([1, 2, 3])
+    settings = MwiSettings(1, n * k, 0.0, rho)  # N = 1, 2, 3 as one family of single passes of N*k
+    shifts = collapsed_density(profile, settings).delta_lambda
+    _, intens = intensity_after_postselection(1.0, 0.0, P0_RAD_PER_M, settings)
+    worst = max(float(np.max(np.abs(values[1:] / values[0] - n[1:]) / n[1:])) for values in (shifts, intens))
     return worst <= 5e-3, f"worst |ratio/N - 1| = {worst:.3e} (tol 5e-3) at N*k*p0 = {3 * k * P0_RAD_PER_M:.2e}"
 
 
@@ -162,7 +157,8 @@ def _weak_value_roundtrip(runs: ScenarioRuns) -> tuple:
             forward = intensity_shift_approx(0.0, P0_RAD_PER_M, MwiSettings(n, k, 0.0, rhos))
             rec = weak_value_from_shift(forward, k, P0_RAD_PER_M, 0.0, n)
             worst = max(worst, float(np.max(np.abs(rec - theory) / theory)))
-    return worst <= 1e-9, f"worst rel error {worst:.3e} (tol 1e-9)"
+    # 100x the measured worst (1.270e-16), rounded up to a power of ten
+    return worst <= 1e-13, f"worst rel error {worst:.3e} (tol 1e-13)"
 
 
 def _anomalous_weak_value(runs: ScenarioRuns) -> tuple:

@@ -1,5 +1,8 @@
 """The direct path's collapsed density, the tests' reference for the kernel,
-the oracle and s2's table."""
+the oracle and s2's table; and the oracle's collapsed density in its literal
+complex form."""
+import numpy as np
+
 from wva_lab import meter
 
 
@@ -8,3 +11,10 @@ def direct_collapse(grid, phase_length, rho):
     the exact rewrite of (1 - cos)/2 and avoids cancellation at small arguments."""
     s = meter._half_phase_sine(grid.points, phase_length, rho)
     return grid.density * s * s
+
+
+def literal_oracle_density(factor, root_density):
+    """|z|^2 as the real part of z * conj(z), z = factor * sqrt(Omega): the
+    complex form that ``meter._oracle_project`` squares part by part."""
+    z = factor * root_density
+    return (z * np.conj(z)).real

@@ -15,8 +15,10 @@ import math
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from wva_lab import verify
 from wva_lab.cli import main
 from wva_lab.paper import PAPER
 from wva_lab.scenarios import SCENARIOS, ScenarioResult, execute_scenario, make_config, render_csv
@@ -136,6 +138,20 @@ def test_verify_runs_each_scenario_it_reads_once_per_call(monkeypatch):
     assert sorted(calls) == read
     assert verify_all(io.StringIO())  # a second call verifies afresh
     assert sorted(calls) == sorted(read * 2)
+
+
+def test_mwi_amplification_makes_one_collapse(monkeypatch):
+    # N = 1, 2, 3 are read out as one family of single passes of N*k, on one guarded grid
+    calls, collapse = [], verify.collapsed_density
+
+    def spy(profile, settings):
+        calls.append(np.shape(settings.phase_length))
+        return collapse(profile, settings)
+
+    monkeypatch.setattr(verify, "collapsed_density", spy)
+    check = next(check for check in CHECKS if check.name == "mwi_amplification")
+    assert check.evaluate(ScenarioRuns())[0]
+    assert calls == [(3,)]
 
 
 @ROWS

@@ -24,7 +24,7 @@ from wva_lab.polarization import MwiSettings
 from wva_lab.scenarios import LAMBDA0_M as LAMBDA0, P0_RAD_PER_M as P0, make_config
 from wva_lab.spectra import SpectralProfile, build_grid, effective_sigma_p, grid_point_count
 
-from direct_path import direct_collapse
+from direct_path import direct_collapse, literal_oracle_density
 
 SIGMA_P_6NM = 15691.617832706564
 SIN2_0002 = 3.9999946666695111e-6
@@ -432,6 +432,19 @@ class TestOracle:
         prob, delta_p = oracle_moments(grid, stepwise)
         assert prob == pytest.approx(oracle.postselection_probability, rel=1e-14)
         assert delta_p == pytest.approx(oracle.delta_p, rel=1e-14)
+
+    @pytest.mark.parametrize("rho", [0.002, 0.01, 0.1, 1.2])
+    @pytest.mark.parametrize("k", [1e-12, 2.5e-3])
+    def test_projection_has_the_literal_complex_bits(self, k, rho):
+        # numpy's complex product rounds Re(z conj z) as fma(a, a, b*b), which can differ by an ulp from
+        # a*a + b*b; the oracle's factor has a real part of exactly 0 (balanced preselection, and a
+        # postselection state whose two amplitudes have opposite real parts), so the two agree bit for bit
+        settings = MwiSettings(3, k, 1.9 * math.pi / P0, rho)
+        grid = build_grid(gaussian(), settings)
+        factor = _oracle_factor(_oracle_amplitude(grid.points, settings), rho)
+        root_density = np.sqrt(grid.density)
+        assert not factor.real.any()
+        assert _oracle_project(factor, root_density).tobytes() == literal_oracle_density(factor, root_density).tobytes()
 
     @pytest.mark.parametrize("sequential", [False, True])
     def test_array_core_is_the_oracle(self, sequential):

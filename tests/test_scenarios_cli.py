@@ -11,7 +11,6 @@ import pytest
 from wva_lab import cli, meter, scenarios
 from wva_lab.cli import main
 from wva_lab.errors import ConfigError, NumericalError
-from wva_lab.meter import collapsed_density
 from wva_lab.paper import PAPER
 from wva_lab.polarization import MwiSettings
 from wva_lab.scenarios import (
@@ -31,7 +30,7 @@ from wva_lab.scenarios import (
 )
 from wva_lab.spectra import build_grid, effective_sigma_p
 
-from direct_path import direct_collapse
+from direct_path import direct_collapse, literal_oracle_density
 
 EXPECTED_IDS = {
     "fig3a",
@@ -607,6 +606,17 @@ class TestCli:
         assert err.endswith(" V, not a finite positive value\n") and err.count("\n") == 1
         assert not out_file.exists()
 
+    def test_overflowing_n_k_exits_3_without_csv(self, tmp_path, capsys):
+        # N*k = 262144 x 1e304 overflows where k does not; the closed-form check still names the
+        # first case whose phase is not finite (N = 1, k = 1e304), with no traceback
+        out_file = tmp_path / "out.csv"
+        argv = ["run", "oracle_suite", "--set", "n_list=1,262144", "--set", "k_list_m=0,1e-12,1e304"]
+        assert main(argv + ["--out", str(out_file)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numerical failure: postselection phase L*p0 + 2 rho = inf for L = 1e+304 m: no probability\n"
+        assert not out_file.exists()
+
     def test_missing_config_file_exits_2(self, capsys):
         assert main(["run", "fig6", "--config", "/nonexistent/cfg.txt"]) == 2
 
@@ -791,12 +801,10 @@ class TestOracleRows:
             shape, width_nm, n, k, rho, gamma_pi = case
             profile = scenarios._profile(values, width_nm, shape)
             settings = MwiSettings(n, k, scenarios._gamma_length(gamma_pi), rho)
-            grid = build_grid(profile, settings)
-            direct = collapsed_density(profile, settings)
-            assert np.array_equal(direct.density.points, grid.points)  # the guard kept the grid built here
-            d = direct_collapse(direct.density, settings.phase_length, settings.rho)
-            amp_h = meter._oracle_amplitude(direct.density.points, settings)
-            o = meter._oracle_project(meter._oracle_factor(amp_h, settings.rho), np.sqrt(direct.density.density))
+            grid = build_grid(profile, settings)  # the case's grid, whatever collapsed_density's guard accepts
+            d = direct_collapse(grid, settings.phase_length, settings.rho)
+            amp_h = meter._oracle_amplitude(grid.points, settings)
+            o = literal_oracle_density(meter._oracle_factor(amp_h, settings.rho), np.sqrt(grid.density))
             mask = d > 1e-15 * float(d.max())
             rows.append((*case, float(np.max(np.abs(d[mask] - o[mask]) / d[mask]))))
         return rows
@@ -816,30 +824,31 @@ class TestOracleRows:
     @staticmethod
     def _spy_evaluations(monkeypatch):
         """Record each oracle phase as (points, L), each half-phase sine as
-        (points, L, rho), each oracle factor as (phase, rho) and each
-        deviation as (sine, factor, density), arrays by the hash of their bytes."""
+        (points, L, rho), with the (points, L) of the phase taken last, each
+        oracle factor as (phase, rho) and each deviation as (sine, factor,
+        density), arrays by the hash of their bytes."""
         calls = {"phase": [], "sine": [], "factor": [], "deviation": []}
-        amplitude, sine, factor, deviation = (
-            meter._oracle_amplitude, meter._half_phase_sine, meter._oracle_factor, meter._oracle_deviation)
+        amplitude, half_phase, factor, deviation = (
+            meter._oracle_amplitude, meter._half_phase_of, meter._oracle_factor, meter._oracle_deviation)
 
         def spy_amplitude(points, settings):
             calls["phase"].append((hash(points.tobytes()), settings.phase_length))
             return amplitude(points, settings)
 
-        def spy_sine(points, phase_length, rho):
-            calls["sine"].append((hash(points.tobytes()), phase_length, rho))
-            return sine(points, phase_length, rho)
+        def spy_half_phase(scaled, rho, out=None):
+            calls["sine"].append((*calls["phase"][-1], rho))
+            return half_phase(scaled, rho, out=out)
 
         def spy_factor(amp_h, rho):
             calls["factor"].append((hash(amp_h.tobytes()), rho))
             return factor(amp_h, rho)
 
-        def spy_deviation(s, f, density, root_density):
+        def spy_deviation(s, f, density, root_density, mask):
             calls["deviation"].append((hash(s.tobytes()), hash(f.tobytes()), hash(density.tobytes())))
-            return deviation(s, f, density, root_density)
+            return deviation(s, f, density, root_density, mask)
 
         monkeypatch.setattr(meter, "_oracle_amplitude", spy_amplitude)
-        monkeypatch.setattr(meter, "_half_phase_sine", spy_sine)
+        monkeypatch.setattr(meter, "_half_phase_of", spy_half_phase)
         monkeypatch.setattr(meter, "_oracle_factor", spy_factor)
         monkeypatch.setattr(meter, "_oracle_deviation", spy_deviation)
         return calls
@@ -861,6 +870,24 @@ class TestOracleRows:
         assert len(calls["sine"]) == len(set(calls["sine"])) == 84
         assert len(calls["factor"]) == 84  # at L = 0 both sets of points give the same phase
         assert len(calls["deviation"]) == len(set(calls["deviation"])) == 126
+
+    @pytest.mark.parametrize("sets", [
+        {},
+        {"gamma_pi_list": "0,2.0"},
+        {"k_list_m": "0,1e-12,2.5e-3"},  # 16,385-point grids
+        {"sigma_lambda_nm": "0.5"},
+        {"order": "10"},
+        {"rho_list_rad": "0.001,0.3,1.2"},
+        {"n_list": "1,5", "sigma_lambda_nm": "30"},
+    ], ids=["default", "gamma", "large_nk", "narrow", "order10", "rho", "n5_30nm"])
+    def test_rows_equal_case_by_case_reference(self, sets):
+        # the shared buffers, the crop at exact zeros and the squared projection keep every
+        # deviation's bits: each row equals its case computed alone, with the literal complex |z|^2
+        values = make_config("oracle_suite", sets).values
+        expected = self._reference_rows(values)
+        rows = oracle_deviation_rows(values)
+        assert [row[:-1] for row in rows] == [row[:-1] for row in expected]
+        assert np.array([row[-1] for row in rows]).tobytes() == np.array([row[-1] for row in expected]).tobytes()
 
     def test_one_grid_per_point_count(self, monkeypatch):
         # N k = 7.5e-3 m needs twice the 8,193-point floor on the 8-sigma span
@@ -1005,9 +1032,10 @@ class TestScenarioPhysicsSpots:
         deviations = scenarios.closed_form_deviations(values)
         assert np.all(np.isfinite(deviations)) and max(deviations) <= 1e-6
 
-    def test_closed_form_deviations_one_collapse_per_n(self, monkeypatch):
+    def test_closed_form_deviations_one_collapse_family(self, monkeypatch):
         # the 18 Gaussian, gamma = 0, k != 0 cases of the default matrix are
-        # read out as one (k, rho) family per N, on one guarded grid each
+        # read out as one (N, k, rho) family of single passes of N*k, on one
+        # guarded grid
         calls, grids = [], []
         collapse, build = scenarios.collapsed_density, meter.build_grid
 
@@ -1023,8 +1051,8 @@ class TestScenarioPhysicsSpots:
         monkeypatch.setattr(scenarios, "build_grid", spy_build)
         monkeypatch.setattr(meter, "build_grid", spy_build)
         scenarios.closed_form_deviations(make_config("oracle_suite").values)
-        assert calls == [(2, 3)] * 3
-        assert [grid.points.size for grid in grids] == [8193] * 3
+        assert calls == [(3, 2, 3)]
+        assert [grid.points.size for grid in grids] == [8193]
 
     def test_fig6_rows_match_library(self):
         from wva_lab.lgi import k31
