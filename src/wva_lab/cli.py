@@ -84,8 +84,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except OSError as exc:
             # run_scenario opens the file only after the table is rendered and
             # prints the summary only after it is written, so none was printed
-            out_path = config.out_path or f"{config.scenario_id}.csv"
-            raise ConfigError(f"cannot write output file {out_path!r}: {exc.strerror or exc}") from exc
+            raise ConfigError(f"cannot write output file {config.out_path!r}: {exc.strerror or exc}") from exc
         if result.summary.get("pass") is False:
             return 3
         return 0

@@ -19,16 +19,18 @@ whose row counts ``_factor_base`` sets by what a row of each costs.  The
 coarse rows stop at the last slot whose density is at least
 ``_NEGLIGIBLE_DENSITY`` (2^-64) of the grid's peak, as the slots past it
 add less than the sums' rounding; no grid changes for it.
-``collapse_moments_on_grid`` composes the two steps at level 0.
+``_levels_readout`` is the one readout of the kernel: it composes the two
+steps for both levels, at phase lengths that may be scaled by a scale
+family's r.  ``collapse_moments_on_grid`` is its level 0.
 ``collapsed_density(profile, settings)`` builds its own grid for one
 setting or a family (k or rho an array), reads levels 0 and 1 for every
 member with one kernel call and doubles the grid until they agree; it
 takes no other argument, so there is one way to call it.
-``collapsed_sweep(jobs, ks, gamma, rho)`` gives the sweeps' traces: it calls
-the two steps apart, to read a kernel call made at scaled phase lengths out
-at each source's own, and doubles each job's grid until levels 0 and 1
-agree.  Both accept a grid by one test, ``_levels_agree``; the grid levels
-stay inside this module.  The exact Gaussian forms are the Gaussian row of
+``collapsed_sweep(jobs, ks, gamma, rho)`` gives the sweeps' traces: it
+reads a kernel call made at scaled phase lengths out at each source's own,
+and doubles each job's grid until levels 0 and 1 agree.  Both accept a
+grid by one test, ``_levels_agree``; the grid levels stay inside this
+module.  The exact Gaussian forms are the Gaussian row of
 the readout: ``_gaussian_moments`` gives C/I and T/I from the characteristic
 function.
 Alongside them are the linear-regime approximations (through the weak value
@@ -191,9 +193,8 @@ def _level_moments(grid: MomentumGrid, phase_lengths: np.ndarray) -> tuple[np.nd
     small L, where C and T scale as L^2 and L, it is under 2 X^3 D/(3
     sigma_p^2) 2^-64 = 104 * 2^-64 of them.  On that grid j = 106 of m = 256
     on 513 points, so K = 4 and the kernel builds 27 coarse and 4 fine table
-    rows (K = 8 would give 33 and 8 over the whole half grid), and j = 1,707
-    of 4,096 on 8,193 points: K = 16, 107 coarse and 16 fine rows (129 and 32
-    at K = 32).  A Gaussian grid (e^-32 of its peak at 8 sigma_p) and a
+    rows, and j = 1,707 of 4,096 on 8,193 points: K = 16, 107 coarse and 16
+    fine rows.  A Gaussian grid (e^-32 of its peak at 8 sigma_p) and a
     rectangular one keep every slot, so j = m.  Measured against every slot
     summed at the whole half grid's K (supergaussian orders 2-12, 0.05-300
     nm, 129-32,769 points, sigma_p L up to 40), C/I keeps its bits and T/I
@@ -282,6 +283,19 @@ def _levels_agree(prob, delta_p, sigma_p, tolerance):
         np.abs(delta_p[0] - delta_p[1]) <= tolerance * sigma_p)
 
 
+def _levels_readout(grid: MomentumGrid, phase_lengths, rho, scale=1.0) -> tuple:
+    """(P, delta_p) of levels 0 and 1 (leading axis) of one ``_level_moments``
+    call, made at the phase lengths times ``scale`` and read out by
+    ``_pointer_readout`` at the phase lengths themselves, with T/I times
+    ``scale``: a scale family's r (``collapsed_sweep``), 1 elsewhere, where
+    both products are exact.  The phase lengths keep their shape, with their
+    axes aligned with ``rho``'s on the right."""
+    lengths = np.asarray(phase_lengths, dtype=float)
+    shape = (2,) + (1,) * max(np.ndim(rho) - lengths.ndim, 0) + lengths.shape
+    c, t = _level_moments(grid, (scale * lengths).ravel())
+    return _pointer_readout(grid.center, lengths, rho, c.reshape(shape), scale * t.reshape(shape))
+
+
 def collapse_moments_on_grid(grid: MomentumGrid, phase_lengths: np.ndarray, rho: float) -> tuple:
     """Sweep kernel: (postselection probabilities, delta_p) for every phase length.
 
@@ -294,14 +308,14 @@ def collapse_moments_on_grid(grid: MomentumGrid, phase_lengths: np.ndarray, rho:
 
     where C(L) = integral Omega sin^2(x L/2) and T(L) = integral Omega x sin(x L)
     are Simpson sums over the x > 0 half of the grid, doubled; the sin^2 forms
-    avoid cancellation at small arguments.  This is level 0 of one
-    ``_level_moments`` call (which also sums the stride-2 subgrid, so the
-    grid needs an even half-grid point count), read out by
-    ``_pointer_readout``.  Skips any refinement guard; ``collapsed_density``
-    and ``collapsed_sweep`` guard convergence by comparing the two levels.
+    avoid cancellation at small arguments.  This is level 0 of
+    ``_levels_readout``, the one readout of the kernel (which also sums the
+    stride-2 subgrid, so the grid needs an even half-grid point count).
+    Skips any refinement guard; ``collapsed_density`` and ``collapsed_sweep``
+    guard convergence by comparing the two levels.
     """
-    c, t = _level_moments(grid, phase_lengths)
-    return _pointer_readout(grid.center, phase_lengths, rho, c[0], t[0])
+    prob, delta_p = _levels_readout(grid, phase_lengths, rho)
+    return prob[0], delta_p[0]
 
 
 def collapsed_density(profile: SpectralProfile, settings: MwiSettings) -> CollapseResult:
@@ -310,11 +324,11 @@ def collapsed_density(profile: SpectralProfile, settings: MwiSettings) -> Collap
     ``settings`` may be a family (k or rho an array), read out on one grid
     with one kernel call.  The grid is ``build_grid(profile, settings)``,
     sized for the family's largest |L|.  A stride-2 Simpson comparison guards
-    the quadrature: levels 0 and 1 of ``_level_moments`` (the grid and its
-    stride-2 subgrid), each read out by ``_pointer_readout``, must agree to
-    ``_GUARD_TOLERANCE`` (relative for the probability, relative to sigma_p
-    for the mean shift) for every member, or the whole family's grid is
-    rebuilt at double resolution, at most ``_GUARD_REBUILDS`` times.
+    the quadrature: levels 0 and 1 of ``_levels_readout`` (the grid and its
+    stride-2 subgrid) must agree to ``_GUARD_TOLERANCE`` (relative for the
+    probability, relative to sigma_p for the mean shift) for every member,
+    or the whole family's grid is rebuilt at double resolution, at most
+    ``_GUARD_REBUILDS`` times.
 
     Returns
     -------
@@ -332,15 +346,11 @@ def collapsed_density(profile: SpectralProfile, settings: MwiSettings) -> Collap
         probability is not positive and finite.
     """
     sigma_p = effective_sigma_p(profile)
-    lengths = np.asarray(settings.phase_length, dtype=float)
-    # the kernel's (level, L) sums, with L's axes aligned with rho's on the right
-    shape = (2,) + (1,) * max(np.ndim(settings.rho) - lengths.ndim, 0) + lengths.shape
     grid = build_grid(profile, settings)
     for rebuilds in range(_GUARD_REBUILDS + 1):
         if rebuilds:
             grid = build_grid(profile, settings, min_points=2 * (grid.density.size - 1) + 1)
-        c, t = _level_moments(grid, lengths.ravel())
-        prob, delta_p = _pointer_readout(grid.center, lengths, settings.rho, c.reshape(shape), t.reshape(shape))
+        prob, delta_p = _levels_readout(grid, settings.phase_length, settings.rho)
         if holds(_levels_agree(prob, delta_p, sigma_p, _GUARD_TOLERANCE)):
             break
     else:
@@ -394,11 +404,8 @@ def collapsed_sweep(jobs, ks: np.ndarray, gamma: float, rho: float) -> tuple[np.
                     f"at N = {n} did not converge to {_SWEEP_TOLERANCE:g} within {MAX_GRID_POINTS} grid points"
                 )
             grid = build_grid(profile, min_points=n_intervals + 1)
-            ratio = np.repeat(sigma_p / sigma_p[0], ks.size)  # r at each phase length
-            lengths = (np.array([jobs[i][1] for i in members])[:, np.newaxis] * ks + gamma).ravel()
-            c, t = _level_moments(grid, ratio * lengths)
-            readout = _pointer_readout(grid.center, lengths, rho, c, ratio * t)
-            p, dp = (values.reshape(2, len(members), ks.size) for values in readout)
+            lengths = np.array([jobs[i][1] for i in members])[:, np.newaxis] * ks + gamma
+            p, dp = _levels_readout(grid, lengths, rho, (sigma_p / sigma_p[0])[:, np.newaxis])
             agree = _levels_agree(p, dp, sigma_p[:, np.newaxis], _SWEEP_TOLERANCE).all(axis=1)
             rows = np.array(members)[agree]
             prob[rows], delta_p[rows] = p[0, agree], dp[0, agree]

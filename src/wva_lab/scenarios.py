@@ -81,13 +81,14 @@ Values = Mapping[str, object]  # a checked config's parsed keys and derived axes
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A checked config: ``params`` holds each key's value as set (the CSV
-    echoes it; list keys keep their text) and ``values`` what the runner
-    reads: each key's parsed value and the points of each derived axis."""
+    echoes it; list keys keep their text), ``values`` what the runner
+    reads: each key's parsed value and the points of each derived axis, and
+    ``out_path`` the path its CSV is written to."""
 
     scenario_id: str
     params: Mapping[str, object]
     values: Values
-    out_path: Optional[str] = None
+    out_path: str
 
 
 class AxisColumn:
@@ -282,7 +283,8 @@ def make_config(
 ) -> ScenarioConfig:
     """Merge overrides into the scenario's defaults and check the result
     against its schema: every key, every derived axis and cross-key rule,
-    and the table's row count against SIZE_BUDGET."""
+    and the table's row count against SIZE_BUDGET.  The CSV goes to
+    ``out_path``, or to ``<scenario_id>.csv`` if it is not given."""
     if scenario_id not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario_id!r}; see 'wva-lab list'")
     spec = SCENARIOS[scenario_id]
@@ -308,7 +310,7 @@ def make_config(
     rows = spec.rows(values)
     if rows > SIZE_BUDGET:
         raise ConfigError(f"config keys {', '.join(sorted(overrides))} give {rows} table rows, more than {SIZE_BUDGET}")
-    return ScenarioConfig(scenario_id=scenario_id, params=params, out_path=out_path, values=values)
+    return ScenarioConfig(scenario_id, params, values, out_path or f"{scenario_id}.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +379,17 @@ def _rate_summary(summary: dict, label: str, taus_as: np.ndarray, dlam: np.ndarr
     return peak
 
 
+def _rate_traces(v: Values, summary: dict, name: str, coordinates, labels, jobs) -> tuple:
+    """fig3a's and fig4's table and rates: the (delta_lambda_nm, P) trace of each job over the config's
+    taus, under its coordinate in column ``name``, with its rates and precision in ``summary`` under its
+    label (``_rate_summary``).  Returns (the columns, the traces' peak rates)."""
+    taus, res_m = v["taus_as"], v["spectrometer_resolution_m"]
+    dlam, prob = _sweep(v, jobs)
+    peaks = [_rate_summary(summary, label, taus, trace, res_m) for label, trace in zip(labels, dlam)]
+    names = (name, "tau_as", "delta_lambda_nm", "postselection_probability_1")
+    return _stacked(names, [(c, taus, d, p) for c, d, p in zip(coordinates, dlam, prob)]), peaks
+
+
 def _stacked(names, blocks) -> dict:
     """The columns ``names`` of a table built block by block (a row is a block): each block holds, for as
     many rows as the others, each column's values, an array or one number for all its rows.  A number
@@ -423,20 +436,16 @@ _RESOLUTION_KEY = _paper_defaults({"spectrometer_resolution_m": "> 0"})
     rows=lambda v: len(v["widths_nm"]) * v["taus_as"].size,
 )
 def _run_fig3a(v: Values) -> ScenarioResult:
-    widths, taus, rho, res_m = v["widths_nm"], v["taus_as"], v["rho_rad"], v["spectrometer_resolution_m"]
+    widths = v["widths_nm"]
     summary = {
         "preset.lambda0_nm": LAMBDA0_M * 1e9,
-        "preset.rho_rad": rho,
+        "preset.rho_rad": v["rho_rad"],
         "preset.gamma_pi_units": v["gamma_pi_units"],
-        "preset.spectrometer_resolution_pm": res_m * 1e12,
+        "preset.spectrometer_resolution_pm": v["spectrometer_resolution_m"] * 1e12,
     }
     jobs = [(_profile(v, width), v["n_interactions"]) for width in widths]
-    dlam, prob = _sweep(v, jobs)
-    for width, trace in zip(widths, dlam):
-        _rate_summary(summary, _wlabel(width), taus, trace, res_m)
-    # a row per (width, tau), width-major
-    return ScenarioResult(dict(sigma_lambda_nm=AxisColumn(widths, taus.size), tau_as=AxisColumn(taus, 1, len(widths)),
-                               delta_lambda_nm=dlam.ravel(), postselection_probability_1=prob.ravel()), summary)
+    columns, _ = _rate_traces(v, summary, "sigma_lambda_nm", widths, map(_wlabel, widths), jobs)
+    return ScenarioResult(columns, summary)
 
 
 @_register(
@@ -471,9 +480,9 @@ def _run_fig3b(v: Values) -> ScenarioResult:
         "band_lo_sigma_lambda_nm": float(in_band.min()),
         "band_hi_sigma_lambda_nm": float(in_band.max()),
     }
-    return ScenarioResult(dict(sigma_lambda_nm=AxisColumn(widths, taus.size - 2),
-                               tau_as=AxisColumn(taus[1:-1], 1, widths.size), delta_lambda_nm=dlam[:, 1:-1].ravel(),
-                               rate_nm_per_as=rates.ravel()), summary)
+    inner = taus[1:-1]  # one object: the tau axis of every width's block
+    names = ("sigma_lambda_nm", "tau_as", "delta_lambda_nm", "rate_nm_per_as")
+    return ScenarioResult(_stacked(names, [(w, inner, d[1:-1], r) for w, d, r in zip(widths, dlam, rates)]), summary)
 
 
 @_register(
@@ -491,18 +500,12 @@ def _run_fig3b(v: Values) -> ScenarioResult:
     rows=lambda v: len(v["n_list"]) * v["taus_as"].size,
 )
 def _run_fig4(v: Values) -> ScenarioResult:
-    n_list, taus, res_m = v["n_list"], v["taus_as"], v["spectrometer_resolution_m"]
+    n_list, summary = v["n_list"], {}
     profile = _profile(v, v["width_nm"])
-    summary = {}
-    peak_rates = {}
-    dlam, prob = _sweep(v, [(profile, n) for n in n_list])
-    for n, trace in zip(n_list, dlam):
-        peak_rates[n] = _rate_summary(summary, f"n{n}", taus, trace, res_m)
-    base = n_list[0]
-    for n in n_list[1:]:
-        summary[f"rate_ratio_n{n}_over_n{base}"] = peak_rates[n] / peak_rates[base]
-    return ScenarioResult(dict(n_1=AxisColumn(n_list, taus.size), tau_as=AxisColumn(taus, 1, len(n_list)),
-                               delta_lambda_nm=dlam.ravel(), postselection_probability_1=prob.ravel()), summary)
+    columns, peaks = _rate_traces(v, summary, "n_1", n_list, (f"n{n}" for n in n_list), [(profile, n) for n in n_list])
+    for n, peak in zip(n_list[1:], peaks[1:]):
+        summary[f"rate_ratio_n{n}_over_n{n_list[0]}"] = peak / peaks[0]
+    return ScenarioResult(columns, summary)
 
 
 _CALIBRATION_KEYS = _paper_defaults(
@@ -935,10 +938,9 @@ def run_scenario(config: ScenarioConfig, stream: Optional[TextIO] = None) -> Sce
     stream = stream if stream is not None else sys.stdout
     result = execute_scenario(config)
     text = render_csv(result, config)
-    out_path = config.out_path or f"{config.scenario_id}.csv"
-    with open(out_path, "w", newline="\n") as fh:
+    with open(config.out_path, "w", newline="\n") as fh:
         fh.write(text)
-    print(f"csv={out_path}", file=stream)
+    print(f"csv={config.out_path}", file=stream)
     print(f"rows={len(next(iter(result.columns.values())))}", file=stream)
     for key, value in result.summary.items():
         print(f"{key}={_format_cell(value)}", file=stream)

@@ -183,33 +183,26 @@ def _grid_half_span(profile: SpectralProfile) -> float:
 def grid_point_count(
     profile: SpectralProfile, settings: Optional[MwiSettings] = None, *, min_points: int = MIN_GRID_POINTS
 ) -> int:
-    """Point count of ``build_grid`` for these arguments: the smallest 2^m + 1
-    that samples the postselection modulation (momentum period
-    2*pi/(N*k + gamma)) at least ``_PERIOD_SAMPLES`` times over the grid's
-    span, with a floor of ``min_points``.  For settings whose k is an array
-    (a family) the largest |N*k + gamma| sets the count.
+    """Point count of ``build_grid`` for these arguments: one more than the
+    smallest power-of-two interval count (so stride-2 subsampling stays a
+    Simpson grid) that is at least ``min_points`` - 1, at least 4, and
+    enough to sample the postselection modulation (momentum period
+    2*pi/(N*k + gamma)) ``_PERIOD_SAMPLES`` times over the grid's span.  For
+    settings whose k is an array (a family) the largest |N*k + gamma| sets
+    the count.
 
     Raises
     ------
     NumericalError
         If the count would exceed ``MAX_GRID_POINTS``.
     """
-    n_intervals = max(min_points - 1, 4)
     length = 0.0 if settings is None else float(np.abs(settings.phase_length).max())  # a family's largest |L|
-    if length != 0.0:
-        max_step = 2.0 * math.pi / (_PERIOD_SAMPLES * length)
-        needed = 2.0 * _grid_half_span(profile) / max_step if max_step > 0.0 else math.inf  # L overflows to inf
-        if needed > MAX_GRID_POINTS - 1:
-            raise NumericalError(f"grid would need {needed:.4g} intervals (> {MAX_GRID_POINTS - 1}); "
-                                 "modulation period too short for this span")
-        while n_intervals < needed:
-            n_intervals *= 2
-    # power-of-two interval count so stride-2 subsampling stays a Simpson grid
-    n_intervals = 2 ** math.ceil(math.log2(n_intervals))
-    if n_intervals + 1 > MAX_GRID_POINTS:
-        raise NumericalError(f"grid would need {n_intervals + 1} points (> {MAX_GRID_POINTS}); "
+    # the modulation's need goes first, so that max keeps it where L is inf or NaN and the check raises
+    needed = max(_PERIOD_SAMPLES * length * _grid_half_span(profile) / math.pi, min_points - 1, 4)
+    if not needed <= MAX_GRID_POINTS - 1:
+        raise NumericalError(f"grid would need {needed:.4g} intervals (> {MAX_GRID_POINTS - 1}); "
                              "modulation period too short for this span")
-    return n_intervals + 1
+    return 2 ** math.ceil(math.log2(needed)) + 1
 
 
 def build_grid(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wva_lab.constants import SPEED_OF_LIGHT
+from wva_lab.errors import NumericalError
 from wva_lab.polarization import MwiSettings
 from wva_lab.scenarios import make_config
 from wva_lab.spectra import (
@@ -160,6 +161,21 @@ class TestBuildGrid:
         assert grid_point_count(gaussian(), settings) == points
         for profile in (gaussian(), SpectralProfile("rectangular", LAMBDA0, 6e-9)):
             assert grid_point_count(profile, settings) == build_grid(profile, settings).points.size
+
+    # the smallest power-of-two interval count >= max(floor - 1, 4, the modulation's need), and one
+    # more point; the need is 32 samples per period over the 16-sigma span, in intervals
+    @pytest.mark.parametrize("min_points, need, points", [
+        (6, 11.0, 17), (6, 0.0, 9), (2, 0.0, 5), (8193, 11.0, 8193), (6, 2.0**21 - 0.5, 2**21 + 1),
+        (2**21 + 2, 0.0, None), (6, 2.0**21 + 1.0, None),
+    ])
+    def test_point_count_rule(self, min_points, need, points):
+        k = need * 2.0 * math.pi / (32 * 16 * SIGMA_P_6NM)  # L = N k of period 2 pi / L
+        settings = MwiSettings(1, k, 0.0, 0.002)
+        if points is None:
+            with pytest.raises(NumericalError, match="grid would need"):
+                grid_point_count(gaussian(), settings, min_points=min_points)
+        else:
+            assert grid_point_count(gaussian(), settings, min_points=min_points) == points
 
     def test_span_covers_eight_widths(self):
         grid = build_grid(gaussian())
