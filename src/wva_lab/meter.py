@@ -7,50 +7,32 @@ path-imbalance phase is
          = Omega(p) * sin^2((p*(N*k + gamma) + 2*rho)/2).
 
 The momentum (P) pointer is the density-weighted mean shift of D, reported
-also as a wavelength shift; the intensity (I) pointer is the postselected
-total signal.  Both come from the symmetric-density identity in the
-docstring of ``collapse_moments_on_grid``, in two steps: C/I and T/I, and
-``_pointer_readout``, which turns them into (P, delta_p) at the half phase A
-of ``_half_phase``.  On a grid the kernel ``_level_moments`` sums C/I and T/I
-on the grid (level 0) and its stride-2 subgrid (level 1), with the sines and
-cosines of the half phase from two complex power tables (``_power_table``),
-one cos and one sin per table and phase length, a coarse and a fine one
-whose row counts ``_factor_base`` sets by what a row of each costs.  The
-coarse rows stop at the last slot whose density is at least
-``_NEGLIGIBLE_DENSITY`` (2^-64) of the grid's peak, as the slots past it
-add less than the sums' rounding; no grid changes for it.
-``_levels_readout`` is the one readout of the kernel: it composes the two
-steps for both levels, at phase lengths that may be scaled by a scale
-family's r.  ``collapse_moments_on_grid`` is its level 0.
-``collapsed_density(profile, settings)`` builds its own grid for one
-setting or a family (k or rho an array), reads levels 0 and 1 for every
-member with one kernel call and doubles the grid until they agree; it
-takes no other argument, so there is one way to call it.
-``collapsed_sweep(jobs, ks, gamma, rho)`` gives the sweeps' traces: it
-reads a kernel call made at scaled phase lengths out at each source's own,
-and doubles each job's grid until levels 0 and 1 agree.  Both accept a
-grid by one test, ``_levels_agree``; the grid levels stay inside this
-module.  The exact Gaussian forms are the Gaussian row of
-the readout: ``_gaussian_moments`` gives C/I and T/I from the characteristic
-function.
-Alongside them are the linear-regime approximations (through the weak value
-``polarization.im_weak_value``) and a brute-force joint-state oracle for
-verification, which projects onto the states of ``wva_lab.polarization``.
-Each closed form is one numpy expression for a float or an array (a trace).
-The oracle is three steps: the complex phase ``_oracle_amplitude`` (points
-and L), the profile-free projection ``_oracle_factor`` (and rho), and
-``_oracle_project``, which multiplies by sqrt Omega and squares the real and
-imaginary parts; the direct density is ``_half_phase_sine`` (points, L and
-rho) squared times Omega.  ``oracle_joint_state`` composes the oracle's
-steps for one case, and ``oracle_deviations`` evaluates a verification
-matrix of (profile, settings) cases, grouping them so that each step runs
-once for every case that shares its inputs: each set of grid points gets its
-work arrays once (p*L, the sine, the mask), each sine is formed there in
-place, and each profile's densities take only its points between its first
-and last nonzero density.  The oracle takes the N passes as one N-fold phase;
-the tests hold it to passes applied one at a time, keep their own D(p) on a
-whole grid as the direct reference, and the complex |z|^2 as the literal
-form of the projection.
+also as a wavelength shift (``_wavelength_shift``); the intensity (I)
+pointer is the postselected total signal.  Both come from the
+symmetric-density identity in the docstring of ``collapse_moments_on_grid``:
+C/I and T/I, read out as (P, delta_p) by ``_pointer_readout`` at the half
+phase A of ``_half_phase``, the one checked half phase.
+
+On a grid the kernel ``_level_moments`` sums C/I and T/I on the grid (level
+0) and its stride-2 subgrid (level 1), and ``_levels_readout`` is its one
+readout.  ``collapsed_density(profile, settings)``, for one setting or a
+family (k or rho an array), and ``collapsed_sweep(jobs, ks, gamma, rho)``,
+for the sweeps' traces, double their grids until the two levels agree
+(``_levels_agree``); the grid levels stay inside this module.  The exact
+Gaussian forms read ``_gaussian_moments``, C/I and T/I from the
+characteristic function, out through the same readout.  Each closed form is
+one numpy expression for a float or an array (a trace); the linear-regime
+approximations go through the weak value ``polarization.im_weak_value``.
+
+The joint-state oracle checks the direct density Omega sin^2 A point by
+point, apart from the kernel: the complex phase ``_oracle_amplitude``, the
+profile-free projection onto the states of ``wva_lab.polarization``
+(``_oracle_factor``), and ``_oracle_project``, which multiplies by sqrt
+Omega and squares.  ``oracle_deviations`` evaluates a verification matrix so
+that each step runs once for every case that shares its inputs, and forms A
+from one p*L shared by every rho (``_half_phase_of``).  The oracle takes the
+N passes as one N-fold phase; the tests hold it to passes applied one at a
+time.
 """
 from __future__ import annotations
 
@@ -103,20 +85,26 @@ class CollapseResult:
 
 
 def _half_phase(p, phase_length, rho):
-    """A = (p*L + 2 rho)/2 at momentum p: ``_half_phase_of`` p*L."""
-    return _half_phase_of(p * phase_length, rho)
+    """A = (p*L + 2 rho)/2 at momentum p, ``_half_phase_of`` p*L: the one checked
+    half phase.  Raises NumericalError, naming L, where A is not finite."""
+    a = _half_phase_of(p * phase_length, rho)
+    require(np.isfinite(a), "postselection phase L*p0 + 2 rho = {!r} for L = {!r} m: no probability", 2.0 * a,
+            phase_length)
+    return a
 
 
 def _half_phase_of(scaled, rho, out=None):
-    """A from ``scaled`` = p*L, in ``out`` if given: the one place outside the oracle that forms p*L + 2 rho."""
+    """A from ``scaled`` = p*L, in ``out`` if given: the one place that forms p*L + 2 rho.  The
+    oracle calls it directly, on one p*L shared by every rho; everything else calls ``_half_phase``."""
     a = scaled + 2.0 * rho if out is None else np.add(scaled, 2.0 * rho, out=out)  # a float stays a float
     a *= 0.5
     return a
 
 
-def _half_phase_sine(points: np.ndarray, phase_length: float, rho: float) -> np.ndarray:
-    """sin A at momenta ``points``: the direct collapse is Omega sin^2 A."""
-    return np.sin(_half_phase(points, phase_length, rho))
+def _wavelength_shift(lambda0: float, delta_p, unit: float = 1.0):
+    """delta_lambda = -(lambda0^2/2pi) delta_p in meters, times ``unit`` (1e9 gives nm): the P pointer's
+    sign convention, stated once.  ``unit`` multiplies before delta_p does, which fixes the bits."""
+    return -(lambda0**2 / (2.0 * math.pi)) * unit * delta_p
 
 
 def _factor_base(last_slot: int) -> int:
@@ -195,14 +183,7 @@ def _level_moments(grid: MomentumGrid, phase_lengths: np.ndarray) -> tuple[np.nd
     on 513 points, so K = 4 and the kernel builds 27 coarse and 4 fine table
     rows, and j = 1,707 of 4,096 on 8,193 points: K = 16, 107 coarse and 16
     fine rows.  A Gaussian grid (e^-32 of its peak at 8 sigma_p) and a
-    rectangular one keep every slot, so j = m.  Measured against every slot
-    summed at the whole half grid's K (supergaussian orders 2-12, 0.05-300
-    nm, 129-32,769 points, sigma_p L up to 40), C/I keeps its bits and T/I
-    moves by at most 1.2e-19 sigma_p.  That move is the shorter matmul's
-    summation order, not the dropped mass; so is the 1-2 ulp move at the
-    cut's own K on the order-4 grid of 32,769 points, whose full sum OpenBLAS
-    splits into blocks of 256 + 257 inner rows, where the cut's 285 rows go
-    in one.
+    rectangular one keep every slot, so j = m.
     """
     phase_lengths = np.asarray(phase_lengths, dtype=float)
     m, h = grid.density.size // 2, grid.step
@@ -363,7 +344,7 @@ def collapsed_density(profile: SpectralProfile, settings: MwiSettings) -> Collap
         density=grid,
         postselection_probability=prob,
         delta_p=delta_p,
-        delta_lambda=-(profile.center_wavelength**2 / (2.0 * math.pi)) * delta_p,
+        delta_lambda=_wavelength_shift(profile.center_wavelength, delta_p),
     )
 
 
@@ -443,15 +424,7 @@ def postselection_probability_gaussian(sigma_p: float, p0: float, settings: MwiS
     if sigma_p < 0.0:
         raise ValueError(f"sigma_p must be >= 0, got {sigma_p!r}")
     L = settings.phase_length
-    return _readout_probability(_finite_half_phase(p0, L, settings.rho), _gaussian_moments(sigma_p, L)[0])
-
-
-def _finite_half_phase(p0: float, phase_length, rho):
-    """``_half_phase`` at p0; raises NumericalError, naming L, where it is not finite."""
-    a = _half_phase(p0, phase_length, rho)
-    require(np.isfinite(a), "postselection phase L*p0 + 2 rho = {!r} for L = {!r} m: no probability", 2.0 * a,
-            phase_length)
-    return a
+    return _readout_probability(_half_phase(p0, L, settings.rho), _gaussian_moments(sigma_p, L)[0])
 
 
 def pointer_shift_p_gaussian(sigma_p: float, p0: float, settings: MwiSettings):
@@ -573,7 +546,8 @@ def oracle_deviations(cases) -> list:
 
     A set of points allocates two real arrays and a mask once: p*L, formed
     once per L, and the sine, formed from it in place for each rho by
-    ``_half_phase_of`` and the sine, with the bits of ``_half_phase_sine``.
+    ``_half_phase_of`` and the sine, with the bits of the direct path's
+    sin of ``_half_phase``.
     A profile's densities and deviation take only its points from the first
     to the last nonzero density (``_nonzero_span``): the mask drops every
     point where the density is exactly 0 (2,742 of the supergaussian's
@@ -649,5 +623,5 @@ def oracle_joint_state(profile: SpectralProfile, settings: MwiSettings, grid: Mo
         density=grid,
         postselection_probability=prob / grid.integral(),
         delta_p=delta_p,
-        delta_lambda=-(profile.center_wavelength**2 / (2.0 * math.pi)) * delta_p,
+        delta_lambda=_wavelength_shift(profile.center_wavelength, delta_p),
     )

@@ -32,8 +32,8 @@ from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError, NumericalError, require
 from .lgi import k31, negativity_boundary_scan, quantum_region_boundary, weak_value_from_shift
 from .meter import (
-    _finite_half_phase,
-    _half_phase_sine,
+    _half_phase,
+    _wavelength_shift,
     collapsed_density,
     collapsed_sweep,
     intensity_after_postselection,
@@ -336,7 +336,7 @@ def _sweep(v: Values, jobs: list) -> tuple:
     profile is centred at LAMBDA0_M, as ``_profile`` makes it."""
     prob, delta_p = collapsed_sweep(jobs, SPEED_OF_LIGHT * v["taus_as"] * 1e-18, _gamma_length(v["gamma_pi_units"]),
                                     v["rho_rad"])
-    return -(LAMBDA0_M**2 / (2.0 * math.pi)) * 1e9 * delta_p, prob
+    return _wavelength_shift(LAMBDA0_M, delta_p, 1e9), prob
 
 
 def linear_region_rate(taus_as: np.ndarray, values: np.ndarray) -> float:
@@ -353,16 +353,16 @@ def linear_region_rate(taus_as: np.ndarray, values: np.ndarray) -> float:
     return abs(float(np.dot(dt, v - v.mean()) / np.dot(dt, dt)))
 
 
-def _central_slopes(taus_as: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Central-difference slopes of ``values`` over ``taus_as`` along the last axis (interior points)."""
-    return (values[..., 2:] - values[..., :-2]) / (taus_as[2:] - taus_as[:-2])
+def _local_rates(taus_as: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """|central-difference slope| of ``values`` over ``taus_as`` along the last axis (interior points)."""
+    return np.abs((values[..., 2:] - values[..., :-2]) / (taus_as[2:] - taus_as[:-2]))
 
 
 def peak_local_rate(taus_as: np.ndarray, values: np.ndarray) -> float:
     """Largest |central-difference slope| on the sampled trace."""
     if taus_as.size < 3:
         raise ValueError("need at least 3 sweep points")
-    return float(np.max(np.abs(_central_slopes(taus_as, values))))
+    return float(np.max(_local_rates(taus_as, values)))
 
 
 def _rate_summary(summary: dict, label: str, taus_as: np.ndarray, dlam: np.ndarray, res_m: float) -> float:
@@ -468,7 +468,7 @@ def _run_fig3b(v: Values) -> ScenarioResult:
     widths, taus, threshold = v["widths_nm"], v["taus_as"], v["band_threshold"]
     jobs = [(_profile(v, float(w)), v["n_interactions"]) for w in widths]
     dlam, _ = _sweep(v, jobs)
-    rates = np.abs(_central_slopes(taus, dlam))
+    rates = _local_rates(taus, dlam)
     peaks = rates.max(axis=1)
     best = int(np.argmax(peaks))  # the first width at the largest peak rate
     in_band = widths[peaks >= threshold * peaks[best]]
@@ -680,7 +680,7 @@ def _run_s2(v: Values) -> ScenarioResult:
     to_per_nm = (2.0 * math.pi / lam**2) * 1e-9  # |dp/dlambda| in rad/m per nm
     lam_nm, initial, blocks = lam * 1e9, density * to_per_nm, []  # shared by every block: axis columns
     for tau, length in zip(v["tau_list_as"], family.phase_length):
-        s = _half_phase_sine(points, length, family.rho)
+        s = np.sin(_half_phase(points, length, family.rho))
         blocks.append((tau, lam_nm, initial, density * s * s * to_per_nm))
     summary = {"grid_points": int(grid.points.size), "emitted_rows": len(blocks) * points.size,
                "densities_normalized": True}
@@ -790,17 +790,16 @@ def closed_form_deviations(values: Values) -> tuple:
     or a closed form is not finite or the probability is not positive.
     """
     ks = [k for k in values["k_list_m"] if k != 0.0]
-    gamma_pi = next((g for g in values["gamma_pi_list"] if g == 0.0), None)
-    if "gaussian" not in values["shapes"] or not ks or gamma_pi is None:
+    if "gaussian" not in values["shapes"] or not ks or 0.0 not in values["gamma_pi_list"]:
         raise ConfigError("config keys shapes, k_list_m and gamma_pi_list give no Gaussian case with "
                           "gamma_pi = 0 and k != 0: the closed-form check would compare nothing")
     profile = _profile(values, values["sigma_lambda_nm"], "gaussian")
     sigma_p = effective_sigma_p(profile)
     n, k = np.array(values["n_list"])[:, np.newaxis, np.newaxis], np.array(ks)[:, np.newaxis]
-    rho, gamma = np.array(values["rho_list_rad"]), _gamma_length(gamma_pi)
-    _finite_half_phase(P0_RAD_PER_M, n * k + gamma, rho)  # N*k may overflow where no k does
-    settings = MwiSettings(1, n * k, gamma, rho)
-    case = f"shape=gaussian n={{:.0f}} k={{!r}} rho={{!r}} gamma_pi={gamma_pi!r}"
+    rho = np.array(values["rho_list_rad"])
+    _half_phase(P0_RAD_PER_M, n * k, rho)  # N*k may overflow where no k does
+    settings = MwiSettings(1, n * k, 0.0, rho)
+    case = "shape=gaussian n={:.0f} k={!r} rho={!r} gamma_pi=0.0"
     prob_closed = postselection_probability_gaussian(sigma_p, P0_RAD_PER_M, settings)
     require((prob_closed > 0.0) & np.isfinite(prob_closed),
             f"closed-form probability is {{!r}} for case {case}: no relative deviation", prob_closed, n, k, rho)

@@ -12,6 +12,7 @@ it reads, and to one run of each scenario it reads per call.
 """
 import io
 import math
+import re
 import time
 from dataclasses import replace
 
@@ -54,6 +55,19 @@ def test_criterion_04_shift_rates():
     overlap = lo <= quoted_hi and hi >= quoted_lo
     detail += f"; band [{lo:.1f}, {hi:.1f}] nm overlaps quoted [{quoted_lo:g}, {quoted_hi:g}]: {overlap}"
     _criterion(4, "shift rates", ok and overlap, detail)
+
+
+@pytest.mark.parametrize(
+    "name, margin",
+    [("fig6.k31_n3_rho0.0124", r"\([+-]\d\.\de-0\d, tol 0\.0001\)"),
+     ("fig6.im_weak_value_n3_rho0.0124", r"\([+-]\d+\.\d%, tol 2%\)")],
+    ids=["absolute", "relative"],
+)
+def test_compare_quoted_states_each_tolerance_in_its_kind(name, margin):
+    # an absolute tolerance is in the value's unit, a relative one a percentage
+    ok, detail = compare_quoted(ScenarioRuns(), [name])
+    quoted = PAPER[name]
+    assert ok and re.fullmatch(rf"{re.escape(name)} \S+ vs {quoted.value:g} {margin}", detail), detail
 
 
 VERIFY_LINES = [

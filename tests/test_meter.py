@@ -337,6 +337,15 @@ class TestGaussianClosedForms:
     def test_approx_zero_at_zero_coupling(self):
         assert pointer_shift_p_approx(SIGMA_P_6NM, MwiSettings(2, 0.0, 0.0, 0.002)) == 0.0
 
+    def test_overflowing_phase_names_l(self):
+        # N*k = 3 x 1e308 overflows where k does not: the shift names L, as the probability does
+        settings = MwiSettings(3, 1e308, 0.0, 0.002)
+        message = r"^postselection phase L\*p0 \+ 2 rho = inf for L = inf m: no probability$"
+        with pytest.raises(NumericalError, match=message):
+            postselection_probability_gaussian(SIGMA_P_6NM, P0, settings)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=message):  # T/I is inf * 0 first
+            pointer_shift_p_gaussian(SIGMA_P_6NM, P0, settings)
+
     def test_monochromatic_shift_rejected(self):
         with pytest.raises(ValueError):
             pointer_shift_p_gaussian(0.0, P0, MwiSettings(1, 1e-12))

@@ -9,8 +9,15 @@
   by ``meter._levels_readout``.
 * Tables have one builder: an ``AxisColumn`` is constructed only by
   ``scenarios._stacked`` and, for its cell texts, ``scenarios.render_csv``.
+* Each step from the readout to the verdict is one statement: p*L + 2 rho is
+  halved by ``meter._half_phase_of``, which only the checked
+  ``meter._half_phase`` and the oracle (on its shared p*L) call; the
+  wavelength shift -(lambda0^2/2pi) delta_p is written once, in
+  ``meter._wavelength_shift``; and the central difference behind the local
+  rate once, in ``scenarios._local_rates``.
 """
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wva_lab"
@@ -24,15 +31,15 @@ def _names_ndarray(node) -> bool:
         isinstance(node, ast.Name) and node.id == "ndarray")
 
 
-def _call_scopes(source: str, matches) -> list:
-    """The enclosing function (dotted, "" at module level) of every call in
-    ``source`` for which ``matches(call)`` holds."""
+def _scopes(source: str, matches) -> list:
+    """The enclosing function (dotted, "" at module level) of every node in
+    ``source`` for which ``matches(node)`` holds."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, ast.Call) and matches(node):
+        if matches(node):
             found.append(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -43,18 +50,33 @@ def _call_scopes(source: str, matches) -> list:
 
 def _array_tests(source: str) -> list:
     """The enclosing function of every ``isinstance(..., ndarray)`` call in ``source``."""
-    return _call_scopes(source, lambda call: isinstance(call.func, ast.Name) and call.func.id == "isinstance"
-                        and len(call.args) == 2 and _names_ndarray(call.args[1]))
+    return _scopes(source, lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == "isinstance" and len(node.args) == 2 and _names_ndarray(node.args[1]))
+
+
+def _package_scopes(matches) -> list:
+    """(module, enclosing function) of every node in the package for which ``matches(node)`` holds."""
+    return [(path.stem, scope) for path in sorted(PACKAGE.glob("*.py")) for scope in _scopes(path.read_text(), matches)]
 
 
 def _callers(name: str) -> list:
     """(module, enclosing function) of every call in the package to ``name``, plain or as an attribute."""
-    def matches(call):
-        return (isinstance(call.func, ast.Name) and call.func.id == name) or (
-            isinstance(call.func, ast.Attribute) and call.func.attr == name)
+    def matches(node):
+        return isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Name) and node.func.id == name)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == name))
 
-    return [(path.stem, scope) for path in sorted(PACKAGE.glob("*.py"))
-            for scope in _call_scopes(path.read_text(), matches)]
+    return _package_scopes(matches)
+
+
+def _binop(op, pattern: str):
+    """A test of whether a node is an ``op`` operation whose source (``ast.unparse``) matches ``pattern``."""
+    return lambda node: (isinstance(node, ast.BinOp) and isinstance(node.op, op)
+                         and re.fullmatch(pattern, ast.unparse(node)) is not None)
+
+
+_WAVELENGTH_FACTOR = _binop(ast.Div, r".+ \*\* 2 / \(2\.0 \* math\.pi\)")  # lambda0^2/2pi
+_CENTRAL_DIFFERENCE = _binop(ast.Sub, r"(\w+)\[(\.\.\., )?2:\] - \1\[(\.\.\., )?:-2\]")  # x[2:] - x[:-2]
 
 
 def test_finder_finds_array_tests():
@@ -80,3 +102,32 @@ def test_kernel_has_one_readout():
 
 def test_axis_columns_come_from_the_table_builder():
     assert sorted(set(_callers("AxisColumn"))) == [("scenarios", "_stacked"), ("scenarios", "render_csv")]
+
+
+def test_finders_find_the_formulas():
+    source = (
+        "import math\n"
+        "def shift(lam, dp):\n"
+        "    return -(lam**2 / (2.0 * math.pi)) * dp\n"
+        "def inverse(lam):\n"
+        "    return 2.0 * math.pi / lam**2\n"
+        "def rates(t, v):\n"
+        "    return (v[..., 2:] - v[..., :-2]) / (t[2:] - t[:-2])\n"
+        "def forward(v):\n"
+        "    return v[..., 1:] - v[..., :-1]\n"
+    )
+    assert _scopes(source, _WAVELENGTH_FACTOR) == ["shift"]
+    assert _scopes(source, _CENTRAL_DIFFERENCE) == ["rates", "rates"]
+
+
+def test_half_phase_has_one_form():
+    assert sorted(_callers("_half_phase_of")) == [("meter", "_half_phase"), ("meter", "oracle_deviations")]
+
+
+def test_wavelength_shift_is_written_once():
+    assert _package_scopes(_WAVELENGTH_FACTOR) == [("meter", "_wavelength_shift")]
+
+
+def test_local_rate_is_written_once():
+    # one central difference of the values and one of the taus, both in the one |slope|
+    assert _package_scopes(_CENTRAL_DIFFERENCE) == [("scenarios", "_local_rates")] * 2

@@ -1,8 +1,10 @@
+import importlib.util
 import os
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,8 @@ from wva_lab.scenarios import (
 from wva_lab.spectra import build_grid, effective_sigma_p
 
 from direct_path import direct_collapse, literal_oracle_density
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 EXPECTED_IDS = {
     "fig3a",
@@ -64,9 +68,35 @@ FAST_OVERRIDES = {
 }
 
 
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _row_count_cases() -> list:
+    """(scenario id, overrides) at the defaults, at FAST_OVERRIDES, and at the
+    benchmark's seed-1 and seed-2 sweeps and tables invocations."""
+    workloads = _bench_workloads()
+    cases = [pytest.param(sid, {}, id=f"{sid}-defaults") for sid in sorted(EXPECTED_IDS)]
+    cases += [pytest.param(sid, sets, id=f"{sid}-fast") for sid, sets in FAST_OVERRIDES.items()]
+    for workload, seed in product(("sweeps", "tables"), (1, 2)):
+        cases += [pytest.param(argv[1], workloads.overrides(argv), id=f"{argv[1]}-{workload}{seed}")
+                  for argv in workloads.invocations(workload, seed)]
+    return cases
+
+
 class TestRegistry:
     def test_expected_ids_registered(self):
         assert {sid for sid, _ in list_scenarios()} == EXPECTED_IDS
+
+    @pytest.mark.parametrize("scenario_id, overrides", _row_count_cases())
+    def test_rows_match_the_table(self, scenario_id, overrides):
+        # make_config refuses a config by this count (SIZE_BUDGET) before any runner starts
+        config = make_config(scenario_id, overrides)
+        result = execute_scenario(config)
+        assert {len(column) for column in result.columns.values()} == {SCENARIOS[scenario_id].rows(config.values)}
 
     def test_descriptions_present(self):
         assert all(desc for _, desc in list_scenarios())
@@ -1113,13 +1143,13 @@ class TestScenarioPhysicsSpots:
         assert np.all(collapsed <= initial * (1 + 1e-12))
 
     def test_s2_sines_only_at_emitted_points(self, monkeypatch):
-        calls, sine = [], scenarios._half_phase_sine
+        calls, half_phase = [], scenarios._half_phase
 
         def spy(points, phase_length, rho):
             calls.append(points.size)
-            return sine(points, phase_length, rho)
+            return half_phase(points, phase_length, rho)
 
-        monkeypatch.setattr(scenarios, "_half_phase_sine", spy)
+        monkeypatch.setattr(scenarios, "_half_phase", spy)
         summary = execute_scenario(make_config("s2_spectrum_evolution")).summary
         assert summary["grid_points"] == 8193
         assert calls == [257] * 7
