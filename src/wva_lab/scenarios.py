@@ -61,8 +61,10 @@ P0_RAD_PER_M = lambda_p_convert(LAMBDA0_M)
 _DELTA_I_KEYS = {"coherent": "delta_i_coherent_V", "w0.5nm": "delta_i_05_V", "w1nm": "delta_i_1_V",
                  "w3nm": "delta_i_3_V"}
 
-# CSV rows formatted per batch: bounds the memory held by the formatted columns.  Float cells are
-# written '%.12g' (the declared precision); config echoes and summaries keep repr, whose text is exact
+# CSV rows formatted per chunk, by one % over the chunk's cells interleaved row by row: bounds what
+# a chunk holds beside the text, its cells (values or texts), their tuple and a template of as many
+# rows.  Float cells are written '%.12g' (the declared precision); config echoes and summaries keep
+# repr, whose text is exact
 _RENDER_CHUNK_ROWS = 1024
 
 _ALLOWED_UNIT_SUFFIXES = {
@@ -897,8 +899,11 @@ def _cell_values(column, rows: np.ndarray) -> list:
 def render_csv(result: ScenarioResult, config: ScenarioConfig) -> str:
     """Deterministic CSV body: provenance comments, unit-suffixed header,
     rows sorted by their leading (input-coordinate) columns.  Rows are
-    formatted ``_RENDER_CHUNK_ROWS`` at a time; an ``AxisColumn``'s values
-    are formatted once, and each chunk gathers their texts."""
+    formatted ``_RENDER_CHUNK_ROWS`` at a time, each chunk by one ``%``: the
+    row template repeated for each row, over one list of the chunk's cells
+    interleaved row by row.  A chunk holds that list, its tuple and the
+    template beside the text; an ``AxisColumn``'s values are formatted once,
+    and each chunk gathers their texts."""
     columns = [c if isinstance(c, AxisColumn) else np.asarray(c) for c in result.columns.values()]
     size = len(columns[0])
     for name, column in zip(result.columns, columns):
@@ -921,13 +926,19 @@ def render_csv(result: ScenarioResult, config: ScenarioConfig) -> str:
             break
         tied &= column[1:] == column[:-1]
     columns = [AxisColumn(_axis_texts(c.values), c.inner, c.outer) if isinstance(c, AxisColumn) else c for c in columns]
-    # one template writes every row: a float cell at 12 significant digits, the declared precision
-    template = ",".join("%.12g" if column.dtype.kind == "f" else "%s" for column in columns)
+    # one row template, a float cell at 12 significant digits (the declared precision), repeated
+    # for each row of a chunk
+    row, width = ",".join("%.12g" if column.dtype.kind == "f" else "%s" for column in columns), len(columns)
+    template = "\n".join([row] * min(size, _RENDER_CHUNK_ROWS))
     for lo in range(0, size, _RENDER_CHUNK_ROWS):
         hi = min(lo + _RENDER_CHUNK_ROWS, size)
         rows = np.arange(lo, hi) if order is None else order[lo:hi]
-        chunk = zip(*(_cell_values(column, rows) for column in columns))
-        lines.append("\n".join([template % row for row in chunk]))
+        cells = [None] * (rows.size * width)
+        for j, column in enumerate(columns):
+            cells[j::width] = _cell_values(column, rows)
+        if rows.size < _RENDER_CHUNK_ROWS < size:  # a short last chunk after full ones
+            template = "\n".join([row] * rows.size)
+        lines.append(template % tuple(cells))
     lines.append("")  # the last newline, in the one join that makes the text
     return "\n".join(lines)
 

@@ -271,15 +271,52 @@ class TestCsvOutput:
             monkeypatch.setattr(np, "lexsort", None)
         result = ScenarioResult(columns, {})
         config = make_config("fig6", FAST_OVERRIDES["fig6"])
+        assert render_csv(result, config) == self._per_cell_reference(columns, rows, config)
 
-        def cell(value):  # a float at the declared 12 significant digits, with the sign of a zero
+    @staticmethod
+    def _per_cell_reference(names, rows: list, config) -> str:
+        """The CSV of ``rows`` under the column ``names``, written cell by cell: rows in the order
+        ``sorted`` gives, a float at the declared 12 significant digits (with the sign of a zero),
+        any other cell by ``_format_cell``."""
+
+        def cell(value):
             return "%.12g" % value if isinstance(value, float) else _format_cell(value)
 
-        reference = [f"# wva-lab {scenarios._pkg_version}", "# scenario=fig6"]
+        reference = [f"# wva-lab {scenarios._pkg_version}", f"# scenario={config.scenario_id}"]
         reference += [f"# config.{key}={_format_cell(config.params[key])}" for key in sorted(config.params)]
-        reference.append(",".join(columns))
+        reference.append(",".join(names))
         reference += [",".join(map(cell, row)) for row in sorted(rows)]
-        assert render_csv(result, config) == "\n".join(reference) + "\n"
+        return "\n".join(reference) + "\n"
+
+    @pytest.mark.parametrize(
+        "scenario_id, overrides",
+        [pytest.param(scenario_id, overrides, id=f"{scenario_id}-fast") for scenario_id, overrides in FAST_OVERRIDES.items()]
+        + [pytest.param("fig3b", {}, id="fig3b-defaults"), pytest.param("oracle_suite", {}, id="oracle_suite-defaults")],
+    )
+    def test_runner_tables_match_per_cell_reference(self, scenario_id, overrides):
+        config = make_config(scenario_id, overrides)
+        result = execute_scenario(config)
+        rows = list(zip(*(np.asarray(column).tolist() for column in result.columns.values())))
+        if not overrides and scenario_id == "fig3b":  # 15 full chunks and a short last one
+            assert divmod(len(rows), scenarios._RENDER_CHUNK_ROWS) == (15, 432)
+        if not overrides and scenario_id == "oracle_suite":  # the one default table render_csv sorts
+            assert rows != sorted(rows)
+        assert render_csv(result, config) == self._per_cell_reference(result.columns, rows, config)
+
+    def test_percent_texts_render_literally(self):
+        # a text cell is an argument of the chunk's one %, never part of its template
+        texts = ["%s", "%%", "100%", "%(x)s", "%.12g"]
+        size = 2 * scenarios._RENDER_CHUNK_ROWS + 37  # two full chunks and a short last one
+        columns = {
+            "label": AxisColumn(np.array(texts), 1, size // len(texts)),
+            "note": [f"{texts[i % 3]}{i % 4}%" for i in range(size)],
+            "value_1": np.arange(size) / 7.0,
+        }
+        config = make_config("fig6", FAST_OVERRIDES["fig6"])
+        rows = list(zip(*(np.asarray(column).tolist() for column in columns.values())))
+        text = render_csv(ScenarioResult(columns, {}), config)
+        assert text == self._per_cell_reference(columns, rows, config)
+        assert "\n%(x)s,%s3%,0.428571428571\n" in text  # row 3
 
     @pytest.mark.parametrize(
         "scenario_id, overrides",
@@ -322,8 +359,8 @@ class TestCsvOutput:
         finally:
             tracemalloc.stop()
         # two copies of the text are alive at the end, the chunk strings and their
-        # one join (2.08 times the text); adding the last newline after the join
-        # would take a third (3.08)
+        # one join, beside one chunk's cells and template (2.12 times the text);
+        # adding the last newline after the join would take a third (3.12)
         assert peak < 2.5 * len(text)
 
     def test_byte_determinism(self, tmp_path):
